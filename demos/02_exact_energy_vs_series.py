@@ -1,9 +1,12 @@
 """The central cross-check: zero-point trace formula against the trace series.
 
-The exact ground energy comes from one symmetric eigendecomposition,
-0.5 * (sum sqrt(eig) - sum sqrt(free)) + 1.5 e nu.  The same number has a
-perturbative expansion whose truncation error is bounded analytically by a
-geometric tail.  Two independent routes, one number.
+The exact ground energy is the zero-point trace
+0.5 * (sum sqrt(eig) - sum sqrt(free)) + 1.5 e nu, evaluated without any
+eigendecomposition as the imaginary-frequency integral
+(1/2 pi) Int_0^inf ds log det(1 - X(s)) of a 3x3 matrix built from per-mode
+sums.  The same number has a perturbative expansion whose truncation error
+is bounded analytically by a geometric tail.  Two independent routes, one
+number.
 """
 
 from cplab import (ModelParams, TraceSeries, assemble_one_electron,

@@ -17,7 +17,9 @@ import numpy as np
 from .continuum import fourth_order_error, fourth_order_main
 from .errors import FitDomainError, InvalidParameterError
 from .model import ChargeProfile, Geometry, ModelParams, build_lattice
-from .oscillator import binding_energy_exact, LatticePeriodicityWarning
+from .oscillator import (LatticePeriodicityWarning, assemble_one_electron,
+                         assemble_two_electron, binding_energy_exact,
+                         ground_energy)
 from .traces import TraceSystem, trace_word
 
 __all__ = ["SweepResult", "PowerFit", "sweep_R", "fit_power_law",
@@ -156,15 +158,18 @@ def convergence_study(L_ladder: Sequence[float],
                       Lambda_ladder: Sequence[float], params: ModelParams,
                       profile: ChargeProfile, R: float,
                       include_fourth_order: bool = False,
-                      dim_cap: int = 20000) -> List[Dict[str, float]]:
+                      dim_cap: Optional[int] = None
+                      ) -> List[Dict[str, float]]:
     """Refinement table over growing boxes at each fixed cutoff.
 
     The box ladder is the inner loop (matching the iterated-limit order);
-    each row carries the one- and two-dipole energies, the binding, the
+    each row carries the one- and two-dipole energies, the binding (from
+    ``binding_energy_exact``, not the difference of the energies), the
     signed successive differences along the box ladder, and optionally the
     lattice fourth-order main term for comparison against the continuum.
-    Rows whose matrix dimension would exceed ``dim_cap`` are skipped, so a
-    resource cap yields a partial table rather than a failure.
+    Rows whose matrix dimension would exceed ``dim_cap`` (no cap by
+    default) are skipped, so a resource cap yields a partial table rather
+    than a failure.
     """
     if any(b <= a for a, b in zip(L_ladder, L_ladder[1:])) or \
        any(b <= a for a, b in zip(Lambda_ladder, Lambda_ladder[1:])):
@@ -172,15 +177,13 @@ def convergence_study(L_ladder: Sequence[float],
     if R >= min(L_ladder) / 2.0:
         raise InvalidParameterError(
             "separation must stay below half the smallest box")
-    from .oscillator import (assemble_one_electron, assemble_two_electron,
-                             ground_energy)
     rows: List[Dict[str, float]] = []
     for lam in Lambda_ladder:
         prev_e1 = prev_bind = None
         for box in L_ladder:
             lattice = build_lattice(box, lam)
             dim = 6 + 4 * lattice.count
-            if dim > dim_cap:
+            if dim_cap is not None and dim > dim_cap:
                 rows.append({"Lambda": lam, "L": box, "N": lattice.count,
                              "skipped": True})
                 continue
@@ -188,7 +191,7 @@ def convergence_study(L_ladder: Sequence[float],
                 params, lattice, profile)).energy
             e2 = ground_energy(assemble_two_electron(
                 params, lattice, profile, Geometry(R))).energy
-            bind = 2.0 * e1 - e2
+            bind = binding_energy_exact(params, lattice, profile, R)
             row = {"Lambda": lam, "L": box, "N": lattice.count,
                    "E1": e1, "E2": e2, "binding": bind,
                    "dE1": math.nan if prev_e1 is None else e1 - prev_e1,

@@ -295,8 +295,7 @@ def _run_convergence(cfg, params, profile, lattice, report):
     ladder_l = [cfg.L, 1.5 * cfg.L, 2 * cfg.L]
     ladder_lam = [cfg.Lambda, 2 * cfg.Lambda]
     r = 0.3 * cfg.L
-    rows_raw = convergence_study(ladder_l, ladder_lam, params, profile, r,
-                                 dim_cap=4000)
+    rows_raw = convergence_study(ladder_l, ladder_lam, params, profile, r)
     cols = ["Lambda", "L", "N", "E1", "E2", "binding", "dE1", "dbinding"]
     rows = []
     for row in rows_raw:

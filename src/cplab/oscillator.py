@@ -1,14 +1,27 @@
 """Assembly of the coupled quadratic forms and exact ground-state energies.
 
 A dipole at position ``x`` couples linearly to the lattice field through a
-dense ``3 x 4N`` block; the full quadratic form is the free diagonal (trap
-frequencies and photon dispersions) plus those off-diagonal blocks.  The
-ground energy is the zero-point trace formula
+dense ``3 x 4N`` block.  The full quadratic form is a ``p x p`` particle
+block ``P`` (``p = 3`` or ``6``), the diagonal photon block ``K`` and the
+``p x 4N`` border ``B`` between them.  Only those three pieces are stored;
+the dense matrix is built on request, for tests and oracles.
 
-    E = 0.5 * (sum sqrt(eigenvalues) - sum sqrt(free diagonal)) + shift,
+The ground energy is the zero-point trace ``0.5 Tr(sqrt(Omega) -
+sqrt(Omega_0))`` plus the shift ``1.5 e nu`` per particle.  By the Schur
+complement on the photon block it equals the imaginary-frequency log-det
 
-with shift ``1.5 e nu`` per particle, evaluated by a full symmetric
-eigendecomposition.
+    0.5 Tr(sqrt(Omega) - sqrt(Omega_0))
+        = (1/2 pi) Int_0^inf ds log det_p(1 - X(s)),
+    X(s) = (s^2 + e^2 nu^2)^-1 [B (s^2 + K)^-1 B^T - (P - e^2 nu^2)],
+
+the finite-lattice Lifshitz / TGTG formula (Emig, Graham, Jaffe, Kardar,
+PRL 99, 170403 (2007); Rahi et al., PRD 80, 085021 (2009)).  ``X(s)`` is a
+resolvent-weighted sum of per-mode ``p x p`` blocks, so each quadrature node
+costs ``O(p^2 N)`` instead of the ``O(dim^3)`` of a dense eigensolve.  The
+binding energy is the mixed part of the same two-dipole log-det and is never
+formed as a difference of two energies.  Spectral diagnostics come from the
+inertia of the ``p x p`` Schur complement ``S(lam) = P - lam - B (K -
+lam)^-1 B^T`` (Haynsworth).
 """
 
 from __future__ import annotations
@@ -16,13 +29,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, NotPositiveSemidefiniteError
 from .model import (ChargeProfile, Geometry, Lattice, ModelParams,
                     polarization_basis)
+from .quadrature import integrate_half_line
 
 __all__ = [
     "CouplingMatrix", "QuadraticForm", "EnergyResult",
@@ -35,6 +49,8 @@ __all__ = [
 CLAMP_REL = 1e-10
 #: enforced relative symmetry of assembled forms
 SYMMETRY_REL = 1e-14
+#: float64 entries of the largest per-call resolvent table in the mode sum
+_CHUNK_ELEMS = 1 << 19
 
 
 class LatticePeriodicityWarning(UserWarning):
@@ -56,16 +72,40 @@ class CouplingMatrix:
 
 @dataclass
 class QuadraticForm:
-    """Assembled symmetric form with its free diagonal and metadata."""
+    """Symmetric form ``[[P, B], [B^T, K]]`` with its free diagonal.
 
-    dim: int
+    ``particle`` is the ``p x p`` block ``P``, ``border`` the ``p x 4N``
+    coupling ``B`` and ``omega0_diag`` the free diagonal, whose last ``4N``
+    entries are the photon block ``K`` (the four channels of a mode share
+    one frequency).
+    """
+
     omega0_diag: np.ndarray
-    omega: np.ndarray
+    border: np.ndarray
+    particle: np.ndarray
     zero_point_shift: float
     params: ModelParams
     lattice: Lattice
     geometry: Optional[Geometry] = None
     include_direct_term: bool = False
+
+    @property
+    def dim(self) -> int:
+        return len(self.omega0_diag)
+
+    @property
+    def omega(self) -> np.ndarray:
+        """The dense ``dim x dim`` matrix, built read-only on each access.
+
+        For tests and oracles at small ``dim``; no energy route uses it.
+        """
+        p = len(self.particle)
+        out = np.diag(self.omega0_diag)
+        out[:p, :p] = self.particle
+        out[:p, p:] = self.border
+        out[p:, :p] = self.border.T
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -103,8 +143,9 @@ def build_coupling(x, lattice: Lattice, profile: ChargeProfile,
     return CouplingMatrix(x=x, entries=entries)
 
 
-def _photon_diag(lattice: Lattice) -> np.ndarray:
-    return np.repeat(lattice.norms ** 2, 4)
+def _free_diag(params: ModelParams, lattice: Lattice, p: int) -> np.ndarray:
+    return np.concatenate([np.full(p, (params.e * params.nu) ** 2),
+                           np.repeat(lattice.norms ** 2, 4)])
 
 
 def assemble_one_electron(params: ModelParams, lattice: Lattice,
@@ -119,17 +160,11 @@ def assemble_one_electron(params: ModelParams, lattice: Lattice,
     perturbative cross-checks).
     """
     x = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
-    n = lattice.count
-    dim = 3 + 4 * n
-    diag = np.empty(dim)
-    diag[:3] = (params.e * params.nu) ** 2
-    diag[3:] = _photon_diag(lattice)
-    omega = np.diag(diag)
-    block = (coupling_scale * params.e
-             * build_coupling(x, lattice, profile, rotation_angles).entries)
-    omega[:3, 3:] = block
-    omega[3:, :3] = block.T
-    return QuadraticForm(dim=dim, omega0_diag=diag, omega=omega,
+    diag = _free_diag(params, lattice, 3)
+    border = (coupling_scale * params.e
+              * build_coupling(x, lattice, profile, rotation_angles).entries)
+    return QuadraticForm(omega0_diag=diag, border=border,
+                         particle=np.diag(diag[:3]),
                          zero_point_shift=1.5 * params.e * params.nu,
                          params=params, lattice=lattice)
 
@@ -163,59 +198,189 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
     The particle-particle block is zero unless ``include_direct_term`` is
     set, in which case it carries ``gamma(R)`` times the identity.
     """
-    n = lattice.count
-    dim = 6 + 4 * n
-    diag = np.empty(dim)
-    diag[:6] = (params.e * params.nu) ** 2
-    diag[6:] = _photon_diag(lattice)
-    omega = np.diag(diag)
-    b1 = (coupling_scale * params.e
-          * build_coupling(np.zeros(3), lattice, profile,
-                           rotation_angles).entries)
-    b2 = (coupling_scale * params.e
-          * build_coupling(geometry.r, lattice, profile,
-                           rotation_angles).entries)
-    omega[0:3, 6:] = b1
-    omega[6:, 0:3] = b1.T
-    omega[3:6, 6:] = b2
-    omega[6:, 3:6] = b2.T
+    diag = _free_diag(params, lattice, 6)
+    border = np.vstack([
+        build_coupling(x, lattice, profile, rotation_angles).entries
+        for x in (np.zeros(3), geometry.r)])
+    particle = np.diag(diag[:6])
     if include_direct_term:
         g = direct_coupling(params, lattice, profile, geometry)
-        omega[0:3, 3:6] = g * np.eye(3)
-        omega[3:6, 0:3] = g * np.eye(3)
-    return QuadraticForm(dim=dim, omega0_diag=diag, omega=omega,
+        particle[0:3, 3:6] = g * np.eye(3)
+        particle[3:6, 0:3] = g * np.eye(3)
+    return QuadraticForm(omega0_diag=diag,
+                         border=coupling_scale * params.e * border,
+                         particle=particle,
                          zero_point_shift=3.0 * params.e * params.nu,
                          params=params, lattice=lattice, geometry=geometry,
                          include_direct_term=include_direct_term)
 
 
-def ground_energy(form: QuadraticForm) -> EnergyResult:
-    """Exact ground energy of an assembled form.
+# ---------------------------------------------------------------------------
+# the log-det kernel
+# ---------------------------------------------------------------------------
 
-    Eigenvalues in ``[-1e-10 * norm, 0)`` are clamped to zero (roundoff);
-    anything lower raises ``NotPositiveSemidefiniteError``, signalling a
-    genuine violation of the positivity hypotheses.
+def _log_abs_one_minus(x: np.ndarray) -> np.ndarray:
+    """``log|1 - x|``, exact to roundoff for small ``|x|`` and finite at 1."""
+    near = np.log1p(-np.minimum(x, 0.5))
+    far = np.log(np.maximum(np.abs(1.0 - x), np.finfo(float).tiny))
+    return np.where(x < 0.5, near, far)
+
+
+class _Kernel:
+    """Per-mode ``p x p`` blocks ``M_n = sum_c b_{n,c} b_{n,c}^T`` of a form.
+
+    Every quantity of the form is a resolvent-weighted sum of these blocks:
+    ``B (z + K)^-1 B^T = sum_n M_n / (z + k_n^2)``.
     """
-    omega = form.omega
-    asym = np.max(np.abs(omega - omega.T))
-    scale = np.max(np.abs(omega))
+
+    def __init__(self, form: QuadraticForm):
+        p = len(form.particle)
+        self.p = p
+        self.particle = form.particle
+        self.border = form.border
+        self.free = form.omega0_diag[:p]
+        self.photon = form.omega0_diag[p:]
+        b = form.border.reshape(p, -1, 4)
+        self.freq2 = self.photon[0::4]
+        self.blocks = np.einsum("inc,jnc->nij", b, b).reshape(-1, p * p)
+        self.schur0 = self.schur(0.0)
+
+    def resolvent_sum(self, z: np.ndarray, power: int = 1) -> np.ndarray:
+        """Stack of ``sum_n M_n / (z + k_n^2)`` over the shifts ``z``, or of
+        ``sum_n M_n / (k_n^2 (z + k_n^2))`` for ``power=2``.
+
+        The mode sum runs in chunks, so the working set stays below
+        ``_CHUNK_ELEMS`` whatever the number of modes.
+        """
+        z = np.atleast_1d(z)
+        out = np.zeros((len(z), self.p * self.p))
+        step = max(1, _CHUNK_ELEMS // len(z))
+        for lo in range(0, len(self.freq2), step):
+            k2 = self.freq2[None, lo:lo + step]
+            res = 1.0 / (z[:, None] + k2)
+            if power == 2:
+                res /= k2
+            out += res @ self.blocks[lo:lo + step]
+        return out.reshape(-1, self.p, self.p)
+
+    def schur(self, lam: float) -> np.ndarray:
+        """``S(lam) = P - lam - B (K - lam)^-1 B^T``."""
+        return (self.particle - lam * np.eye(self.p)
+                - self.resolvent_sum(np.array([-lam]))[0])
+
+    def _scale(self, s2: np.ndarray) -> np.ndarray:
+        return 1.0 / np.sqrt(s2[:, None] + self.free[None, :])
+
+    def x(self, s: np.ndarray) -> np.ndarray:
+        """Symmetric ``X(s)`` with ``det(1 - X) = det(s^2 + Omega) /
+        det(s^2 + Omega_0)``, one ``p x p`` matrix per node; exact to
+        roundoff relative to ``X`` itself, which keeps the decaying tail."""
+        s2 = np.asarray(s, dtype=float) ** 2
+        h = self._scale(s2)
+        inner = (self.resolvent_sum(s2)
+                 - (self.particle - np.diag(self.free))[None, :, :])
+        return h[:, :, None] * inner * h[:, None, :]
+
+    def one_minus_x(self, s: np.ndarray) -> np.ndarray:
+        """``1 - X(s)`` built as ``S(0) + s^2 (1 + sum_n M_n / (k_n^2
+        (s^2 + k_n^2)))``: exact to roundoff relative to its own small
+        eigenvalues near a critical (nearly singular) form."""
+        s2 = np.asarray(s, dtype=float) ** 2
+        h = self._scale(s2)
+        inner = self.schur0[None, :, :] + s2[:, None, None] * (
+            np.eye(self.p) + self.resolvent_sum(s2, power=2))
+        return h[:, :, None] * inner * h[:, None, :]
+
+    def log_det(self, s: np.ndarray) -> np.ndarray:
+        """``log|det(1 - X(s))|`` per node.
+
+        ``log1p(-mu)`` of the eigenvalues of ``X`` wherever ``mu < 1/2``;
+        nodes with an eigenvalue near or past 1 take the eigenvalues of
+        ``1 - X`` from ``one_minus_x`` instead (same eigenvectors, order
+        reversed).
+        """
+        s = np.asarray(s, dtype=float)
+        mu = np.linalg.eigvalsh(self.x(s))
+        small = mu < 0.5
+        out = np.log1p(-np.where(small, mu, 0.0))
+        near = ~np.all(small, axis=1)
+        if np.any(near):
+            ev = np.linalg.eigvalsh(self.one_minus_x(s[near]))[:, ::-1]
+            mag = np.maximum(np.abs(ev), np.finfo(float).tiny)
+            out[near] = np.where(small[near], out[near], np.log(mag))
+        return np.sum(out, axis=1)
+
+    def count_below(self, lam: float) -> int:
+        """Eigenvalues of the form below ``lam`` (Haynsworth inertia):
+        those of ``K - lam`` plus those of ``S(lam)``; ``lam`` must not be
+        a photon frequency."""
+        return (int(np.count_nonzero(self.photon < lam))
+                + int(np.count_nonzero(np.linalg.eigvalsh(self.schur(lam))
+                                       < 0.0)))
+
+    def check_positivity(self) -> Tuple[float, int]:
+        """Clamp-or-raise rule: eigenvalues in ``[-CLAMP_REL * norm, 0)``
+        are roundoff, anything lower raises.  Returns the bottom eigenvalue
+        and the number of negative ones.
+
+        The bottom and top eigenvalues are found by bisection on
+        ``count_below`` inside the Gershgorin bracket; the bottom one stays
+        below every diagonal entry and the top one above, so ``K - lam`` is
+        never singular.
+        """
+        absb = np.abs(self.border)
+        rows = (np.sum(np.abs(self.particle), axis=1)
+                - np.abs(np.diag(self.particle)) + np.sum(absb, axis=1))
+        diag = np.concatenate([np.diag(self.particle), self.photon])
+        radius = np.concatenate([rows, np.sum(absb, axis=0)])
+        lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+        tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+
+        def bisect(a, b, target):
+            # smallest lam in (a, b] with count_below(lam) >= target
+            while b - a > tol:
+                mid = 0.5 * (a + b)
+                if not a < mid < b:
+                    break
+                if self.count_below(mid) >= target:
+                    b = mid
+                else:
+                    a = mid
+            return 0.5 * (a + b)
+
+        n_neg = self.count_below(0.0)
+        if n_neg:
+            bottom = bisect(lo, min(float(np.min(diag)), 0.0), 1)
+        else:
+            bottom = bisect(max(lo, 0.0), float(np.min(diag)), 1)
+        top = bisect(float(np.max(diag)), hi, len(diag))
+        floor = -CLAMP_REL * max(abs(bottom), abs(top))
+        if bottom < floor:
+            raise NotPositiveSemidefiniteError(
+                f"eigenvalue {bottom:.6e} below the roundoff floor "
+                f"{floor:.6e}; positivity hypotheses violated")
+        return bottom, n_neg
+
+
+def ground_energy(form: QuadraticForm) -> EnergyResult:
+    """Exact ground energy of an assembled form by the log-det kernel.
+
+    The integrand is ``sum_i log|1 - mu_i(X(s))|``.  Eigenvalues of the
+    form in ``[-1e-10 * norm, 0)`` are clamped to zero (roundoff): the
+    absolute value makes each contribute zero, as ``sqrt(0)`` does in the
+    trace formula.  Anything lower raises ``NotPositiveSemidefiniteError``,
+    signalling a genuine violation of the positivity hypotheses.
+    """
+    particle = form.particle
+    asym = np.max(np.abs(particle - particle.T))
+    scale = max(np.max(np.abs(particle)), np.max(np.abs(form.border)),
+                np.max(form.omega0_diag))
     if asym > SYMMETRY_REL * scale:
         raise InvalidParameterError(
             f"form is not symmetric: asymmetry {asym:.3e} vs scale {scale:.3e}")
-    sym = 0.5 * (omega + omega.T)
-    eigs = np.linalg.eigvalsh(sym)
-    norm = max(abs(eigs[0]), abs(eigs[-1]))
-    floor = -CLAMP_REL * norm
-    min_eig = float(eigs[0])
-    if eigs[0] < floor:
-        raise NotPositiveSemidefiniteError(
-            f"eigenvalue {eigs[0]:.6e} below the roundoff floor {floor:.6e}; "
-            "positivity hypotheses violated")
-    clamped = int(np.sum(eigs < 0.0))
-    eigs = np.clip(eigs, 0.0, None)
-    # ascending pairing of perturbed and free square roots, compensated sum
-    diffs = np.sqrt(np.sort(eigs)) - np.sqrt(np.sort(form.omega0_diag))
-    trace_difference = 0.5 * math.fsum(diffs)
+    kernel = _Kernel(form)
+    min_eig, clamped = kernel.check_positivity()
+    trace_difference = integrate_half_line(kernel.log_det) / (2.0 * math.pi)
     return EnergyResult(
         energy=trace_difference + form.zero_point_shift,
         min_eigenvalue=min_eig, trace_difference=trace_difference,
@@ -226,20 +391,47 @@ def ground_energy(form: QuadraticForm) -> EnergyResult:
 def binding_energy_exact(params: ModelParams, lattice: Lattice,
                          profile: ChargeProfile, R: float,
                          include_direct_term: bool = False) -> float:
-    """Exact binding ``2 E - E(R)`` from two eigendecompositions.
+    """Exact binding ``2 E - E(R)`` from the mixed part of one log-det.
 
-    Positive values mean attraction.  The zero-point shifts cancel exactly.
-    A warning is issued for ``R >= L / 2``: lattice momenta are multiples of
-    ``2 pi / L``, so the two-dipole energy is periodic in ``R`` with period
-    ``L`` and large separations are not meaningful on a finite box.
+    With ``A = 1 - X_11``, ``D = 1 - X_22`` and ``Y = X_12`` the blocks of
+    the two-dipole ``1 - X(s)``, the binding is
+    ``-(1/2 pi) Int_0^inf ds sum_i log(1 - sigma_i^2)`` with ``sigma`` the
+    singular values of ``L_A^-1 Y L_D^-T`` (Cholesky factors; for two
+    identical dipoles ``D = A`` and ``sigma`` are the eigenvalues of
+    ``A^-1/2 Y A^-1/2``).  It is resolvable at its own magnitude, not at
+    the roundoff of the energies.  The clamp-or-raise rule of
+    ``ground_energy`` applies to the two-dipole form, and ``log|.|`` gives
+    its clamped eigenvalues zero weight.
+
+    Positive values mean attraction.  A warning is issued for
+    ``R >= L / 2``: lattice momenta are multiples of ``2 pi / L``, so the
+    two-dipole energy is periodic in ``R`` with period ``L`` and large
+    separations are not meaningful on a finite box.
     """
     if R >= lattice.box_period / 2.0:
         warnings.warn(
             f"R = {R} is not below half the box period L = "
             f"{lattice.box_period}; the binding energy is periodic in R",
             LatticePeriodicityWarning, stacklevel=2)
-    one = ground_energy(assemble_one_electron(params, lattice, profile))
-    two = ground_energy(assemble_two_electron(
-        params, lattice, profile, Geometry(R),
-        include_direct_term=include_direct_term))
-    return 2.0 * one.energy - two.energy
+    form = assemble_two_electron(params, lattice, profile, Geometry(R),
+                                 include_direct_term=include_direct_term)
+    kernel = _Kernel(form)
+    if kernel.count_below(0.0):
+        kernel.check_positivity()
+
+    def integrand(s):
+        x = kernel.x(s)
+        eye = np.eye(3)
+        try:
+            la = np.linalg.cholesky(eye - x[:, :3, :3])
+            ld = np.linalg.cholesky(eye - x[:, 3:, 3:])
+        except np.linalg.LinAlgError:
+            raise NotPositiveSemidefiniteError(
+                "a one-dipole block of the two-dipole form is not positive "
+                "definite") from None
+        w = np.linalg.solve(la, x[:, :3, 3:])
+        z = np.swapaxes(np.linalg.solve(ld, np.swapaxes(w, 1, 2)), 1, 2)
+        sigma2 = np.linalg.eigvalsh(z @ np.swapaxes(z, 1, 2))
+        return -np.sum(_log_abs_one_minus(sigma2), axis=1)
+
+    return integrate_half_line(integrand) / (2.0 * math.pi)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cplab import ModelParams, build_lattice, make_gaussian_profile
+from cplab import (EnergyResult, ModelParams, build_lattice,
+                   make_gaussian_profile)
 
 # constraint-passing sets (e, nu0, xi) spanning the admissible region;
 # the first is the documented default
@@ -44,3 +45,36 @@ def strong_setup():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20200426)
+
+
+#: largest form the dense oracle accepts
+DENSE_ORACLE_MAX_DIM = 3000
+
+
+def dense_ground_energy(form, refine=False):
+    """Test oracle: the zero-point trace formula by dense ``eigvalsh``.
+
+    Eigenvalues below zero are clamped as in the package, without the
+    raise rule.  ``refine`` re-evaluates every eigenvalue as the Rayleigh
+    quotient of its eigenvector in extended precision, which removes the
+    ``eps * norm`` noise that a difference of energies (the binding) would
+    otherwise carry.
+    """
+    assert form.dim <= DENSE_ORACLE_MAX_DIM, "dense oracle is O(dim^3)"
+    omega = form.omega
+    if refine:
+        _, vecs = np.linalg.eigh(omega)
+        vecs = vecs.astype(np.longdouble)
+        eigs = (np.sum(vecs * (omega.astype(np.longdouble) @ vecs), axis=0)
+                / np.sum(vecs * vecs, axis=0))
+    else:
+        eigs = np.linalg.eigvalsh(omega).astype(np.longdouble)
+    free = np.sort(form.omega0_diag).astype(np.longdouble)
+    roots = np.sqrt(np.sort(np.clip(eigs, 0.0, None)))
+    trace_difference = float(0.5 * np.sum(roots - np.sqrt(free)))
+    return EnergyResult(
+        energy=trace_difference + form.zero_point_shift,
+        min_eigenvalue=float(np.min(eigs)),
+        trace_difference=trace_difference,
+        zero_point_shift=form.zero_point_shift, n_eigenvalues=form.dim,
+        n_clamped=int(np.sum(eigs < 0.0)))

@@ -9,7 +9,10 @@ from cplab import (Geometry, InvalidParameterError, LatticePeriodicityWarning,
                    assemble_one_electron, assemble_two_electron,
                    binding_energy_exact, build_coupling, build_lattice,
                    direct_coupling, ground_energy, lattice_norm,
-                   make_custom_profile, make_gaussian_profile)
+                   make_custom_profile, make_gaussian_profile,
+                   series_binding, series_one_electron)
+
+from conftest import PARAM_SETS, dense_ground_energy
 
 
 def zero_profile():
@@ -146,7 +149,7 @@ def test_direct_coupling_fast_decay():
 
 def test_asymmetric_form_rejected(default_params, small_lattice, gaussian):
     form = assemble_one_electron(default_params, small_lattice, gaussian)
-    form.omega[0, 1] += 1.0
+    form.particle[0, 1] += 1.0
     with pytest.raises(InvalidParameterError):
         ground_energy(form)
 
@@ -178,3 +181,84 @@ def test_periodicity_warning(default_params, small_lattice, gaussian):
 def test_binding_positive_at_strong_coupling(strong_setup):
     params, prof, lat = strong_setup
     assert binding_energy_exact(params, lat, prof, 0.4) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# log-det kernel against the dense eigvalsh oracle
+# ---------------------------------------------------------------------------
+
+def oracle_forms(params, lattice, profile):
+    """One-dipole form and two-dipole forms with and without the direct
+    term, at a separation below half the box."""
+    g = Geometry(0.3 * lattice.box_period)
+    return [assemble_one_electron(params, lattice, profile),
+            assemble_two_electron(params, lattice, profile, g),
+            assemble_two_electron(params, lattice, profile, g,
+                                  include_direct_term=True)]
+
+
+@pytest.mark.parametrize("box", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS[:3])
+def test_log_det_matches_dense_oracle(e, nu0, xi, box):
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
+    for form in oracle_forms(params, build_lattice(box, 1.0), prof):
+        res = ground_energy(form)
+        ref = dense_ground_energy(form)
+        # spectrum scale: the top eigenvalue is the largest photon frequency
+        norm = float(np.max(form.omega0_diag))
+        assert abs(res.energy - ref.energy) <= 1e-11
+        assert abs(res.min_eigenvalue - ref.min_eigenvalue) <= 1e-13 * norm
+        assert res.n_clamped == ref.n_clamped == 0
+        assert res.n_eigenvalues == form.dim
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-11])
+def test_in_window_eigenvalues_clamped_like_dense(default_params,
+                                                  small_lattice, gaussian,
+                                                  delta):
+    # lower the particle block until the Schur complement S(0) has a
+    # triple eigenvalue -delta: three form eigenvalues near -delta, inside
+    # the roundoff window
+    form = assemble_one_electron(default_params, small_lattice, gaussian)
+    photon = form.omega0_diag[3:]
+    schur0 = form.particle - (form.border / photon) @ form.border.T
+    form.particle -= (np.linalg.eigvalsh(schur0)[0] + delta) * np.eye(3)
+    res = ground_energy(form)
+    ref = dense_ground_energy(form)
+    assert res.n_clamped == ref.n_clamped == 3
+    assert res.min_eigenvalue == pytest.approx(ref.min_eigenvalue, rel=1e-2)
+    # the integrand's log|.| gives a clamped eigenvalue zero weight; the
+    # quadrature meets 1e-10 of the 2 pi * 2.12 integral
+    assert math.isfinite(res.energy)
+    assert abs(res.energy - ref.energy) <= 1e-9
+
+
+def test_binding_matches_refined_dense_oracle():
+    params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
+    lat = build_lattice(1.0, 1.0)
+    one = dense_ground_energy(assemble_one_electron(params, lat, prof),
+                              refine=True)
+    for r in (0.2, 0.35, 0.45):
+        two = dense_ground_energy(
+            assemble_two_electron(params, lat, prof, Geometry(r)),
+            refine=True)
+        ref = 2.0 * one.trace_difference - two.trace_difference
+        assert binding_energy_exact(params, lat, prof, r) == pytest.approx(
+            ref, rel=1e-9)
+
+
+def test_large_box_smoke():
+    # N = 9260 modes, dim 37043: out of reach of the dense route
+    params, prof = ModelParams(0.5, 2.0), make_gaussian_profile(1.0)
+    lat = build_lattice(10.0, 1.0)
+    assert lat.count == 9260
+    res = ground_energy(assemble_one_electron(params, lat, prof))
+    assert res.n_eigenvalues == 3 + 4 * 9260
+    assert res.n_clamped == 0 and res.min_eigenvalue > 0.0
+    series = series_one_electron(params, lat, prof, max_order=8)
+    assert abs(res.energy - series.value) <= (series.tail_bound
+                                              + 1e-10 * abs(res.energy))
+    binding = binding_energy_exact(params, lat, prof, 3.0)
+    bseries = series_binding(params, lat, prof, 3.0, max_order=4)
+    assert binding > 0.0
+    assert abs(binding - bseries.value) <= bseries.tail_bound
