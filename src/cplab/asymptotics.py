@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .continuum import fourth_order_error, fourth_order_main
-from .errors import FitDomainError, InvalidParameterError
+from .errors import CplabError, FitDomainError, InvalidParameterError
 from .model import ChargeProfile, Geometry, ModelParams, build_lattice
 from .oscillator import (LatticePeriodicityWarning, assemble_one_electron,
                          assemble_two_electron, binding_energy_exact,
@@ -82,7 +82,9 @@ def sweep_R(grid: Sequence[float],
 
     ``evaluator`` is either a callable or one of the names
     "continuum-main", "continuum-error", "lattice-binding".  Evaluation
-    failures are recorded as gaps and the sweep continues.
+    failures (a ``CplabError``, ``LinAlgError`` or ``FloatingPointError``)
+    are recorded as gaps and the sweep continues; any other exception is a
+    bug and propagates.
     """
     grid = [float(g) for g in grid]
     if not grid or any(g <= 0 for g in grid):
@@ -100,7 +102,8 @@ def sweep_R(grid: Sequence[float],
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LatticePeriodicityWarning)
                 v = float(fn(r))
-        except Exception as exc:  # gap row, sweep continues
+        except (CplabError, np.linalg.LinAlgError,
+                FloatingPointError) as exc:  # gap row, sweep continues
             gaps.append((r, f"{type(exc).__name__}: {exc}"))
             continue
         if not np.isfinite(v):

@@ -253,20 +253,22 @@ class _RadialTables:
         u = profile.radial(self.r / R) ** 2
         alpha = params.e * params.nu + self.r / R
         j0, j2 = angular_bracket_kernels(self.r)
-        self._vec = {}
-        for p, j in ((0, j0), (2, j2)):
-            for m in (1, 2, 3):
-                base = self.w * u * j / alpha ** m
-                self._vec[("G", p, m)] = base * self.r ** 3
-                self._vec[("H", p, m)] = base * self.r ** 4
+        self._keys = []
+        cols = []
+        for kind, power in (("G", 3), ("H", 4)):
+            for p, j in ((0, j0), (2, j2)):
+                for m in (1, 2, 3):
+                    self._keys.append((kind, p, m))
+                    cols.append(self.w * u * j / alpha ** m * self.r ** power)
+        self._cols = np.stack(cols, axis=1)
 
-    def moments(self, t: np.ndarray):
-        damp = np.exp(-np.outer(t, self.r))
-        g = {key[1:]: damp @ vec for key, vec in self._vec.items()
-             if key[0] == "G"}
-        h = {key[1:]: damp @ vec for key, vec in self._vec.items()
-             if key[0] == "H"}
-        return g, h
+    def moments(self, t: np.ndarray,
+                kinds: str) -> Dict[Tuple[str, int, int], np.ndarray]:
+        """Moments ``{(kind, p, m): values at t}`` for each kind in
+        ``kinds`` ("G", "H" or "GH"), from one damped matrix product."""
+        sel = [i for i, key in enumerate(self._keys) if key[0] in kinds]
+        vals = np.exp(-np.outer(t, self.r)) @ self._cols[:, sel]
+        return {self._keys[i]: vals[:, j] for j, i in enumerate(sel)}
 
 
 def _main_term_t_representation(R: float, params: ModelParams,
@@ -282,31 +284,27 @@ def _main_term_t_representation(R: float, params: ModelParams,
     pref = e ** 3 / (16.0 * nu)
 
     def integrand_re(t):
-        g, _ = tables.moments(np.atleast_1d(t))
+        mo = tables.moments(np.atleast_1d(t), "G")
         acc = 0.0
         for (p, q), coef in _ANGULAR_COEFF.items():
-            acc = acc + coef * (g[(p, 2)] * g[(q, 1)] + g[(p, 1)] * g[(q, 2)])
+            acc = acc + coef * (mo["G", p, 2] * mo["G", q, 1]
+                                + mo["G", p, 1] * mo["G", q, 2])
         return acc
 
     def integrand_ir(t):
-        g, h = tables.moments(np.atleast_1d(t))
+        mo = tables.moments(np.atleast_1d(t), "GH")
         acc = 0.0
         for (p, q), coef in _ANGULAR_COEFF.items():
-            acc = acc + coef * (2.0 * g[(p, 3)] * h[(q, 1)]
-                                + g[(p, 2)] * h[(q, 2)]
-                                + 2.0 * h[(p, 1)] * g[(q, 3)]
-                                + h[(p, 2)] * g[(q, 2)])
+            acc = acc + coef * (2.0 * mo["G", p, 3] * mo["H", q, 1]
+                                + mo["G", p, 2] * mo["H", q, 2]
+                                + 2.0 * mo["H", p, 1] * mo["G", q, 3]
+                                + mo["H", p, 2] * mo["G", q, 2])
         return acc
 
     spec = QuadratureSpec(rel_tol=rel_tol)
     re_val = R ** -7 * pref * integrate_half_line(integrand_re, spec)
     ir_val = R ** -8 * pref * integrate_half_line(integrand_ir, spec)
     return re_val + ir_val, re_val, ir_val
-
-
-def _grid_2d(profile: ChargeProfile, R: float, order: int = 12):
-    nodes, weights = _radial_grid(profile, R, order=order)
-    return nodes, weights
 
 
 def _main_term_direct(R: float, params: ModelParams,
@@ -318,7 +316,7 @@ def _main_term_direct(R: float, params: ModelParams,
     Aitken transform of the shell partial sums provides the returned value
     when the envelope has not yet decayed at the truncation radius.
     """
-    r, w = _grid_2d(profile, R)
+    r, w = _radial_grid(profile, R)
     u = profile.radial(r / R) ** 2
     j0, j2 = angular_bracket_kernels(r)
     kernels = {0: j0, 2: j2}
@@ -392,15 +390,15 @@ def fourth_order_error(R: float, params: ModelParams,
         tables = _RadialTables(params, profile, R)
 
         def integrand(t):
-            _, h = tables.moments(np.atleast_1d(t))
+            h = tables.moments(np.atleast_1d(t), "H")
             acc = 0.0
             for (p, q), coef in _ANGULAR_COEFF.items():
                 acc = acc + coef * (
-                    2.0 * h[(p, 3)] * h[(q, 1)]
-                    + 2.0 * h[(p, 1)] * h[(q, 3)]
-                    + 2.0 * h[(p, 2)] * h[(q, 2)]
-                    + (h[(p, 2)] * h[(q, 1)] + h[(p, 1)] * h[(q, 2)])
-                    / (e * nu))
+                    2.0 * h["H", p, 3] * h["H", q, 1]
+                    + 2.0 * h["H", p, 1] * h["H", q, 3]
+                    + 2.0 * h["H", p, 2] * h["H", q, 2]
+                    + (h["H", p, 2] * h["H", q, 1]
+                       + h["H", p, 1] * h["H", q, 2]) / (e * nu))
             return acc
 
         spec = QuadratureSpec(rel_tol=rel_tol)
@@ -409,7 +407,7 @@ def fourth_order_error(R: float, params: ModelParams,
         return FourthOrderResult(R=R, value=val, route=route,
                                  estimated_error=abs(val) * rel_tol)
     if route == "direct-quadrature":
-        r, w = _grid_2d(profile, R)
+        r, w = _radial_grid(profile, R)
         u = profile.radial(r / R) ** 2
         j0, j2 = angular_bracket_kernels(r)
         kernels = {0: j0, 2: j2}

@@ -11,6 +11,12 @@ trace into products of 3x3 transverse-projector sums (cost ``O(n N)`` per
 quadrature node instead of ``O(n N^3)``) and is verified against the dense
 route by the test suite.
 
+The series never enumerates words.  Summed over its letters, a closure of
+the 3x3 chain is a power of the 6x6 transfer block ``[[S, A], [A, S]]``
+(``S`` within one dipole, ``A`` across), so ``TraceSystem.order_integrand``
+takes all ``2**(n-1) - 2`` mixed even-weight words of one order in ``O(j)``
+6x6 products per node; the word-by-word sum is its test oracle.
+
 Sign conventions: the one-dipole energy is ``1.5 e nu`` minus the sum of the
 all-ones words, and the binding ``2 E - E(R)`` is plus the sum of the mixed
 even-weight words.
@@ -19,7 +25,7 @@ even-weight words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,6 +98,9 @@ class TraceSeries:
     a: float
     zero_point_shift: float = 0.0
     kind: str = "energy"
+    #: per order: the quadrature's own error estimate and integrand nodes
+    error_estimates: List[float] = field(default_factory=list)
+    nodes: List[int] = field(default_factory=list)
 
 
 def mixed_even_words(order: int) -> List[Tuple[int, ...]]:
@@ -129,6 +138,11 @@ def d_envelope(s, params: ModelParams, profile: ChargeProfile,
     out = (2.0 * params.e ** 2 * s2 / (s2 + enu2)
            * (n1 / (s2 + enu2) + n2))
     return out if np.ndim(s) else float(out[0])
+
+
+def _circulant(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Stack of 6x6 blocks ``[[diag, off], [off, diag]]``."""
+    return np.block([[diag, off], [off, diag]])
 
 
 class TraceSystem:
@@ -189,13 +203,17 @@ class TraceSystem:
 
     # -- factorized chain ----------------------------------------------------
 
-    def _chain_matrices(self, s: np.ndarray, m: int,
-                        across: bool) -> np.ndarray:
-        """Stack of 3x3 sums ``sum_k P_k w_k cos(k.delta) (s^2+|k|^2)^-m``
-        with ``delta`` zero (``across=False``) or the separation vector."""
+    def _resolvents(self, s: np.ndarray) -> Dict[int, np.ndarray]:
+        """Mode resolvents ``(s^2+|k|^2)^-m`` for m = 1, 2 at each node."""
+        r1 = 1.0 / (s[:, None] ** 2 + self._ksq[None, :])
+        return {1: r1, 2: r1 * r1}
+
+    def _chain_matrices(self, res: np.ndarray, across: bool) -> np.ndarray:
+        """Stack of 3x3 sums ``sum_k P_k w_k cos(k.delta) res_k`` with
+        ``delta`` zero (``across=False``) or the separation vector."""
         wk = self._wk if not across else self._wk * self._cosr
-        res = (s[:, None] ** 2 + self._ksq[None, :]) ** float(-m)
-        return np.einsum("sn,nij->sij", res * wk[None, :], self._proj)
+        n = len(wk)
+        return ((res * wk) @ self._proj.reshape(n, 9)).reshape(-1, 3, 3)
 
     def word_integrand_fast(self, word: Sequence[int],
                             s: np.ndarray) -> np.ndarray:
@@ -215,12 +233,13 @@ class TraceSystem:
         if n % 2:
             return np.zeros_like(s)
         enu2 = (self.params.e * self.params.nu) ** 2
+        res = self._resolvents(s)
         cache: Dict[Tuple[int, bool], np.ndarray] = {}
 
         def mat(m, across):
             key = (m, across)
             if key not in cache:
-                cache[key] = self._chain_matrices(s, m, across)
+                cache[key] = self._chain_matrices(res[m], across)
             return cache[key]
 
         total = np.zeros_like(s)
@@ -239,6 +258,56 @@ class TraceSystem:
             total += np.trace(prod, axis1=1, axis2=2) / (s * s + enu2)
         pref = self.params.e ** n * (s * s + enu2) ** (-n / 2.0)
         return s * s * pref * total
+
+    def order_integrand(self, order: int, s: np.ndarray) -> np.ndarray:
+        """Summed trace integrand of one series order ``2j``.
+
+        With geometry this is the sum of ``word_integrand_fast`` over every
+        mixed even-weight word of that length (the binding terms); without
+        it, the integrand of the all-ones word (the one-dipole term).
+
+        A word whose letters pair up closes through the photon sector into
+        ``tr(M2 M1^(j-1))`` and through a particle sector into ``tr(M1^j)``,
+        where the transfer blocks ``Mm = [[Sm, Am], [Am, Sm]]`` hold the
+        3x3 chain sums at resolvent power ``m`` (``S`` within one dipole,
+        ``A`` across).  Summing the letters of a closure is a 6x6 matrix
+        power, so an order costs ``O(j 6^3)`` per node instead of one chain
+        per word.  The mixed words are the paths through ``M1`` that take at
+        least one off-diagonal step: ``D_{k+1} = D_k M1 + U_k A1`` with
+        ``U_{k+1} = U_k S1`` (block-diagonal ``S`` and off-diagonal ``A``
+        parts of ``M1``), from ``D_0 = 0, U_0 = 1``, and the two closures
+        are ``tr(M2 D_{j-1})`` and ``tr(D_{j-1} M1)``.  The recursion never
+        subtracts the constant words, which may exceed the mixed part by a
+        hundred orders of magnitude.  Without geometry the transfer block is
+        ``S`` alone and ``U_{j-1}`` takes the place of ``D_{j-1}``.
+        """
+        if order < 2 or order % 2:
+            raise InvalidParameterError("order must be a positive even integer")
+        s = np.asarray(s, dtype=float)
+        res = self._resolvents(s)
+        t1 = self._chain_matrices(res[1], False)
+        t2 = self._chain_matrices(res[2], False)
+        if self.geometry is None:
+            power = np.broadcast_to(np.eye(3), t1.shape)
+            for _ in range(order // 2 - 1):
+                power = power @ t1
+        else:
+            a1 = self._chain_matrices(res[1], True)
+            a2 = self._chain_matrices(res[2], True)
+            zero = np.zeros_like(t1)
+            diag = _circulant(t1, zero)
+            off = _circulant(zero, a1)
+            t1, t2 = _circulant(t1, a1), _circulant(t2, a2)
+            plain = np.broadcast_to(np.eye(6), t1.shape)
+            power = np.zeros_like(t1)
+            for _ in range(order // 2 - 1):
+                power = power @ t1 + plain @ off
+                plain = plain @ diag
+        enu2 = (self.params.e * self.params.nu) ** 2
+        photon = np.einsum("sij,sji->s", t2, power)
+        particle = np.einsum("sij,sji->s", power, t1)
+        pref = self.params.e ** order * (s * s + enu2) ** (-order / 2.0)
+        return s * s * pref * (photon + particle / (s * s + enu2))
 
     # -- dense route ----------------------------------------------------------
 
@@ -313,6 +382,39 @@ def trace_word(word, system: TraceSystem,
     return val / math.pi
 
 
+def _order_terms(system: TraceSystem, max_order: int, spec: QuadratureSpec
+                 ) -> Tuple[List[int], List[float], List[float], List[int]]:
+    """Orders ``2 .. max_order`` with ``(1/pi) Int order_integrand``, its
+    quadrature error estimate and its integrand nodes.
+
+    The absolute quadrature floor is ``1e-13`` of the a-priori scale of the
+    words an order sums, and an order without words is zero without
+    quadrature.
+    """
+    orders = list(range(2, max_order + 1, 2))
+    terms, errors, nodes = [], [], []
+    for order in orders:
+        # the all-ones word, or the 2**(n-1) even-weight words less the two
+        # constant ones
+        count = 1 if system.geometry is None else 2 ** (order - 1) - 2
+        if not count:
+            terms.append(0.0)
+            errors.append(0.0)
+            nodes.append(0)
+            continue
+        scale = system.word_scale((1,) * order, spec) * count
+        spec_abs = QuadratureSpec(rel_tol=spec.rel_tol,
+                                  abs_tol=max(spec.abs_tol, 1e-13 * scale),
+                                  max_nodes=spec.max_nodes, even=spec.even)
+        res = integrate_half_line(
+            lambda s, _order=order: system.order_integrand(_order, s),
+            spec=spec_abs, full_output=True)
+        terms.append(res.value / math.pi)
+        errors.append(res.error_estimate / math.pi)
+        nodes.append(res.nodes_used)
+    return orders, terms, errors, nodes
+
+
 def series_one_electron(params: ModelParams, lattice: Lattice,
                         profile: ChargeProfile, max_order: int = 8,
                         quad: Optional[QuadratureSpec] = None) -> TraceSeries:
@@ -329,18 +431,15 @@ def series_one_electron(params: ModelParams, lattice: Lattice,
         raise SeriesDivergenceError(
             f"expansion parameter a = {a:.4f} >= 1; series diverges")
     spec = quad or QuadratureSpec()
-    orders, terms = [], []
-    for order in range(2, max_order + 1, 2):
-        word = (1,) * order
-        terms.append(trace_word(word, system, spec))
-        orders.append(order)
+    orders, terms, errors, nodes = _order_terms(system, max_order, spec)
     jmax = max_order // 2
     tail = system.d_integral(spec) * a ** jmax / (1.0 - a)
     shift = 1.5 * params.e * params.nu
     value = shift - math.fsum(terms)
     return TraceSeries(orders=orders, contributions=terms, value=value,
                        tail_bound=tail, converged=a < 1.0, a=a,
-                       zero_point_shift=shift, kind="energy")
+                       zero_point_shift=shift, kind="energy",
+                       error_estimates=errors, nodes=nodes)
 
 
 def series_binding(params: ModelParams, lattice: Lattice,
@@ -350,10 +449,11 @@ def series_binding(params: ModelParams, lattice: Lattice,
     """Binding energy ``2 E - E(R)`` summed over mixed even-weight words.
 
     Per order ``2j`` the contribution is the sum of ``<Q_I>`` over every
-    mixed word of that length (odd weights pruned analytically); the series
-    value carries the attractive sign convention.  The geometric tail bound
-    ``(1/pi) Int D * 4 (4a)**jmax / (1 - 4a)`` needs ``a < 1/4``; with
-    ``allow_unbounded_tail`` the value is still computed and the bound
+    mixed word of that length (odd weights pruned analytically), taken in
+    one transfer-matrix recursion by ``TraceSystem.order_integrand``; the
+    series value carries the attractive sign convention.  The geometric
+    tail bound ``(1/pi) Int D * 4 (4a)**jmax / (1 - 4a)`` needs ``a < 1/4``;
+    with ``allow_unbounded_tail`` the value is still computed and the bound
     reported as infinity.
     """
     if max_order < 2 or max_order % 2:
@@ -365,27 +465,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
             f"expansion parameter a = {a:.4f} >= 1/4; no geometric tail "
             "bound (pass allow_unbounded_tail=True to evaluate anyway)")
     spec = quad or QuadratureSpec()
-    orders, terms = [], []
-    for order in range(2, max_order + 1, 2):
-        words = [w for w in mixed_even_words(order)]
-        if not words:
-            orders.append(order)
-            terms.append(0.0)
-            continue
-        scale = system.word_scale(words[0], spec) * len(words)
-        spec_abs = QuadratureSpec(rel_tol=spec.rel_tol,
-                                  abs_tol=max(spec.abs_tol, 1e-13 * scale),
-                                  max_nodes=spec.max_nodes, even=spec.even)
-
-        def order_sum(s, _words=words):
-            acc = np.zeros_like(s)
-            for w in _words:
-                acc += system.word_integrand_fast(w, s)
-            return acc
-
-        val = integrate_half_line(order_sum, spec=spec_abs) / math.pi
-        orders.append(order)
-        terms.append(val)
+    orders, terms, errors, nodes = _order_terms(system, max_order, spec)
     jmax = max_order // 2
     if a < 0.25:
         tail = system.d_integral(spec) * 4.0 * (4.0 * a) ** jmax / (1.0 - 4.0 * a)
@@ -393,7 +473,8 @@ def series_binding(params: ModelParams, lattice: Lattice,
         tail = math.inf
     return TraceSeries(orders=orders, contributions=terms,
                        value=math.fsum(terms), tail_bound=tail,
-                       converged=a < 0.25, a=a, kind="binding")
+                       converged=a < 0.25, a=a, kind="binding",
+                       error_estimates=errors, nodes=nodes)
 
 
 def word_bound(word, report: ConstraintReport) -> float:

@@ -24,13 +24,23 @@ def test_sweep_constant_evaluator(default_params, gaussian):
 def test_sweep_records_gaps(default_params, gaussian):
     def flaky(R):
         if R == 2.0:
-            raise ValueError("boom")
+            raise InvalidParameterError("boom")
         return 1.0 / R
 
     sweep = sweep_R([1.0, 2.0, 3.0], flaky, default_params, gaussian)
     assert list(sweep.R) == [1.0, 3.0]
     assert len(sweep.gaps) == 1 and sweep.gaps[0][0] == 2.0
     assert "boom" in sweep.gaps[0][1]
+
+
+def test_sweep_propagates_programming_errors(default_params, gaussian):
+    def buggy(R):
+        if R == 2.0:
+            return len(R)  # TypeError: a bug, not an evaluation failure
+        return 1.0 / R
+
+    with pytest.raises(TypeError):
+        sweep_R([1.0, 2.0, 3.0], buggy, default_params, gaussian)
 
 
 def test_sweep_validates_grid(default_params, gaussian):

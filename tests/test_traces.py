@@ -11,6 +11,7 @@ from cplab import (ClassificationError, Geometry, IndexWord,
                    ground_energy, lattice_norm, make_gaussian_profile,
                    mixed_even_words, series_binding, series_one_electron,
                    trace_word, word_bound)
+from conftest import PARAM_SETS
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +53,8 @@ def test_mixed_even_word_enumeration():
     assert all(sum(w) % 2 == 0 and len(set(w)) == 2 for w in four)
     assert len(mixed_even_words(6)) == 30
     assert len(mixed_even_words(8)) == 126
+    for n in range(2, 13, 2):
+        assert len(mixed_even_words(n)) == 2 ** (n - 1) - 2
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +136,48 @@ def test_fast_equals_dense_bigger_lattice(rng):
         fast = system.word_integrand_fast(word, svals)
         dense = system.word_integrand_dense(word, svals)
         np.testing.assert_allclose(fast, dense, rtol=1e-10)
+
+
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+@pytest.mark.parametrize("L", [2.0, 3.0])
+def test_order_integrand_equals_word_sum(e, nu0, xi, L):
+    # the per-order transfer-matrix sum is the word-by-word sum it replaces
+    params = ModelParams(e, nu0)
+    prof = make_gaussian_profile(xi)
+    lat = build_lattice(L, 1.0)
+    pair = TraceSystem(params, lat, prof, Geometry(0.35 * L))
+    single = TraceSystem(params, lat, prof)
+    svals = np.geomspace(0.02, 40.0, 7)
+    for order in (4, 6, 8, 10):
+        words = sum((pair.word_integrand_fast(w, svals)
+                     for w in mixed_even_words(order)), np.zeros_like(svals))
+        np.testing.assert_allclose(pair.order_integrand(order, svals), words,
+                                   rtol=1e-12, atol=0.0)
+        ones = single.word_integrand_fast((1,) * order, svals)
+        np.testing.assert_allclose(single.order_integrand(order, svals),
+                                   ones, rtol=1e-12, atol=0.0)
+    assert np.all(pair.order_integrand(2, svals) == 0.0)
+
+
+def test_series_reports_quadrature_evidence(strong_setup):
+    from cplab import QuadratureSpec
+    params, prof, lat = strong_setup
+    loose = QuadratureSpec(rel_tol=1e-6)
+    tight = QuadratureSpec(rel_tol=1e-13)
+    for run in (lambda q: series_one_electron(params, lat, prof, 6, quad=q),
+                lambda q: series_binding(params, lat, prof, 0.35, 6,
+                                         quad=q)):
+        coarse, fine = run(loose), run(tight)
+        assert len(coarse.error_estimates) == len(coarse.orders) == 3
+        assert len(coarse.nodes) == 3
+        for c, f, err, used in zip(coarse.contributions, fine.contributions,
+                                   coarse.error_estimates, coarse.nodes):
+            if c == 0.0:  # the order-2 binding term has no words
+                assert err == 0.0 and used == 0
+                continue
+            assert used >= 176 and 0.0 < err <= 1e-6 * abs(c)
+            # the reported estimate bounds the observed error
+            assert abs(c - f) <= err
 
 
 def test_transpose_symmetry(strong_system):
