@@ -12,7 +12,10 @@ two-dimensional radial integrals; the exponential representation
 ``1/(sqrt(b) + sqrt(c)) = R Int_0^inf dt exp(-t (r1 + r2))`` decouples the
 radial variables and turns the main term into nested one-dimensional
 quadratures (route A).  A direct two-dimensional panel quadrature over the
-radial plane (route B) validates it.
+radial plane with the closed forms (route B) validates it.  Its integrand
+is symmetric in the two radial variables, so route B evaluates only the
+upper triangle, streamed one panel row at a time: the working set is one
+row of panels against the grid, never the full M x M plane.
 """
 
 from __future__ import annotations
@@ -43,6 +46,11 @@ _ANGULAR_COEFF: Dict[Tuple[int, int], float] = {
     (2, 0): -2.0 * math.pi ** 2,
     (2, 2): 6.0 * math.pi ** 2,
 }
+_ANGULAR_MATRIX = np.array([[_ANGULAR_COEFF[p, q] for q in (0, 2)]
+                            for p in (0, 2)])
+#: Gauss nodes per radial panel; one panel spans about pi in r
+_PANEL_NODES = 12
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,7 @@ class FourthOrderResult:
     estimated_error: float
     retarded_part: float = 0.0
     remainder_part: float = 0.0
+    nodes: int = 0
 
 
 def closed_integral(kind, a, b, c):
@@ -227,12 +236,12 @@ def _envelope_cutoff(profile: ChargeProfile, R: float) -> float:
                         "range", r, math.inf)
 
 
-def _radial_grid(profile: ChargeProfile, R: float, order: int = 12):
+def _radial_grid(profile: ChargeProfile, R: float):
     """Composite Gauss grid resolving the unit-period radial oscillation."""
     rmax = _envelope_cutoff(profile, R)
     n_pan = max(8, int(math.ceil(rmax / math.pi)))
     edges = np.linspace(0.0, rmax, n_pan + 1)
-    return gauss_panel_rule(edges, order=order)
+    return gauss_panel_rule(edges, order=_PANEL_NODES)
 
 
 class _RadialTables:
@@ -272,12 +281,12 @@ class _RadialTables:
 
 
 def _main_term_t_representation(R: float, params: ModelParams,
-                                profile: ChargeProfile,
-                                rel_tol: float) -> Tuple[float, float, float]:
+                                profile: ChargeProfile, rel_tol: float
+                                ) -> Tuple[float, float, float, int]:
     """Main fourth-order term by the exponential decoupling route.
 
-    Returns ``(value, retarded part, remainder part)`` for a single letter
-    ordering; the full term is twice the value.
+    Returns ``(retarded part, remainder part, error estimate, nodes)`` for
+    a single letter ordering; the full term is twice the sum of the parts.
     """
     tables = _RadialTables(params, profile, R)
     e, nu = params.e, params.nu
@@ -302,47 +311,96 @@ def _main_term_t_representation(R: float, params: ModelParams,
         return acc
 
     spec = QuadratureSpec(rel_tol=rel_tol)
-    re_val = R ** -7 * pref * integrate_half_line(integrand_re, spec)
-    ir_val = R ** -8 * pref * integrate_half_line(integrand_ir, spec)
-    return re_val + ir_val, re_val, ir_val
+    re_res = integrate_half_line(integrand_re, spec, full_output=True)
+    ir_res = integrate_half_line(integrand_ir, spec, full_output=True)
+    re_scale, ir_scale = R ** -7 * pref, R ** -8 * pref
+    return (re_scale * re_res.value, ir_scale * ir_res.value,
+            re_scale * re_res.error_estimate
+            + ir_scale * ir_res.error_estimate,
+            re_res.nodes_used + ir_res.nodes_used)
+
+
+def _direct_rows(profile: ChargeProfile, R: float, a0: float, kinds):
+    """Upper triangle of the direct radial-plane integrand, by panel row.
+
+    The integrand ``W_ij = f_i^T C f_j * mean_k I[k](a0; b_i; b_j)``, with
+    ``f = [J0, J2] * (w r^4 u)``, ``C`` the angular coefficients and
+    ``b = (r/R)^2``, is symmetric in ``i, j``: ``C`` is symmetric,
+    ``I311`` is symmetric in its last two arguments and the mean of
+    ``I221`` and ``I212`` is too.  For each panel row ``m`` this yields
+    the rows of panel m against the columns of panels ``>= m``, with the
+    columns beyond panel m doubled, so the chunks sum to ``sum_ij W_ij``.
+    Only one chunk (``_PANEL_NODES x M``) is alive at a time.
+    """
+    r, w = _radial_grid(profile, R)
+    j0, j2 = angular_bracket_kernels(r)
+    f = np.stack([j0, j2], axis=1) * (w * r ** 4
+                                      * profile.radial(r / R) ** 2)[:, None]
+    fc = f @ _ANGULAR_MATRIX
+    bsq = (r / R) ** 2
+    n = _PANEL_NODES
+    for m in range(len(r) // n):
+        rows, cols = slice(m * n, (m + 1) * n), slice(m * n, None)
+        core = fc[rows] @ f[cols].T
+        core[:, n:] *= 2.0
+        tri = sum(closed_integral(k, a0, bsq[rows, None], bsq[None, cols])
+                  for k in kinds)
+        yield core * (tri / len(kinds))
 
 
 def _main_term_direct(R: float, params: ModelParams,
-                      profile: ChargeProfile,
-                      accelerate: bool = True) -> float:
+                      profile: ChargeProfile) -> Tuple[float, float, int]:
     """Main term by direct 2D panel quadrature with the closed forms.
 
-    Panels are summed shell by shell in the radial plane; an iterated
-    Aitken transform of the shell partial sums provides the returned value
-    when the envelope has not yet decayed at the truncation radius.
+    Panels are summed shell by shell in the radial plane (shell m holds
+    the panel blocks whose larger index is m); an Aitken transform of the
+    last three shell partial sums provides the returned value when the
+    envelope has not yet decayed at the truncation radius.  Returns
+    ``(value, error estimate, nodes)``; the estimate is the roundoff
+    bound ``eps sum |W_ij|`` plus the Aitken shift.
     """
-    r, w = _radial_grid(profile, R)
-    u = profile.radial(r / R) ** 2
-    j0, j2 = angular_bracket_kernels(r)
-    kernels = {0: j0, 2: j2}
-    a0 = (params.e * params.nu) ** 2
-    bsq = (r / R) ** 2
-    half = 0.5 * (closed_integral("221", a0, bsq[:, None], bsq[None, :])
-                  + closed_integral("212", a0, bsq[:, None], bsq[None, :]))
-    core = np.zeros_like(half)
-    for (p, q), coef in _ANGULAR_COEFF.items():
-        core += coef * np.outer(kernels[p], kernels[q])
-    integrand = (np.outer(w * r ** 4 * u, w * r ** 4 * u) * core * half)
-    # shell-by-shell partial sums over panel blocks of 12 nodes
-    n_per = 12
-    n_pan = len(r) // n_per
-    blocks = integrand.reshape(n_pan, n_per, n_pan, n_per).sum(axis=(1, 3))
-    shells = np.empty(n_pan)
-    for m in range(n_pan):
-        shells[m] = (blocks[m, : m + 1].sum() + blocks[: m, m].sum())
+    n = _PANEL_NODES
+    shells = None
+    abs_sum, nodes = 0.0, 0
+    for m, chunk in enumerate(_direct_rows(
+            profile, R, (params.e * params.nu) ** 2, ("221", "212"))):
+        blocks = chunk.reshape(n, -1, n).sum(axis=(0, 2))
+        if shells is None:
+            shells = np.zeros_like(blocks)
+        shells[m:] += blocks
+        abs_sum += float(np.abs(chunk).sum())
+        nodes += chunk.size
     partial = np.cumsum(shells)
-    total = partial[-1]
-    if accelerate and n_pan >= 3:
-        s0, s1, s2 = partial[-3], partial[-2], partial[-1]
+    total = s2 = partial[-1]
+    if len(partial) >= 3:
+        s0, s1 = partial[-3], partial[-2]
         denom = s2 - 2.0 * s1 + s0
         if denom != 0.0 and abs(s2 - s1) > 1e-15 * abs(s2):
             total = s2 - (s2 - s1) ** 2 / denom
-    return 2.0 * R ** -10 * (params.e ** 4 / 2.0) * float(total)
+    pref = 2.0 * R ** -10 * (params.e ** 4 / 2.0)
+    err = _EPS * abs_sum + abs(total - s2)
+    return pref * float(total), pref * float(err), nodes
+
+
+def _error_term_direct(R: float, params: ModelParams,
+                       profile: ChargeProfile) -> Tuple[float, float, int]:
+    """Reference crossed word by direct 2D panel quadrature.
+
+    The sum is ill-conditioned (``sum |W_ij| / |sum W_ij|`` reaches 1e10
+    at R = 120, xi = 1), so each chunk is reduced to row sums and the M row sums
+    are combined exactly with ``math.fsum``.  Returns ``(value, error
+    estimate, nodes)``; the estimate is the roundoff bound
+    ``eps sum |W_ij|``.
+    """
+    row_sums = []
+    abs_sum, nodes = 0.0, 0
+    for chunk in _direct_rows(profile, R, (params.e * params.nu) ** 2,
+                              ("311",)):
+        row_sums.extend(chunk.sum(axis=1).tolist())
+        abs_sum += float(np.abs(chunk).sum())
+        nodes += chunk.size
+    pref = R ** -10 * (params.e ** 4 / 2.0)
+    return pref * math.fsum(row_sums), pref * _EPS * abs_sum, nodes
 
 
 def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
@@ -359,17 +417,16 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
     if R <= 0:
         raise InvalidParameterError("separation R must be positive")
     if route == "t-representation":
-        single, re_part, ir_part = _main_term_t_representation(
+        re_part, ir_part, err, nodes = _main_term_t_representation(
             R, params, profile, rel_tol)
-        return FourthOrderResult(R=R, value=2.0 * single,
-                                 route=route,
-                                 estimated_error=abs(2.0 * single) * rel_tol,
+        return FourthOrderResult(R=R, value=2.0 * (re_part + ir_part),
+                                 route=route, estimated_error=2.0 * err,
                                  retarded_part=2.0 * re_part,
-                                 remainder_part=2.0 * ir_part)
+                                 remainder_part=2.0 * ir_part, nodes=nodes)
     if route == "direct-quadrature":
-        value = _main_term_direct(R, params, profile)
+        value, err, nodes = _main_term_direct(R, params, profile)
         return FourthOrderResult(R=R, value=value, route=route,
-                                 estimated_error=abs(value) * 1e-6)
+                                 estimated_error=err, nodes=nodes)
     raise InvalidParameterError(f"unknown route {route!r}")
 
 
@@ -401,25 +458,14 @@ def fourth_order_error(R: float, params: ModelParams,
                        + h["H", p, 1] * h["H", q, 2]) / (e * nu))
             return acc
 
-        spec = QuadratureSpec(rel_tol=rel_tol)
-        val = (R ** -9 * e ** 2 / (16.0 * nu ** 2)
-               * integrate_half_line(integrand, spec))
-        return FourthOrderResult(R=R, value=val, route=route,
-                                 estimated_error=abs(val) * rel_tol)
+        res = integrate_half_line(integrand, QuadratureSpec(rel_tol=rel_tol),
+                                  full_output=True)
+        scale = R ** -9 * e ** 2 / (16.0 * nu ** 2)
+        return FourthOrderResult(R=R, value=scale * res.value, route=route,
+                                 estimated_error=scale * res.error_estimate,
+                                 nodes=res.nodes_used)
     if route == "direct-quadrature":
-        r, w = _radial_grid(profile, R)
-        u = profile.radial(r / R) ** 2
-        j0, j2 = angular_bracket_kernels(r)
-        kernels = {0: j0, 2: j2}
-        a0 = (e * nu) ** 2
-        bsq = (r / R) ** 2
-        tri = closed_integral("311", a0, bsq[:, None], bsq[None, :])
-        core = np.zeros_like(tri)
-        for (p, q), coef in _ANGULAR_COEFF.items():
-            core += coef * np.outer(kernels[p], kernels[q])
-        base = w * r ** 4 * u
-        val = (R ** -10 * (e ** 4 / 2.0)
-               * float(base @ (core * tri) @ base))
-        return FourthOrderResult(R=R, value=val, route=route,
-                                 estimated_error=abs(val) * 1e-6)
+        value, err, nodes = _error_term_direct(R, params, profile)
+        return FourthOrderResult(R=R, value=value, route=route,
+                                 estimated_error=err, nodes=nodes)
     raise InvalidParameterError(f"unknown route {route!r}")

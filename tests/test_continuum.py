@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from cplab import (InvalidParameterError, ModelParams,
                    TripleResolventIntegral, ab_identity_check,
                    angular_bracket_kernels, angular_factor, closed_integral,
                    cp_constant, fourth_order_error, fourth_order_main,
-                   integral_quadrature_oracle)
+                   integral_quadrature_oracle, make_gaussian_profile)
+from cplab.continuum import _ANGULAR_COEFF, _radial_grid
+from conftest import PARAM_SETS
 
 KINDS = {"111": (1, 1, 1), "221": (2, 2, 1), "212": (2, 1, 2),
          "311": (3, 1, 1)}
@@ -195,7 +198,7 @@ def test_cp_constant_values_and_scaling():
 # ---------------------------------------------------------------------------
 
 def test_main_term_routes_agree(default_params, gaussian):
-    for R in (20.0, 50.0):
+    for R in (20.0, 50.0, 120.0):
         a = fourth_order_main(R, default_params, gaussian)
         b = fourth_order_main(R, default_params, gaussian,
                               route="direct-quadrature")
@@ -216,11 +219,101 @@ def test_main_term_approaches_limit(default_params, gaussian):
 
 
 def test_error_term_routes_agree(default_params, gaussian):
-    a = fourth_order_error(40.0, default_params, gaussian)
-    b = fourth_order_error(40.0, default_params, gaussian,
-                           route="direct-quadrature")
-    assert a.value == pytest.approx(b.value, rel=1e-6)
-    assert a.value > 0.0
+    for R in (40.0, 120.0):
+        a = fourth_order_error(R, default_params, gaussian)
+        b = fourth_order_error(R, default_params, gaussian,
+                               route="direct-quadrature")
+        assert a.value == pytest.approx(b.value, rel=1e-6)
+        assert a.value > 0.0
+
+
+def _dense_direct_integrand(params, profile, R, kinds):
+    """Test oracle: the full M x M direct-route integrand, built densely."""
+    r, w = _radial_grid(profile, R)
+    u = profile.radial(r / R) ** 2
+    j0, j2 = angular_bracket_kernels(r)
+    kernels = {0: j0, 2: j2}
+    a0 = (params.e * params.nu) ** 2
+    bsq = (r / R) ** 2
+    tri = sum(closed_integral(k, a0, bsq[:, None], bsq[None, :])
+              for k in kinds) / len(kinds)
+    core = np.zeros_like(tri)
+    for (p, q), coef in _ANGULAR_COEFF.items():
+        core += coef * np.outer(kernels[p], kernels[q])
+    base = w * r ** 4 * u
+    return base, core * tri
+
+
+def dense_main_direct(params, profile, R):
+    """Oracle main term: shell partial sums of the full grid + Aitken."""
+    base, kernel = _dense_direct_integrand(params, profile, R,
+                                           ("221", "212"))
+    integrand = np.outer(base, base) * kernel
+    n_per = 12
+    n_pan = len(base) // n_per
+    blocks = integrand.reshape(n_pan, n_per, n_pan, n_per).sum(axis=(1, 3))
+    shells = np.array([blocks[m, : m + 1].sum() + blocks[: m, m].sum()
+                       for m in range(n_pan)])
+    partial = np.cumsum(shells)
+    total = partial[-1]
+    s0, s1, s2 = partial[-3], partial[-2], partial[-1]
+    denom = s2 - 2.0 * s1 + s0
+    if denom != 0.0 and abs(s2 - s1) > 1e-15 * abs(s2):
+        total = s2 - (s2 - s1) ** 2 / denom
+    pref = 2.0 * R ** -10 * (params.e ** 4 / 2.0)
+    return pref * float(total), pref * float(np.abs(integrand).sum())
+
+
+def dense_error_direct(params, profile, R):
+    """Oracle error term: ``base @ (core * tri) @ base`` on the full grid."""
+    base, kernel = _dense_direct_integrand(params, profile, R, ("311",))
+    pref = R ** -10 * (params.e ** 4 / 2.0)
+    return (pref * float(base @ kernel @ base),
+            pref * float(np.abs(base) @ np.abs(kernel) @ np.abs(base)))
+
+
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+def test_direct_route_matches_dense_oracle(e, nu0, xi):
+    # the streamed upper triangle reproduces the full-grid sums to within
+    # the sums' own conditioning, eps * sum |W_ij|
+    params, profile = ModelParams(e=e, nu0=nu0), make_gaussian_profile(xi)
+    eps = np.finfo(float).eps
+    for R in (5.0, 20.0, 40.0):
+        for fn, oracle in ((fourth_order_main, dense_main_direct),
+                           (fourth_order_error, dense_error_direct)):
+            ref, abs_sum = oracle(params, profile, R)
+            got = fn(R, params, profile, route="direct-quadrature")
+            assert abs(got.value - ref) <= 64 * eps * abs_sum, (fn, R)
+
+
+def test_direct_route_streams_in_small_memory():
+    # one panel row at a time: each call's peak stays far below one M x M
+    # array of doubles
+    params, profile, R = ModelParams(e=0.5, nu0=2.0), \
+        make_gaussian_profile(1.0), 120.0
+    m = len(_radial_grid(profile, R)[0])
+    for fn in (fourth_order_main, fourth_order_error):
+        tracemalloc.start()
+        try:
+            fn(R, params, profile, route="direct-quadrature")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * 8 / 8, (fn, peak)
+
+
+@pytest.mark.parametrize("e,nu0,xi,R", [
+    (0.5, 2.0, 1.0, 30.0), (0.5, 2.0, 1.0, 120.0), (1.2, 1.5, 1.5, 120.0),
+    (0.5, 3.0, 0.25, 60.0)])
+def test_route_error_estimates_bound_disagreement(e, nu0, xi, R):
+    params, profile = ModelParams(e=e, nu0=nu0), make_gaussian_profile(xi)
+    for fn in (fourth_order_main, fourth_order_error):
+        a = fn(R, params, profile)
+        b = fn(R, params, profile, route="direct-quadrature")
+        assert a.nodes > 0 and b.nodes > 0
+        assert 0.0 < a.estimated_error < 1e-6 * abs(a.value)
+        assert 0.0 < b.estimated_error
+        assert abs(a.value - b.value) <= a.estimated_error + b.estimated_error
 
 
 def test_error_term_decays_to_zero(default_params, gaussian):
