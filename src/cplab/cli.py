@@ -114,10 +114,11 @@ def _parse_grid(key: str, raw) -> List[float]:
         try:
             lo, hi = float(items[0]), float(items[1])
             count = int(items[2])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"key '{key}': {exc}") from None
-        if lo <= 0 or hi <= lo or count < 2:
-            raise ConfigError(f"key '{key}': need 0 < min < max and count >= 2")
+        if not (0 < lo < hi < math.inf) or count < 2:
+            raise ConfigError(f"key '{key}': need 0 < min < max < inf and "
+                              "count >= 2")
         if items[-1].lower() == "linear":
             return list(np.linspace(lo, hi, count))
         return list(np.geomspace(lo, hi, count))
@@ -125,9 +126,10 @@ def _parse_grid(key: str, raw) -> List[float]:
         grid = [float(x) for x in items]
     except (TypeError, ValueError):
         raise ConfigError(f"key '{key}': entries must be numbers") from None
-    if not grid or any(g <= 0 for g in grid) or \
+    if not grid or not all(0 < g < math.inf for g in grid) or \
             any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError(f"key '{key}': grid must be positive and increasing")
+        raise ConfigError(
+            f"key '{key}': grid must be positive, finite and increasing")
     return grid
 
 
@@ -135,7 +137,8 @@ def parse_config(text: str) -> RunConfig:
     """Validate a flat key-value or JSON document into a RunConfig.
 
     Unknown keys, type mismatches and constraint violations (positivity,
-    parity of max_order) raise ``ConfigError`` naming the offending key.
+    finiteness, parity of max_order) raise ``ConfigError`` naming the
+    offending key.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -164,13 +167,13 @@ def parse_config(text: str) -> RunConfig:
                 val = float(raw)
             except (TypeError, ValueError):
                 raise ConfigError(f"key '{key}': expected a number") from None
-            if val <= 0:
-                raise ConfigError(f"key '{key}': must be positive")
+            if not (val > 0 and math.isfinite(val)):
+                raise ConfigError(f"key '{key}': must be positive and finite")
             setattr(cfg, key, val)
         elif key == "max_order":
             try:
                 val = int(raw)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigError("key 'max_order': expected an integer") \
                     from None
             if val < 2 or val % 2:

@@ -15,7 +15,11 @@ quadratures (route A).  A direct two-dimensional panel quadrature over the
 radial plane with the closed forms (route B) validates it.  Its integrand
 is symmetric in the two radial variables, so route B evaluates only the
 upper triangle, streamed one panel row at a time: the working set is one
-row of panels against the grid, never the full M x M plane.
+row of panels against the grid, never the full M x M plane.  On that
+grid every closed-form input but ``sqrt(b) + sqrt(c)`` is a row or a
+column factor, so route B evaluates the closed forms as one fused,
+in-place kernel from per-node factors; ``closed_integral`` stays the
+general, broadcasting implementation and the kernel's elementwise oracle.
 """
 
 from __future__ import annotations
@@ -65,8 +69,10 @@ class TripleResolventIntegral:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise InvalidParameterError(f"kind must be one of {_KINDS}")
-        if min(self.a, self.b, self.c) <= 0:
-            raise InvalidParameterError("arguments must be positive")
+        if not all(x > 0 and math.isfinite(x)
+                   for x in (self.a, self.b, self.c)):
+            raise InvalidParameterError("arguments must be positive and "
+                                        "finite")
 
     @property
     def A(self) -> float:
@@ -113,8 +119,8 @@ def closed_integral(kind, a, b, c):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    if np.any(a <= 0) or np.any(b <= 0) or np.any(c <= 0):
-        raise InvalidParameterError("arguments must be positive")
+    if not all(np.all((x > 0) & np.isfinite(x)) for x in (a, b, c)):
+        raise InvalidParameterError("arguments must be positive and finite")
     ra, rb, rc = np.sqrt(a), np.sqrt(b), np.sqrt(c)
     A, B, C = ra + rb, rb + rc, rc + ra
     base = 1.0 / (A * B * C)
@@ -320,66 +326,94 @@ def _main_term_t_representation(R: float, params: ModelParams,
             re_res.nodes_used + ir_res.nodes_used)
 
 
-def _direct_rows(profile: ChargeProfile, R: float, a0: float, kinds):
+def _direct_rows(profile: ChargeProfile, R: float, alpha: float, kinds):
     """Upper triangle of the direct radial-plane integrand, by panel row.
 
-    The integrand ``W_ij = f_i^T C f_j * mean_k I[k](a0; b_i; b_j)``, with
-    ``f = [J0, J2] * (w r^4 u)``, ``C`` the angular coefficients and
-    ``b = (r/R)^2``, is symmetric in ``i, j``: ``C`` is symmetric,
-    ``I311`` is symmetric in its last two arguments and the mean of
-    ``I221`` and ``I212`` is too.  For each panel row ``m`` this yields
+    The integrand ``W_ij = f_i^T C f_j * mean_k I[k](alpha^2; b_i; b_j)``,
+    with ``f = [J0, J2] * (w r^4 u)``, ``C`` the angular coefficients and
+    ``b = rho^2``, ``rho = r/R``, is symmetric in ``i, j``: ``C`` is
+    symmetric, ``I311`` is symmetric in its last two arguments and the mean
+    of ``I221`` and ``I212`` is too.  For each panel row ``m`` this yields
     the rows of panel m against the columns of panels ``>= m``, with the
     columns beyond panel m doubled, so the chunks sum to ``sum_ij W_ij``.
-    Only one chunk (``_PANEL_NODES x M``) is alive at a time.
+    Only one panel row's arrays (``_PANEL_NODES x M`` each) are alive at a
+    time.
+
+    ``kinds`` is ``("221", "212")`` (main term) or ``("311",)`` (error
+    term).  The closed forms are evaluated as one fused, in-place kernel
+    from row and column factors: with ``A = alpha + rho`` (``A_i`` on the
+    rows is the ``A``, ``A_j`` on the columns the ``C`` of
+    ``closed_integral``; ``sqrt(b) = rho`` exactly) only
+    ``base = 1 / (A_i (rho_i + rho_j) A_j)`` is a full matrix, and
+
+    - ``mean(I221, I212) = base/8 * [(2/A_i^2 + S)/(alpha rho_i)
+      + (2/A_j^2 + S)/(alpha rho_j)]`` with
+      ``S = 2 (alpha + rho_i + rho_j) base``, which is
+      ``1/(AC) + 1/(AB) + 1/(BC) = (A + B + C)/(ABC)``;
+    - ``I311 = base/(8 alpha^2) * (g_i + g_j + 2/(A_i A_j))`` with
+      ``g = 2/A^2 + 1/(alpha A)``.
     """
     r, w = _radial_grid(profile, R)
     j0, j2 = angular_bracket_kernels(r)
     f = np.stack([j0, j2], axis=1) * (w * r ** 4
                                       * profile.radial(r / R) ** 2)[:, None]
     fc = f @ _ANGULAR_MATRIX
-    bsq = (r / R) ** 2
+    rho = r / R
+    big_a = alpha + rho
+    main = kinds == ("221", "212")
+    if main:
+        # chunk = base * ((alpha + rho_i + rho_j) base (p_i + p_j) + q_i + q_j)
+        p = 1.0 / (4.0 * alpha * rho)
+        q = p / big_a ** 2
+    elif kinds == ("311",):
+        # chunk = base * (h_i k_j + g_i + g_j)
+        scale = 1.0 / (8.0 * alpha ** 2)
+        g = scale * (2.0 / big_a ** 2 + 1.0 / (alpha * big_a))
+        h = 2.0 * scale / big_a
+        k = 1.0 / big_a
+    else:
+        raise ValueError(f"no fused direct kernel for kinds {kinds!r}")
     n = _PANEL_NODES
     for m in range(len(r) // n):
         rows, cols = slice(m * n, (m + 1) * n), slice(m * n, None)
-        core = fc[rows] @ f[cols].T
-        core[:, n:] *= 2.0
-        tri = sum(closed_integral(k, a0, bsq[rows, None], bsq[None, cols])
-                  for k in kinds)
-        yield core * (tri / len(kinds))
+        chunk = fc[rows] @ f[cols].T
+        chunk[:, n:] *= 2.0
+        base = np.add.outer(rho[rows], rho[cols])
+        base *= big_a[rows, None]
+        base *= big_a[cols]
+        np.reciprocal(base, out=base)
+        if main:
+            kern = np.add.outer(big_a[rows], rho[cols])
+            kern *= base
+            kern *= np.add.outer(p[rows], p[cols])
+            kern += q[rows, None]
+            kern += q[cols]
+        else:
+            kern = np.multiply.outer(h[rows], k[cols])
+            kern += g[rows, None]
+            kern += g[cols]
+        kern *= base
+        chunk *= kern
+        yield chunk
 
 
 def _main_term_direct(R: float, params: ModelParams,
                       profile: ChargeProfile) -> Tuple[float, float, int]:
     """Main term by direct 2D panel quadrature with the closed forms.
 
-    Panels are summed shell by shell in the radial plane (shell m holds
-    the panel blocks whose larger index is m); an Aitken transform of the
-    last three shell partial sums provides the returned value when the
-    envelope has not yet decayed at the truncation radius.  Returns
-    ``(value, error estimate, nodes)``; the estimate is the roundoff
-    bound ``eps sum |W_ij|`` plus the Aitken shift.
+    Sums the chunks of ``_direct_rows`` directly: the envelope cutoff puts
+    the outermost panels at roundoff, so no extrapolation is needed.
+    Returns ``(value, error estimate, nodes)``; the estimate is the
+    roundoff bound ``eps sum |W_ij|``.
     """
-    n = _PANEL_NODES
-    shells = None
-    abs_sum, nodes = 0.0, 0
-    for m, chunk in enumerate(_direct_rows(
-            profile, R, (params.e * params.nu) ** 2, ("221", "212"))):
-        blocks = chunk.reshape(n, -1, n).sum(axis=(0, 2))
-        if shells is None:
-            shells = np.zeros_like(blocks)
-        shells[m:] += blocks
-        abs_sum += float(np.abs(chunk).sum())
+    total, abs_sum, nodes = 0.0, 0.0, 0
+    for chunk in _direct_rows(profile, R, params.e * params.nu,
+                              ("221", "212")):
+        total += float(chunk.sum())
+        abs_sum += float(np.abs(chunk, out=chunk).sum())
         nodes += chunk.size
-    partial = np.cumsum(shells)
-    total = s2 = partial[-1]
-    if len(partial) >= 3:
-        s0, s1 = partial[-3], partial[-2]
-        denom = s2 - 2.0 * s1 + s0
-        if denom != 0.0 and abs(s2 - s1) > 1e-15 * abs(s2):
-            total = s2 - (s2 - s1) ** 2 / denom
     pref = 2.0 * R ** -10 * (params.e ** 4 / 2.0)
-    err = _EPS * abs_sum + abs(total - s2)
-    return pref * float(total), pref * float(err), nodes
+    return pref * total, pref * _EPS * abs_sum, nodes
 
 
 def _error_term_direct(R: float, params: ModelParams,
@@ -394,10 +428,9 @@ def _error_term_direct(R: float, params: ModelParams,
     """
     row_sums = []
     abs_sum, nodes = 0.0, 0
-    for chunk in _direct_rows(profile, R, (params.e * params.nu) ** 2,
-                              ("311",)):
+    for chunk in _direct_rows(profile, R, params.e * params.nu, ("311",)):
         row_sums.extend(chunk.sum(axis=1).tolist())
-        abs_sum += float(np.abs(chunk).sum())
+        abs_sum += float(np.abs(chunk, out=chunk).sum())
         nodes += chunk.size
     pref = R ** -10 * (params.e ** 4 / 2.0)
     return pref * math.fsum(row_sums), pref * _EPS * abs_sum, nodes
@@ -414,8 +447,9 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
     radial reduction against the closed forms and validates the default.
     The term approaches ``cp_constant(nu0) * R**-7`` at large separation.
     """
-    if R <= 0:
-        raise InvalidParameterError("separation R must be positive")
+    if not (R > 0 and math.isfinite(R)):
+        raise InvalidParameterError("separation R must be positive and "
+                                    "finite")
     if route == "t-representation":
         re_part, ir_part, err, nodes = _main_term_t_representation(
             R, params, profile, rel_tol)
@@ -440,8 +474,9 @@ def fourth_order_error(R: float, params: ModelParams,
     multiply by two for the full crossed contribution (the alternating
     words vanish identically).
     """
-    if R <= 0:
-        raise InvalidParameterError("separation R must be positive")
+    if not (R > 0 and math.isfinite(R)):
+        raise InvalidParameterError("separation R must be positive and "
+                                    "finite")
     e, nu = params.e, params.nu
     if route == "t-representation":
         tables = _RadialTables(params, profile, R)

@@ -71,6 +71,14 @@ def test_default_grid_scales_with_width():
     ("R_grid = 1, 2, 3, exponential", "R_grid"),
     ("output_format = yaml", "output_format"),
     ("just a line", "key = value"),
+    ("xi = nan", "xi"),
+    ("e = inf", "e"),
+    ("R_grid = nan, 120, 3, geometric", "R_grid"),
+    ("R_grid = 30, inf, 3, geometric", "R_grid"),
+    ("R_grid = 30, nan", "R_grid"),
+    ("R_grid = 30, inf", "R_grid"),
+    ('{"max_order": Infinity}', "max_order"),
+    ('{"R_grid": [30, 120, Infinity, "linear"]}', "R_grid"),
 ])
 def test_rejected_documents(doc, fragment):
     with pytest.raises(ConfigError) as err:
@@ -199,6 +207,12 @@ def test_bad_config_file_is_error(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("nu0 = -1")
     assert main(["check", "--config", str(cfg)]) == 1
+
+
+def test_non_finite_config_is_error(tmp_path):
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("R_grid = nan, 120, 3, geometric")
+    assert main(["cp-sweep", "--config", str(cfg)]) == 1
 
 
 def test_unwritable_output_path(tmp_path):

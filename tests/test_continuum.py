@@ -10,7 +10,8 @@ from cplab import (InvalidParameterError, ModelParams,
                    angular_bracket_kernels, angular_factor, closed_integral,
                    cp_constant, fourth_order_error, fourth_order_main,
                    integral_quadrature_oracle, make_gaussian_profile)
-from cplab.continuum import _ANGULAR_COEFF, _radial_grid
+from cplab.continuum import (_ANGULAR_COEFF, _ANGULAR_MATRIX, _PANEL_NODES,
+                             _direct_rows, _radial_grid)
 from conftest import PARAM_SETS
 
 KINDS = {"111": (1, 1, 1), "221": (2, 2, 1), "212": (2, 1, 2),
@@ -245,23 +246,13 @@ def _dense_direct_integrand(params, profile, R, kinds):
 
 
 def dense_main_direct(params, profile, R):
-    """Oracle main term: shell partial sums of the full grid + Aitken."""
+    """Oracle main term: plain sum of the full-grid integrand."""
     base, kernel = _dense_direct_integrand(params, profile, R,
                                            ("221", "212"))
     integrand = np.outer(base, base) * kernel
-    n_per = 12
-    n_pan = len(base) // n_per
-    blocks = integrand.reshape(n_pan, n_per, n_pan, n_per).sum(axis=(1, 3))
-    shells = np.array([blocks[m, : m + 1].sum() + blocks[: m, m].sum()
-                       for m in range(n_pan)])
-    partial = np.cumsum(shells)
-    total = partial[-1]
-    s0, s1, s2 = partial[-3], partial[-2], partial[-1]
-    denom = s2 - 2.0 * s1 + s0
-    if denom != 0.0 and abs(s2 - s1) > 1e-15 * abs(s2):
-        total = s2 - (s2 - s1) ** 2 / denom
     pref = 2.0 * R ** -10 * (params.e ** 4 / 2.0)
-    return pref * float(total), pref * float(np.abs(integrand).sum())
+    return (pref * float(integrand.sum()),
+            pref * float(np.abs(integrand).sum()))
 
 
 def dense_error_direct(params, profile, R):
@@ -284,6 +275,46 @@ def test_direct_route_matches_dense_oracle(e, nu0, xi):
             ref, abs_sum = oracle(params, profile, R)
             got = fn(R, params, profile, route="direct-quadrature")
             assert abs(got.value - ref) <= 64 * eps * abs_sum, (fn, R)
+
+
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+def test_direct_kernel_matches_closed_integral(e, nu0, xi):
+    # each fused chunk equals the angular core times the mean closed form,
+    # elementwise, within a few roundings of the closed form itself
+    params, profile = ModelParams(e=e, nu0=nu0), make_gaussian_profile(xi)
+    alpha, n, eps = params.e * params.nu, _PANEL_NODES, np.finfo(float).eps
+    for R in (5.0, 40.0, 120.0):
+        r, w = _radial_grid(profile, R)
+        j0, j2 = angular_bracket_kernels(r)
+        f = np.stack([j0, j2], axis=1) * (
+            w * r ** 4 * profile.radial(r / R) ** 2)[:, None]
+        fc = f @ _ANGULAR_MATRIX
+        bsq = (r / R) ** 2
+        for kinds in (("221", "212"), ("311",)):
+            chunks = 0
+            for m, chunk in enumerate(_direct_rows(profile, R, alpha, kinds)):
+                rows, cols = slice(m * n, (m + 1) * n), slice(m * n, None)
+                core = fc[rows] @ f[cols].T
+                core[:, n:] *= 2.0
+                tri = sum(closed_integral(k, alpha ** 2, bsq[rows, None],
+                                          bsq[None, cols])
+                          for k in kinds) / len(kinds)
+                ref = core * tri
+                assert np.all(np.abs(chunk - ref) <= 32 * eps * np.abs(ref)), \
+                    (R, kinds, m)
+                chunks += 1
+            assert chunks == len(r) // n
+
+
+def test_direct_route_node_count_is_upper_triangle():
+    # the fused kernel still visits every node pair of the upper triangle
+    params, profile, R = ModelParams(e=0.5, nu0=2.0), \
+        make_gaussian_profile(1.0), 120.0
+    m, n = len(_radial_grid(profile, R)[0]), _PANEL_NODES
+    expected = sum(n * (m - n * k) for k in range(m // n))
+    for fn in (fourth_order_main, fourth_order_error):
+        assert fn(R, params, profile,
+                  route="direct-quadrature").nodes == expected, fn
 
 
 def test_direct_route_streams_in_small_memory():
@@ -349,3 +380,17 @@ def test_fourth_order_rejects_bad_inputs(default_params, gaussian):
         fourth_order_main(0.0, default_params, gaussian)
     with pytest.raises(InvalidParameterError):
         fourth_order_main(10.0, default_params, gaussian, route="bogus")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_inputs_rejected(default_params, gaussian, bad):
+    with pytest.raises(InvalidParameterError):
+        closed_integral("111", bad, 1.0, 1.0)
+    with pytest.raises(InvalidParameterError):
+        closed_integral("221", 1.0, np.array([1.0, bad]), 1.0)
+    with pytest.raises(InvalidParameterError):
+        TripleResolventIntegral("311", 1.0, 1.0, bad)
+    for fn in (fourth_order_main, fourth_order_error):
+        for route in ("t-representation", "direct-quadrature"):
+            with pytest.raises(InvalidParameterError):
+                fn(bad, default_params, gaussian, route=route)
