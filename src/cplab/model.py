@@ -83,10 +83,11 @@ class ModelParams:
     nu0: float
 
     def __post_init__(self):
-        if self.e <= 0:
-            raise InvalidParameterError("charge e must be positive")
-        if self.nu0 <= 0:
-            raise InvalidParameterError("trap frequency nu0 must be positive")
+        if not (self.e > 0 and math.isfinite(self.e)):
+            raise InvalidParameterError("charge e must be positive and finite")
+        if not (self.nu0 > 0 and math.isfinite(self.nu0)):
+            raise InvalidParameterError(
+                "trap frequency nu0 must be positive and finite")
 
     @property
     def nu(self) -> float:
@@ -104,8 +105,9 @@ class Geometry:
     R: float
 
     def __post_init__(self):
-        if self.R <= 0:
-            raise InvalidParameterError("separation R must be positive")
+        if not (self.R > 0 and math.isfinite(self.R)):
+            raise InvalidParameterError(
+                "separation R must be positive and finite")
 
     @property
     def n_hat(self) -> np.ndarray:
@@ -165,6 +167,10 @@ class Lattice:
     """Momentum modes ``k`` in ``(2 pi Z / L)**3`` with ``|k_i| <= 2 pi Lam``,
     origin excluded, ordered lexicographically.
 
+    The box built by ``build_lattice`` is symmetric under each reflection
+    ``k_i -> -k_i`` and under ``k_x <-> k_y``; the trace and binding
+    kernels rely on this to reduce every mode sum to axis channels.
+
     Attributes
     ----------
     points : ndarray, shape (N, 3)
@@ -199,8 +205,8 @@ def make_gaussian_profile(xi: float) -> ChargeProfile:
     ``norm(p)**2 = (2 pi)**-3 * 2 pi * Gamma(p + 3/2) * 2**-(p + 3/2)
     * xi**-(3 + 2 p)``.
     """
-    if xi <= 0:
-        raise InvalidParameterError("width xi must be positive")
+    if not (xi > 0 and math.isfinite(xi)):
+        raise InvalidParameterError("width xi must be positive and finite")
     xi = float(xi)
 
     def radial(r):
@@ -267,8 +273,9 @@ def build_lattice(box_period: float, uv_cutoff: float) -> Lattice:
     The number of points is ``(2 floor(Lam L) + 1)**3 - 1``; an empty box
     (no nonzero mode on any axis) raises ``EmptyLatticeError``.
     """
-    if box_period <= 0 or uv_cutoff <= 0:
-        raise InvalidParameterError("box period and cutoff must be positive")
+    if not all(x > 0 and math.isfinite(x) for x in (box_period, uv_cutoff)):
+        raise InvalidParameterError(
+            "box period and cutoff must be positive and finite")
     n_max = int(math.floor(uv_cutoff * box_period + 1e-12))
     if n_max < 1:
         raise EmptyLatticeError(

@@ -19,9 +19,11 @@ PRL 99, 170403 (2007); Rahi et al., PRD 80, 085021 (2009)).  ``X(s)`` is a
 resolvent-weighted sum of per-mode ``p x p`` blocks, so each quadrature node
 costs ``O(p^2 N)`` instead of the ``O(dim^3)`` of a dense eigensolve.  The
 binding energy is the mixed part of the same two-dipole log-det and is never
-formed as a difference of two energies.  Spectral diagnostics come from the
-inertia of the ``p x p`` Schur complement ``S(lam) = P - lam - B (K -
-lam)^-1 B^T`` (Haynsworth).
+formed as a difference of two energies.  For the assembled two-dipole form
+``X(s)`` is diagonal in the axis channels of ``traces.TraceSystem``, so the
+binding takes the channel sums and assembles no form unless the positivity
+check needs it.  Spectral diagnostics come from the inertia of the ``p x p``
+Schur complement ``S(lam) = P - lam - B (K - lam)^-1 B^T`` (Haynsworth).
 """
 
 from __future__ import annotations
@@ -393,45 +395,55 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
                          include_direct_term: bool = False) -> float:
     """Exact binding ``2 E - E(R)`` from the mixed part of one log-det.
 
-    With ``A = 1 - X_11``, ``D = 1 - X_22`` and ``Y = X_12`` the blocks of
-    the two-dipole ``1 - X(s)``, the binding is
-    ``-(1/2 pi) Int_0^inf ds sum_i log(1 - sigma_i^2)`` with ``sigma`` the
-    singular values of ``L_A^-1 Y L_D^-T`` (Cholesky factors; for two
-    identical dipoles ``D = A`` and ``sigma`` are the eigenvalues of
-    ``A^-1/2 Y A^-1/2``).  It is resolvable at its own magnitude, not at
-    the roundoff of the energies.  The clamp-or-raise rule of
-    ``ground_energy`` applies to the two-dipole form, and ``log|.|`` gives
-    its clamped eigenvalues zero weight.
+    The two-dipole ``X(s)`` is ``[[x, y], [y, x]]`` with ``x`` and ``y``
+    diagonal in the axis channels of ``TraceSystem.channel_sums``:
+    ``x_c = e^2 s1_c / (s^2 + e^2 nu^2)`` within one dipole and ``y_c =
+    (e^2 a1_c - gamma) / (s^2 + e^2 nu^2)`` across, with ``gamma`` the
+    direct coupling when ``include_direct_term`` is set and zero
+    otherwise.  Per channel ``det(1 - X) = (1 - x - y)(1 - x + y)``, so the
+    binding is ``-(1/2 pi) Int_0^inf ds sum_c m_c log(1 - sigma_c^2)`` with
+    ``sigma_c = y_c / (1 - x_c)``, resolvable at its own magnitude, not at
+    the roundoff of the energies.  ``S(0) = e^2 nu^2 (1 - X(0))``, so the
+    form has a negative eigenvalue exactly when ``|y_c(0)| > 1 - x_c(0)``
+    in some channel; only then is the form assembled for the clamp-or-raise
+    rule of ``ground_energy``, and ``log|.|`` gives its clamped
+    eigenvalues zero weight.
 
     Positive values mean attraction.  A warning is issued for
     ``R >= L / 2``: lattice momenta are multiples of ``2 pi / L``, so the
     two-dipole energy is periodic in ``R`` with period ``L`` and large
     separations are not meaningful on a finite box.
     """
+    from .traces import TraceSystem  # traces imports this module
     if R >= lattice.box_period / 2.0:
         warnings.warn(
             f"R = {R} is not below half the box period L = "
             f"{lattice.box_period}; the binding energy is periodic in R",
             LatticePeriodicityWarning, stacklevel=2)
-    form = assemble_two_electron(params, lattice, profile, Geometry(R),
-                                 include_direct_term=include_direct_term)
-    kernel = _Kernel(form)
-    if kernel.count_below(0.0):
-        kernel.check_positivity()
+    geometry = Geometry(R)
+    system = TraceSystem(params, lattice, profile, geometry)
+    gamma = (direct_coupling(params, lattice, profile, geometry)
+             if include_direct_term else 0.0)
+    e2, enu2 = params.e ** 2, (params.e * params.nu) ** 2
+
+    def channels(s):
+        s1, a1 = system.channel_sums(s, (1,))[1]
+        denom = (s * s + enu2)[:, None]
+        return e2 * s1 / denom, (e2 * a1 - gamma) / denom
+
+    x0, y0 = channels(np.zeros(1))
+    if np.any(np.abs(y0) > 1.0 - x0):
+        _Kernel(assemble_two_electron(
+            params, lattice, profile, geometry,
+            include_direct_term=include_direct_term)).check_positivity()
 
     def integrand(s):
-        x = kernel.x(s)
-        eye = np.eye(3)
-        try:
-            la = np.linalg.cholesky(eye - x[:, :3, :3])
-            ld = np.linalg.cholesky(eye - x[:, 3:, 3:])
-        except np.linalg.LinAlgError:
+        x, y = channels(np.asarray(s, dtype=float))
+        if np.any(x >= 1.0):
             raise NotPositiveSemidefiniteError(
                 "a one-dipole block of the two-dipole form is not positive "
-                "definite") from None
-        w = np.linalg.solve(la, x[:, :3, 3:])
-        z = np.swapaxes(np.linalg.solve(ld, np.swapaxes(w, 1, 2)), 1, 2)
-        sigma2 = np.linalg.eigvalsh(z @ np.swapaxes(z, 1, 2))
-        return -np.sum(_log_abs_one_minus(sigma2), axis=1)
+                "definite")
+        sigma = y / (1.0 - x)
+        return -(_log_abs_one_minus(sigma * sigma) @ system.multiplicity)
 
     return integrate_half_line(integrand) / (2.0 * math.pi)

@@ -5,17 +5,20 @@ inside a resolvent-weighted trace,
 
     <Q_I> = (1/pi) Int_0^inf ds s^2 tr[(s^2 + W0)^-1 Q_{i1}(s) ... Q_{in}(s)],
 
-with ``Q_i(s)`` the symmetrically resolvent-dressed blocks.  The normative
-evaluation is the dense matrix product; a factorized fast path collapses the
-trace into products of 3x3 transverse-projector sums (cost ``O(n N)`` per
-quadrature node instead of ``O(n N^3)``) and is verified against the dense
-route by the test suite.
+with ``Q_i(s)`` the symmetrically resolvent-dressed blocks.  The trace
+collapses into products of mode sums of the transverse projectors, and on
+the symmetric cutoff box each of those is diagonal in the axes: a
+transverse channel (x and y) and a longitudinal one (z).
+``TraceSystem.channel_sums`` is the one kernel that evaluates them, so a
+word costs ``O(N)`` per quadrature node and a chain is a product of
+scalars per channel.  The dense matrix product of the full blocks is the
+test suite's oracle for it.
 
-The series never enumerates words.  Summed over its letters, a closure of
-the 3x3 chain is a power of the 6x6 transfer block ``[[S, A], [A, S]]``
-(``S`` within one dipole, ``A`` across), so ``TraceSystem.order_integrand``
-takes all ``2**(n-1) - 2`` mixed even-weight words of one order in ``O(j)``
-6x6 products per node; the word-by-word sum is its test oracle.
+The series never enumerates words.  Per channel, summed over its letters, a
+closure is a power of ``[[s, a], [a, s]]`` (``s`` within one dipole, ``a``
+across), so ``TraceSystem.order_integrand`` takes all ``2**(n-1) - 2``
+mixed even-weight words of one order as a binomial sum in ``s`` and ``a``;
+the word-by-word sum is its test oracle.
 
 Sign conventions: the one-dipole energy is ``1.5 e nu`` minus the sum of the
 all-ones words, and the binding ``2 E - E(R)`` is plus the sum of the mixed
@@ -34,6 +37,7 @@ from .errors import (ClassificationError, InvalidParameterError,
                      SeriesDivergenceError, TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
                     ModelParams, check_constraints)
+from .oscillator import _CHUNK_ELEMS
 from .quadrature import QuadratureSpec, integrate_half_line
 
 __all__ = [
@@ -140,19 +144,23 @@ def d_envelope(s, params: ModelParams, profile: ChargeProfile,
     return out if np.ndim(s) else float(out[0])
 
 
-def _circulant(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Stack of 6x6 blocks ``[[diag, off], [off, diag]]``."""
-    return np.block([[diag, off], [off, diag]])
-
-
 class TraceSystem:
     """Evaluation context bundling parameters, lattice, profile and geometry.
 
-    Precomputes the per-mode weights and transverse projectors consumed by
-    the factorized chain evaluation, and lazily builds the dense blocks for
-    the normative route.  ``geometry=None`` restricts the system to the
-    single-dipole words (all letters equal to 1).
+    Every trace is built from the resolvent-weighted mode sums
+    ``sum_k w_k P_k [cos(k . r)] (s^2 + |k|^2)^-m`` of the transverse
+    projectors ``P_k = 1 - u_k u_k^T``, with ``w_k = cell_weight |k|^2
+    f(|k|)^2``.  The cutoff box is symmetric under ``k_i -> -k_i`` and
+    ``k_x <-> k_y`` and ``r`` lies along z, so each such sum is
+    ``diag(T, T, L)``: a transverse channel of multiplicity two and a
+    longitudinal one.  ``channel_sums`` evaluates the ``T`` and ``L``
+    entries, and a trace closes as ``sum_c m_c (...)`` over the channels.
+    ``geometry=None`` restricts the system to the single-dipole words (all
+    letters equal to 1).
     """
+
+    #: channel multiplicities: transverse (x and y), longitudinal (z)
+    multiplicity = (2.0, 1.0)
 
     def __init__(self, params: ModelParams, lattice: Lattice,
                  profile: ChargeProfile, geometry: Optional[Geometry] = None):
@@ -162,15 +170,13 @@ class TraceSystem:
         self.geometry = geometry
         self._ksq = lattice.norms ** 2
         f = profile.radial(lattice.norms)
-        self._wk = lattice.cell_weight * self._ksq * f * f
-        units = lattice.units
-        self._proj = (np.eye(3)[None, :, :]
-                      - units[:, :, None] * units[:, None, :])
+        wk = lattice.cell_weight * self._ksq * f * f
+        uz2 = lattice.units[:, 2] ** 2
+        columns = [0.5 * wk * (1.0 + uz2), wk * (1.0 - uz2)]
         if geometry is not None:
-            self._cosr = np.cos(lattice.points @ geometry.r)
-        else:
-            self._cosr = None
-        self._dense: Dict[int, np.ndarray] = {}
+            cosr = np.cos(lattice.points @ geometry.r)
+            columns += [columns[0] * cosr, columns[1] * cosr]
+        self._columns = np.stack(columns, axis=1)
         self._report: Optional[ConstraintReport] = None
         self._d_integral: Optional[float] = None
 
@@ -201,19 +207,36 @@ class TraceSystem:
         a = self.report.a
         return a ** (len(word) // 2 - 1) * self.d_integral(quad)
 
-    # -- factorized chain ----------------------------------------------------
+    # -- channel sums ---------------------------------------------------------
 
-    def _resolvents(self, s: np.ndarray) -> Dict[int, np.ndarray]:
-        """Mode resolvents ``(s^2+|k|^2)^-m`` for m = 1, 2 at each node."""
-        r1 = 1.0 / (s[:, None] ** 2 + self._ksq[None, :])
-        return {1: r1, 2: r1 * r1}
+    def channel_sums(self, s: np.ndarray, powers: Sequence[int] = (1, 2)
+                     ) -> Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]:
+        """Channel entries of the mode sums at resolvent powers ``powers``.
 
-    def _chain_matrices(self, res: np.ndarray, across: bool) -> np.ndarray:
-        """Stack of 3x3 sums ``sum_k P_k w_k cos(k.delta) res_k`` with
-        ``delta`` zero (``across=False``) or the separation vector."""
-        wk = self._wk if not across else self._wk * self._cosr
-        n = len(wk)
-        return ((res * wk) @ self._proj.reshape(n, 9)).reshape(-1, 3, 3)
+        Returns ``{m: (within, across)}`` for each ``m`` in ``powers`` (a
+        subset of {1, 2}), each of shape ``(nodes, 2)`` with the transverse
+        and longitudinal entries of ``sum_k w_k P_k (s^2 + |k|^2)^-m``
+        (``within``, one dipole) and of the same sum times ``cos(k . r)``
+        (``across``, ``None`` without geometry).  The mode sum runs in
+        chunks, so no table holds more than ``_CHUNK_ELEMS`` floats
+        whatever the number of modes.
+        """
+        s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
+        sums = {m: np.zeros((len(s2), self._columns.shape[1]))
+                for m in powers}
+        step = max(1, _CHUNK_ELEMS // len(s2))
+        for lo in range(0, len(self._ksq), step):
+            res = s2[:, None] + self._ksq[None, lo:lo + step]
+            np.reciprocal(res, out=res)
+            columns = self._columns[lo:lo + step]
+            if 1 in sums:
+                sums[1] += res @ columns
+            if 2 in sums:
+                res *= res
+                sums[2] += res @ columns
+        two = self.geometry is not None
+        return {m: (v[:, :2], v[:, 2:] if two else None)
+                for m, v in sums.items()}
 
     def word_integrand_fast(self, word: Sequence[int],
                             s: np.ndarray) -> np.ndarray:
@@ -222,7 +245,8 @@ class TraceSystem:
         The product of off-diagonal blocks closes either through the photon
         sector (adjacent letters paired from the first position) or through
         a particle sector (paired from the second position with matching
-        endpoints); each closure collapses to a 3x3 chain.
+        endpoints); each closure collapses to a chain of channel sums,
+        multiplied per channel.
         """
         word = tuple(word)
         if self.geometry is None and any(i != 1 for i in word):
@@ -233,29 +257,25 @@ class TraceSystem:
         if n % 2:
             return np.zeros_like(s)
         enu2 = (self.params.e * self.params.nu) ** 2
-        res = self._resolvents(s)
-        cache: Dict[Tuple[int, bool], np.ndarray] = {}
+        sums = self.channel_sums(s)
 
-        def mat(m, across):
-            key = (m, across)
-            if key not in cache:
-                cache[key] = self._chain_matrices(res[m], across)
-            return cache[key]
+        def chain(m, across):
+            return sums[m][1 if across else 0]
 
         total = np.zeros_like(s)
         # closure through the photon sector: pairs (1,2), (3,4), ...
         if all(word[2 * j] == word[2 * j + 1] for j in range(n // 2)):
-            prod = mat(2, word[-1] != word[0])
+            prod = chain(2, word[-1] != word[0])
             for j in range(0, n - 2, 2):
-                prod = prod @ mat(1, word[j + 1] != word[j + 2])
-            total += np.trace(prod, axis1=1, axis2=2)
+                prod = prod * chain(1, word[j + 1] != word[j + 2])
+            total += prod @ self.multiplicity
         # closure through a particle sector: pairs (2,3), (4,5), ..., ends match
         if word[0] == word[-1] and all(word[2 * j + 1] == word[2 * j + 2]
                                        for j in range((n - 2) // 2)):
-            prod = mat(1, word[0] != word[1])
+            prod = chain(1, word[0] != word[1])
             for j in range(2, n, 2):
-                prod = prod @ mat(1, word[j] != word[j + 1])
-            total += np.trace(prod, axis1=1, axis2=2) / (s * s + enu2)
+                prod = prod * chain(1, word[j] != word[j + 1])
+            total += (prod @ self.multiplicity) / (s * s + enu2)
         pref = self.params.e ** n * (s * s + enu2) ** (-n / 2.0)
         return s * s * pref * total
 
@@ -266,119 +286,57 @@ class TraceSystem:
         mixed even-weight word of that length (the binding terms); without
         it, the integrand of the all-ones word (the one-dipole term).
 
-        A word whose letters pair up closes through the photon sector into
-        ``tr(M2 M1^(j-1))`` and through a particle sector into ``tr(M1^j)``,
-        where the transfer blocks ``Mm = [[Sm, Am], [Am, Sm]]`` hold the
-        3x3 chain sums at resolvent power ``m`` (``S`` within one dipole,
-        ``A`` across).  Summing the letters of a closure is a 6x6 matrix
-        power, so an order costs ``O(j 6^3)`` per node instead of one chain
-        per word.  The mixed words are the paths through ``M1`` that take at
-        least one off-diagonal step: ``D_{k+1} = D_k M1 + U_k A1`` with
-        ``U_{k+1} = U_k S1`` (block-diagonal ``S`` and off-diagonal ``A``
-        parts of ``M1``), from ``D_0 = 0, U_0 = 1``, and the two closures
-        are ``tr(M2 D_{j-1})`` and ``tr(D_{j-1} M1)``.  The recursion never
-        subtracts the constant words, which may exceed the mixed part by a
-        hundred orders of magnitude.  Without geometry the transfer block is
-        ``S`` alone and ``U_{j-1}`` takes the place of ``D_{j-1}``.
+        Per channel, the letters of a paired word pick ``s_m`` (within) or
+        ``a_m`` (across) at resolvent power ``m``, so summed over its words
+        a closure is a power of ``[[s1, a1], [a1, s1]]``, whose eigenvalues
+        are ``s1 +- a1``.  The photon closure ``tr(M2 M1^(j-1))`` has the
+        mixed part ``2 sum_{k>=1} C(j-1, k) s1^(j-1-k) a1^k`` times ``s2``
+        (even ``k``) or ``a2`` (odd ``k``), the particle closure
+        ``tr(M1^j)`` the mixed part ``2 sum_{even k>=2} C(j, k) s1^(j-k)
+        a1^k``.  Neither subtracts the constant words, which may exceed the
+        mixed part by a hundred orders of magnitude.  Without geometry the
+        closures are ``s2 s1^(j-1)`` and ``s1^j``.
         """
         if order < 2 or order % 2:
             raise InvalidParameterError("order must be a positive even integer")
         s = np.asarray(s, dtype=float)
-        res = self._resolvents(s)
-        t1 = self._chain_matrices(res[1], False)
-        t2 = self._chain_matrices(res[2], False)
+        sums = self.channel_sums(s)
+        (s1, a1), (s2, a2) = sums[1], sums[2]
+        j = order // 2
         if self.geometry is None:
-            power = np.broadcast_to(np.eye(3), t1.shape)
-            for _ in range(order // 2 - 1):
-                power = power @ t1
+            photon, particle = s2 * s1 ** (j - 1), s1 ** j
         else:
-            a1 = self._chain_matrices(res[1], True)
-            a2 = self._chain_matrices(res[2], True)
-            zero = np.zeros_like(t1)
-            diag = _circulant(t1, zero)
-            off = _circulant(zero, a1)
-            t1, t2 = _circulant(t1, a1), _circulant(t2, a2)
-            plain = np.broadcast_to(np.eye(6), t1.shape)
-            power = np.zeros_like(t1)
-            for _ in range(order // 2 - 1):
-                power = power @ t1 + plain @ off
-                plain = plain @ diag
+            zero = np.zeros_like(s1)
+            photon = 2.0 * sum(
+                (math.comb(j - 1, k) * s1 ** (j - 1 - k) * a1 ** k
+                 * (a2 if k % 2 else s2) for k in range(1, j)), zero)
+            particle = 2.0 * sum(
+                (math.comb(j, k) * s1 ** (j - k) * a1 ** k
+                 for k in range(2, j + 1, 2)), zero)
         enu2 = (self.params.e * self.params.nu) ** 2
-        photon = np.einsum("sij,sji->s", t2, power)
-        particle = np.einsum("sij,sji->s", power, t1)
+        closed = photon + particle / (s * s + enu2)[:, None]
         pref = self.params.e ** order * (s * s + enu2) ** (-order / 2.0)
-        return s * s * pref * (photon + particle / (s * s + enu2))
-
-    # -- dense route ----------------------------------------------------------
-
-    def _dense_blocks(self):
-        if not self._dense:
-            from .oscillator import build_coupling
-            n = self.lattice.count
-            two = self.geometry is not None
-            dim = (6 if two else 3) + 4 * n
-            diag = np.empty(dim)
-            diag[: 6 if two else 3] = (self.params.e * self.params.nu) ** 2
-            diag[6 if two else 3:] = np.repeat(self._ksq, 4)
-            b0 = self.params.e * build_coupling(
-                np.zeros(3), self.lattice, self.profile).entries
-            q1 = np.zeros((dim, dim))
-            off = 6 if two else 3
-            q1[0:3, off:] = b0
-            q1[off:, 0:3] = b0.T
-            self._dense = {0: diag, 1: q1}
-            if two:
-                br = self.params.e * build_coupling(
-                    self.geometry.r, self.lattice, self.profile).entries
-                q2 = np.zeros((dim, dim))
-                q2[3:6, 6:] = br
-                q2[6:, 3:6] = br.T
-                self._dense[2] = q2
-        return self._dense
-
-    def word_integrand_dense(self, word: Sequence[int],
-                             s: np.ndarray) -> np.ndarray:
-        """Normative dense evaluation of the trace integrand."""
-        word = tuple(word)
-        blocks = self._dense_blocks()
-        diag = blocks[0]
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty_like(s)
-        for i, sv in enumerate(s):
-            g = 1.0 / (sv * sv + diag)
-            gh = np.sqrt(g)
-            dressed = {j: gh[:, None] * blocks[j] * gh[None, :]
-                       for j in set(word)}
-            prod = dressed[word[0]]
-            for j in word[1:]:
-                prod = prod @ dressed[j]
-            out[i] = sv * sv * float(np.sum(g * np.diagonal(prod)))
-        return out
+        return s * s * pref * (closed @ self.multiplicity)
 
 
 def trace_word(word, system: TraceSystem,
-               quad: Optional[QuadratureSpec] = None,
-               method: str = "fast") -> float:
+               quad: Optional[QuadratureSpec] = None) -> float:
     """Evaluate ``<Q_I>`` for one index word.
 
     Odd-weight words are returned as exact zero without quadrature (their
-    integrand vanishes identically).  ``method`` selects the factorized
-    chain ("fast") or the dense matrix product ("dense").
+    integrand vanishes identically).
     """
     letters = word.letters if isinstance(word, IndexWord) else tuple(word)
     IndexWord(letters)  # validates
     if sum(letters) % 2 or len(letters) % 2:
         return 0.0
     spec = quad or QuadratureSpec()
-    integrand = (system.word_integrand_fast if method == "fast"
-                 else system.word_integrand_dense)
-    if method not in ("fast", "dense"):
-        raise InvalidParameterError(f"unknown method {method!r}")
     scale = system.word_scale(letters, spec)
     spec_abs = QuadratureSpec(rel_tol=spec.rel_tol,
                               abs_tol=max(spec.abs_tol, 1e-13 * scale),
                               max_nodes=spec.max_nodes, even=spec.even)
-    val = integrate_half_line(lambda s: integrand(letters, s), spec=spec_abs)
+    val = integrate_half_line(
+        lambda s: system.word_integrand_fast(letters, s), spec=spec_abs)
     return val / math.pi
 
 
@@ -449,8 +407,8 @@ def series_binding(params: ModelParams, lattice: Lattice,
     """Binding energy ``2 E - E(R)`` summed over mixed even-weight words.
 
     Per order ``2j`` the contribution is the sum of ``<Q_I>`` over every
-    mixed word of that length (odd weights pruned analytically), taken in
-    one transfer-matrix recursion by ``TraceSystem.order_integrand``; the
+    mixed word of that length (odd weights pruned analytically), taken as
+    one per-channel binomial sum by ``TraceSystem.order_integrand``; the
     series value carries the attractive sign convention.  The geometric
     tail bound ``(1/pi) Int D * 4 (4a)**jmax / (1 - 4a)`` needs ``a < 1/4``;
     with ``allow_unbounded_tail`` the value is still computed and the bound

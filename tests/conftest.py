@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cplab import (EnergyResult, ModelParams, build_lattice,
+from cplab import (EnergyResult, ModelParams, assemble_one_electron,
+                   assemble_two_electron, build_lattice,
                    make_gaussian_profile)
 
 # constraint-passing sets (e, nu0, xi) spanning the admissible region;
@@ -65,7 +66,14 @@ def dense_ground_energy(form, refine=False):
     if refine:
         _, vecs = np.linalg.eigh(omega)
         vecs = vecs.astype(np.longdouble)
-        eigs = (np.sum(vecs * (omega.astype(np.longdouble) @ vecs), axis=0)
+        wide = omega.astype(np.longdouble)
+        # omega is the free diagonal plus p dense rows and columns, so
+        # omega @ vecs costs O(p dim^2) instead of O(dim^3)
+        p = len(form.particle)
+        prod = form.omega0_diag.astype(np.longdouble)[:, None] * vecs
+        prod[:p] = wide[:p] @ vecs
+        prod[p:] += wide[p:, :p] @ vecs[:p]
+        eigs = (np.sum(vecs * prod, axis=0)
                 / np.sum(vecs * vecs, axis=0))
     else:
         eigs = np.linalg.eigvalsh(omega).astype(np.longdouble)
@@ -78,3 +86,47 @@ def dense_ground_energy(form, refine=False):
         trace_difference=trace_difference,
         zero_point_shift=form.zero_point_shift, n_eigenvalues=form.dim,
         n_clamped=int(np.sum(eigs < 0.0)))
+
+
+def dense_trace_blocks(system):
+    """Test oracle: the dense trace blocks of a ``TraceSystem``.
+
+    ``{0: free diagonal, 1: coupling of the first dipole, 2: coupling of
+    the second}`` (no ``2`` without geometry), each coupling a symmetric
+    ``dim x dim`` matrix cut from the assembled form's ``omega``.
+    """
+    args = (system.params, system.lattice, system.profile)
+    if system.geometry is None:
+        form = assemble_one_electron(*args)
+    else:
+        form = assemble_two_electron(*args, system.geometry)
+    omega = form.omega
+    p = len(form.particle)
+    blocks = {0: form.omega0_diag}
+    for j in range(1, p // 3 + 1):
+        rows = slice(3 * (j - 1), 3 * j)
+        q = np.zeros_like(omega)
+        q[rows, p:] = omega[rows, p:]
+        q[p:, rows] = omega[p:, rows]
+        blocks[j] = q
+    return blocks
+
+
+def dense_word_integrand(system, word, s):
+    """Test oracle: the trace integrand ``s^2 tr[(s^2+W0)^-1 Q_I(s)]`` of a
+    word by dense matrix products."""
+    word = tuple(word)
+    blocks = dense_trace_blocks(system)
+    diag = blocks[0]
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    out = np.empty_like(s)
+    for i, sv in enumerate(s):
+        g = 1.0 / (sv * sv + diag)
+        gh = np.sqrt(g)
+        dressed = {j: gh[:, None] * blocks[j] * gh[None, :]
+                   for j in set(word)}
+        prod = dressed[word[0]]
+        for j in word[1:]:
+            prod = prod @ dressed[j]
+        out[i] = sv * sv * float(np.sum(g * np.diagonal(prod)))
+    return out

@@ -21,7 +21,7 @@ from cplab import (Geometry, IndexWord, LatticePeriodicityWarning,
 from cplab.cli import parse_config, run
 from cplab.continuum import ab_identity_check, angular_factor
 
-from conftest import PARAM_SETS
+from conftest import PARAM_SETS, dense_trace_blocks, dense_word_integrand
 
 
 def report(name, ok, detail):
@@ -80,14 +80,15 @@ def test_criterion_3_energy_dual_oracle():
             lat = build_lattice(box, cut)
             assert check_constraints(params, prof, lat).all_satisfied
             series = series_one_electron(params, lat, prof, max_order=8)
-            exact = ground_energy(
-                assemble_one_electron(params, lat, prof)).energy
-            gap = abs(series.value - exact)
-            assert gap <= series.tail_bound + 1e-8
-            worst = max(worst, gap - series.tail_bound)
+            exact = ground_energy(assemble_one_electron(params, lat, prof))
+            # the correction E - 1.5 e nu, at its own magnitude
+            correction = exact.trace_difference
+            gap = abs(correction + math.fsum(series.contributions))
+            assert gap <= series.tail_bound + 1e-9 * abs(correction)
+            worst = max(worst, (gap - series.tail_bound) / abs(correction))
     report("criterion 3 (energy dual oracle)", True,
-           f"5 parameter sets x 2 lattices, worst gap-tail "
-           f"{worst:.2e} <= 1e-8, {time.time()-t0:.1f}s")
+           f"5 parameter sets x 2 lattices, worst (gap-tail)/|E - 1.5 e nu| "
+           f"{worst:.2e} <= 1e-9, {time.time()-t0:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +131,7 @@ def test_criterion_5_vanishing_words():
     for word in ((1, 2), (2, 1), (1, 2, 1, 2), (2, 1, 2, 1)):
         scale = system.word_scale(word)
         assert trace_word(word, system) == 0.0
-        dense = system.word_integrand_dense(word, svals)
+        dense = dense_word_integrand(system, word, svals)
         assert np.all(np.abs(dense) <= 1e-12 * scale)
         checked += 1
     # every odd-weight word up to length six
@@ -141,7 +142,7 @@ def test_criterion_5_vanishing_words():
                 continue
             scale = system.word_scale(word)
             assert trace_word(word, system) == 0.0
-            dense = system.word_integrand_dense(word, svals)
+            dense = dense_word_integrand(system, word, svals)
             assert np.all(np.abs(dense) <= 1e-12 * scale)
             checked += 1
     report("criterion 5 (vanishing words)", True,
@@ -215,7 +216,7 @@ def test_criterion_8_bounds():
     lat = build_lattice(1.0, 1.0)
     rep = check_constraints(params, prof, lat)
     system = TraceSystem(params, lat, prof, Geometry(0.4))
-    blocks = system._dense_blocks()
+    blocks = dense_trace_blocks(system)
     diag = blocks[0]
     norm_bound = math.sqrt(2.0) * lattice_norm(prof, lat, 0) / params.nu
     for s in (0.0, 0.1, 0.7, 3.0, 12.0):
@@ -307,7 +308,7 @@ def test_criterion_10_fast_path_equivalence():
         for bits in range(2 ** length):
             word = tuple(1 + ((bits >> j) & 1) for j in range(length))
             fast = system.word_integrand_fast(word, svals)
-            dense = system.word_integrand_dense(word, svals)
+            dense = dense_word_integrand(system, word, svals)
             gap = np.max(np.abs(fast - dense)
                          / np.maximum(np.abs(dense), floor))
             worst = max(worst, float(gap))

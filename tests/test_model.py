@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cplab import (EmptyLatticeError, IntegrabilityError,
+from cplab import (EmptyLatticeError, Geometry, IntegrabilityError,
                    InvalidParameterError, ModelParams, build_lattice,
                    check_constraints, form_factor, lattice_norm,
                    make_custom_profile, make_gaussian_profile, polarization,
@@ -244,6 +244,20 @@ def test_params_derived_quantities():
         ModelParams(e=-1.0, nu0=2.0)
     with pytest.raises(InvalidParameterError):
         ModelParams(e=0.5, nu0=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda x: ModelParams(e=x, nu0=2.0),
+    lambda x: ModelParams(e=0.5, nu0=x),
+    Geometry,
+    make_gaussian_profile,
+    lambda x: build_lattice(x, 1.0),
+    lambda x: build_lattice(1.0, x),
+], ids=["e", "nu0", "R", "xi", "L", "Lambda"])
+def test_constructors_reject_non_finite(build, bad):
+    with pytest.raises(InvalidParameterError):
+        build(bad)
 
 
 def test_constraint_report_worked_example(default_params, gaussian,

@@ -247,6 +247,45 @@ def test_binding_matches_refined_dense_oracle():
             ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("box", [1.0, 2.0])
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+def test_binding_with_direct_term_matches_refined_dense_oracle(e, nu0, xi,
+                                                                box):
+    # the channel log-det against 2 E - E(R) of the dense spectra, with and
+    # without the contact block; bindings below 1e-7 sit under the
+    # oracle's own refined noise and are not compared
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
+    lat = build_lattice(box, 1.0)
+    one = dense_ground_energy(assemble_one_electron(params, lat, prof),
+                              refine=True)
+    for direct in (False, True):
+        for r in (0.2 * box, 0.45 * box):
+            two = dense_ground_energy(assemble_two_electron(
+                params, lat, prof, Geometry(r), include_direct_term=direct),
+                refine=True)
+            ref = 2.0 * one.trace_difference - two.trace_difference
+            value = binding_energy_exact(params, lat, prof, r,
+                                         include_direct_term=direct)
+            if abs(ref) >= 1e-7:
+                assert value == pytest.approx(ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("e,nu0,xi,direct", [
+    (1.0, 1e-3, 0.2, False),
+    (0.5, 0.05, 0.2, False),
+    # one-dipole blocks positive, the contact block alone makes it indefinite
+    (0.5, 0.5, 0.5, True),
+])
+def test_binding_rejects_indefinite_form(e, nu0, xi, direct, small_lattice):
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
+    form = assemble_two_electron(params, small_lattice, prof, Geometry(0.3),
+                                 include_direct_term=direct)
+    assert dense_ground_energy(form).min_eigenvalue < -1e-3
+    with pytest.raises(NotPositiveSemidefiniteError):
+        binding_energy_exact(params, small_lattice, prof, 0.3,
+                             include_direct_term=direct)
+
+
 def test_large_box_smoke():
     # N = 9260 modes, dim 37043: out of reach of the dense route
     params, prof = ModelParams(0.5, 2.0), make_gaussian_profile(1.0)

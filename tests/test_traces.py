@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from cplab import (ClassificationError, Geometry, IndexWord,
                    ground_energy, lattice_norm, make_gaussian_profile,
                    mixed_even_words, series_binding, series_one_electron,
                    trace_word, word_bound)
-from conftest import PARAM_SETS
+from conftest import PARAM_SETS, dense_trace_blocks, dense_word_integrand
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +101,7 @@ def test_odd_weight_words_vanish_dense(strong_system, rng):
     scale = strong_system.d_integral()
     for word in [(1, 2), (1, 1, 1, 2), (1, 2, 2, 2, 2, 2)]:
         assert sum(word) % 2 == 1
-        dense = strong_system.word_integrand_dense(word, svals)
+        dense = dense_word_integrand(strong_system, word, svals)
         assert np.all(np.abs(dense) <= 1e-12 * scale)
 
 
@@ -111,7 +112,7 @@ def test_fast_equals_dense(strong_system, rng):
              (1, 1, 1, 1, 2, 2), (1, 2, 2, 2, 2, 1)]
     for word in words:
         fast = strong_system.word_integrand_fast(word, svals)
-        dense = strong_system.word_integrand_dense(word, svals)
+        dense = dense_word_integrand(strong_system, word, svals)
         np.testing.assert_allclose(fast, dense, rtol=1e-10,
                                    atol=1e-18 * max(1.0, np.max(np.abs(dense))))
 
@@ -122,7 +123,7 @@ def test_fast_equals_dense_order_eight(strong_system, rng):
     floor = 1e-20
     for word in map(tuple, words):
         fast = strong_system.word_integrand_fast(word, svals)
-        dense = strong_system.word_integrand_dense(word, svals)
+        dense = dense_word_integrand(strong_system, word, svals)
         np.testing.assert_allclose(fast, dense, rtol=1e-10, atol=floor)
 
 
@@ -134,7 +135,7 @@ def test_fast_equals_dense_bigger_lattice(rng):
     svals = rng.uniform(0.05, 8.0, size=3)
     for word in ((1, 1, 2, 2), (2, 1, 1, 2), (1, 1, 2, 2, 2, 2)):
         fast = system.word_integrand_fast(word, svals)
-        dense = system.word_integrand_dense(word, svals)
+        dense = dense_word_integrand(system, word, svals)
         np.testing.assert_allclose(fast, dense, rtol=1e-10)
 
 
@@ -157,6 +158,50 @@ def test_order_integrand_equals_word_sum(e, nu0, xi, L):
         np.testing.assert_allclose(single.order_integrand(order, svals),
                                    ones, rtol=1e-12, atol=0.0)
     assert np.all(pair.order_integrand(2, svals) == 0.0)
+
+
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+@pytest.mark.parametrize("L", [1.0, 2.0, 3.0])
+def test_channel_sums_are_the_axis_diagonal(e, nu0, xi, L):
+    # the box symmetry makes each projector mode sum diag(T, T, L); the
+    # sums across the dipoles cancel, so compare at the scale sum |w| g
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
+    lat = build_lattice(L, 1.0)
+    system = TraceSystem(params, lat, prof, Geometry(0.35 * L))
+    svals = np.geomspace(0.02, 40.0, 7)
+    u = lat.units
+    proj = np.eye(3)[None, :, :] - u[:, :, None] * u[:, None, :]
+    w = lat.cell_weight * lat.norms ** 2 * prof.radial(lat.norms) ** 2
+    cos = np.cos(lat.points @ system.geometry.r)
+    sums = system.channel_sums(svals)
+    axes = [0, 1, 2]
+    for m in (1, 2):
+        g = (svals[:, None] ** 2 + lat.norms[None, :] ** 2) ** -m
+        scale = g @ np.abs(w)
+        for weight, channels in ((w, sums[m][0]), (w * cos, sums[m][1])):
+            gap = np.einsum("sn,nij->sij", g * weight, proj)
+            gap[:, axes, axes] -= channels[:, [0, 0, 1]]
+            assert np.all(np.max(np.abs(gap), axis=(1, 2)) <= 1e-14 * scale)
+
+
+def test_trace_routes_stream_in_small_memory():
+    # no route holds a nodes x N table: each peak stays below half of one
+    params, prof = ModelParams(0.5, 2.0), make_gaussian_profile(1.0)
+    lat = build_lattice(16.0, 1.0)
+    assert lat.count == 35936
+    svals = np.geomspace(0.01, 100.0, 176)
+    table = svals.size * lat.count * svals.itemsize
+    pair = TraceSystem(params, lat, prof, Geometry(4.0))
+    for call in (lambda: pair.order_integrand(8, svals),
+                 lambda: pair.word_integrand_fast((1, 1, 2, 2, 2, 2), svals),
+                 lambda: binding_energy_exact(params, lat, prof, 4.0)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < table / 2
 
 
 def test_series_reports_quadrature_evidence(strong_setup):
@@ -191,7 +236,7 @@ def test_word_norm_bounds(strong_system, strong_setup):
     # dressed blocks stay below sqrt(a); resolvent-weighted blocks below D_rho
     params, prof, lat = strong_setup
     rep = check_constraints(params, prof, lat)
-    blocks = strong_system._dense_blocks()
+    blocks = dense_trace_blocks(strong_system)
     diag = blocks[0]
     for s in (0.1, 0.7, 3.0):
         g = 1.0 / (s * s + diag)
@@ -230,8 +275,11 @@ def test_one_electron_series_matches_exact(e, nu0, xi):
     prof = make_gaussian_profile(xi)
     lat = build_lattice(1.0, 1.0)
     series = series_one_electron(params, lat, prof, max_order=8)
-    exact = ground_energy(assemble_one_electron(params, lat, prof)).energy
-    assert abs(series.value - exact) <= series.tail_bound + 1e-8
+    exact = ground_energy(assemble_one_electron(params, lat, prof))
+    # compare the correction E - 1.5 e nu, not the full energy
+    gap = abs(exact.trace_difference + math.fsum(series.contributions))
+    assert gap <= (series.tail_bound
+                   + 1e-9 * abs(exact.trace_difference))
     # contributions decay at least geometrically with ratio a
     ratios = [b / a for a, b in zip(series.contributions,
                                     series.contributions[1:]) if a > 0]
