@@ -160,8 +160,7 @@ def fit_power_law(points, window: Optional[Tuple[float, float]] = None
 def convergence_study(L_ladder: Sequence[float],
                       Lambda_ladder: Sequence[float], params: ModelParams,
                       profile: ChargeProfile, R: float,
-                      include_fourth_order: bool = False,
-                      dim_cap: Optional[int] = None
+                      include_fourth_order: bool = False
                       ) -> List[Dict[str, float]]:
     """Refinement table over growing boxes at each fixed cutoff.
 
@@ -170,9 +169,6 @@ def convergence_study(L_ladder: Sequence[float],
     ``binding_energy_exact``, not the difference of the energies), the
     signed successive differences along the box ladder, and optionally the
     lattice fourth-order main term for comparison against the continuum.
-    Rows whose matrix dimension would exceed ``dim_cap`` (no cap by
-    default) are skipped, so a resource cap yields a partial table rather
-    than a failure.
     """
     if any(b <= a for a, b in zip(L_ladder, L_ladder[1:])) or \
        any(b <= a for a, b in zip(Lambda_ladder, Lambda_ladder[1:])):
@@ -185,11 +181,6 @@ def convergence_study(L_ladder: Sequence[float],
         prev_e1 = prev_bind = None
         for box in L_ladder:
             lattice = build_lattice(box, lam)
-            dim = 6 + 4 * lattice.count
-            if dim_cap is not None and dim > dim_cap:
-                rows.append({"Lambda": lam, "L": box, "N": lattice.count,
-                             "skipped": True})
-                continue
             e1 = ground_energy(assemble_one_electron(
                 params, lattice, profile)).energy
             e2 = ground_energy(assemble_two_electron(

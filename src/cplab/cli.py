@@ -39,11 +39,6 @@ __all__ = ["RunConfig", "RunReport", "parse_config", "run", "emit", "main"]
 SUBCOMMANDS = ("check", "energy", "binding", "series", "cp-sweep",
                "error-sweep", "convergence", "integrals-selftest")
 
-_DEFAULTS = {"e": 0.5, "nu0": 2.0, "xi": 1.0, "L": 2.0, "Lambda": 1.0,
-             "max_order": 4, "quad_rel_tol": 1e-10,
-             "include_direct_term": False, "output_path": None,
-             "output_format": "csv"}
-
 
 @dataclass
 class RunConfig:
@@ -300,12 +295,9 @@ def _run_convergence(cfg, params, profile, lattice, report):
     r = 0.3 * cfg.L
     rows_raw = convergence_study(ladder_l, ladder_lam, params, profile, r)
     cols = ["Lambda", "L", "N", "E1", "E2", "binding", "dE1", "dbinding"]
-    rows = []
-    for row in rows_raw:
-        if row.get("skipped"):
-            continue
-        rows.append([row["Lambda"], row["L"], float(row["N"]), row["E1"],
-                     row["E2"], row["binding"], row["dE1"], row["dbinding"]])
+    rows = [[row["Lambda"], row["L"], float(row["N"]), row["E1"], row["E2"],
+             row["binding"], row["dE1"], row["dbinding"]]
+            for row in rows_raw]
     return cols, rows, {"R": r}
 
 

@@ -201,8 +201,8 @@ def angular_bracket_kernels(r):
 
 def cp_constant(nu0: float) -> float:
     """Limit of ``R^7`` times the fourth-order main term: ``23/(256 pi^3 nu0^4)``."""
-    if nu0 <= 0:
-        raise InvalidParameterError("nu0 must be positive")
+    if not (nu0 > 0 and math.isfinite(nu0)):
+        raise InvalidParameterError("nu0 must be positive and finite")
     return 23.0 / (256.0 * math.pi ** 3 * nu0 ** 4)
 
 

@@ -198,6 +198,27 @@ class Lattice:
                 f"N={self.count})")
 
 
+#: float64 entries of the largest resolvent table a mode sum builds at once
+_CHUNK_ELEMS = 1 << 19
+
+
+def _resolvent_chunks(z: np.ndarray, ksq: np.ndarray):
+    """Yield ``(modes, 1 / (z + ksq[modes]))`` for 1-D ``z`` over
+    consecutive slices of the modes, each table of shape ``(len(z), chunk)``.
+
+    This is the one place a per-mode resolvent table is built: a mode sum
+    loops over the chunks and reduces each against its per-mode columns,
+    so no table holds more than ``_CHUNK_ELEMS`` floats whatever the
+    number of modes.
+    """
+    step = max(1, _CHUNK_ELEMS // len(z))
+    for lo in range(0, len(ksq), step):
+        modes = slice(lo, lo + step)
+        res = z[:, None] + ksq[None, modes]
+        np.reciprocal(res, out=res)
+        yield modes, res
+
+
 def make_gaussian_profile(xi: float) -> ChargeProfile:
     """Gaussian-family profile ``f(r) = (2 pi)**-1.5 * exp(-(xi r)**2)``.
 

@@ -37,8 +37,9 @@ import numpy as np
 
 from .errors import InvalidParameterError, NotPositiveSemidefiniteError
 from .model import (ChargeProfile, Geometry, Lattice, ModelParams,
-                    polarization_basis)
+                    _resolvent_chunks, polarization_basis)
 from .quadrature import integrate_half_line
+from .traces import TraceSystem
 
 __all__ = [
     "CouplingMatrix", "QuadraticForm", "EnergyResult",
@@ -51,8 +52,6 @@ __all__ = [
 CLAMP_REL = 1e-10
 #: enforced relative symmetry of assembled forms
 SYMMETRY_REL = 1e-14
-#: float64 entries of the largest per-call resolvent table in the mode sum
-_CHUNK_ELEMS = 1 << 19
 
 
 class LatticePeriodicityWarning(UserWarning):
@@ -251,18 +250,15 @@ class _Kernel:
         """Stack of ``sum_n M_n / (z + k_n^2)`` over the shifts ``z``, or of
         ``sum_n M_n / (k_n^2 (z + k_n^2))`` for ``power=2``.
 
-        The mode sum runs in chunks, so the working set stays below
-        ``_CHUNK_ELEMS`` whatever the number of modes.
+        The mode sum runs over ``model._resolvent_chunks``, so the working
+        set stays bounded whatever the number of modes.
         """
         z = np.atleast_1d(z)
         out = np.zeros((len(z), self.p * self.p))
-        step = max(1, _CHUNK_ELEMS // len(z))
-        for lo in range(0, len(self.freq2), step):
-            k2 = self.freq2[None, lo:lo + step]
-            res = 1.0 / (z[:, None] + k2)
+        for modes, res in _resolvent_chunks(z, self.freq2):
             if power == 2:
-                res /= k2
-            out += res @ self.blocks[lo:lo + step]
+                res /= self.freq2[modes]
+            out += res @ self.blocks[modes]
         return out.reshape(-1, self.p, self.p)
 
     def schur(self, lam: float) -> np.ndarray:
@@ -414,7 +410,6 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
     two-dipole energy is periodic in ``R`` with period ``L`` and large
     separations are not meaningful on a finite box.
     """
-    from .traces import TraceSystem  # traces imports this module
     if R >= lattice.box_period / 2.0:
         warnings.warn(
             f"R = {R} is not below half the box period L = "

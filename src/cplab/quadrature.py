@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError
+from .errors import AccuracyError, InvalidParameterError
 
 _GL_LO = np.polynomial.legendre.leggauss(7)
 _GL_HI = np.polynomial.legendre.leggauss(15)
@@ -26,21 +26,23 @@ class QuadratureSpec:
     """Accuracy contract for the adaptive integrators.
 
     ``rel_tol`` is the target relative tolerance, ``abs_tol`` an absolute
-    floor used when the integral itself is (numerically) zero, ``max_nodes``
-    the hard budget on integrand evaluations, and ``even`` records that
-    half-line integrals stand for an even integrand over the whole line.
+    floor used when the integral itself is (numerically) zero and
+    ``max_nodes`` the hard budget on integrand evaluations.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 0.0
     max_nodes: int = 400_000
-    even: bool = True
 
     def __post_init__(self):
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
-        if self.max_nodes < 44:
-            raise ValueError("max_nodes below a single panel evaluation")
+        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+            raise InvalidParameterError("rel_tol must be positive and finite")
+        if not (self.abs_tol >= 0 and math.isfinite(self.abs_tol)):
+            raise InvalidParameterError(
+                "abs_tol must be non-negative and finite")
+        if not self.max_nodes >= 44:
+            raise InvalidParameterError(
+                "max_nodes below a single panel evaluation")
 
 
 class IntegrationResult(NamedTuple):

@@ -11,8 +11,9 @@ the symmetric cutoff box each of those is diagonal in the axes: a
 transverse channel (x and y) and a longitudinal one (z).
 ``TraceSystem.channel_sums`` is the one kernel that evaluates them, so a
 word costs ``O(N)`` per quadrature node and a chain is a product of
-scalars per channel.  The dense matrix product of the full blocks is the
-test suite's oracle for it.
+scalars per channel.  The envelope ``D(s)`` behind every tail bound is the
+one-dipole order-2 closure of the same sums.  The dense matrix product of
+the full blocks is the test suite's oracle for it.
 
 The series never enumerates words.  Per channel, summed over its letters, a
 closure is a power of ``[[s, a], [a, s]]`` (``s`` within one dipole, ``a``
@@ -28,7 +29,7 @@ even-weight words.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +37,7 @@ import numpy as np
 from .errors import (ClassificationError, InvalidParameterError,
                      SeriesDivergenceError, TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
-                    ModelParams, check_constraints)
-from .oscillator import _CHUNK_ELEMS
+                    ModelParams, _resolvent_chunks, check_constraints)
 from .quadrature import QuadratureSpec, integrate_half_line
 
 __all__ = [
@@ -129,18 +129,14 @@ def d_envelope(s, params: ModelParams, profile: ChargeProfile,
 
     ``D(s) = 2 e^2 s^2 (s^2+e^2 nu^2)^{-1} [ (s^2+e^2 nu^2)^{-1} n1(s)
     + n2(s) ]`` where ``n_m(s)`` is the squared lattice norm of
-    ``(s^2+|k|^2)^{-m/2} |k| f(|k|)``.  The second-order trace integrand
-    equals it exactly; higher orders fall below it geometrically.
+    ``(s^2+|k|^2)^{-m/2} |k| f(|k|)``.  It is the one-dipole order-2
+    closure of ``TraceSystem.channel_sums``: ``tr P_k = 2`` gives ``2 n_m =
+    2 T_m + L_m`` from the channel entries within one dipole, so the
+    second-order trace integrand equals it exactly; higher orders fall
+    below it geometrically.
     """
-    s = np.asarray(s, dtype=float)
-    ksq = lattice.norms ** 2
-    wk = lattice.cell_weight * ksq * profile.radial(lattice.norms) ** 2
-    s2 = np.atleast_1d(s) ** 2
-    n1 = np.sum(wk[None, :] / (s2[:, None] + ksq[None, :]), axis=1)
-    n2 = np.sum(wk[None, :] / (s2[:, None] + ksq[None, :]) ** 2, axis=1)
-    enu2 = (params.e * params.nu) ** 2
-    out = (2.0 * params.e ** 2 * s2 / (s2 + enu2)
-           * (n1 / (s2 + enu2) + n2))
+    out = TraceSystem(params, lattice, profile).order_integrand(
+        2, np.atleast_1d(np.asarray(s, dtype=float)))
     return out if np.ndim(s) else float(out[0])
 
 
@@ -190,13 +186,16 @@ class TraceSystem:
         return self._report
 
     def d_integral(self, quad: Optional[QuadratureSpec] = None) -> float:
-        """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``."""
+        """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``.
+
+        ``D`` is the order-2 closure of the within-dipole channel sums, so a
+        two-dipole system integrates that of its geometry-free twin.
+        """
         if self._d_integral is None:
-            spec = quad or QuadratureSpec()
-            val = integrate_half_line(
-                lambda s: d_envelope(s, self.params, self.profile,
-                                     self.lattice),
-                spec=spec)
+            one = (self if self.geometry is None else
+                   TraceSystem(self.params, self.lattice, self.profile))
+            val = integrate_half_line(lambda s: one.order_integrand(2, s),
+                                      spec=quad or QuadratureSpec())
             self._d_integral = val / math.pi
         return self._d_integral
 
@@ -217,18 +216,16 @@ class TraceSystem:
         subset of {1, 2}), each of shape ``(nodes, 2)`` with the transverse
         and longitudinal entries of ``sum_k w_k P_k (s^2 + |k|^2)^-m``
         (``within``, one dipole) and of the same sum times ``cos(k . r)``
-        (``across``, ``None`` without geometry).  The mode sum runs in
-        chunks, so no table holds more than ``_CHUNK_ELEMS`` floats
-        whatever the number of modes.
+        (``across``, ``None`` without geometry).  The mode sum runs over
+        ``model._resolvent_chunks``, so its working set stays bounded
+        whatever the number of modes.  ``d_envelope`` is the order-2
+        closure of ``within``.
         """
         s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
         sums = {m: np.zeros((len(s2), self._columns.shape[1]))
                 for m in powers}
-        step = max(1, _CHUNK_ELEMS // len(s2))
-        for lo in range(0, len(self._ksq), step):
-            res = s2[:, None] + self._ksq[None, lo:lo + step]
-            np.reciprocal(res, out=res)
-            columns = self._columns[lo:lo + step]
+        for modes, res in _resolvent_chunks(s2, self._ksq):
+            columns = self._columns[modes]
             if 1 in sums:
                 sums[1] += res @ columns
             if 2 in sums:
@@ -332,9 +329,7 @@ def trace_word(word, system: TraceSystem,
         return 0.0
     spec = quad or QuadratureSpec()
     scale = system.word_scale(letters, spec)
-    spec_abs = QuadratureSpec(rel_tol=spec.rel_tol,
-                              abs_tol=max(spec.abs_tol, 1e-13 * scale),
-                              max_nodes=spec.max_nodes, even=spec.even)
+    spec_abs = replace(spec, abs_tol=max(spec.abs_tol, 1e-13 * scale))
     val = integrate_half_line(
         lambda s: system.word_integrand_fast(letters, s), spec=spec_abs)
     return val / math.pi
@@ -361,9 +356,7 @@ def _order_terms(system: TraceSystem, max_order: int, spec: QuadratureSpec
             nodes.append(0)
             continue
         scale = system.word_scale((1,) * order, spec) * count
-        spec_abs = QuadratureSpec(rel_tol=spec.rel_tol,
-                                  abs_tol=max(spec.abs_tol, 1e-13 * scale),
-                                  max_nodes=spec.max_nodes, even=spec.even)
+        spec_abs = replace(spec, abs_tol=max(spec.abs_tol, 1e-13 * scale))
         res = integrate_half_line(
             lambda s, _order=order: system.order_integrand(_order, s),
             spec=spec_abs, full_output=True)

@@ -112,6 +112,20 @@ def dense_trace_blocks(system):
     return blocks
 
 
+def envelope_oracle(s, params, profile, lattice):
+    """Test oracle: the envelope ``D(s)`` as a direct mode sum without the
+    projector (``tr P_k = 2``), ``2 e^2 s^2 (s^2+e^2 nu^2)^-1
+    [(s^2+e^2 nu^2)^-1 n1 + n2]`` with ``n_m = sum_k w_k (s^2+|k|^2)^-m``
+    and ``w_k = cell_weight |k|^2 f(|k|)^2``."""
+    ksq = lattice.norms ** 2
+    wk = lattice.cell_weight * ksq * profile.radial(lattice.norms) ** 2
+    s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
+    n1 = np.sum(wk[None, :] / (s2[:, None] + ksq[None, :]), axis=1)
+    n2 = np.sum(wk[None, :] / (s2[:, None] + ksq[None, :]) ** 2, axis=1)
+    enu2 = (params.e * params.nu) ** 2
+    return 2.0 * params.e ** 2 * s2 / (s2 + enu2) * (n1 / (s2 + enu2) + n2)
+
+
 def dense_word_integrand(system, word, s):
     """Test oracle: the trace integrand ``s^2 tr[(s^2+W0)^-1 Q_I(s)]`` of a
     word by dense matrix products."""

@@ -140,13 +140,6 @@ def test_convergence_gaps_shrink():
     assert diffs[1] < diffs[0]
 
 
-def test_convergence_dim_cap_partial_table(default_params, gaussian):
-    rows = convergence_study([1.0, 2.0], [1.0], default_params, gaussian,
-                             0.3, dim_cap=200)
-    assert rows[0].get("skipped") is None
-    assert rows[1].get("skipped") is True
-
-
 def test_convergence_validates_ladders(default_params, gaussian):
     with pytest.raises(InvalidParameterError):
         convergence_study([2.0, 1.0], [1.0], default_params, gaussian, 0.3)

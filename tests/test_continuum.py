@@ -385,6 +385,8 @@ def test_fourth_order_rejects_bad_inputs(default_params, gaussian):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_inputs_rejected(default_params, gaussian, bad):
     with pytest.raises(InvalidParameterError):
+        cp_constant(bad)
+    with pytest.raises(InvalidParameterError):
         closed_integral("111", bad, 1.0, 1.0)
     with pytest.raises(InvalidParameterError):
         closed_integral("221", 1.0, np.array([1.0, bad]), 1.0)

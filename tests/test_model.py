@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from cplab import (EmptyLatticeError, Geometry, IntegrabilityError,
-                   InvalidParameterError, ModelParams, build_lattice,
-                   check_constraints, form_factor, lattice_norm,
-                   make_custom_profile, make_gaussian_profile, polarization,
-                   polarization_basis, profile_norm)
+                   InvalidParameterError, ModelParams, TraceSystem,
+                   assemble_two_electron, build_lattice, check_constraints,
+                   form_factor, lattice_norm, make_custom_profile,
+                   make_gaussian_profile, polarization, polarization_basis,
+                   profile_norm)
+from cplab import model
+from cplab.oscillator import _Kernel
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,6 +129,39 @@ def test_lattice_structure():
     # lexicographic ordering
     keys = list(map(tuple, np.round(ratios).astype(int)))
     assert keys == sorted(keys)
+
+
+def test_resolvent_chunks_cover_each_mode_once(monkeypatch):
+    monkeypatch.setattr(model, "_CHUNK_ELEMS", 1000)
+    z = np.linspace(0.0, 3.0, 7)
+    ksq = np.linspace(0.5, 9.0, 1001)
+    seen = []
+    for modes, res in model._resolvent_chunks(z, ksq):
+        assert res.size <= 1000
+        np.testing.assert_array_equal(res, 1.0 / (z[:, None] + ksq[modes]))
+        seen.extend(range(len(ksq))[modes])
+    assert seen == list(range(len(ksq)))
+
+
+def test_mode_sums_do_not_depend_on_chunking(monkeypatch):
+    # both consumers of the chunk loop: the channel sums and the kernel
+    params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
+    lat = build_lattice(2.0, 1.0)
+    system = TraceSystem(params, lat, prof, Geometry(0.7))
+    kernel = _Kernel(assemble_two_electron(params, lat, prof, Geometry(0.7)))
+    svals = np.geomspace(0.02, 40.0, 7)
+
+    def evaluate():
+        sums = system.channel_sums(svals)
+        return [np.stack(sums[m]) for m in (1, 2)] + [
+            kernel.resolvent_sum(svals ** 2, power) for power in (1, 2)]
+
+    whole = evaluate()
+    monkeypatch.setattr(model, "_CHUNK_ELEMS", 50)
+    for one, chunked in zip(whole, evaluate()):
+        scale = np.max(np.abs(one))
+        np.testing.assert_allclose(chunked, one, rtol=0.0,
+                                   atol=1e-14 * scale)
 
 
 def test_lattice_norm_direct_sum():

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cplab import (AccuracyError, QuadratureSpec, integrate_half_line,
-                   integrate_interval)
+from cplab import (AccuracyError, InvalidParameterError, QuadratureSpec,
+                   integrate_half_line, integrate_interval)
 
 
 def test_interval_polynomial_exact():
@@ -47,7 +47,10 @@ def test_budget_exhaustion_carries_estimate():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(rel_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(max_nodes=10)
+    for bad in ({"rel_tol": 0.0}, {"rel_tol": -1e-8},
+                {"rel_tol": math.nan}, {"rel_tol": math.inf},
+                {"abs_tol": -1.0}, {"abs_tol": math.nan},
+                {"abs_tol": math.inf}, {"max_nodes": 10},
+                {"max_nodes": math.nan}):
+        with pytest.raises(InvalidParameterError):
+            QuadratureSpec(**bad)

@@ -12,7 +12,8 @@ from cplab import (ClassificationError, Geometry, IndexWord,
                    ground_energy, lattice_norm, make_gaussian_profile,
                    mixed_even_words, series_binding, series_one_electron,
                    trace_word, word_bound)
-from conftest import PARAM_SETS, dense_trace_blocks, dense_word_integrand
+from conftest import (PARAM_SETS, dense_trace_blocks, dense_word_integrand,
+                      envelope_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,26 @@ def test_envelope_dominates_second_order(strong_system, strong_setup):
         assert integrand <= bound * (1 + 1e-12)
         # the second-order integrand saturates the envelope
         assert integrand == pytest.approx(bound, rel=1e-12)
+
+
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+@pytest.mark.parametrize("L", [1.0, 2.0, 3.0, 8.0])
+def test_envelope_matches_mode_sum_oracle(e, nu0, xi, L):
+    # D(s) from the channel sums is the projector-free mode sum, and at
+    # small boxes the dense second-order word
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
+    lat = build_lattice(L, 1.0)
+    svals = np.geomspace(0.02, 40.0, 7)
+    env = d_envelope(svals, params, prof, lat)
+    np.testing.assert_allclose(env, envelope_oracle(svals, params, prof, lat),
+                               rtol=1e-13, atol=0.0)
+    scalar = d_envelope(float(svals[3]), params, prof, lat)
+    assert type(scalar) is float
+    assert scalar == pytest.approx(env[3], rel=1e-14)
+    if L <= 2.0:
+        dense = dense_word_integrand(TraceSystem(params, lat, prof), (1, 1),
+                                     svals)
+        np.testing.assert_allclose(env, dense, rtol=1e-12, atol=0.0)
 
 
 def test_envelope_integral_bound(strong_system, strong_setup):
@@ -194,7 +215,8 @@ def test_trace_routes_stream_in_small_memory():
     pair = TraceSystem(params, lat, prof, Geometry(4.0))
     for call in (lambda: pair.order_integrand(8, svals),
                  lambda: pair.word_integrand_fast((1, 1, 2, 2, 2, 2), svals),
-                 lambda: binding_energy_exact(params, lat, prof, 4.0)):
+                 lambda: binding_energy_exact(params, lat, prof, 4.0),
+                 pair.d_integral):
         tracemalloc.start()
         try:
             call()
