@@ -20,7 +20,6 @@ from .model import ChargeProfile, Geometry, ModelParams, build_lattice
 from .oscillator import (LatticePeriodicityWarning, assemble_one_electron,
                          assemble_two_electron, binding_energy_exact,
                          ground_energy)
-from .traces import TraceSystem, trace_word
 
 __all__ = ["SweepResult", "PowerFit", "sweep_R", "fit_power_law",
            "convergence_study"]
@@ -40,7 +39,6 @@ class SweepResult:
     r7_scaled: np.ndarray
     r9_scaled: np.ndarray
     evaluator: str
-    params_echo: Dict[str, float]
     warn: List[bool] = field(default_factory=list)
     gaps: List[Tuple[float, str]] = field(default_factory=list)
 
@@ -115,9 +113,8 @@ def sweep_R(grid: Sequence[float],
     rr = np.array([x[0] for x in rows])
     vv = np.array([x[1] for x in rows])
     return SweepResult(R=rr, value=vv, r7_scaled=rr ** 7 * vv,
-                       r9_scaled=rr ** 9 * vv, evaluator=name,
-                       params_echo={"e": params.e, "nu0": params.nu0},
-                       warn=warn, gaps=gaps)
+                       r9_scaled=rr ** 9 * vv, evaluator=name, warn=warn,
+                       gaps=gaps)
 
 
 def fit_power_law(points, window: Optional[Tuple[float, float]] = None
@@ -159,16 +156,14 @@ def fit_power_law(points, window: Optional[Tuple[float, float]] = None
 
 def convergence_study(L_ladder: Sequence[float],
                       Lambda_ladder: Sequence[float], params: ModelParams,
-                      profile: ChargeProfile, R: float,
-                      include_fourth_order: bool = False
+                      profile: ChargeProfile, R: float
                       ) -> List[Dict[str, float]]:
     """Refinement table over growing boxes at each fixed cutoff.
 
     The box ladder is the inner loop (matching the iterated-limit order);
     each row carries the one- and two-dipole energies, the binding (from
-    ``binding_energy_exact``, not the difference of the energies), the
-    signed successive differences along the box ladder, and optionally the
-    lattice fourth-order main term for comparison against the continuum.
+    ``binding_energy_exact``, not the difference of the energies) and the
+    signed successive differences along the box ladder.
     """
     if any(b <= a for a, b in zip(L_ladder, L_ladder[1:])) or \
        any(b <= a for a, b in zip(Lambda_ladder, Lambda_ladder[1:])):
@@ -186,15 +181,10 @@ def convergence_study(L_ladder: Sequence[float],
             e2 = ground_energy(assemble_two_electron(
                 params, lattice, profile, Geometry(R))).energy
             bind = binding_energy_exact(params, lattice, profile, R)
-            row = {"Lambda": lam, "L": box, "N": lattice.count,
-                   "E1": e1, "E2": e2, "binding": bind,
-                   "dE1": math.nan if prev_e1 is None else e1 - prev_e1,
-                   "dbinding": (math.nan if prev_bind is None
-                                else bind - prev_bind)}
-            if include_fourth_order:
-                system = TraceSystem(params, lattice, profile, Geometry(R))
-                row["main4"] = (trace_word((1, 1, 2, 2), system)
-                                + trace_word((2, 2, 1, 1), system))
-            rows.append(row)
+            rows.append({"Lambda": lam, "L": box, "N": lattice.count,
+                         "E1": e1, "E2": e2, "binding": bind,
+                         "dE1": math.nan if prev_e1 is None else e1 - prev_e1,
+                         "dbinding": (math.nan if prev_bind is None
+                                      else bind - prev_bind)})
             prev_e1, prev_bind = e1, bind
     return rows

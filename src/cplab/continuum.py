@@ -8,25 +8,27 @@ The central objects are the even integrals
 with closed forms rational in ``sqrt(a), sqrt(b), sqrt(c)``, and the angular
 factor produced by integrating the transverse-projector contraction over the
 two azimuths.  Combining them, the fourth-order binding terms reduce to
-two-dimensional radial integrals; the exponential representation
-``1/(sqrt(b) + sqrt(c)) = R Int_0^inf dt exp(-t (r1 + r2))`` decouples the
-radial variables and turns the main term into nested one-dimensional
-quadratures (route A).  A direct two-dimensional panel quadrature over the
-radial plane with the closed forms (route B) validates it.  Its integrand
-is symmetric in the two radial variables, so route B evaluates only the
-upper triangle, streamed one panel row at a time: the working set is one
-row of panels against the grid, never the full M x M plane.  On that
-grid every closed-form input but ``sqrt(b) + sqrt(c)`` is a row or a
-column factor, so route B evaluates the closed forms as one fused,
-in-place kernel from per-node factors; ``closed_integral`` stays the
-general, broadcasting implementation and the kernel's elementwise oracle.
+two-dimensional radial integrals whose angular part is the contraction
+``sum_pq C_pq u_p v_q`` with one symmetric coefficient table ``C``.  The
+exponential representation ``1/(sqrt(b) + sqrt(c)) = R Int_0^inf dt
+exp(-t (r1 + r2))`` decouples the radial variables and turns each term
+into one-dimensional quadratures over one table of damped radial moments
+(route A).  A direct two-dimensional panel quadrature over the radial
+plane with the closed forms (route B) validates it.  Its integrand is
+symmetric in the two radial variables, so route B sums only the upper
+triangle, streamed one panel row at a time and reduced by one routine for
+both terms.  On that grid every closed-form input but ``sqrt(b) +
+sqrt(c)`` is a row or a column factor, so route B evaluates the closed
+forms as one fused, in-place kernel from per-node factors;
+``closed_integral`` stays the general, broadcasting implementation and the
+kernel's elementwise oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -43,15 +45,10 @@ __all__ = [
 
 _KINDS = ("111", "221", "212", "311")
 
-#: angular-factor coefficients over kernel products (J0/J2 per radial leg)
-_ANGULAR_COEFF: Dict[Tuple[int, int], float] = {
-    (0, 0): 6.0 * math.pi ** 2,
-    (0, 2): -2.0 * math.pi ** 2,
-    (2, 0): -2.0 * math.pi ** 2,
-    (2, 2): 6.0 * math.pi ** 2,
-}
-_ANGULAR_MATRIX = np.array([[_ANGULAR_COEFF[p, q] for q in (0, 2)]
-                            for p in (0, 2)])
+#: symmetric angular-factor coefficients ``C_pq`` over the kernel products
+#: ``J_p J_q`` (p, q in {0, 2}): ``angular_factor(x1, x2) = [1, x1^2] C
+#: [1, x2^2]``
+_ANGULAR_MATRIX = 2.0 * math.pi ** 2 * np.array([[3.0, -1.0], [-1.0, 3.0]])
 #: Gauss nodes per radial panel; one panel spans about pi in r
 _PANEL_NODES = 12
 _EPS = float(np.finfo(float).eps)
@@ -253,37 +250,45 @@ def _radial_grid(profile: ChargeProfile, R: float):
 class _RadialTables:
     """Exponentially damped radial moments against the angular kernels.
 
-    For each kernel label ``p`` in {0, 2} and resolvent power ``m``
-    provides, at an array of damping rates ``t``,
+    ``moments(t)`` returns ``(G, H)``, each indexed ``[m - 1, node, p]``
+    for resolvent power ``m`` in {1, 2, 3} and kernel label ``p`` in
+    {0, 2}, at an array of damping rates ``t``:
 
-        G[p,m](t) = Int_0^inf dr r^3 u(r) e^{-t r} J_p(r) / alpha(r)^m,
-        H[p,m](t) =             ... r^4 ...
+        G[m, p](t) = Int_0^inf dr r^3 u(r) e^{-t r} J_p(r) / alpha(r)^m,
+        H[m, p](t) =             ... r^4 ...
 
-    with ``u(r) = profile(r/R)^2`` and ``alpha(r) = e nu + r/R``.
+    with ``u(r) = profile(r/R)^2`` and ``alpha(r) = e nu + r/R``.  Both
+    come from one damped product against the twelve moment columns.
     """
 
     def __init__(self, params: ModelParams, profile: ChargeProfile,
                  R: float):
-        self.r, self.w = _radial_grid(profile, R)
-        u = profile.radial(self.r / R) ** 2
-        alpha = params.e * params.nu + self.r / R
-        j0, j2 = angular_bracket_kernels(self.r)
-        self._keys = []
-        cols = []
-        for kind, power in (("G", 3), ("H", 4)):
-            for p, j in ((0, j0), (2, j2)):
-                for m in (1, 2, 3):
-                    self._keys.append((kind, p, m))
-                    cols.append(self.w * u * j / alpha ** m * self.r ** power)
-        self._cols = np.stack(cols, axis=1)
+        self.r, w = _radial_grid(profile, R)
+        wu = (w * profile.radial(self.r / R) ** 2)[:, None]
+        alpha = (params.e * params.nu + self.r / R)[:, None]
+        j = np.stack(angular_bracket_kernels(self.r), axis=1)
+        # columns ordered (G or H, m, p)
+        self._cols = np.concatenate(
+            [wu * j / alpha ** m * self.r[:, None] ** power
+             for power in (3, 4) for m in (1, 2, 3)], axis=1)
 
-    def moments(self, t: np.ndarray,
-                kinds: str) -> Dict[Tuple[str, int, int], np.ndarray]:
-        """Moments ``{(kind, p, m): values at t}`` for each kind in
-        ``kinds`` ("G", "H" or "GH"), from one damped matrix product."""
-        sel = [i for i, key in enumerate(self._keys) if key[0] in kinds]
-        vals = np.exp(-np.outer(t, self.r)) @ self._cols[:, sel]
-        return {self._keys[i]: vals[:, j] for j, i in enumerate(sel)}
+    def moments(self, t) -> Tuple[np.ndarray, np.ndarray]:
+        t = np.atleast_1d(t)
+        vals = np.exp(-np.outer(t, self.r)) @ self._cols
+        g, h = vals.reshape(len(t), 2, 3, 2).transpose(1, 2, 0, 3)
+        return g, h
+
+
+def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-node angular contraction ``sum_pq C_pq u_p v_q`` (symmetric)."""
+    return np.sum((u @ _ANGULAR_MATRIX) * v, axis=-1)
+
+
+def _t_quadrature(integrand, rel_tol: float, scale: float):
+    """``scale`` times the half-line integral: ``(value, error, nodes)``."""
+    res = integrate_half_line(integrand, QuadratureSpec(rel_tol=rel_tol),
+                              full_output=True)
+    return scale * res.value, scale * res.error_estimate, res.nodes_used
 
 
 def _main_term_t_representation(R: float, params: ModelParams,
@@ -295,35 +300,21 @@ def _main_term_t_representation(R: float, params: ModelParams,
     a single letter ordering; the full term is twice the sum of the parts.
     """
     tables = _RadialTables(params, profile, R)
-    e, nu = params.e, params.nu
-    pref = e ** 3 / (16.0 * nu)
+    pref = params.e ** 3 / (16.0 * params.nu)
 
     def integrand_re(t):
-        mo = tables.moments(np.atleast_1d(t), "G")
-        acc = 0.0
-        for (p, q), coef in _ANGULAR_COEFF.items():
-            acc = acc + coef * (mo["G", p, 2] * mo["G", q, 1]
-                                + mo["G", p, 1] * mo["G", q, 2])
-        return acc
+        g, _ = tables.moments(t)
+        return 2.0 * _pair(g[0], g[1])
 
     def integrand_ir(t):
-        mo = tables.moments(np.atleast_1d(t), "GH")
-        acc = 0.0
-        for (p, q), coef in _ANGULAR_COEFF.items():
-            acc = acc + coef * (2.0 * mo["G", p, 3] * mo["H", q, 1]
-                                + mo["G", p, 2] * mo["H", q, 2]
-                                + 2.0 * mo["H", p, 1] * mo["G", q, 3]
-                                + mo["H", p, 2] * mo["G", q, 2])
-        return acc
+        g, h = tables.moments(t)
+        return 4.0 * _pair(g[2], h[0]) + 2.0 * _pair(g[1], h[1])
 
-    spec = QuadratureSpec(rel_tol=rel_tol)
-    re_res = integrate_half_line(integrand_re, spec, full_output=True)
-    ir_res = integrate_half_line(integrand_ir, spec, full_output=True)
-    re_scale, ir_scale = R ** -7 * pref, R ** -8 * pref
-    return (re_scale * re_res.value, ir_scale * ir_res.value,
-            re_scale * re_res.error_estimate
-            + ir_scale * ir_res.error_estimate,
-            re_res.nodes_used + ir_res.nodes_used)
+    re_part, re_err, re_nodes = _t_quadrature(integrand_re, rel_tol,
+                                              R ** -7 * pref)
+    ir_part, ir_err, ir_nodes = _t_quadrature(integrand_ir, rel_tol,
+                                              R ** -8 * pref)
+    return re_part, ir_part, re_err + ir_err, re_nodes + ir_nodes
 
 
 def _direct_rows(profile: ChargeProfile, R: float, alpha: float, kinds):
@@ -397,43 +388,30 @@ def _direct_rows(profile: ChargeProfile, R: float, alpha: float, kinds):
         yield chunk
 
 
-def _main_term_direct(R: float, params: ModelParams,
-                      profile: ChargeProfile) -> Tuple[float, float, int]:
-    """Main term by direct 2D panel quadrature with the closed forms.
-
-    Sums the chunks of ``_direct_rows`` directly: the envelope cutoff puts
-    the outermost panels at roundoff, so no extrapolation is needed.
-    Returns ``(value, error estimate, nodes)``; the estimate is the
-    roundoff bound ``eps sum |W_ij|``.
-    """
-    total, abs_sum, nodes = 0.0, 0.0, 0
-    for chunk in _direct_rows(profile, R, params.e * params.nu,
-                              ("221", "212")):
-        total += float(chunk.sum())
-        abs_sum += float(np.abs(chunk, out=chunk).sum())
-        nodes += chunk.size
-    pref = 2.0 * R ** -10 * (params.e ** 4 / 2.0)
-    return pref * total, pref * _EPS * abs_sum, nodes
-
-
-def _error_term_direct(R: float, params: ModelParams,
-                       profile: ChargeProfile) -> Tuple[float, float, int]:
-    """Reference crossed word by direct 2D panel quadrature.
+def _direct_term(R: float, params: ModelParams, profile: ChargeProfile,
+                 kinds) -> Tuple[float, float, int]:
+    """One ordering of a fourth-order term by direct 2D panel quadrature.
 
     The sum is ill-conditioned (``sum |W_ij| / |sum W_ij|`` reaches 1e10
-    at R = 120, xi = 1), so each chunk is reduced to row sums and the M row sums
-    are combined exactly with ``math.fsum``.  Returns ``(value, error
-    estimate, nodes)``; the estimate is the roundoff bound
-    ``eps sum |W_ij|``.
+    at R = 120, xi = 1 for the error term), so each chunk of
+    ``_direct_rows`` is reduced to row sums and the M row sums are combined
+    exactly with ``math.fsum``.  Returns ``(value, error estimate,
+    nodes)``; the estimate is the roundoff bound ``eps sum |W_ij|``.
     """
     row_sums = []
     abs_sum, nodes = 0.0, 0
-    for chunk in _direct_rows(profile, R, params.e * params.nu, ("311",)):
+    for chunk in _direct_rows(profile, R, params.e * params.nu, kinds):
         row_sums.extend(chunk.sum(axis=1).tolist())
         abs_sum += float(np.abs(chunk, out=chunk).sum())
         nodes += chunk.size
     pref = R ** -10 * (params.e ** 4 / 2.0)
     return pref * math.fsum(row_sums), pref * _EPS * abs_sum, nodes
+
+
+def _check_separation(R: float) -> None:
+    if not (R > 0 and math.isfinite(R)):
+        raise InvalidParameterError("separation R must be positive and "
+                                    "finite")
 
 
 def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
@@ -447,9 +425,7 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
     radial reduction against the closed forms and validates the default.
     The term approaches ``cp_constant(nu0) * R**-7`` at large separation.
     """
-    if not (R > 0 and math.isfinite(R)):
-        raise InvalidParameterError("separation R must be positive and "
-                                    "finite")
+    _check_separation(R)
     if route == "t-representation":
         re_part, ir_part, err, nodes = _main_term_t_representation(
             R, params, profile, rel_tol)
@@ -458,9 +434,9 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
                                  retarded_part=2.0 * re_part,
                                  remainder_part=2.0 * ir_part, nodes=nodes)
     if route == "direct-quadrature":
-        value, err, nodes = _main_term_direct(R, params, profile)
-        return FourthOrderResult(R=R, value=value, route=route,
-                                 estimated_error=err, nodes=nodes)
+        value, err, nodes = _direct_term(R, params, profile, ("221", "212"))
+        return FourthOrderResult(R=R, value=2.0 * value, route=route,
+                                 estimated_error=2.0 * err, nodes=nodes)
     raise InvalidParameterError(f"unknown route {route!r}")
 
 
@@ -474,33 +450,21 @@ def fourth_order_error(R: float, params: ModelParams,
     multiply by two for the full crossed contribution (the alternating
     words vanish identically).
     """
-    if not (R > 0 and math.isfinite(R)):
-        raise InvalidParameterError("separation R must be positive and "
-                                    "finite")
+    _check_separation(R)
     e, nu = params.e, params.nu
     if route == "t-representation":
         tables = _RadialTables(params, profile, R)
 
         def integrand(t):
-            h = tables.moments(np.atleast_1d(t), "H")
-            acc = 0.0
-            for (p, q), coef in _ANGULAR_COEFF.items():
-                acc = acc + coef * (
-                    2.0 * h["H", p, 3] * h["H", q, 1]
-                    + 2.0 * h["H", p, 1] * h["H", q, 3]
-                    + 2.0 * h["H", p, 2] * h["H", q, 2]
-                    + (h["H", p, 2] * h["H", q, 1]
-                       + h["H", p, 1] * h["H", q, 2]) / (e * nu))
-            return acc
+            _, h = tables.moments(t)
+            return (4.0 * _pair(h[0], h[2]) + 2.0 * _pair(h[1], h[1])
+                    + 2.0 * _pair(h[0], h[1]) / (e * nu))
 
-        res = integrate_half_line(integrand, QuadratureSpec(rel_tol=rel_tol),
-                                  full_output=True)
-        scale = R ** -9 * e ** 2 / (16.0 * nu ** 2)
-        return FourthOrderResult(R=R, value=scale * res.value, route=route,
-                                 estimated_error=scale * res.error_estimate,
-                                 nodes=res.nodes_used)
-    if route == "direct-quadrature":
-        value, err, nodes = _error_term_direct(R, params, profile)
-        return FourthOrderResult(R=R, value=value, route=route,
-                                 estimated_error=err, nodes=nodes)
-    raise InvalidParameterError(f"unknown route {route!r}")
+        value, err, nodes = _t_quadrature(integrand, rel_tol,
+                                          R ** -9 * e ** 2 / (16.0 * nu ** 2))
+    elif route == "direct-quadrature":
+        value, err, nodes = _direct_term(R, params, profile, ("311",))
+    else:
+        raise InvalidParameterError(f"unknown route {route!r}")
+    return FourthOrderResult(R=R, value=value, route=route,
+                             estimated_error=err, nodes=nodes)

@@ -118,7 +118,7 @@ def integrate_interval(f: Callable, a: float, b: float,
 
 
 def integrate_half_line(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
-                        initial_panels: int = 8, full_output: bool = False):
+                        full_output: bool = False):
     """Integrate ``f`` over ``[0, inf)`` via the map ``s = u / (1 - u)``.
 
     The integrand must decay at least like ``s**-2`` so that the mapped
@@ -130,7 +130,6 @@ def integrate_half_line(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
         return f(s) / (1.0 - u) ** 2
 
     return integrate_interval(mapped, 0.0, 1.0, spec=spec,
-                              initial_panels=initial_panels,
                               full_output=full_output)
 
 

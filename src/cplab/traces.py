@@ -185,26 +185,25 @@ class TraceSystem:
                                              self.lattice)
         return self._report
 
-    def d_integral(self, quad: Optional[QuadratureSpec] = None) -> float:
+    def d_integral(self) -> float:
         """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``.
 
         ``D`` is the order-2 closure of the within-dipole channel sums, so a
-        two-dipole system integrates that of its geometry-free twin.
+        two-dipole system integrates that of its geometry-free twin.  The
+        integral is taken once per system at the default ``QuadratureSpec``,
+        whatever accuracy the series or word that asks for it uses.
         """
         if self._d_integral is None:
             one = (self if self.geometry is None else
                    TraceSystem(self.params, self.lattice, self.profile))
-            val = integrate_half_line(lambda s: one.order_integrand(2, s),
-                                      spec=quad or QuadratureSpec())
+            val = integrate_half_line(lambda s: one.order_integrand(2, s))
             self._d_integral = val / math.pi
         return self._d_integral
 
-    def word_scale(self, word: Sequence[int],
-                   quad: Optional[QuadratureSpec] = None) -> float:
+    def word_scale(self, word: Sequence[int]) -> float:
         """A-priori magnitude scale ``a**(#I/2 - 1) * (1/pi) Int D`` for a
         word, used to normalize vanishing checks."""
-        a = self.report.a
-        return a ** (len(word) // 2 - 1) * self.d_integral(quad)
+        return self.report.a ** (len(word) // 2 - 1) * self.d_integral()
 
     # -- channel sums ---------------------------------------------------------
 
@@ -328,7 +327,7 @@ def trace_word(word, system: TraceSystem,
     if sum(letters) % 2 or len(letters) % 2:
         return 0.0
     spec = quad or QuadratureSpec()
-    scale = system.word_scale(letters, spec)
+    scale = system.word_scale(letters)
     spec_abs = replace(spec, abs_tol=max(spec.abs_tol, 1e-13 * scale))
     val = integrate_half_line(
         lambda s: system.word_integrand_fast(letters, s), spec=spec_abs)
@@ -355,7 +354,7 @@ def _order_terms(system: TraceSystem, max_order: int, spec: QuadratureSpec
             errors.append(0.0)
             nodes.append(0)
             continue
-        scale = system.word_scale((1,) * order, spec) * count
+        scale = system.word_scale((1,) * order) * count
         spec_abs = replace(spec, abs_tol=max(spec.abs_tol, 1e-13 * scale))
         res = integrate_half_line(
             lambda s, _order=order: system.order_integrand(_order, s),
@@ -384,7 +383,7 @@ def series_one_electron(params: ModelParams, lattice: Lattice,
     spec = quad or QuadratureSpec()
     orders, terms, errors, nodes = _order_terms(system, max_order, spec)
     jmax = max_order // 2
-    tail = system.d_integral(spec) * a ** jmax / (1.0 - a)
+    tail = system.d_integral() * a ** jmax / (1.0 - a)
     shift = 1.5 * params.e * params.nu
     value = shift - math.fsum(terms)
     return TraceSeries(orders=orders, contributions=terms, value=value,
@@ -419,7 +418,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
     orders, terms, errors, nodes = _order_terms(system, max_order, spec)
     jmax = max_order // 2
     if a < 0.25:
-        tail = system.d_integral(spec) * 4.0 * (4.0 * a) ** jmax / (1.0 - 4.0 * a)
+        tail = system.d_integral() * 4.0 * (4.0 * a) ** jmax / (1.0 - 4.0 * a)
     else:
         tail = math.inf
     return TraceSeries(orders=orders, contributions=terms,

@@ -10,8 +10,8 @@ from cplab import (InvalidParameterError, ModelParams,
                    angular_bracket_kernels, angular_factor, closed_integral,
                    cp_constant, fourth_order_error, fourth_order_main,
                    integral_quadrature_oracle, make_gaussian_profile)
-from cplab.continuum import (_ANGULAR_COEFF, _ANGULAR_MATRIX, _PANEL_NODES,
-                             _direct_rows, _radial_grid)
+from cplab.continuum import (_ANGULAR_MATRIX, _PANEL_NODES, _direct_rows,
+                             _radial_grid)
 from conftest import PARAM_SETS
 
 KINDS = {"111": (1, 1, 1), "221": (2, 2, 1), "212": (2, 1, 2),
@@ -129,6 +129,16 @@ def test_angular_factor_symmetries(rng):
         angular_factor(1.5, 0.0)
 
 
+def test_angular_matrix_matches_closed_form():
+    # both fourth-order routes and the dense oracle read the coefficient
+    # table; it must reproduce the closed angular factor it stands for
+    for x1 in np.linspace(-1.0, 1.0, 21):
+        for x2 in np.linspace(-1.0, 1.0, 21):
+            got = np.array([1.0, x1 * x1]) @ _ANGULAR_MATRIX \
+                @ np.array([1.0, x2 * x2])
+            assert got == pytest.approx(angular_factor(x1, x2), rel=1e-14)
+
+
 def test_bracket_kernels_limits_and_values():
     j0, j2 = angular_bracket_kernels(0.0)
     assert (j0, j2) == pytest.approx((2.0, 2.0 / 3.0))
@@ -232,15 +242,12 @@ def _dense_direct_integrand(params, profile, R, kinds):
     """Test oracle: the full M x M direct-route integrand, built densely."""
     r, w = _radial_grid(profile, R)
     u = profile.radial(r / R) ** 2
-    j0, j2 = angular_bracket_kernels(r)
-    kernels = {0: j0, 2: j2}
+    j = np.stack(angular_bracket_kernels(r), axis=1)
     a0 = (params.e * params.nu) ** 2
     bsq = (r / R) ** 2
     tri = sum(closed_integral(k, a0, bsq[:, None], bsq[None, :])
               for k in kinds) / len(kinds)
-    core = np.zeros_like(tri)
-    for (p, q), coef in _ANGULAR_COEFF.items():
-        core += coef * np.outer(kernels[p], kernels[q])
+    core = j @ _ANGULAR_MATRIX @ j.T
     base = w * r ** 4 * u
     return base, core * tri
 
