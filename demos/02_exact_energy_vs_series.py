@@ -3,8 +3,8 @@
 The exact ground energy is the zero-point trace
 0.5 * (sum sqrt(eig) - sum sqrt(free)) + 1.5 e nu, evaluated without any
 eigendecomposition as the imaginary-frequency integral
-(1/2 pi) Int_0^inf ds log det(1 - X(s)) of a 3x3 matrix built from per-mode
-sums.  The same number has a perturbative expansion whose truncation error
+(1/2 pi) Int_0^inf ds log det(1 - X(s)), whose 3x3 matrix is diagonal in the
+axis channels of the per-mode sums.  The same number has a perturbative expansion whose truncation error
 is bounded analytically by a geometric tail.  Two independent routes, one
 number.
 """

@@ -15,15 +15,13 @@ complement on the photon block it equals the imaginary-frequency log-det
     X(s) = (s^2 + e^2 nu^2)^-1 [B (s^2 + K)^-1 B^T - (P - e^2 nu^2)],
 
 the finite-lattice Lifshitz / TGTG formula (Emig, Graham, Jaffe, Kardar,
-PRL 99, 170403 (2007); Rahi et al., PRD 80, 085021 (2009)).  ``X(s)`` is a
-resolvent-weighted sum of per-mode ``p x p`` blocks, so each quadrature node
-costs ``O(p^2 N)`` instead of the ``O(dim^3)`` of a dense eigensolve.  The
-binding energy is the mixed part of the same two-dipole log-det and is never
-formed as a difference of two energies.  For the assembled two-dipole form
-``X(s)`` is diagonal in the axis channels of ``traces.TraceSystem``, so the
-binding takes the channel sums and assembles no form unless the positivity
-check needs it.  Spectral diagnostics come from the inertia of the ``p x p``
-Schur complement ``S(lam) = P - lam - B (K - lam)^-1 B^T`` (Haynsworth).
+PRL 99, 170403 (2007); Rahi et al., PRD 80, 085021 (2009)).  ``X(s)`` is
+diagonal in the axis channels of ``traces.TraceSystem`` within one dipole
+and across the pair, with closed-form eigenvalues ``x_c -+ y_c``: a node
+costs ``O(N)`` and no ``p x p`` matrix is formed.  The binding energy is
+the mixed part of the same log-det, never a difference of two energies.
+Spectral diagnostics come from the channel inertia of the Schur complement
+``S(lam) = P - lam - B (K - lam)^-1 B^T`` (Haynsworth).
 """
 
 from __future__ import annotations
@@ -85,10 +83,6 @@ class QuadraticForm:
     border: np.ndarray
     particle: np.ndarray
     zero_point_shift: float
-    params: ModelParams
-    lattice: Lattice
-    geometry: Optional[Geometry] = None
-    include_direct_term: bool = False
 
     @property
     def dim(self) -> int:
@@ -96,10 +90,8 @@ class QuadraticForm:
 
     @property
     def omega(self) -> np.ndarray:
-        """The dense ``dim x dim`` matrix, built read-only on each access.
-
-        For tests and oracles at small ``dim``; no energy route uses it.
-        """
+        """The dense ``dim x dim`` matrix, built read-only on each access
+        for tests and oracles at small ``dim``; no energy route uses it."""
         p = len(self.particle)
         out = np.diag(self.omega0_diag)
         out[:p, :p] = self.particle
@@ -111,7 +103,7 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class EnergyResult:
-    """Ground energy together with eigenvalue diagnostics."""
+    """Ground energy, eigenvalue diagnostics and quadrature evidence."""
 
     energy: float
     min_eigenvalue: float
@@ -119,6 +111,8 @@ class EnergyResult:
     zero_point_shift: float
     n_eigenvalues: int
     n_clamped: int
+    error_estimate: float = 0.0
+    nodes: int = 0
 
 
 def build_coupling(x, lattice: Lattice, profile: ChargeProfile,
@@ -135,18 +129,21 @@ def build_coupling(x, lattice: Lattice, profile: ChargeProfile,
              * profile.radial(lattice.norms))
     phase = lattice.points @ x
     cos, sin = np.cos(phase), np.sin(phase)
-    n = lattice.count
-    entries = np.zeros((3, 4 * n))
-    entries[:, 0::4] = (eps1 * (scale * cos)[:, None]).T
-    entries[:, 1::4] = (eps2 * (scale * cos)[:, None]).T
-    entries[:, 2::4] = (eps1 * (scale * sin)[:, None]).T
-    entries[:, 3::4] = (eps2 * (scale * sin)[:, None]).T
+    entries = np.zeros((3, 4 * lattice.count))
+    for c, (eps, trig) in enumerate(((eps1, cos), (eps2, cos), (eps1, sin),
+                                     (eps2, sin))):
+        entries[:, c::4] = (eps * (scale * trig)[:, None]).T
     return CouplingMatrix(x=x, entries=entries)
 
 
 def _free_diag(params: ModelParams, lattice: Lattice, p: int) -> np.ndarray:
     return np.concatenate([np.full(p, (params.e * params.nu) ** 2),
                            np.repeat(lattice.norms ** 2, 4)])
+
+
+def _channel_block(d: float, g: float, p: int) -> np.ndarray:
+    """Particle block ``d I`` (``p = 3``) or ``[[d I, g I], [g I, d I]]``."""
+    return np.kron([[d, g], [g, d]], np.eye(3))[:p, :p]
 
 
 def assemble_one_electron(params: ModelParams, lattice: Lattice,
@@ -165,9 +162,8 @@ def assemble_one_electron(params: ModelParams, lattice: Lattice,
     border = (coupling_scale * params.e
               * build_coupling(x, lattice, profile, rotation_angles).entries)
     return QuadraticForm(omega0_diag=diag, border=border,
-                         particle=np.diag(diag[:3]),
-                         zero_point_shift=1.5 * params.e * params.nu,
-                         params=params, lattice=lattice)
+                         particle=_channel_block(diag[0], 0.0, 3),
+                         zero_point_shift=1.5 * params.e * params.nu)
 
 
 def direct_coupling(params: ModelParams, lattice: Lattice,
@@ -203,21 +199,16 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
     border = np.vstack([
         build_coupling(x, lattice, profile, rotation_angles).entries
         for x in (np.zeros(3), geometry.r)])
-    particle = np.diag(diag[:6])
-    if include_direct_term:
-        g = direct_coupling(params, lattice, profile, geometry)
-        particle[0:3, 3:6] = g * np.eye(3)
-        particle[3:6, 0:3] = g * np.eye(3)
+    g = (direct_coupling(params, lattice, profile, geometry)
+         if include_direct_term else 0.0)
     return QuadraticForm(omega0_diag=diag,
                          border=coupling_scale * params.e * border,
-                         particle=particle,
-                         zero_point_shift=3.0 * params.e * params.nu,
-                         params=params, lattice=lattice, geometry=geometry,
-                         include_direct_term=include_direct_term)
+                         particle=_channel_block(diag[0], g, 6),
+                         zero_point_shift=3.0 * params.e * params.nu)
 
 
 # ---------------------------------------------------------------------------
-# the log-det kernel
+# the channel log-det kernel
 # ---------------------------------------------------------------------------
 
 def _log_abs_one_minus(x: np.ndarray) -> np.ndarray:
@@ -227,105 +218,101 @@ def _log_abs_one_minus(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.5, near, far)
 
 
-class _Kernel:
-    """Per-mode ``p x p`` blocks ``M_n = sum_c b_{n,c} b_{n,c}^T`` of a form.
+def _axis_channels(sums: np.ndarray, s2: np.ndarray, enu2: float,
+                   offset: float = 0.0, gamma: float = 0.0) -> np.ndarray:
+    """``X(s)`` in the axis channels, ``[x_c | y_c] = ([within_c | across_c]
+    - [d - e^2 nu^2 | gamma]) / (s^2 + e^2 nu^2)``, from the channels of
+    ``B (s^2 + K)^-1 B^T`` and a particle block ``[[d I, gamma I], ...]``."""
+    shift = np.array([offset, offset, gamma, gamma])[:sums.shape[1]]
+    return (sums - shift) / (s2 + enu2)[:, None]
 
-    Every quantity of the form is a resolvent-weighted sum of these blocks:
-    ``B (z + K)^-1 B^T = sum_n M_n / (z + k_n^2)``.
-    """
+
+def _split(v: np.ndarray) -> np.ndarray:
+    """Channel eigenvalues ``[w - a | w + a]`` of ``[[w, a], [a, w]]``."""
+    w, a = v[:, :2], v[:, 2:]
+    return v if a.shape[1] == 0 else np.hstack([w - a, w + a])
+
+
+class _Kernel:
+    """Channel columns of a form: per mode, ``T_n = (M_xx + M_yy) / 2`` and
+    ``L_n = M_zz`` of ``M_n = sum_c b_{n,c} b_{n,c}^T`` within the first
+    dipole and, for two, across (rows 0-2 against 3-5), read from the border:
+    ``e^2 coupling_scale^2`` times ``TraceSystem``'s columns for any
+    ``shift`` or ``rotation_angles``.  On the symmetric box (separation along
+    z) the summed off-diagonals and ``M_xx - M_yy`` of every ``sum_n M_n
+    g(k_n^2)`` vanish, so with the particle block ``d I`` or ``[[d I, g I],
+    [g I, d I]]`` checked here, ``X(s)`` and ``S(lam)`` are diagonal in the
+    channels: ``O(N)`` per node, no ``p x p`` matrix."""
 
     def __init__(self, form: QuadraticForm):
         p = len(form.particle)
-        self.p = p
-        self.particle = form.particle
-        self.border = form.border
-        self.free = form.omega0_diag[:p]
+        self.particle, self.border = form.particle, form.border
         self.photon = form.omega0_diag[p:]
-        b = form.border.reshape(p, -1, 4)
         self.freq2 = self.photon[0::4]
-        self.blocks = np.einsum("inc,jnc->nij", b, b).reshape(-1, p * p)
+        self.enu2 = float(form.omega0_diag[0])
+        self.d = form.particle[0, 0]
+        self.g = form.particle[0, 3] if p == 6 else 0.0
+        dev = max(np.max(np.abs(form.particle
+                             - _channel_block(self.d, self.g, p))),
+                  np.max(np.abs(form.omega0_diag[:p] - self.enu2)))
+        scale = max(np.max(np.abs(form.particle)),
+                    np.max(np.abs(form.border)), np.max(form.omega0_diag))
+        if dev > SYMMETRY_REL * scale:
+            raise InvalidParameterError(
+                f"particle block is not d I or [[d I, g I], [g I, d I]]: "
+                f"deviation {dev:.3e} vs scale {scale:.3e}")
+        b = form.border.reshape(p, -1, 4)
+        m = np.sum(b[:3] * b.reshape(p // 3, 3, -1, 4), axis=-1)
+        cols = np.stack([0.5 * (m[:, 0] + m[:, 1]), m[:, 2]], axis=1)
+        cols = cols.reshape(-1, len(self.freq2)).T
+        self.q = cols.shape[1]
+        self.columns = np.hstack([cols, cols / self.freq2[:, None]])
+        self.multiplicity = np.tile(TraceSystem.multiplicity, p // 3)
         self.schur0 = self.schur(0.0)
 
-    def resolvent_sum(self, z: np.ndarray, power: int = 1) -> np.ndarray:
-        """Stack of ``sum_n M_n / (z + k_n^2)`` over the shifts ``z``, or of
-        ``sum_n M_n / (k_n^2 (z + k_n^2))`` for ``power=2``.
-
-        The mode sum runs over ``model._resolvent_chunks``, so the working
-        set stays bounded whatever the number of modes.
-        """
-        z = np.atleast_1d(z)
-        out = np.zeros((len(z), self.p * self.p))
+    def resolvent_sum(self, z: np.ndarray) -> np.ndarray:
+        """Channels of ``sum_n M_n / (z + k_n^2)``, then of ``sum_n M_n /
+        (k_n^2 (z + k_n^2))``, summed over ``model._resolvent_chunks``."""
+        out = np.zeros((len(z), self.columns.shape[1]))
         for modes, res in _resolvent_chunks(z, self.freq2):
-            if power == 2:
-                res /= self.freq2[modes]
-            out += res @ self.blocks[modes]
-        return out.reshape(-1, self.p, self.p)
+            out += res @ self.columns[modes]
+        return out
 
     def schur(self, lam: float) -> np.ndarray:
-        """``S(lam) = P - lam - B (K - lam)^-1 B^T``."""
-        return (self.particle - lam * np.eye(self.p)
-                - self.resolvent_sum(np.array([-lam]))[0])
-
-    def _scale(self, s2: np.ndarray) -> np.ndarray:
-        return 1.0 / np.sqrt(s2[:, None] + self.free[None, :])
-
-    def x(self, s: np.ndarray) -> np.ndarray:
-        """Symmetric ``X(s)`` with ``det(1 - X) = det(s^2 + Omega) /
-        det(s^2 + Omega_0)``, one ``p x p`` matrix per node; exact to
-        roundoff relative to ``X`` itself, which keeps the decaying tail."""
-        s2 = np.asarray(s, dtype=float) ** 2
-        h = self._scale(s2)
-        inner = (self.resolvent_sum(s2)
-                 - (self.particle - np.diag(self.free))[None, :, :])
-        return h[:, :, None] * inner * h[:, None, :]
-
-    def one_minus_x(self, s: np.ndarray) -> np.ndarray:
-        """``1 - X(s)`` built as ``S(0) + s^2 (1 + sum_n M_n / (k_n^2
-        (s^2 + k_n^2)))``: exact to roundoff relative to its own small
-        eigenvalues near a critical (nearly singular) form."""
-        s2 = np.asarray(s, dtype=float) ** 2
-        h = self._scale(s2)
-        inner = self.schur0[None, :, :] + s2[:, None, None] * (
-            np.eye(self.p) + self.resolvent_sum(s2, power=2))
-        return h[:, :, None] * inner * h[:, None, :]
+        """Channel eigenvalues of ``S(lam) = P - lam - B (K - lam)^-1
+        B^T``, one row in the order of ``_split``."""
+        sums = self.resolvent_sum(np.array([-lam]))[:, :self.q]
+        return _split(np.array([self.d, self.d, self.g, self.g])[:self.q]
+                      - sums) - lam
 
     def log_det(self, s: np.ndarray) -> np.ndarray:
-        """``log|det(1 - X(s))|`` per node.
-
-        ``log1p(-mu)`` of the eigenvalues of ``X`` wherever ``mu < 1/2``;
-        nodes with an eigenvalue near or past 1 take the eigenvalues of
-        ``1 - X`` from ``one_minus_x`` instead (same eigenvectors, order
-        reversed).
-        """
-        s = np.asarray(s, dtype=float)
-        mu = np.linalg.eigvalsh(self.x(s))
-        small = mu < 0.5
-        out = np.log1p(-np.where(small, mu, 0.0))
-        near = ~np.all(small, axis=1)
-        if np.any(near):
-            ev = np.linalg.eigvalsh(self.one_minus_x(s[near]))[:, ::-1]
-            mag = np.maximum(np.abs(ev), np.finfo(float).tiny)
-            out[near] = np.where(small[near], out[near], np.log(mag))
-        return np.sum(out, axis=1)
+        """``sum_c m_c log|1 - mu_c(X(s))|`` per node; where ``mu_c >= 1/2``,
+        ``1 - mu_c = (S(0) + s^2 (1 + sum_n M_n / (k_n^2 (s^2 + k_n^2))))
+        / (s^2 + e^2 nu^2)``, exact relative to its small value."""
+        s2 = np.asarray(s, dtype=float) ** 2
+        sums = self.resolvent_sum(s2)
+        mu = _split(_axis_channels(sums[:, :self.q], s2, self.enu2,
+                                   self.d - self.enu2, self.g))
+        near = self.schur0 + s2[:, None] * (1 + _split(sums[:, self.q:]))
+        far = (np.log(np.maximum(np.abs(near), np.finfo(float).tiny))
+               - np.log(s2 + self.enu2)[:, None])
+        out = np.where(mu < 0.5, np.log1p(-np.minimum(mu, 0.5)), far)
+        return out @ self.multiplicity
 
     def count_below(self, lam: float) -> int:
-        """Eigenvalues of the form below ``lam`` (Haynsworth inertia):
-        those of ``K - lam`` plus those of ``S(lam)``; ``lam`` must not be
-        a photon frequency."""
+        """Eigenvalues of the form below ``lam`` (Haynsworth inertia): those
+        of ``K - lam`` and, with multiplicity, the negative channels of
+        ``S(lam)``; ``lam`` must not be a photon frequency."""
         return (int(np.count_nonzero(self.photon < lam))
-                + int(np.count_nonzero(np.linalg.eigvalsh(self.schur(lam))
-                                       < 0.0)))
+                + int(self.multiplicity @ (self.schur(lam)[0] < 0.0)))
 
     def check_positivity(self) -> Tuple[float, int]:
         """Clamp-or-raise rule: eigenvalues in ``[-CLAMP_REL * norm, 0)``
         are roundoff, anything lower raises.  Returns the bottom eigenvalue
-        and the number of negative ones.
-
-        The bottom and top eigenvalues are found by bisection on
-        ``count_below`` inside the Gershgorin bracket; the bottom one stays
-        below every diagonal entry and the top one above, so ``K - lam`` is
-        never singular.
-        """
+        and the number of negative ones, found by bisection on
+        ``count_below`` inside the Gershgorin bracket: the bottom one below
+        every diagonal entry and the top one above, so ``K - lam`` is never
+        singular."""
         absb = np.abs(self.border)
         rows = (np.sum(np.abs(self.particle), axis=1)
                 - np.abs(np.diag(self.particle)) + np.sum(absb, axis=1))
@@ -361,29 +348,25 @@ class _Kernel:
 
 
 def ground_energy(form: QuadraticForm) -> EnergyResult:
-    """Exact ground energy of an assembled form by the log-det kernel.
+    """Exact ground energy of an assembled form by the channel kernel, with
+    the quadrature's ``error_estimate`` and ``nodes``.
 
-    The integrand is ``sum_i log|1 - mu_i(X(s))|``.  Eigenvalues of the
-    form in ``[-1e-10 * norm, 0)`` are clamped to zero (roundoff): the
-    absolute value makes each contribute zero, as ``sqrt(0)`` does in the
-    trace formula.  Anything lower raises ``NotPositiveSemidefiniteError``,
-    signalling a genuine violation of the positivity hypotheses.
+    A particle block other than ``d I`` or ``[[d I, g I], [g I, d I]]`` (to
+    ``SYMMETRY_REL``) raises ``InvalidParameterError``.  Eigenvalues in
+    ``[-1e-10 * norm, 0)`` are roundoff, clamped to zero (``log|.|`` gives
+    them zero weight); a lower one raises ``NotPositiveSemidefiniteError``.
     """
-    particle = form.particle
-    asym = np.max(np.abs(particle - particle.T))
-    scale = max(np.max(np.abs(particle)), np.max(np.abs(form.border)),
-                np.max(form.omega0_diag))
-    if asym > SYMMETRY_REL * scale:
-        raise InvalidParameterError(
-            f"form is not symmetric: asymmetry {asym:.3e} vs scale {scale:.3e}")
     kernel = _Kernel(form)
     min_eig, clamped = kernel.check_positivity()
-    trace_difference = integrate_half_line(kernel.log_det) / (2.0 * math.pi)
+    quad = integrate_half_line(kernel.log_det, full_output=True)
+    trace_difference = quad.value / (2.0 * math.pi)
     return EnergyResult(
         energy=trace_difference + form.zero_point_shift,
         min_eigenvalue=min_eig, trace_difference=trace_difference,
         zero_point_shift=form.zero_point_shift,
-        n_eigenvalues=form.dim, n_clamped=clamped)
+        n_eigenvalues=form.dim, n_clamped=clamped,
+        error_estimate=quad.error_estimate / (2.0 * math.pi),
+        nodes=quad.nodes_used)
 
 
 def binding_energy_exact(params: ModelParams, lattice: Lattice,
@@ -391,24 +374,17 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
                          include_direct_term: bool = False) -> float:
     """Exact binding ``2 E - E(R)`` from the mixed part of one log-det.
 
-    The two-dipole ``X(s)`` is ``[[x, y], [y, x]]`` with ``x`` and ``y``
-    diagonal in the axis channels of ``TraceSystem.channel_sums``:
-    ``x_c = e^2 s1_c / (s^2 + e^2 nu^2)`` within one dipole and ``y_c =
-    (e^2 a1_c - gamma) / (s^2 + e^2 nu^2)`` across, with ``gamma`` the
-    direct coupling when ``include_direct_term`` is set and zero
-    otherwise.  Per channel ``det(1 - X) = (1 - x - y)(1 - x + y)``, so the
-    binding is ``-(1/2 pi) Int_0^inf ds sum_c m_c log(1 - sigma_c^2)`` with
-    ``sigma_c = y_c / (1 - x_c)``, resolvable at its own magnitude, not at
-    the roundoff of the energies.  ``S(0) = e^2 nu^2 (1 - X(0))``, so the
-    form has a negative eigenvalue exactly when ``|y_c(0)| > 1 - x_c(0)``
-    in some channel; only then is the form assembled for the clamp-or-raise
-    rule of ``ground_energy``, and ``log|.|`` gives its clamped
-    eigenvalues zero weight.
+    The two-dipole ``X(s)`` is ``[[x, y], [y, x]]`` in the axis channels of
+    ``TraceSystem.channel_sums`` (``_axis_channels`` with ``gamma`` the
+    direct coupling, or zero).  Per channel ``det(1 - X) = (1 - x - y)(1 -
+    x + y)``, so the binding is ``-(1/2 pi) Int_0^inf ds sum_c m_c log(1 -
+    sigma_c^2)`` with ``sigma_c = y_c / (1 - x_c)``, resolvable at its own
+    magnitude.  ``S(0) = e^2 nu^2 (1 - X(0))``, so only a channel with
+    ``|y_c(0)| > 1 - x_c(0)`` makes the form indefinite; only then is it
+    assembled for the clamp-or-raise rule of ``ground_energy``.
 
-    Positive values mean attraction.  A warning is issued for
-    ``R >= L / 2``: lattice momenta are multiples of ``2 pi / L``, so the
-    two-dipole energy is periodic in ``R`` with period ``L`` and large
-    separations are not meaningful on a finite box.
+    Positive values mean attraction.  ``R >= L / 2`` warns: lattice momenta
+    are multiples of ``2 pi / L``, so the energy is periodic in ``R``.
     """
     if R >= lattice.box_period / 2.0:
         warnings.warn(
@@ -422,9 +398,9 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
     e2, enu2 = params.e ** 2, (params.e * params.nu) ** 2
 
     def channels(s):
-        s1, a1 = system.channel_sums(s, (1,))[1]
-        denom = (s * s + enu2)[:, None]
-        return e2 * s1 / denom, (e2 * a1 - gamma) / denom
+        xy = _axis_channels(e2 * np.hstack(system.channel_sums(s, (1,))[1]),
+                            s * s, enu2, gamma=gamma)
+        return xy[:, :2], xy[:, 2:]
 
     x0, y0 = channels(np.zeros(1))
     if np.any(np.abs(y0) > 1.0 - x0):

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from cplab import (Geometry, InvalidParameterError, LatticePeriodicityWarning,
-                   ModelParams, NotPositiveSemidefiniteError,
+                   ModelParams, NotPositiveSemidefiniteError, TraceSystem,
                    assemble_one_electron, assemble_two_electron,
                    binding_energy_exact, build_coupling, build_lattice,
                    direct_coupling, ground_energy, lattice_norm,
                    make_custom_profile, make_gaussian_profile,
                    series_binding, series_one_electron)
+from cplab.oscillator import _Kernel
 
 from conftest import PARAM_SETS, dense_ground_energy
 
@@ -154,6 +155,45 @@ def test_asymmetric_form_rejected(default_params, small_lattice, gaussian):
         ground_energy(form)
 
 
+@pytest.mark.parametrize("dipoles,i,j", [(1, 0, 1), (2, 0, 1), (2, 2, 2),
+                                          (2, 0, 4), (2, 1, 5)])
+def test_non_channel_particle_block_rejected(default_params, small_lattice,
+                                             gaussian, dipoles, i, j):
+    # a symmetric edit that is not d I within or g I across breaks the
+    # channel structure the kernel relies on
+    args = (default_params, small_lattice, gaussian)
+    form = (assemble_one_electron(*args) if dipoles == 1 else
+            assemble_two_electron(*args, Geometry(0.3),
+                                  include_direct_term=True))
+    form.particle[i, j] += 0.1
+    if i != j:
+        form.particle[j, i] += 0.1
+    with pytest.raises(InvalidParameterError):
+        ground_energy(form)
+
+
+def test_kernel_columns_match_trace_system(strong_setup, rng):
+    # the channel columns read from the border are e^2 coupling_scale^2
+    # times TraceSystem's, mode by mode, for a shifted or rotated border
+    params, prof, lat = strong_setup
+    angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
+    g = Geometry(0.4)
+    cases = [
+        (assemble_one_electron(params, lat, prof, shift=[0.3, -1.0, 2.0],
+                               rotation_angles=angles, coupling_scale=0.7),
+         TraceSystem(params, lat, prof), 0.7),
+        (assemble_two_electron(params, lat, prof, g, rotation_angles=angles,
+                               coupling_scale=1.3),
+         TraceSystem(params, lat, prof, g), 1.3),
+    ]
+    for form, system, scale in cases:
+        kernel = _Kernel(form)
+        ref = params.e ** 2 * scale ** 2 * system._columns
+        assert kernel.columns.shape == (lat.count, 2 * ref.shape[1])
+        dev = np.abs(kernel.columns[:, :ref.shape[1]] - ref)
+        assert np.all(dev <= 1e-14 * np.max(np.abs(ref), axis=0))
+
+
 def test_violated_positivity_raises(small_lattice):
     # huge coupling with a tiny trap drives the bottom eigenvalue negative
     params = ModelParams(e=1.0, nu0=1e-3)
@@ -212,13 +252,14 @@ def test_log_det_matches_dense_oracle(e, nu0, xi, box):
         assert res.n_eigenvalues == form.dim
 
 
-@pytest.mark.parametrize("delta", [1e-9, 1e-11])
+@pytest.mark.parametrize("delta", [1e-9, 1e-11, 1e-13])
 def test_in_window_eigenvalues_clamped_like_dense(default_params,
                                                   small_lattice, gaussian,
                                                   delta):
     # lower the particle block until the Schur complement S(0) has a
     # triple eigenvalue -delta: three form eigenvalues near -delta, inside
-    # the roundoff window
+    # the roundoff window; at 1e-13 the energy needs the integrand's S(0)
+    # branch, log|1 - mu| alone is off by 2e-7
     form = assemble_one_electron(default_params, small_lattice, gaussian)
     photon = form.omega0_diag[3:]
     schur0 = form.particle - (form.border / photon) @ form.border.T
@@ -253,17 +294,23 @@ def test_binding_with_direct_term_matches_refined_dense_oracle(e, nu0, xi,
                                                                 box):
     # the channel log-det against 2 E - E(R) of the dense spectra, with and
     # without the contact block; bindings below 1e-7 sit under the
-    # oracle's own refined noise and are not compared
+    # oracle's own refined noise and are not compared.  Each form's energy
+    # correction is compared at its own magnitude under the same floor.
     params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
     lat = build_lattice(box, 1.0)
-    one = dense_ground_energy(assemble_one_electron(params, lat, prof),
-                              refine=True)
+
+    def oracle(form):
+        ref = dense_ground_energy(form, refine=True).trace_difference
+        if abs(ref) >= 1e-7:
+            assert ground_energy(form).trace_difference == pytest.approx(
+                ref, rel=1e-9)
+        return ref
+
+    one = oracle(assemble_one_electron(params, lat, prof))
     for direct in (False, True):
         for r in (0.2 * box, 0.45 * box):
-            two = dense_ground_energy(assemble_two_electron(
-                params, lat, prof, Geometry(r), include_direct_term=direct),
-                refine=True)
-            ref = 2.0 * one.trace_difference - two.trace_difference
+            ref = 2.0 * one - oracle(assemble_two_electron(
+                params, lat, prof, Geometry(r), include_direct_term=direct))
             value = binding_energy_exact(params, lat, prof, r,
                                          include_direct_term=direct)
             if abs(ref) >= 1e-7:

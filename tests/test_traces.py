@@ -298,10 +298,11 @@ def test_one_electron_series_matches_exact(e, nu0, xi):
     lat = build_lattice(1.0, 1.0)
     series = series_one_electron(params, lat, prof, max_order=8)
     exact = ground_energy(assemble_one_electron(params, lat, prof))
-    # compare the correction E - 1.5 e nu, not the full energy
+    # compare the correction E - 1.5 e nu, not the full energy, up to the
+    # tail bound and both routes' own quadrature error estimates
     gap = abs(exact.trace_difference + math.fsum(series.contributions))
-    assert gap <= (series.tail_bound
-                   + 1e-9 * abs(exact.trace_difference))
+    assert gap <= (series.tail_bound + math.fsum(series.error_estimates)
+                   + exact.error_estimate)
     # contributions decay at least geometrically with ratio a
     ratios = [b / a for a, b in zip(series.contributions,
                                     series.contributions[1:]) if a > 0]
