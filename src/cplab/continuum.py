@@ -97,6 +97,8 @@ class FourthOrderResult:
     estimated_error: float
     retarded_part: float = 0.0
     remainder_part: float = 0.0
+    #: integrand nodes; the t-representation main term counts the nodes
+    #: its two parts share once
     nodes: int = 0
 
 
@@ -284,8 +286,10 @@ def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum((u @ _ANGULAR_MATRIX) * v, axis=-1)
 
 
-def _t_quadrature(integrand, rel_tol: float, scale: float):
-    """``scale`` times the half-line integral: ``(value, error, nodes)``."""
+def _t_quadrature(integrand, rel_tol: float, scale):
+    """``scale`` times the half-line integral: ``(value, error, nodes)``;
+    a ``(nodes, K)`` integrand with a length-K ``scale`` gives length-K
+    values and errors."""
     res = integrate_half_line(integrand, QuadratureSpec(rel_tol=rel_tol),
                               full_output=True)
     return scale * res.value, scale * res.error_estimate, res.nodes_used
@@ -298,23 +302,22 @@ def _main_term_t_representation(R: float, params: ModelParams,
 
     Returns ``(retarded part, remainder part, error estimate, nodes)`` for
     a single letter ordering; the full term is twice the sum of the parts.
+    Both parts are columns of one integrand, so each node takes one
+    ``moments`` product and ``nodes`` counts the shared nodes once; each
+    part converges to ``rel_tol`` of its own magnitude.
     """
     tables = _RadialTables(params, profile, R)
     pref = params.e ** 3 / (16.0 * params.nu)
 
-    def integrand_re(t):
-        g, _ = tables.moments(t)
-        return 2.0 * _pair(g[0], g[1])
-
-    def integrand_ir(t):
+    def integrand(t):
         g, h = tables.moments(t)
-        return 4.0 * _pair(g[2], h[0]) + 2.0 * _pair(g[1], h[1])
+        return np.stack([2.0 * _pair(g[0], g[1]),
+                         4.0 * _pair(g[2], h[0]) + 2.0 * _pair(g[1], h[1])],
+                        axis=1)
 
-    re_part, re_err, re_nodes = _t_quadrature(integrand_re, rel_tol,
-                                              R ** -7 * pref)
-    ir_part, ir_err, ir_nodes = _t_quadrature(integrand_ir, rel_tol,
-                                              R ** -8 * pref)
-    return re_part, ir_part, re_err + ir_err, re_nodes + ir_nodes
+    (re_part, ir_part), (re_err, ir_err), nodes = _t_quadrature(
+        integrand, rel_tol, np.array([R ** -7, R ** -8]) * pref)
+    return float(re_part), float(ir_part), float(re_err + ir_err), nodes
 
 
 def _direct_rows(profile: ChargeProfile, R: float, alpha: float, kinds):

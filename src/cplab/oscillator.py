@@ -241,8 +241,9 @@ class _Kernel:
     ``shift`` or ``rotation_angles``.  On the symmetric box (separation along
     z) the summed off-diagonals and ``M_xx - M_yy`` of every ``sum_n M_n
     g(k_n^2)`` vanish, so with the particle block ``d I`` or ``[[d I, g I],
-    [g I, d I]]`` checked here, ``X(s)`` and ``S(lam)`` are diagonal in the
-    channels: ``O(N)`` per node, no ``p x p`` matrix."""
+    [g I, d I]]``, ``X(s)`` and ``S(lam)`` are diagonal in the channels:
+    ``O(N)`` per node, no ``p x p`` matrix.  Both are checked here, the
+    border once through ``sum_n M_n / k_n^2``."""
 
     def __init__(self, form: QuadraticForm):
         p = len(form.particle)
@@ -267,8 +268,30 @@ class _Kernel:
         cols = cols.reshape(-1, len(self.freq2)).T
         self.q = cols.shape[1]
         self.columns = np.hstack([cols, cols / self.freq2[:, None]])
+        self._check_box_symmetry()
         self.multiplicity = np.tile(TraceSystem.multiplicity, p // 3)
         self.schur0 = self.schur(0.0)
+
+    def _check_box_symmetry(self) -> None:
+        """Raise unless ``B K^-1 B^T = sum_n M_n / k_n^2`` is the channel
+        matrix of the columns: every 3 x 3 block (within each dipole and
+        across) ``diag(T, T, L)`` to ``SYMMETRY_REL`` of its largest
+        within-dipole entry.  A border that breaks the box symmetry would
+        otherwise get a silently wrong energy."""
+        gram = (self.border / self.photon) @ self.border.T
+        t, l, *across = self.columns[:, self.q:].sum(axis=0).tolist()
+        rows = np.arange(len(gram))
+        gram[rows, rows] -= [t, t, l] * (len(gram) // 3)
+        if across:
+            # both across blocks: rows 0-2 against 3-5 and 3-5 against 0-2
+            gram[rows, (rows + 3) % 6] -= [across[0], across[0], across[1]] * 2
+        dev = np.max(np.abs(gram))
+        scale = max(abs(t), abs(l))
+        if not dev <= SYMMETRY_REL * scale:
+            raise InvalidParameterError(
+                f"border breaks the box symmetry: sum_n M_n / k_n^2 "
+                f"deviates from its channel form by {dev:.3e} against a "
+                f"diagonal of {scale:.3e}")
 
     def resolvent_sum(self, z: np.ndarray) -> np.ndarray:
         """Channels of ``sum_n M_n / (z + k_n^2)``, then of ``sum_n M_n /
@@ -351,8 +374,9 @@ def ground_energy(form: QuadraticForm) -> EnergyResult:
     """Exact ground energy of an assembled form by the channel kernel, with
     the quadrature's ``error_estimate`` and ``nodes``.
 
-    A particle block other than ``d I`` or ``[[d I, g I], [g I, d I]]`` (to
-    ``SYMMETRY_REL``) raises ``InvalidParameterError``.  Eigenvalues in
+    A particle block other than ``d I`` or ``[[d I, g I], [g I, d I]]``, or
+    a border that breaks the box symmetry (each to ``SYMMETRY_REL``),
+    raises ``InvalidParameterError``.  Eigenvalues in
     ``[-1e-10 * norm, 0)`` are roundoff, clamped to zero (``log|.|`` gives
     them zero weight); a lower one raises ``NotPositiveSemidefiniteError``.
     """

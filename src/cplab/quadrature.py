@@ -1,17 +1,25 @@
 """Tolerance-controlled adaptive quadrature on intervals and the half line.
 
-All integrators accept vectorized integrands ``f(x: ndarray) -> ndarray`` and
-refine Gauss-Legendre panels until the summed error estimate (difference of a
-15-point and a 7-point rule) meets the requested tolerance.  Panel sums are
-accumulated with ``math.fsum`` in interval order, so results are bit-stable
-regardless of refinement history.
+The integrators take vectorized integrands ``f(x: ndarray) -> ndarray`` of
+shape ``(nodes,)`` or, for ``K`` integrals over the same nodes, ``(nodes,
+K)``.  Gauss-Legendre panels are refined until every component's summed
+error estimate (difference of a 15-point and a 7-point rule) meets its own
+tolerance ``max(rel_tol |I_k|, abs_tol_k)``, so each integral is resolved
+at its own magnitude however small it is beside the others (not the
+norm-based rule of QUADPACK's vector integrators).  A panel splits when any
+component still open needs it split, and every component is evaluated on
+the resulting shared panels.  Panel sums are accumulated per component with
+``math.fsum`` in interval order, so results are bit-stable regardless of
+refinement history, and a ``(nodes,)`` integrand gives bit for bit the
+value of its ``(nodes, 1)`` form.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -19,6 +27,8 @@ from .errors import AccuracyError, InvalidParameterError
 
 _GL_LO = np.polynomial.legendre.leggauss(7)
 _GL_HI = np.polynomial.legendre.leggauss(15)
+#: integrand nodes per panel: the 15-point and the 7-point rule
+_PANEL_COST = 22
 
 
 @dataclass(frozen=True)
@@ -26,33 +36,53 @@ class QuadratureSpec:
     """Accuracy contract for the adaptive integrators.
 
     ``rel_tol`` is the target relative tolerance, ``abs_tol`` an absolute
-    floor used when the integral itself is (numerically) zero and
+    floor used when the integral itself is (numerically) zero, either one
+    floor for every component or a tuple with one per component, and
     ``max_nodes`` the hard budget on integrand evaluations.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: float = 0.0
+    abs_tol: Union[float, Tuple[float, ...]] = 0.0
     max_nodes: int = 400_000
 
     def __post_init__(self):
         if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
             raise InvalidParameterError("rel_tol must be positive and finite")
-        if not (self.abs_tol >= 0 and math.isfinite(self.abs_tol)):
+        floors = np.atleast_1d(np.asarray(self.abs_tol, dtype=float))
+        if not (floors.ndim == 1 and floors.size
+                and np.all((floors >= 0) & np.isfinite(floors))):
             raise InvalidParameterError(
                 "abs_tol must be non-negative and finite")
-        if not self.max_nodes >= 44:
+        if np.ndim(self.abs_tol):
+            object.__setattr__(self, "abs_tol", tuple(floors.tolist()))
+        if not self.max_nodes >= 2 * _PANEL_COST:
             raise InvalidParameterError(
                 "max_nodes below a single panel evaluation")
 
+    def abs_floors(self, k: int) -> Tuple[float, ...]:
+        """The absolute floors of ``k`` integrand components."""
+        if not np.ndim(self.abs_tol):
+            return (float(self.abs_tol),) * k
+        if len(self.abs_tol) != k:
+            raise InvalidParameterError(
+                f"abs_tol has {len(self.abs_tol)} entries for {k} "
+                "integrand components")
+        return self.abs_tol
+
 
 class IntegrationResult(NamedTuple):
-    value: float
-    error_estimate: float
+    """Value, error estimate (floats, or length-K arrays for a ``(nodes,
+    K)`` integrand) and the number of integrand nodes spent."""
+
+    value: Union[float, np.ndarray]
+    error_estimate: Union[float, np.ndarray]
     nodes_used: int
 
 
 def _panel_values(f, lo, hi):
-    """High- and low-order panel estimates for a batch of panels."""
+    """High-order panel estimates and their error estimates for a batch of
+    panels, each of shape ``(K, panels)`` (``K = 1`` for a ``(nodes,)``
+    integrand), and whether the integrand is vector-valued."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x_hi = mid[:, None] + half[:, None] * _GL_HI[0][None, :]
@@ -60,11 +90,19 @@ def _panel_values(f, lo, hi):
     npan = len(lo)
     both = np.concatenate([x_hi.ravel(), x_lo.ravel()])
     y = np.asarray(f(both), dtype=float)
-    y_hi = y[: npan * 15].reshape(npan, 15)
-    y_lo = y[npan * 15:].reshape(npan, 7)
-    v_hi = half * (y_hi @ _GL_HI[1])
-    v_lo = half * (y_lo @ _GL_LO[1])
-    return v_hi, np.abs(v_hi - v_lo)
+    if y.ndim not in (1, 2) or len(y) != len(both):
+        raise InvalidParameterError(
+            f"integrand returned shape {y.shape} for {len(both)} nodes; "
+            "expected (nodes,) or (nodes, K)")
+    vector = y.ndim == 2
+    # one contiguous row per component, reduced exactly as a 1-D integrand
+    rows = np.ascontiguousarray(y.T if vector else y[None, :])
+    v_hi = np.empty((len(rows), npan))
+    v_lo = np.empty((len(rows), npan))
+    for row, hi_k, lo_k in zip(rows, v_hi, v_lo):
+        hi_k[:] = half * (row[: npan * 15].reshape(npan, 15) @ _GL_HI[1])
+        lo_k[:] = half * (row[npan * 15:].reshape(npan, 7) @ _GL_LO[1])
+    return v_hi, np.abs(v_hi - v_lo), vector
 
 
 def integrate_interval(f: Callable, a: float, b: float,
@@ -73,48 +111,75 @@ def integrate_interval(f: Callable, a: float, b: float,
                        full_output: bool = False):
     """Integrate ``f`` over ``[a, b]`` to the tolerance in ``spec``.
 
+    A ``(nodes, K)`` integrand returns length-K arrays of values (and error
+    estimates), component ``k`` converged to ``max(rel_tol |I_k|,
+    abs_tol_k)``.
+
     Raises
     ------
+    InvalidParameterError
+        If the initial panels alone exceed ``spec.max_nodes``, or a tuple
+        ``abs_tol`` does not have one entry per component.
     AccuracyError
-        If the node budget runs out first; carries the best estimate.
+        If the node budget runs out first; carries the best estimate (an
+        array for a vector integrand) and the worst relative error of the
+        components still open.
     """
+    nodes = initial_panels * _PANEL_COST
+    if nodes > spec.max_nodes:
+        raise InvalidParameterError(
+            f"{initial_panels} initial panels need {nodes} nodes, above "
+            f"the budget max_nodes = {spec.max_nodes}")
     edges = np.linspace(a, b, initial_panels + 1)
     lo = edges[:-1].copy()
     hi = edges[1:].copy()
-    vals, errs = _panel_values(f, lo, hi)
-    nodes = initial_panels * 22
+    vals, errs, vector = _panel_values(f, lo, hi)
+    floors = spec.abs_floors(len(vals))
 
     while True:
         order = np.argsort(lo, kind="stable")
-        total = math.fsum(vals[order])
-        toterr = float(np.sum(errs))
-        target = max(spec.rel_tol * abs(total), spec.abs_tol)
-        if toterr <= target:
+        totals = [math.fsum(v[order]) for v in vals]
+        # a row sum of errs is bit for bit the 1-D sum of that row
+        toterrs = errs.sum(axis=1).tolist()
+        targets = [max(spec.rel_tol * abs(total), floor)
+                   for total, floor in zip(totals, floors)]
+        open_ = [k for k, (toterr, target) in enumerate(zip(toterrs, targets))
+                 if not toterr <= target]
+        if not open_:
             break
-        # refine every panel holding more than its share of the error budget
-        split = errs > max(toterr / (2 * len(lo)), target / (4 * len(lo)))
-        if not np.any(split):
-            split = errs == errs.max()
+        # refine every panel holding more than its share of the error
+        # budget of a component still open
+        split = np.zeros(len(lo), dtype=bool)
+        for k in open_:
+            e = errs[k]
+            need = e > max(toterrs[k] / (2 * len(lo)),
+                           targets[k] / (4 * len(lo)))
+            split |= need if np.any(need) else e == e.max()
         n_new = int(np.sum(split))
-        if nodes + 2 * n_new * 22 > spec.max_nodes:
-            achieved = toterr / abs(total) if total != 0.0 else math.inf
+        if nodes + 2 * n_new * _PANEL_COST > spec.max_nodes:
+            achieved = max(toterrs[k] / abs(totals[k]) if totals[k] != 0.0
+                           else math.inf for k in open_)
             raise AccuracyError(
                 f"node budget {spec.max_nodes} exhausted at relative error "
-                f"{achieved:.3e}", total, achieved)
+                f"{achieved:.3e}", np.array(totals) if vector else totals[0],
+                achieved)
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[~split], lo[split], mid])
         new_hi = np.concatenate([hi[~split], mid, hi[split]])
-        keep_vals, keep_errs = vals[~split], errs[~split]
-        add_vals, add_errs = _panel_values(f, new_lo[len(keep_vals):],
-                                           new_hi[len(keep_vals):])
+        keep = len(lo) - n_new
+        add_vals, add_errs, _ = _panel_values(f, new_lo[keep:], new_hi[keep:])
         lo, hi = new_lo, new_hi
-        vals = np.concatenate([keep_vals, add_vals])
-        errs = np.concatenate([keep_errs, add_errs])
-        nodes += 2 * n_new * 22
+        vals = np.concatenate([vals[:, ~split], add_vals], axis=1)
+        errs = np.concatenate([errs[:, ~split], add_errs], axis=1)
+        nodes += 2 * n_new * _PANEL_COST
 
+    if vector:
+        totals, toterrs = np.array(totals), np.array(toterrs)
+    else:
+        totals, toterrs = totals[0], toterrs[0]
     if full_output:
-        return IntegrationResult(total, toterr, nodes)
-    return total
+        return IntegrationResult(totals, toterrs, nodes)
+    return totals
 
 
 def integrate_half_line(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
@@ -122,20 +187,32 @@ def integrate_half_line(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
     """Integrate ``f`` over ``[0, inf)`` via the map ``s = u / (1 - u)``.
 
     The integrand must decay at least like ``s**-2`` so that the mapped
-    integrand is bounded near ``u = 1``.
+    integrand is bounded near ``u = 1``.  It may be ``(nodes, K)``-valued,
+    as for ``integrate_interval``.
     """
 
     def mapped(u):
         s = u / (1.0 - u)
-        return f(s) / (1.0 - u) ** 2
+        y = np.asarray(f(s), dtype=float)
+        jac = (1.0 - u) ** 2
+        return y / (jac[:, None] if y.ndim == 2 else jac)
 
     return integrate_interval(mapped, 0.0, 1.0, spec=spec,
                               full_output=full_output)
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre_rule(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on ``[-1, 1]``."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def gauss_panel_rule(edges: np.ndarray, order: int = 12):
     """Composite Gauss-Legendre nodes and weights over consecutive panels."""
-    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = _legendre_rule(order)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()

@@ -17,9 +17,11 @@ the full blocks is the test suite's oracle for it.
 
 The series never enumerates words.  Per channel, summed over its letters, a
 closure is a power of ``[[s, a], [a, s]]`` (``s`` within one dipole, ``a``
-across), so ``TraceSystem.order_integrand`` takes all ``2**(n-1) - 2``
+across), so ``TraceSystem.order_integrands`` takes all ``2**(n-1) - 2``
 mixed even-weight words of one order as a binomial sum in ``s`` and ``a``;
-the word-by-word sum is its test oracle.
+the word-by-word sum is its test oracle.  Every order of a series is one
+column of a single adaptive pass over shared nodes, each resolved at its
+own magnitude.
 
 Sign conventions: the one-dipole energy is ``1.5 e nu`` minus the sum of the
 all-ones words, and the binding ``2 E - E(R)`` is plus the sum of the mixed
@@ -133,7 +135,9 @@ def d_envelope(s, params: ModelParams, profile: ChargeProfile,
     closure of ``TraceSystem.channel_sums``: ``tr P_k = 2`` gives ``2 n_m =
     2 T_m + L_m`` from the channel entries within one dipole, so the
     second-order trace integrand equals it exactly; higher orders fall
-    below it geometrically.
+    below it geometrically.  Its integral is the closed form
+    ``TraceSystem.d_integral``, which the quadrature of this function
+    checks in the tests.
     """
     out = TraceSystem(params, lattice, profile).order_integrand(
         2, np.atleast_1d(np.asarray(s, dtype=float)))
@@ -186,18 +190,26 @@ class TraceSystem:
         return self._report
 
     def d_integral(self) -> float:
-        """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``.
+        """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``, exact.
 
-        ``D`` is the order-2 closure of the within-dipole channel sums, so a
-        two-dipole system integrates that of its geometry-free twin.  The
-        integral is taken once per system at the default ``QuadratureSpec``,
-        whatever accuracy the series or word that asks for it uses.
+        With ``alpha = e nu``, ``(1/pi) Int_0^inf s^2 / ((s^2 + alpha^2)^2
+        (s^2 + k^2)) ds = 1 / (4 alpha (alpha + k)^2)``, and its ``alpha
+        <-> k`` twin sums with it to ``1 / (4 alpha k (alpha + k))``, so
+
+            (1/pi) Int D = (e / 2 nu) sum_k w_k / (|k| (e nu + |k|)),
+
+        ``w_k = cell_weight |k|^2 f(|k|)^2``, summed with ``math.fsum``.
+        ``D`` closes the within-dipole sums only, so the value does not
+        depend on the geometry.  The quadrature of ``d_envelope`` is its
+        test oracle.
         """
         if self._d_integral is None:
-            one = (self if self.geometry is None else
-                   TraceSystem(self.params, self.lattice, self.profile))
-            val = integrate_half_line(lambda s: one.order_integrand(2, s))
-            self._d_integral = val / math.pi
+            k = self.lattice.norms
+            f = self.profile.radial(k)
+            alpha = self.params.e * self.params.nu
+            terms = self.lattice.cell_weight * k * f * f / (alpha + k)
+            self._d_integral = (self.params.e / (2.0 * self.params.nu)
+                                * math.fsum(terms))
         return self._d_integral
 
     def word_scale(self, word: Sequence[int]) -> float:
@@ -275,12 +287,15 @@ class TraceSystem:
         pref = self.params.e ** n * (s * s + enu2) ** (-n / 2.0)
         return s * s * pref * total
 
-    def order_integrand(self, order: int, s: np.ndarray) -> np.ndarray:
-        """Summed trace integrand of one series order ``2j``.
+    def order_integrands(self, orders: Sequence[int],
+                         s: np.ndarray) -> np.ndarray:
+        """Summed trace integrands of the series orders ``orders`` (each a
+        positive even ``2j``), one column each, from one ``channel_sums``.
 
-        With geometry this is the sum of ``word_integrand_fast`` over every
-        mixed even-weight word of that length (the binding terms); without
-        it, the integrand of the all-ones word (the one-dipole term).
+        With geometry a column is the sum of ``word_integrand_fast`` over
+        every mixed even-weight word of that length (the binding terms);
+        without it, the integrand of the all-ones word (the one-dipole
+        term).
 
         Per channel, the letters of a paired word pick ``s_m`` (within) or
         ``a_m`` (across) at resolvent power ``m``, so summed over its words
@@ -293,26 +308,34 @@ class TraceSystem:
         mixed part by a hundred orders of magnitude.  Without geometry the
         closures are ``s2 s1^(j-1)`` and ``s1^j``.
         """
-        if order < 2 or order % 2:
+        if any(order < 2 or order % 2 for order in orders):
             raise InvalidParameterError("order must be a positive even integer")
         s = np.asarray(s, dtype=float)
         sums = self.channel_sums(s)
         (s1, a1), (s2, a2) = sums[1], sums[2]
-        j = order // 2
-        if self.geometry is None:
-            photon, particle = s2 * s1 ** (j - 1), s1 ** j
-        else:
-            zero = np.zeros_like(s1)
-            photon = 2.0 * sum(
-                (math.comb(j - 1, k) * s1 ** (j - 1 - k) * a1 ** k
-                 * (a2 if k % 2 else s2) for k in range(1, j)), zero)
-            particle = 2.0 * sum(
-                (math.comb(j, k) * s1 ** (j - k) * a1 ** k
-                 for k in range(2, j + 1, 2)), zero)
         enu2 = (self.params.e * self.params.nu) ** 2
-        closed = photon + particle / (s * s + enu2)[:, None]
-        pref = self.params.e ** order * (s * s + enu2) ** (-order / 2.0)
-        return s * s * pref * (closed @ self.multiplicity)
+        columns = []
+        for order in orders:
+            j = order // 2
+            if self.geometry is None:
+                photon, particle = s2 * s1 ** (j - 1), s1 ** j
+            else:
+                zero = np.zeros_like(s1)
+                photon = 2.0 * sum(
+                    (math.comb(j - 1, k) * s1 ** (j - 1 - k) * a1 ** k
+                     * (a2 if k % 2 else s2) for k in range(1, j)), zero)
+                particle = 2.0 * sum(
+                    (math.comb(j, k) * s1 ** (j - k) * a1 ** k
+                     for k in range(2, j + 1, 2)), zero)
+            closed = photon + particle / (s * s + enu2)[:, None]
+            pref = self.params.e ** order * (s * s + enu2) ** (-order / 2.0)
+            columns.append(s * s * pref * (closed @ self.multiplicity))
+        return np.stack(columns, axis=1)
+
+    def order_integrand(self, order: int, s: np.ndarray) -> np.ndarray:
+        """Summed trace integrand of one series order ``2j``: the one
+        column of ``order_integrands((order,), s)``."""
+        return self.order_integrands((order,), s)[:, 0]
 
 
 def trace_word(word, system: TraceSystem,
@@ -328,9 +351,10 @@ def trace_word(word, system: TraceSystem,
         return 0.0
     spec = quad or QuadratureSpec()
     scale = system.word_scale(letters)
-    spec_abs = replace(spec, abs_tol=max(spec.abs_tol, 1e-13 * scale))
+    floor = max(spec.abs_floors(1)[0], 1e-13 * scale)
     val = integrate_half_line(
-        lambda s: system.word_integrand_fast(letters, s), spec=spec_abs)
+        lambda s: system.word_integrand_fast(letters, s),
+        spec=replace(spec, abs_tol=floor))
     return val / math.pi
 
 
@@ -339,29 +363,30 @@ def _order_terms(system: TraceSystem, max_order: int, spec: QuadratureSpec
     """Orders ``2 .. max_order`` with ``(1/pi) Int order_integrand``, its
     quadrature error estimate and its integrand nodes.
 
-    The absolute quadrature floor is ``1e-13`` of the a-priori scale of the
-    words an order sums, and an order without words is zero without
-    quadrature.
+    Every order with words is one column of a single ``order_integrands``
+    pass, so all of them share one set of nodes, and each column converges
+    to its own absolute floor: ``1e-13`` of the a-priori scale ``a**(j-1)
+    count (1/pi) Int D`` of the ``count`` words order ``2j`` sums.  An order
+    without words is zero without quadrature, with no nodes.
     """
     orders = list(range(2, max_order + 1, 2))
-    terms, errors, nodes = [], [], []
-    for order in orders:
-        # the all-ones word, or the 2**(n-1) even-weight words less the two
-        # constant ones
-        count = 1 if system.geometry is None else 2 ** (order - 1) - 2
-        if not count:
-            terms.append(0.0)
-            errors.append(0.0)
-            nodes.append(0)
-            continue
-        scale = system.word_scale((1,) * order) * count
-        spec_abs = replace(spec, abs_tol=max(spec.abs_tol, 1e-13 * scale))
+    # the all-ones word, or the 2**(n-1) even-weight words less the two
+    # constant ones (none at order 2)
+    counts = {order: 1 if system.geometry is None else 2 ** (order - 1) - 2
+              for order in orders}
+    live = [order for order in orders if counts[order]]
+    dead = len(orders) - len(live)
+    terms, errors, nodes = [0.0] * dead, [0.0] * dead, [0] * dead
+    if live:
+        floors = np.maximum(spec.abs_floors(len(live)), [
+            1e-13 * (system.word_scale((1,) * order) * counts[order])
+            for order in live])
         res = integrate_half_line(
-            lambda s, _order=order: system.order_integrand(_order, s),
-            spec=spec_abs, full_output=True)
-        terms.append(res.value / math.pi)
-        errors.append(res.error_estimate / math.pi)
-        nodes.append(res.nodes_used)
+            lambda s: system.order_integrands(live, s),
+            spec=replace(spec, abs_tol=tuple(floors)), full_output=True)
+        terms += (res.value / math.pi).tolist()
+        errors += (res.error_estimate / math.pi).tolist()
+        nodes += [res.nodes_used] * len(live)
     return orders, terms, errors, nodes
 
 

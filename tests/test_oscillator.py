@@ -172,6 +172,40 @@ def test_non_channel_particle_block_rejected(default_params, small_lattice,
         ground_energy(form)
 
 
+@pytest.mark.parametrize("factor", [5.0, 2.0])
+@pytest.mark.parametrize("dipoles", [1, 2])
+def test_border_breaking_box_symmetry_rejected(strong_setup, rng, factor,
+                                               dipoles):
+    # scaling one mode's border columns leaves the particle block alone but
+    # makes sum_n M_n / k_n^2 non-diagonal; the kernel, which keeps only
+    # the channel diagonals, must refuse it rather than integrate it
+    params, prof, lat = strong_setup
+    angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
+    if dipoles == 1:
+        valid = [assemble_one_electron(params, lat, prof),
+                 assemble_one_electron(params, lat, prof,
+                                       shift=[0.3, -1.0, 2.0]),
+                 assemble_one_electron(params, lat, prof,
+                                       rotation_angles=angles),
+                 assemble_one_electron(params, lat, prof,
+                                       coupling_scale=0.7)]
+    else:
+        g = Geometry(0.4)
+        valid = [assemble_two_electron(params, lat, prof, g),
+                 assemble_two_electron(params, lat, prof, g,
+                                       include_direct_term=True),
+                 assemble_two_electron(params, lat, prof, g,
+                                       rotation_angles=angles),
+                 assemble_two_electron(params, lat, prof, g,
+                                       coupling_scale=1.3)]
+    for form in valid:
+        _Kernel(form)
+    form = valid[0]
+    form.border[:, 12:16] *= factor  # mode 3
+    with pytest.raises(InvalidParameterError, match="box symmetry"):
+        ground_energy(form)
+
+
 def test_kernel_columns_match_trace_system(strong_setup, rng):
     # the channel columns read from the border are e^2 coupling_scale^2
     # times TraceSystem's, mode by mode, for a shifted or rotated border

@@ -44,13 +44,129 @@ def test_budget_exhaustion_carries_estimate():
         integrate_half_line(nasty, spec)
     assert err.value.best_estimate > 0.0
     assert err.value.achieved_tol > 1e-14
+    # a vector integrand carries every component's estimate
+    with pytest.raises(AccuracyError) as err:
+        integrate_half_line(lambda s: np.stack([np.exp(-s), nasty(s)], 1),
+                            spec)
+    assert err.value.best_estimate.shape == (2,)
+    assert np.all(err.value.best_estimate > 0.0)
+    assert err.value.achieved_tol > 1e-14
 
 
 def test_spec_validation():
     for bad in ({"rel_tol": 0.0}, {"rel_tol": -1e-8},
                 {"rel_tol": math.nan}, {"rel_tol": math.inf},
                 {"abs_tol": -1.0}, {"abs_tol": math.nan},
-                {"abs_tol": math.inf}, {"max_nodes": 10},
+                {"abs_tol": math.inf}, {"abs_tol": (0.0, math.nan)},
+                {"abs_tol": (1e-3, -1e-9)}, {"abs_tol": (math.inf,)},
+                {"abs_tol": ()}, {"max_nodes": 10},
                 {"max_nodes": math.nan}):
         with pytest.raises(InvalidParameterError):
             QuadratureSpec(**bad)
+
+
+# ---------------------------------------------------------------------------
+# vector-valued integrands
+# ---------------------------------------------------------------------------
+
+_COMPONENTS = (
+    lambda s: np.exp(-s),
+    lambda s: 1.0 / (1.0 + s) ** 2,
+    lambda s: s * s / (s * s + 3.7) ** 2,
+    lambda s: 1e-40 * np.exp(-3.0 * s),
+)
+
+
+def _stacked(x):
+    return np.stack([f(x) for f in _COMPONENTS], axis=1)
+
+
+def test_vector_components_match_scalar_runs():
+    spec = QuadratureSpec(rel_tol=1e-12)
+    res = integrate_half_line(_stacked, spec, full_output=True)
+    assert res.value.shape == res.error_estimate.shape == (4,)
+    exact = (1.0, 1.0, math.pi / (4 * math.sqrt(3.7)), 1e-40 / 3.0)
+    for k, f in enumerate(_COMPONENTS):
+        ref = integrate_half_line(f, spec, full_output=True)
+        # each component meets its own tolerance, the 1e-40 one included
+        assert res.error_estimate[k] <= 1e-12 * abs(res.value[k])
+        assert abs(res.value[k] - ref.value) <= (res.error_estimate[k]
+                                                 + ref.error_estimate)
+        assert res.value[k] == pytest.approx(exact[k], rel=1e-12)
+        assert res.nodes_used >= ref.nodes_used
+
+
+def test_stiff_component_refines_shared_panels():
+    # a narrow peak forces splits; the polynomial converges on the initial
+    # panels alone but is evaluated, and stays exact, on the refined ones
+    def smooth(x):
+        return x ** 2
+
+    def peak(x):
+        return 1.0 / (1e-4 + (x - 0.3) ** 2)
+
+    spec = QuadratureSpec(rel_tol=1e-11)
+    alone = integrate_interval(smooth, 0.0, 1.0, spec, full_output=True)
+    assert alone.nodes_used == 176
+    stiff = integrate_interval(peak, 0.0, 1.0, spec, full_output=True)
+    assert stiff.nodes_used > 176
+    both = integrate_interval(lambda x: np.stack([smooth(x), peak(x)], 1),
+                              0.0, 1.0, spec, full_output=True)
+    assert both.nodes_used == stiff.nodes_used
+    assert both.value[0] == pytest.approx(1.0 / 3.0, rel=1e-14)
+    assert both.error_estimate[0] <= alone.error_estimate
+    exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
+    assert both.error_estimate[1] <= 1e-11 * abs(both.value[1])
+    assert abs(both.value[1] - exact) <= both.error_estimate[1] + 1e-12 * exact
+    assert both.value[1] == stiff.value
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: np.exp(-x) * np.cos(3.0 * x),
+    lambda x: np.abs(np.sin(5.0 / (x + 1e-2))) / (1 + x * x),
+])
+def test_one_component_is_bit_equal_to_scalar(f):
+    # the second integrand refines far beyond the initial panels
+    spec = QuadratureSpec(rel_tol=1e-12)
+    for integrate in (lambda g: integrate_interval(g, 0.0, 2.0, spec,
+                                                   full_output=True),
+                      lambda g: integrate_half_line(g, spec,
+                                                    full_output=True)):
+        scalar = integrate(f)
+        column = integrate(lambda x: f(x)[:, None])
+        assert type(scalar.value) is float
+        assert column.value.shape == (1,)
+        assert column.value[0] == scalar.value
+        assert column.error_estimate[0] == scalar.error_estimate
+        assert column.nodes_used == scalar.nodes_used
+
+
+def test_per_component_abs_tol():
+    # a zero component converges on its floor; a tuple sets one per column
+    # and must have one entry per component (invalid entries: see
+    # test_spec_validation)
+    spec = QuadratureSpec(abs_tol=(0.0, 1e-20))
+    val = integrate_half_line(
+        lambda s: np.stack([np.exp(-s), np.zeros_like(s)], 1), spec)
+    assert val[0] == pytest.approx(1.0, rel=1e-12) and val[1] == 0.0
+    assert QuadratureSpec(abs_tol=[1e-3, 0.0]).abs_tol == (1e-3, 0.0)
+    for k in (1, 3):
+        with pytest.raises(InvalidParameterError):
+            integrate_half_line(
+                lambda s: np.ones((len(s), k)) / (1 + s[:, None]) ** 2, spec)
+
+
+def test_initial_panels_respect_node_budget():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return 1.0 / (1.0 + x) ** 2
+
+    with pytest.raises(InvalidParameterError):
+        integrate_half_line(f, QuadratureSpec(max_nodes=100))
+    assert calls == []
+    res = integrate_half_line(f, QuadratureSpec(max_nodes=176),
+                              full_output=True)
+    assert res.nodes_used == 176 == sum(calls)
+    assert res.value == pytest.approx(1.0, rel=1e-12)

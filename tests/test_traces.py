@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from cplab import (ClassificationError, Geometry, IndexWord,
-                   InvalidParameterError, ModelParams,
+                   InvalidParameterError, ModelParams, QuadratureSpec,
                    SeriesDivergenceError, TailBoundUnavailableError,
                    TraceSystem, assemble_one_electron, binding_energy_exact,
                    build_lattice, check_constraints, d_envelope,
                    ground_energy, lattice_norm, make_gaussian_profile,
-                   mixed_even_words, series_binding, series_one_electron,
-                   trace_word, word_bound)
+                   integrate_half_line, mixed_even_words, series_binding,
+                   series_one_electron, trace_word, word_bound)
 from conftest import (PARAM_SETS, dense_trace_blocks, dense_word_integrand,
                       envelope_oracle)
 
@@ -97,6 +97,21 @@ def test_envelope_matches_mode_sum_oracle(e, nu0, xi, L):
         dense = dense_word_integrand(TraceSystem(params, lat, prof), (1, 1),
                                      svals)
         np.testing.assert_allclose(env, dense, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+@pytest.mark.parametrize("L", [1.0, 2.0, 3.0])
+def test_envelope_integral_closed_form(e, nu0, xi, L):
+    # the closed form against the quadrature of D(s), within the
+    # quadrature's own error estimate; the geometry does not enter
+    params, prof, lat = ModelParams(e, nu0), make_gaussian_profile(xi), \
+        build_lattice(L, 1.0)
+    ref = integrate_half_line(lambda s: d_envelope(s, params, prof, lat),
+                              full_output=True)
+    closed = TraceSystem(params, lat, prof).d_integral()
+    assert abs(closed - ref.value / math.pi) <= ref.error_estimate / math.pi
+    pair = TraceSystem(params, lat, prof, Geometry(0.3 * L))
+    assert pair.d_integral() == closed
 
 
 def test_envelope_integral_bound(strong_system, strong_setup):
@@ -247,6 +262,41 @@ def test_series_reports_quadrature_evidence(strong_setup):
             assert abs(c - f) <= err
 
 
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+@pytest.mark.parametrize("L", [1.0, 2.0])
+def test_fused_series_matches_per_order_quadrature(e, nu0, xi, L):
+    # one adaptive pass over every order against one pass per order (the
+    # parent's route), within the two passes' error estimates; on the unit
+    # box some orders need refined panels, which the fused pass shares
+    params, prof, lat = ModelParams(e, nu0), make_gaussian_profile(xi), \
+        build_lattice(L, 1.0)
+    for series, system in (
+            (series_one_electron(params, lat, prof, 8),
+             TraceSystem(params, lat, prof)),
+            (series_binding(params, lat, prof, 0.3 * L, 8,
+                            allow_unbounded_tail=True),
+             TraceSystem(params, lat, prof, Geometry(0.3 * L)))):
+        live = [i for i, n in enumerate(series.nodes) if n]
+        assert len({series.nodes[i] for i in live}) == 1
+        if system.geometry is not None:
+            assert live == [1, 2, 3]
+            assert series.contributions[0] == 0.0
+            assert series.error_estimates[0] == 0.0
+        oracle_nodes = 0
+        for i in live:
+            order = series.orders[i]
+            count = 1 if system.geometry is None else 2 ** (order - 1) - 2
+            floor = 1e-13 * system.word_scale((1,) * order) * count
+            ref = integrate_half_line(
+                lambda s: system.order_integrand(order, s),
+                QuadratureSpec(abs_tol=floor), full_output=True)
+            oracle_nodes += ref.nodes_used
+            gap = abs(series.contributions[i] - ref.value / math.pi)
+            assert gap <= (series.error_estimates[i]
+                           + ref.error_estimate / math.pi)
+        assert series.nodes[live[0]] < oracle_nodes
+
+
 def test_transpose_symmetry(strong_system):
     left = trace_word((1, 2, 2, 1), strong_system)
     right = trace_word((2, 1, 1, 2), strong_system)
@@ -357,8 +407,8 @@ def test_trace_word_budget_exhaustion(strong_setup):
     spec = QuadratureSpec(rel_tol=1e-14, max_nodes=200)
     with pytest.raises(AccuracyError) as err:
         trace_word((1, 1, 2, 2), system, quad=spec)
-    # the budget runs out in the word's own integral, pi <Q>, not in the
-    # envelope scale, which is always taken at the default spec
+    # the budget runs out in the word's own integral, pi <Q>; the envelope
+    # scale behind its floor is a closed form and spends no nodes
     assert err.value.best_estimate == pytest.approx(
         math.pi * trace_word((1, 1, 2, 2), system), rel=1e-6)
 
