@@ -3,8 +3,9 @@
 A dipole at position ``x`` couples linearly to the lattice field through a
 dense ``3 x 4N`` block.  The full quadratic form is a ``p x p`` particle
 block ``P`` (``p = 3`` or ``6``), the diagonal photon block ``K`` and the
-``p x 4N`` border ``B`` between them.  Only those three pieces are stored;
-the dense matrix is built on request, for tests and oracles.
+``p x 4N`` border ``B`` between them.  A form stores ``P``, ``K`` and
+``TraceSystem``'s channel columns of ``B``; the border and the dense matrix
+are rebuilt on request, for tests and oracles.
 
 The ground energy is the zero-point trace ``0.5 Tr(sqrt(Omega) -
 sqrt(Omega_0))`` plus the shift ``1.5 e nu`` per particle.  By the Schur
@@ -28,8 +29,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .errors import InvalidParameterError, NotPositiveSemidefiniteError
 from .model import (ChargeProfile, Geometry, Lattice, ModelParams,
                     _resolvent_chunks, polarization_basis)
 from .quadrature import integrate_half_line
-from .traces import TraceSystem
+from .traces import SYMMETRY_REL, TraceSystem
 
 __all__ = [
     "CouplingMatrix", "QuadraticForm", "EnergyResult",
@@ -48,8 +49,6 @@ __all__ = [
 
 #: clamp window for eigenvalues that are negative by roundoff only
 CLAMP_REL = 1e-10
-#: enforced relative symmetry of assembled forms
-SYMMETRY_REL = 1e-14
 
 
 class LatticePeriodicityWarning(UserWarning):
@@ -71,22 +70,33 @@ class CouplingMatrix:
 
 @dataclass
 class QuadraticForm:
-    """Symmetric form ``[[P, B], [B^T, K]]`` with its free diagonal.
+    """Symmetric form ``[[P, B], [B^T, K]]`` held by its channel columns.
 
-    ``particle`` is the ``p x p`` block ``P``, ``border`` the ``p x 4N``
-    coupling ``B`` and ``omega0_diag`` the free diagonal, whose last ``4N``
-    entries are the photon block ``K`` (the four channels of a mode share
-    one frequency).
+    ``particle`` is the ``p x p`` block ``P`` and ``omega0_diag`` the free
+    diagonal, whose last ``4N`` entries are the photon block ``K`` (the four
+    channels of a mode share one frequency).  ``columns`` holds per mode
+    ``T = (M_xx + M_yy) / 2`` and ``L = M_zz`` of ``M_n = sum_c b_{n,c}
+    b_{n,c}^T`` (``b`` the columns of ``B``) within a dipole and across:
+    ``e^2 coupling_scale^2 TraceSystem._columns``, for any shift or rotation.
     """
 
     omega0_diag: np.ndarray
-    border: np.ndarray
+    columns: np.ndarray
     particle: np.ndarray
     zero_point_shift: float
+    _coupling: Callable[[], np.ndarray] = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.omega0_diag)
+
+    @property
+    def border(self) -> np.ndarray:
+        """The ``p x 4N`` coupling ``B``, rebuilt read-only by
+        ``build_coupling`` on each access, for tests and oracles only."""
+        out = self._coupling()
+        out.setflags(write=False)
+        return out
 
     @property
     def omega(self) -> np.ndarray:
@@ -96,7 +106,7 @@ class QuadraticForm:
         out = np.diag(self.omega0_diag)
         out[:p, :p] = self.particle
         out[:p, p:] = self.border
-        out[p:, :p] = self.border.T
+        out[p:, :p] = out[:p, p:].T
         out.setflags(write=False)
         return out
 
@@ -158,12 +168,12 @@ def assemble_one_electron(params: ModelParams, lattice: Lattice,
     perturbative cross-checks).
     """
     x = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
-    diag = _free_diag(params, lattice, 3)
-    border = (coupling_scale * params.e
-              * build_coupling(x, lattice, profile, rotation_angles).entries)
-    return QuadraticForm(omega0_diag=diag, border=border,
-                         particle=_channel_block(diag[0], 0.0, 3),
-                         zero_point_shift=1.5 * params.e * params.nu)
+    diag, scale = _free_diag(params, lattice, 3), coupling_scale * params.e
+    return QuadraticForm(
+        diag, scale ** 2 * TraceSystem(params, lattice, profile)._columns,
+        _channel_block(diag[0], 0.0, 3), 1.5 * params.e * params.nu,
+        lambda: scale * build_coupling(x, lattice, profile,
+                                       rotation_angles).entries)
 
 
 def direct_coupling(params: ModelParams, lattice: Lattice,
@@ -195,16 +205,16 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
     The particle-particle block is zero unless ``include_direct_term`` is
     set, in which case it carries ``gamma(R)`` times the identity.
     """
-    diag = _free_diag(params, lattice, 6)
-    border = np.vstack([
-        build_coupling(x, lattice, profile, rotation_angles).entries
-        for x in (np.zeros(3), geometry.r)])
+    diag, scale = _free_diag(params, lattice, 6), coupling_scale * params.e
     g = (direct_coupling(params, lattice, profile, geometry)
          if include_direct_term else 0.0)
-    return QuadraticForm(omega0_diag=diag,
-                         border=coupling_scale * params.e * border,
-                         particle=_channel_block(diag[0], g, 6),
-                         zero_point_shift=3.0 * params.e * params.nu)
+    return QuadraticForm(
+        diag, scale ** 2 * TraceSystem(params, lattice, profile,
+                                       geometry)._columns,
+        _channel_block(diag[0], g, 6), 3.0 * params.e * params.nu,
+        lambda: scale * np.vstack([
+            build_coupling(x, lattice, profile, rotation_angles).entries
+            for x in (np.zeros(3), geometry.r)]))
 
 
 # ---------------------------------------------------------------------------
@@ -234,64 +244,34 @@ def _split(v: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """Channel columns of a form: per mode, ``T_n = (M_xx + M_yy) / 2`` and
-    ``L_n = M_zz`` of ``M_n = sum_c b_{n,c} b_{n,c}^T`` within the first
-    dipole and, for two, across (rows 0-2 against 3-5), read from the border:
-    ``e^2 coupling_scale^2`` times ``TraceSystem``'s columns for any
-    ``shift`` or ``rotation_angles``.  On the symmetric box (separation along
-    z) the summed off-diagonals and ``M_xx - M_yy`` of every ``sum_n M_n
-    g(k_n^2)`` vanish, so with the particle block ``d I`` or ``[[d I, g I],
-    [g I, d I]]``, ``X(s)`` and ``S(lam)`` are diagonal in the channels:
-    ``O(N)`` per node, no ``p x p`` matrix.  Both are checked here, the
-    border once through ``sum_n M_n / k_n^2``."""
+    """A form's channel columns, stacked with the same columns over ``k_n^2``.
+    ``TraceSystem`` has checked the box symmetry that makes every ``sum_n M_n
+    g(k_n^2)`` the channel matrix ``diag(T, T, L)`` (separation along z), so
+    with the particle block ``d I`` or ``[[d I, g I], [g I, d I]]``, checked
+    here, ``X(s)`` and ``S(lam)`` are diagonal in the channels: ``O(N)`` per
+    node, no ``p x p`` matrix."""
 
     def __init__(self, form: QuadraticForm):
         p = len(form.particle)
-        self.particle, self.border = form.particle, form.border
+        self.particle = form.particle
         self.photon = form.omega0_diag[p:]
         self.freq2 = self.photon[0::4]
         self.enu2 = float(form.omega0_diag[0])
-        self.d = form.particle[0, 0]
-        self.g = form.particle[0, 3] if p == 6 else 0.0
+        self.d = float(form.particle[0, 0])
+        self.g = float(form.particle[0, 3]) if p == 6 else 0.0
         dev = max(np.max(np.abs(form.particle
                              - _channel_block(self.d, self.g, p))),
                   np.max(np.abs(form.omega0_diag[:p] - self.enu2)))
-        scale = max(np.max(np.abs(form.particle)),
-                    np.max(np.abs(form.border)), np.max(form.omega0_diag))
+        scale = max(np.max(np.abs(form.particle)), np.max(form.omega0_diag))
         if dev > SYMMETRY_REL * scale:
             raise InvalidParameterError(
                 f"particle block is not d I or [[d I, g I], [g I, d I]]: "
                 f"deviation {dev:.3e} vs scale {scale:.3e}")
-        b = form.border.reshape(p, -1, 4)
-        m = np.sum(b[:3] * b.reshape(p // 3, 3, -1, 4), axis=-1)
-        cols = np.stack([0.5 * (m[:, 0] + m[:, 1]), m[:, 2]], axis=1)
-        cols = cols.reshape(-1, len(self.freq2)).T
+        cols = form.columns
         self.q = cols.shape[1]
         self.columns = np.hstack([cols, cols / self.freq2[:, None]])
-        self._check_box_symmetry()
         self.multiplicity = np.tile(TraceSystem.multiplicity, p // 3)
         self.schur0 = self.schur(0.0)
-
-    def _check_box_symmetry(self) -> None:
-        """Raise unless ``B K^-1 B^T = sum_n M_n / k_n^2`` is the channel
-        matrix of the columns: every 3 x 3 block (within each dipole and
-        across) ``diag(T, T, L)`` to ``SYMMETRY_REL`` of its largest
-        within-dipole entry.  A border that breaks the box symmetry would
-        otherwise get a silently wrong energy."""
-        gram = (self.border / self.photon) @ self.border.T
-        t, l, *across = self.columns[:, self.q:].sum(axis=0).tolist()
-        rows = np.arange(len(gram))
-        gram[rows, rows] -= [t, t, l] * (len(gram) // 3)
-        if across:
-            # both across blocks: rows 0-2 against 3-5 and 3-5 against 0-2
-            gram[rows, (rows + 3) % 6] -= [across[0], across[0], across[1]] * 2
-        dev = np.max(np.abs(gram))
-        scale = max(abs(t), abs(l))
-        if not dev <= SYMMETRY_REL * scale:
-            raise InvalidParameterError(
-                f"border breaks the box symmetry: sum_n M_n / k_n^2 "
-                f"deviates from its channel form by {dev:.3e} against a "
-                f"diagonal of {scale:.3e}")
 
     def resolvent_sum(self, z: np.ndarray) -> np.ndarray:
         """Channels of ``sum_n M_n / (z + k_n^2)``, then of ``sum_n M_n /
@@ -329,28 +309,32 @@ class _Kernel:
         return (int(np.count_nonzero(self.photon < lam))
                 + int(self.multiplicity @ (self.schur(lam)[0] < 0.0)))
 
+    def bracket(self) -> Tuple[float, float]:
+        """Weyl bracket of the spectrum: that of ``diag(P, K)`` widened by
+        ``||B||``, the root of the largest split channel of ``sum_n M_n``."""
+        norm = math.sqrt(np.max(_split(self.columns[:, :self.q].sum(0)[None])))
+        return (min(self.d - abs(self.g), float(np.min(self.freq2))) - norm,
+                max(self.d + abs(self.g), float(np.max(self.freq2))) + norm)
+
     def check_positivity(self) -> Tuple[float, int]:
         """Clamp-or-raise rule: eigenvalues in ``[-CLAMP_REL * norm, 0)``
-        are roundoff, anything lower raises.  Returns the bottom eigenvalue
-        and the number of negative ones, found by bisection on
-        ``count_below`` inside the Gershgorin bracket: the bottom one below
-        every diagonal entry and the top one above, so ``K - lam`` is never
-        singular."""
-        absb = np.abs(self.border)
-        rows = (np.sum(np.abs(self.particle), axis=1)
-                - np.abs(np.diag(self.particle)) + np.sum(absb, axis=1))
-        diag = np.concatenate([np.diag(self.particle), self.photon])
-        radius = np.concatenate([rows, np.sum(absb, axis=0)])
-        lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+        are roundoff, anything lower raises; ``norm`` is the larger of the
+        bottom eigenvalue's size and the top of ``bracket``, at most ``||B||``
+        above the top one.  Returns the bottom eigenvalue, found by bisection
+        on ``count_below`` below every diagonal entry (so ``K - lam`` is
+        never singular), and the number of negative ones."""
+        dmin = min(float(np.min(np.diag(self.particle))),
+                   float(np.min(self.freq2)))
+        lo, hi = self.bracket()
         tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
 
-        def bisect(a, b, target):
-            # smallest lam in (a, b] with count_below(lam) >= target
+        def bisect(a, b):
+            # smallest lam in (a, b] with count_below(lam) >= 1
             while b - a > tol:
                 mid = 0.5 * (a + b)
                 if not a < mid < b:
                     break
-                if self.count_below(mid) >= target:
+                if self.count_below(mid) >= 1:
                     b = mid
                 else:
                     a = mid
@@ -358,11 +342,10 @@ class _Kernel:
 
         n_neg = self.count_below(0.0)
         if n_neg:
-            bottom = bisect(lo, min(float(np.min(diag)), 0.0), 1)
+            bottom = bisect(lo, min(dmin, 0.0))
         else:
-            bottom = bisect(max(lo, 0.0), float(np.min(diag)), 1)
-        top = bisect(float(np.max(diag)), hi, len(diag))
-        floor = -CLAMP_REL * max(abs(bottom), abs(top))
+            bottom = bisect(max(lo, 0.0), dmin)
+        floor = -CLAMP_REL * max(abs(bottom), hi)
         if bottom < floor:
             raise NotPositiveSemidefiniteError(
                 f"eigenvalue {bottom:.6e} below the roundoff floor "
@@ -374,9 +357,9 @@ def ground_energy(form: QuadraticForm) -> EnergyResult:
     """Exact ground energy of an assembled form by the channel kernel, with
     the quadrature's ``error_estimate`` and ``nodes``.
 
-    A particle block other than ``d I`` or ``[[d I, g I], [g I, d I]]``, or
-    a border that breaks the box symmetry (each to ``SYMMETRY_REL``),
-    raises ``InvalidParameterError``.  Eigenvalues in
+    A particle block other than ``d I`` or ``[[d I, g I], [g I, d I]]`` (to
+    ``SYMMETRY_REL``) raises ``InvalidParameterError``, as does assembling a
+    form on a lattice that breaks the box symmetry.  Eigenvalues in
     ``[-1e-10 * norm, 0)`` are roundoff, clamped to zero (``log|.|`` gives
     them zero weight); a lower one raises ``NotPositiveSemidefiniteError``.
     """

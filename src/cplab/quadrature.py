@@ -186,9 +186,9 @@ def integrate_half_line(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
                         full_output: bool = False):
     """Integrate ``f`` over ``[0, inf)`` via the map ``s = u / (1 - u)``.
 
-    The integrand must decay at least like ``s**-2`` so that the mapped
-    integrand is bounded near ``u = 1``.  It may be ``(nodes, K)``-valued,
-    as for ``integrate_interval``.
+    The integrand must decay at least like ``s**-2`` and stop oscillating
+    (the map packs late oscillations next to ``u = 1``: ``cos(40 s) / (1 +
+    s**4)`` exhausts the default budget).  It may be ``(nodes, K)``-valued.
     """
 
     def mapped(u):

@@ -48,6 +48,9 @@ __all__ = [
     "mixed_even_words",
 ]
 
+#: enforced relative symmetry of the box's mode sums and of assembled forms
+SYMMETRY_REL = 1e-14
+
 
 @dataclass(frozen=True)
 class IndexWord:
@@ -152,11 +155,11 @@ class TraceSystem:
     projectors ``P_k = 1 - u_k u_k^T``, with ``w_k = cell_weight |k|^2
     f(|k|)^2``.  The cutoff box is symmetric under ``k_i -> -k_i`` and
     ``k_x <-> k_y`` and ``r`` lies along z, so each such sum is
-    ``diag(T, T, L)``: a transverse channel of multiplicity two and a
-    longitudinal one.  ``channel_sums`` evaluates the ``T`` and ``L``
-    entries, and a trace closes as ``sum_c m_c (...)`` over the channels.
-    ``geometry=None`` restricts the system to the single-dipole words (all
-    letters equal to 1).
+    ``diag(T, T, L)``, which the constructor checks at ``m = 1``, ``s = 0``:
+    a transverse channel of multiplicity two and a longitudinal one.
+    ``channel_sums`` evaluates the ``T`` and ``L`` entries, and a trace
+    closes as ``sum_c m_c (...)`` over the channels.  ``geometry=None``
+    restricts the system to the single-dipole words (all letters 1).
     """
 
     #: channel multiplicities: transverse (x and y), longitudinal (z)
@@ -177,6 +180,19 @@ class TraceSystem:
             cosr = np.cos(lattice.points @ geometry.r)
             columns += [columns[0] * cosr, columns[1] * cosr]
         self._columns = np.stack(columns, axis=1)
+        # sum_k (w_k / |k|^2) P_k [cos(k . r)] is diag(T, T, L) iff the same
+        # sum of u_k u_k^T has xx = yy and no off-diagonal; w_k is T + L / 2
+        m = 0.0
+        for lo in range(0, lattice.count, 1 << 13):  # cache-sized slices
+            modes = slice(lo, lo + (1 << 13))
+            c, u = self._columns[modes], lattice.units[modes]
+            w = (c[:, 0::2] + 0.5 * c[:, 1::2]) / self._ksq[modes, None]
+            m = m + (w.T[:, None, :] * u.T) @ u
+        dev = np.max(np.abs([m[:, 0, 1], m[:, 0, 2], m[:, 1, 2],
+                             m[:, 0, 0] - m[:, 1, 1]]))
+        if not dev <= SYMMETRY_REL * np.trace(m[0]):
+            raise InvalidParameterError(f"lattice breaks the box symmetry: "
+                                        f"{dev:.3e} off diag(T, T, L)")
         self._report: Optional[ConstraintReport] = None
         self._d_integral: Optional[float] = None
 

@@ -1,17 +1,21 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cplab import (Geometry, InvalidParameterError, LatticePeriodicityWarning,
-                   ModelParams, NotPositiveSemidefiniteError, TraceSystem,
+import cplab
+from cplab import (Geometry, InvalidParameterError, Lattice,
+                   LatticePeriodicityWarning, ModelParams,
+                   NotPositiveSemidefiniteError,
                    assemble_one_electron, assemble_two_electron,
                    binding_energy_exact, build_coupling, build_lattice,
                    direct_coupling, ground_energy, lattice_norm,
                    make_custom_profile, make_gaussian_profile,
                    series_binding, series_one_electron)
-from cplab.oscillator import _Kernel
+from cplab.oscillator import SYMMETRY_REL, _Kernel
 
 from conftest import PARAM_SETS, dense_ground_energy
 
@@ -172,60 +176,93 @@ def test_non_channel_particle_block_rejected(default_params, small_lattice,
         ground_energy(form)
 
 
-@pytest.mark.parametrize("factor", [5.0, 2.0])
-@pytest.mark.parametrize("dipoles", [1, 2])
-def test_border_breaking_box_symmetry_rejected(strong_setup, rng, factor,
-                                               dipoles):
-    # scaling one mode's border columns leaves the particle block alone but
-    # makes sum_n M_n / k_n^2 non-diagonal; the kernel, which keeps only
-    # the channel diagonals, must refuse it rather than integrate it
-    params, prof, lat = strong_setup
-    angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
+def border_variants(params, lat, prof, dipoles, angles):
+    """Forms of one or two dipoles with each way of building the border:
+    canonical, shifted (one) or with the contact term (two), rotated
+    polarizations and a coupling scale, each with its border built from
+    ``build_coupling``."""
+    e = params.e
     if dipoles == 1:
-        valid = [assemble_one_electron(params, lat, prof),
-                 assemble_one_electron(params, lat, prof,
-                                       shift=[0.3, -1.0, 2.0]),
-                 assemble_one_electron(params, lat, prof,
-                                       rotation_angles=angles),
-                 assemble_one_electron(params, lat, prof,
-                                       coupling_scale=0.7)]
-    else:
-        g = Geometry(0.4)
-        valid = [assemble_two_electron(params, lat, prof, g),
-                 assemble_two_electron(params, lat, prof, g,
-                                       include_direct_term=True),
-                 assemble_two_electron(params, lat, prof, g,
-                                       rotation_angles=angles),
-                 assemble_two_electron(params, lat, prof, g,
-                                       coupling_scale=1.3)]
-    for form in valid:
-        _Kernel(form)
-    form = valid[0]
-    form.border[:, 12:16] *= factor  # mode 3
-    with pytest.raises(InvalidParameterError, match="box symmetry"):
-        ground_energy(form)
+        x = np.array([0.3, -1.0, 2.0])
+        cases = [({}, np.zeros(3), 1.0), ({"shift": x}, x, 1.0),
+                 ({"rotation_angles": angles}, np.zeros(3), 1.0),
+                 ({"shift": x, "rotation_angles": angles,
+                   "coupling_scale": 0.7}, x, 0.7)]
+        return [(assemble_one_electron(params, lat, prof, **kw),
+                 scale * e * build_coupling(x, lat, prof,
+                                            kw.get("rotation_angles")).entries)
+                for kw, x, scale in cases]
+    g = Geometry(0.4)
+    cases = [({}, 1.0), ({"include_direct_term": True}, 1.0),
+             ({"rotation_angles": angles}, 1.0),
+             ({"coupling_scale": 1.3}, 1.3)]
+    return [(assemble_two_electron(params, lat, prof, g, **kw),
+             scale * e * np.vstack([
+                 build_coupling(x, lat, prof,
+                                kw.get("rotation_angles")).entries
+                 for x in (np.zeros(3), g.r)]))
+            for kw, scale in cases]
 
 
-def test_kernel_columns_match_trace_system(strong_setup, rng):
-    # the channel columns read from the border are e^2 coupling_scale^2
-    # times TraceSystem's, mode by mode, for a shifted or rotated border
+@pytest.mark.parametrize("dipoles", [1, 2])
+def test_border_is_read_only_coupling_view(strong_setup, rng, dipoles):
+    # the form stores no border: each access rebuilds it, read-only, from
+    # build_coupling with the form's shift, rotation and scale
     params, prof, lat = strong_setup
     angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
-    g = Geometry(0.4)
-    cases = [
-        (assemble_one_electron(params, lat, prof, shift=[0.3, -1.0, 2.0],
-                               rotation_angles=angles, coupling_scale=0.7),
-         TraceSystem(params, lat, prof), 0.7),
-        (assemble_two_electron(params, lat, prof, g, rotation_angles=angles,
-                               coupling_scale=1.3),
-         TraceSystem(params, lat, prof, g), 1.3),
-    ]
-    for form, system, scale in cases:
-        kernel = _Kernel(form)
-        ref = params.e ** 2 * scale ** 2 * system._columns
-        assert kernel.columns.shape == (lat.count, 2 * ref.shape[1])
-        dev = np.abs(kernel.columns[:, :ref.shape[1]] - ref)
-        assert np.all(dev <= 1e-14 * np.max(np.abs(ref), axis=0))
+    for form, ref in border_variants(params, lat, prof, dipoles, angles):
+        border = form.border
+        np.testing.assert_array_equal(border, ref)
+        with pytest.raises(ValueError):
+            border[:, 12:16] *= 2.0
+        np.testing.assert_array_equal(form.border, ref)
+
+
+@pytest.mark.parametrize("dipoles", [1, 2])
+def test_border_gram_matches_channel_columns(strong_setup, rng, dipoles):
+    # B K^-1 B^T = sum_n M_n / k_n^2 is the channel matrix of the stored
+    # columns: every 3 x 3 block diag(T, T, L) within each dipole and
+    # across, to SYMMETRY_REL of the largest within-dipole entry
+    params, prof, lat = strong_setup
+    angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
+    for form, _ in border_variants(params, lat, prof, dipoles, angles):
+        p = len(form.particle)
+        border = form.border
+        gram = (border / form.omega0_diag[p:]) @ border.T
+        t, l, *across = np.sum(form.columns / lat.norms[:, None] ** 2,
+                               axis=0)
+        ref = np.kron(np.eye(p // 3), np.diag([t, t, l]))
+        if across:
+            ref += np.kron([[0, 1], [1, 0]], np.diag(across[:1] + across))
+        dev = np.max(np.abs(gram - ref))
+        assert dev <= SYMMETRY_REL * max(t, l)
+
+
+def asymmetric_lattice():
+    """The L = 2 box less the mode pi (1, 1, 0): no longer symmetric."""
+    lat = build_lattice(2.0, 1.0)
+    keep = np.any(lat.points != math.pi * np.array([1.0, 1.0, 0.0]), axis=1)
+    assert np.sum(~keep) == 1
+    return Lattice(2.0, 1.0, lat.points[keep])
+
+
+@pytest.mark.parametrize("route", ["energy", "binding", "series_energy",
+                                   "series_binding"])
+def test_lattice_breaking_box_symmetry_rejected(route):
+    # every exact energy and both series reduce the mode sums to channels,
+    # so each must refuse a box whose sums are not diag(T, T, L) rather
+    # than return a silently wrong value
+    params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
+    lat = asymmetric_lattice()
+    run = {
+        "energy": lambda: ground_energy(assemble_two_electron(
+            params, lat, prof, Geometry(0.7))),
+        "binding": lambda: binding_energy_exact(params, lat, prof, 0.7),
+        "series_energy": lambda: series_one_electron(params, lat, prof, 6),
+        "series_binding": lambda: series_binding(params, lat, prof, 0.7, 6),
+    }[route]
+    with pytest.raises(InvalidParameterError, match="box symmetry"):
+        run()
 
 
 def test_violated_positivity_raises(small_lattice):
@@ -284,6 +321,33 @@ def test_log_det_matches_dense_oracle(e, nu0, xi, box):
         assert abs(res.min_eigenvalue - ref.min_eigenvalue) <= 1e-13 * norm
         assert res.n_clamped == ref.n_clamped == 0
         assert res.n_eigenvalues == form.dim
+        # the Weyl bracket of the bisection holds both dense extremes
+        lo, hi = _Kernel(form).bracket()
+        eigs = np.linalg.eigvalsh(form.omega)
+        pad = 8.0 * np.finfo(float).eps * norm
+        assert lo - pad <= eigs[0] and eigs[-1] <= hi + pad
+
+
+def test_dense_routes_stay_oracles():
+    # the package calls no eigensolver, and only QuadraticForm's own
+    # properties read the dense border and matrix; tests and the oracles
+    # in conftest.py are the only other readers
+    for path in sorted(Path(cplab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        form_class = {id(node) for top in tree.body
+                      if isinstance(top, ast.ClassDef)
+                      and top.name == "QuadraticForm"
+                      for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr",
+                               getattr(node.func, "id", None))
+                assert name not in ("eig", "eigh", "eigvals", "eigvalsh"), (
+                    f"{path.name}:{node.lineno} calls {name}")
+            elif (isinstance(node, ast.Attribute)
+                    and node.attr in ("border", "omega")):
+                assert id(node) in form_class, (
+                    f"{path.name}:{node.lineno} reads .{node.attr}")
 
 
 @pytest.mark.parametrize("delta", [1e-9, 1e-11, 1e-13])

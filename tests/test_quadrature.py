@@ -53,6 +53,13 @@ def test_budget_exhaustion_carries_estimate():
     assert err.value.achieved_tol > 1e-14
 
 
+def test_half_line_rejects_late_oscillation():
+    # inside the s**-2 decay, but the map s = u / (1 - u) packs infinitely
+    # many oscillations next to u = 1: the contract excludes it
+    with pytest.raises(AccuracyError, match="budget 400000 exhausted"):
+        integrate_half_line(lambda s: np.cos(40.0 * s) / (1.0 + s ** 4))
+
+
 def test_spec_validation():
     for bad in ({"rel_tol": 0.0}, {"rel_tol": -1e-8},
                 {"rel_tol": math.nan}, {"rel_tol": math.inf},
