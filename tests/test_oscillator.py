@@ -9,7 +9,7 @@ import pytest
 import cplab
 from cplab import (Geometry, InvalidParameterError, Lattice,
                    LatticePeriodicityWarning, ModelParams,
-                   NotPositiveSemidefiniteError,
+                   NotPositiveSemidefiniteError, TraceSystem,
                    assemble_one_electron, assemble_two_electron,
                    binding_energy_exact, build_coupling, build_lattice,
                    direct_coupling, ground_energy, lattice_norm,
@@ -202,6 +202,53 @@ def border_variants(params, lat, prof, dipoles, angles):
                                 kw.get("rotation_angles")).entries
                  for x in (np.zeros(3), g.r)]))
             for kw, scale in cases]
+
+
+@pytest.mark.parametrize("factor", [5.0, 2.0])
+@pytest.mark.parametrize("dipoles", [1, 2])
+def test_border_breaking_box_symmetry_rejected(strong_setup, rng, factor,
+                                               dipoles):
+    # scaling one mode's wavevector changes only that mode's border columns
+    # and makes sum_n M_n / k_n^2 non-diagonal; every valid way of building
+    # the border gives a kernel, the scaled mode is refused at assembly
+    params, prof, lat = strong_setup
+    angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
+    for form, _ in border_variants(params, lat, prof, dipoles, angles):
+        _Kernel(form)
+    points = lat.points.copy()
+    points[3] *= factor
+    broken = Lattice(lat.box_period, lat.uv_cutoff, points)
+    with pytest.raises(InvalidParameterError, match="box symmetry"):
+        if dipoles == 1:
+            assemble_one_electron(params, broken, prof)
+        else:
+            assemble_two_electron(params, broken, prof, Geometry(0.4))
+
+
+def test_kernel_columns_match_trace_system(strong_setup, rng):
+    # the kernel's channel columns are e^2 coupling_scale^2 times
+    # TraceSystem's, mode by mode, for a shifted or rotated border, stacked
+    # with the same columns over k_n^2
+    params, prof, lat = strong_setup
+    angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
+    g = Geometry(0.4)
+    cases = [
+        (assemble_one_electron(params, lat, prof, shift=[0.3, -1.0, 2.0],
+                               rotation_angles=angles, coupling_scale=0.7),
+         TraceSystem(params, lat, prof), 0.7),
+        (assemble_two_electron(params, lat, prof, g, rotation_angles=angles,
+                               coupling_scale=1.3),
+         TraceSystem(params, lat, prof, g), 1.3),
+    ]
+    for form, system, scale in cases:
+        kernel = _Kernel(form)
+        ref = params.e ** 2 * scale ** 2 * system._columns
+        q = ref.shape[1]
+        assert kernel.columns.shape == (lat.count, 2 * q)
+        for half, r in ((kernel.columns[:, :q], ref),
+                        (kernel.columns[:, q:], ref / lat.norms[:, None] ** 2)):
+            dev = np.abs(half - r)
+            assert np.all(dev <= 1e-14 * np.max(np.abs(r), axis=0))
 
 
 @pytest.mark.parametrize("dipoles", [1, 2])
