@@ -1,5 +1,7 @@
 import ast
+import functools
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 import cplab
-from cplab import (Geometry, InvalidParameterError, Lattice,
+from cplab import (AccuracyError, Geometry, InvalidParameterError, Lattice,
                    LatticePeriodicityWarning, ModelParams,
                    NotPositiveSemidefiniteError, TraceSystem,
                    assemble_one_electron, assemble_two_electron,
@@ -419,6 +421,106 @@ def test_in_window_eigenvalues_clamped_like_dense(default_params,
     assert abs(res.energy - ref.energy) <= 1e-9
 
 
+# ---------------------------------------------------------------------------
+# bottom eigenvalue: secular Newton against a bisection oracle
+# ---------------------------------------------------------------------------
+
+#: boxes of the bottom-eigenvalue grid; with PARAM_SETS and the three forms
+#: of ``oracle_forms`` it holds 90 kernels
+BOTTOM_BOXES = [1, 2, 3, 4, 8, 16]
+
+
+@functools.lru_cache(maxsize=None)
+def grid_forms(e, nu0, xi, box):
+    return tuple(oracle_forms(ModelParams(e, nu0), build_lattice(box, 1.0),
+                              make_gaussian_profile(xi)))
+
+
+def bisection_bottom(kernel):
+    """Test oracle: the bottom eigenvalue by bisection on the Haynsworth
+    count (photons below ``lam`` plus the negative channels of ``S(lam)``),
+    inside the Weyl bracket and below every diagonal entry, to ``tol``."""
+    photon = np.repeat(kernel.freq2, 4)
+
+    def count_below(lam):
+        return (np.count_nonzero(photon < lam)
+                + kernel.multiplicity @ (kernel.schur(lam)[0] < 0.0))
+
+    lo, hi = kernel.bracket()
+    tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    a, b = lo, min(kernel.d, float(np.min(kernel.freq2)))
+    while b - a > tol:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:
+            break
+        if count_below(mid) >= 1:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b), tol, count_below(0.0)
+
+
+@pytest.mark.parametrize("box", BOTTOM_BOXES)
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+def test_newton_bottom_matches_bisection_oracle(e, nu0, xi, box):
+    for form in grid_forms(e, nu0, xi, box):
+        kernel = _Kernel(form)
+        bottom, n_neg = kernel.check_positivity()
+        ref, tol, count = bisection_bottom(kernel)
+        assert abs(bottom - ref) <= tol
+        assert n_neg == count == 0
+        if (e, nu0, xi, box) == (1.2, 1.5, 1.5, 3):
+            # near the pole: the bottom is 1.2e-9 below k_min^2
+            assert 0.0 < np.min(kernel.freq2) - bottom < 1e-8
+        if box == 1 and (e, nu0, xi) in ((0.5, 2.0, 1.0), (1.2, 1.5, 1.5)):
+            # the bottom sits on the Weyl bracket's lower end
+            assert bottom - kernel.bracket()[0] <= tol
+
+
+@pytest.mark.parametrize("box", BOTTOM_BOXES)
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+def test_bottom_eigenvalue_takes_few_schur_passes(e, nu0, xi, box,
+                                                  monkeypatch):
+    # each S(lam) evaluation is a full pass over the modes; an inertia
+    # bisection to the same tolerance takes 31-45 of them per form
+    calls, schur = [], _Kernel.schur
+
+    def counted(self, lam):
+        calls.append(lam)
+        return schur(self, lam)
+
+    monkeypatch.setattr(_Kernel, "schur", counted)
+    for form in grid_forms(e, nu0, xi, box):
+        kernel = _Kernel(form)
+        calls.clear()
+        kernel.check_positivity()
+        assert 1 <= len(calls) <= 8
+
+
+def test_newton_step_cap_raises(strong_setup, monkeypatch):
+    # the cap is a constant; a form that needs more steps than it allows
+    # raises a typed error instead of returning an unconverged bottom
+    params, prof, lat = strong_setup
+    kernel = _Kernel(assemble_one_electron(params, lat, prof))
+    monkeypatch.setattr(cplab.oscillator, "NEWTON_STEPS", 1)
+    with pytest.raises(AccuracyError, match="Newton steps"):
+        kernel.check_positivity()
+
+
+@pytest.mark.parametrize("xi", [1.5, 3.0])
+def test_bottom_pinned_at_lowest_photon(xi):
+    # d = 50 lies above k_min^2 = 39.48 and the lowest modes couple at
+    # about 1e-77, so the bottom is k_min^2 to roundoff: the Newton must
+    # stop there without evaluating S at the pole
+    form = assemble_one_electron(ModelParams(1.0, 5.0), build_lattice(1, 1),
+                                 make_gaussian_profile(xi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ground_energy(form)
+    ref = np.linalg.eigvalsh(form.omega)[0]
+    assert abs(res.min_eigenvalue - ref) <= 1e-13 * np.max(form.omega0_diag)
+
+
 def test_binding_matches_refined_dense_oracle():
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     lat = build_lattice(1.0, 1.0)
@@ -473,7 +575,10 @@ def test_binding_rejects_indefinite_form(e, nu0, xi, direct, small_lattice):
     form = assemble_two_electron(params, small_lattice, prof, Geometry(0.3),
                                  include_direct_term=direct)
     assert dense_ground_energy(form).min_eigenvalue < -1e-3
-    with pytest.raises(NotPositiveSemidefiniteError):
+    # the message carries the bottom eigenvalue to its 7 printed digits
+    ref = f"{np.linalg.eigvalsh(form.omega)[0]:.6e}"
+    with pytest.raises(NotPositiveSemidefiniteError,
+                       match=f"^eigenvalue {re.escape(ref)} below"):
         binding_energy_exact(params, small_lattice, prof, 0.3,
                              include_direct_term=direct)
 
