@@ -13,15 +13,17 @@ two-dimensional radial integrals whose angular part is the contraction
 exponential representation ``1/(sqrt(b) + sqrt(c)) = R Int_0^inf dt
 exp(-t (r1 + r2))`` decouples the radial variables and turns each term
 into one-dimensional quadratures over one table of damped radial moments
-(route A).  A direct two-dimensional panel quadrature over the radial
-plane with the closed forms (route B) validates it.  Its integrand is
-symmetric in the two radial variables, so route B sums only the upper
-triangle, streamed one panel row at a time and reduced by one routine for
-both terms.  On that grid every closed-form input but ``sqrt(b) +
-sqrt(c)`` is a row or a column factor, so route B evaluates the closed
-forms as one fused, in-place kernel from per-node factors;
-``closed_integral`` stays the general, broadcasting implementation and the
-kernel's elementwise oracle.
+(route A); its panels are uniform, so ``exp(-t r)`` factors into a
+panel-edge and an in-panel-offset exponential.  A direct two-dimensional
+panel quadrature over the radial plane with the closed forms (route B)
+validates it.  On that grid every closed-form input but the Cauchy kernel
+``K = 1/(sqrt(b) + sqrt(c))`` is a row or a column factor, so route B
+writes each term as a few positive separable factors times ``K`` or
+``K^2``, evaluates ``K`` pointwise (never through the exponential
+representation) and reduces blocks of panel rows against per-node tables
+by small matrix products; the integrand is symmetric, so only the blocks
+on and above the diagonal are evaluated.  ``closed_integral`` stays the
+general, broadcasting implementation and the factors' elementwise oracle.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ _KINDS = ("111", "221", "212", "311")
 _ANGULAR_MATRIX = 2.0 * math.pi ** 2 * np.array([[3.0, -1.0], [-1.0, 3.0]])
 #: Gauss nodes per radial panel; one panel spans about pi in r
 _PANEL_NODES = 12
+#: panel rows per Cauchy block of the direct route (``K`` is ``48 x M``
+#: doubles): one-panel blocks lose time to call overhead, 16 exceed M^2 bytes
+_BLOCK_PANELS = 4
 _EPS = float(np.finfo(float).eps)
 
 
@@ -260,7 +265,11 @@ class _RadialTables:
         H[m, p](t) =             ... r^4 ...
 
     with ``u(r) = profile(r/R)^2`` and ``alpha(r) = e nu + r/R``.  Both
-    come from one damped product against the twelve moment columns.
+    come from one damped product against the twelve moment columns.  The
+    panels are uniform and start at 0, so each node is ``r = e_m + x_k``,
+    a panel edge plus one of the twelve in-panel offsets, and ``e^{-t r} =
+    e^{-t e_m} e^{-t x_k}``: per rate, ``n_pan + 12`` exponentials and the
+    contraction ``sum_m P[t, m] sum_k Q[t, k] cols[m, k, :]``.
     """
 
     def __init__(self, params: ModelParams, profile: ChargeProfile,
@@ -269,14 +278,22 @@ class _RadialTables:
         wu = (w * profile.radial(self.r / R) ** 2)[:, None]
         alpha = (params.e * params.nu + self.r / R)[:, None]
         j = np.stack(angular_bracket_kernels(self.r), axis=1)
-        # columns ordered (G or H, m, p)
-        self._cols = np.concatenate(
+        n = _PANEL_NODES
+        self.offsets = self.r[:n]
+        self.edges = self.r[::n] - self.offsets[0]
+        # columns ordered (G or H, m, p); rows ordered (offset, panel)
+        cols = np.concatenate(
             [wu * j / alpha ** m * self.r[:, None] ** power
              for power in (3, 4) for m in (1, 2, 3)], axis=1)
+        self._cols = cols.reshape(len(self.edges), n, -1).transpose(
+            1, 0, 2).reshape(n, -1)
 
     def moments(self, t) -> Tuple[np.ndarray, np.ndarray]:
         t = np.atleast_1d(t)
-        vals = np.exp(-np.outer(t, self.r)) @ self._cols
+        inner = (np.exp(-np.outer(t, self.offsets)) @ self._cols).reshape(
+            len(t), len(self.edges), -1)
+        vals = np.matmul(np.exp(-np.outer(t, self.edges))[:, None, :],
+                         inner)[:, 0]
         g, h = vals.reshape(len(t), 2, 3, 2).transpose(1, 2, 0, 3)
         return g, h
 
@@ -320,93 +337,92 @@ def _main_term_t_representation(R: float, params: ModelParams,
     return float(re_part), float(ir_part), float(re_err + ir_err), nodes
 
 
-def _direct_rows(profile: ChargeProfile, R: float, alpha: float, kinds):
-    """Upper triangle of the direct radial-plane integrand, by panel row.
+def _direct_factors(profile: ChargeProfile, R: float, alpha: float, kinds):
+    """Separable factors of the direct radial-plane integrand.
 
     The integrand ``W_ij = f_i^T C f_j * mean_k I[k](alpha^2; b_i; b_j)``,
     with ``f = [J0, J2] * (w r^4 u)``, ``C`` the angular coefficients and
     ``b = rho^2``, ``rho = r/R``, is symmetric in ``i, j``: ``C`` is
     symmetric, ``I311`` is symmetric in its last two arguments and the mean
-    of ``I221`` and ``I212`` is too.  For each panel row ``m`` this yields
-    the rows of panel m against the columns of panels ``>= m``, with the
-    columns beyond panel m doubled, so the chunks sum to ``sum_ij W_ij``.
-    Only one panel row's arrays (``_PANEL_NODES x M`` each) are alive at a
-    time.
+    of ``I221`` and ``I212`` is too.  With ``A = alpha + rho`` (``A_i`` on
+    the rows is the ``A``, ``A_j`` on the columns the ``C`` of
+    ``closed_integral``; ``sqrt(b) = rho`` exactly) the only factor that is
+    not a row or a column factor is the Cauchy kernel ``K_ij = 1/(rho_i +
+    rho_j)``, and
+
+    - ``mean(I221, I212) = K^2 (A_i + rho_j)(p_i + p_j) / (A_i^2 A_j^2)
+      + K (q_i + q_j) / (A_i A_j)``, ``p = 1/(4 alpha rho)``, ``q = p/A^2``;
+    - ``I311 = K (h_i k_j + g_i + g_j) / (A_i A_j)`` with ``k = 1/A``,
+      ``h = k/(4 alpha^2)`` and ``g = (2/A^2 + 1/(alpha A)) / (8 alpha^2)``.
 
     ``kinds`` is ``("221", "212")`` (main term) or ``("311",)`` (error
-    term).  The closed forms are evaluated as one fused, in-place kernel
-    from row and column factors: with ``A = alpha + rho`` (``A_i`` on the
-    rows is the ``A``, ``A_j`` on the columns the ``C`` of
-    ``closed_integral``; ``sqrt(b) = rho`` exactly) only
-    ``base = 1 / (A_i (rho_i + rho_j) A_j)`` is a full matrix, and
-
-    - ``mean(I221, I212) = base/8 * [(2/A_i^2 + S)/(alpha rho_i)
-      + (2/A_j^2 + S)/(alpha rho_j)]`` with
-      ``S = 2 (alpha + rho_i + rho_j) base``, which is
-      ``1/(AC) + 1/(AB) + 1/(BC) = (A + B + C)/(ABC)``;
-    - ``I311 = base/(8 alpha^2) * (g_i + g_j + 2/(A_i A_j))`` with
-      ``g = 2/A^2 + 1/(alpha A)``.
+    term).  Returns ``(rho, f, terms)``: the kernel is ``sum over (power,
+    u, v) in terms of (u @ v.T) * K^power``, every entry of ``u`` and ``v``
+    positive, with the powers ascending.
     """
     r, w = _radial_grid(profile, R)
-    j0, j2 = angular_bracket_kernels(r)
-    f = np.stack([j0, j2], axis=1) * (w * r ** 4
-                                      * profile.radial(r / R) ** 2)[:, None]
-    fc = f @ _ANGULAR_MATRIX
+    f = np.stack(angular_bracket_kernels(r), axis=1) * (
+        w * r ** 4 * profile.radial(r / R) ** 2)[:, None]
     rho = r / R
     big_a = alpha + rho
-    main = kinds == ("221", "212")
-    if main:
-        # chunk = base * ((alpha + rho_i + rho_j) base (p_i + p_j) + q_i + q_j)
+    one = np.ones_like(rho)
+    if kinds == ("311",):
+        g = (2.0 / big_a ** 2 + 1.0 / (alpha * big_a)) / (8.0 * alpha ** 2)
+        terms = [(1, [1.0 / (4.0 * alpha ** 2 * big_a), g, one],
+                  [1.0 / big_a, one, g])]
+    else:
         p = 1.0 / (4.0 * alpha * rho)
         q = p / big_a ** 2
-    elif kinds == ("311",):
-        # chunk = base * (h_i k_j + g_i + g_j)
-        scale = 1.0 / (8.0 * alpha ** 2)
-        g = scale * (2.0 / big_a ** 2 + 1.0 / (alpha * big_a))
-        h = 2.0 * scale / big_a
-        k = 1.0 / big_a
-    else:
-        raise ValueError(f"no fused direct kernel for kinds {kinds!r}")
-    n = _PANEL_NODES
-    for m in range(len(r) // n):
-        rows, cols = slice(m * n, (m + 1) * n), slice(m * n, None)
-        chunk = fc[rows] @ f[cols].T
-        chunk[:, n:] *= 2.0
-        base = np.add.outer(rho[rows], rho[cols])
-        base *= big_a[rows, None]
-        base *= big_a[cols]
-        np.reciprocal(base, out=base)
-        if main:
-            kern = np.add.outer(big_a[rows], rho[cols])
-            kern *= base
-            kern *= np.add.outer(p[rows], p[cols])
-            kern += q[rows, None]
-            kern += q[cols]
-        else:
-            kern = np.multiply.outer(h[rows], k[cols])
-            kern += g[rows, None]
-            kern += g[cols]
-        kern *= base
-        chunk *= kern
-        yield chunk
+        terms = [(1, [q, one], [one, q]),
+                 (2, [big_a * p, big_a, p, one], [one, p, rho, rho * p])]
+    return rho, f, [(power, np.stack(u, 1) / big_a[:, None] ** power,
+                     np.stack(v, 1) / big_a[:, None] ** power)
+                    for power, u, v in terms]
 
 
 def _direct_term(R: float, params: ModelParams, profile: ChargeProfile,
                  kinds) -> Tuple[float, float, int]:
     """One ordering of a fourth-order term by direct 2D panel quadrature.
 
-    The sum is ill-conditioned (``sum |W_ij| / |sum W_ij|`` reaches 1e10
-    at R = 120, xi = 1 for the error term), so each chunk of
-    ``_direct_rows`` is reduced to row sums and the M row sums are combined
-    exactly with ``math.fsum``.  Returns ``(value, error estimate,
-    nodes)``; the estimate is the roundoff bound ``eps sum |W_ij|``.
+    The angular core ``fc_i . f_j`` (``fc = f C``) is folded into the
+    separable factors of ``_direct_factors``, giving per-node row tables
+    ``U`` and column tables ``Y`` with ``sum_j W_ij = sum_t U_it (K^p
+    Y)_it``.  By symmetry only blocks of ``_BLOCK_PANELS`` panel rows
+    against the columns from their own block on are evaluated: ``K`` once
+    per block (squared in place for the ``K^2`` terms), reduced by ``K[:,
+    own] @ Y[own] + 2 K[:, rest] @ Y[rest]``.  The sum is ill-conditioned
+    (``sum |W_ij| / |sum W_ij|`` reaches 1e10 at R = 120, xi = 1 for the
+    error term), so the M row sums are combined exactly with ``math.fsum``.
+    Returns ``(value, error estimate, nodes)``: ``nodes`` counts the
+    Cauchy entries evaluated, and the estimate is the roundoff bound ``eps
+    sum_t |U_it| (K^p |Y|)_it`` of this order, at least ``eps sum |W_ij|``.
     """
-    row_sums = []
-    abs_sum, nodes = 0.0, 0
-    for chunk in _direct_rows(profile, R, params.e * params.nu, kinds):
-        row_sums.extend(chunk.sum(axis=1).tolist())
-        abs_sum += float(np.abs(chunk, out=chunk).sum())
-        nodes += chunk.size
+    rho, f, terms = _direct_factors(profile, R, params.e * params.nu, kinds)
+    fc = f @ _ANGULAR_MATRIX
+    tables = []
+    for power, row, col in terms:
+        # per node [values | absolute values], angular label major
+        u = (fc[:, :, None] * row[:, None, :]).reshape(len(rho), -1)
+        y = (f[:, :, None] * col[:, None, :]).reshape(len(rho), -1)
+        tables.append((power, u.shape[1], np.hstack([u, np.abs(u)]),
+                       np.hstack([y, np.abs(y)])))
+    row_sums, abs_sum, nodes = [], 0.0, 0
+    block = _BLOCK_PANELS * _PANEL_NODES
+    for lo in range(0, len(rho), block):
+        kern = np.add.outer(rho[lo:lo + block], rho[lo:])
+        np.reciprocal(kern, out=kern)
+        nodes += kern.size
+        width = len(kern)
+        own, rest = slice(lo, lo + width), slice(lo + width, None)
+        rows = np.zeros(width)
+        for power, half, u, y in tables:
+            if power == 2:
+                kern *= kern
+            z = kern[:, :width] @ y[own] + 2.0 * (kern[:, width:] @ y[rest])
+            z *= u[own]
+            rows += z[:, :half].sum(axis=1)
+            abs_sum += float(z[:, half:].sum())
+        row_sums.extend(rows.tolist())
     pref = R ** -10 * (params.e ** 4 / 2.0)
     return pref * math.fsum(row_sums), pref * _EPS * abs_sum, nodes
 

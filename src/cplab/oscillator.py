@@ -243,7 +243,7 @@ def _axis_channels(sums: np.ndarray, s2: np.ndarray, enu2: float,
 def _split(v: np.ndarray) -> np.ndarray:
     """Channel eigenvalues ``[w - a | w + a]`` of ``[[w, a], [a, w]]``."""
     w, a = v[:, :2], v[:, 2:]
-    return v if a.shape[1] == 0 else np.hstack([w - a, w + a])
+    return v if a.shape[1] == 0 else np.concatenate((w - a, w + a), axis=1)
 
 
 class _Kernel:
@@ -271,6 +271,8 @@ class _Kernel:
         cols, self.q = form.columns, form.columns.shape[1]
         self.columns = np.hstack([cols, cols / self.freq2[:, None]])
         self.multiplicity = np.tile(TraceSystem.multiplicity, p // 3)
+        self._schur_base = np.array([[self.d, self.d, self.g, self.g],
+                                     [0.0] * 4])[:, :self.q]
         self.schur0 = self.schur(0.0)[0]
 
     def resolvent_sum(self, z: np.ndarray) -> np.ndarray:
@@ -291,8 +293,10 @@ class _Kernel:
             sums[0] += res[0] @ cols
             res *= res
             sums[1] += res[0] @ cols
-        base = np.array([[self.d, self.d, self.g, self.g], [0.0] * 4])
-        return _split(base[:, :self.q] - sums) - [[lam], [1.0]]
+        out = _split(self._schur_base - sums)
+        out[0] -= lam
+        out[1] -= 1.0
+        return out
 
     def log_det(self, s: np.ndarray) -> np.ndarray:
         """``sum_c m_c log|1 - mu_c(X(s))|`` per node; where ``mu_c >= 1/2``,

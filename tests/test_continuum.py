@@ -10,8 +10,9 @@ from cplab import (InvalidParameterError, ModelParams,
                    angular_bracket_kernels, angular_factor, closed_integral,
                    cp_constant, fourth_order_error, fourth_order_main,
                    integral_quadrature_oracle, make_gaussian_profile)
-from cplab.continuum import (_ANGULAR_MATRIX, _PANEL_NODES, _direct_rows,
-                             _radial_grid)
+from cplab.continuum import (_ANGULAR_MATRIX, _BLOCK_PANELS, _PANEL_NODES,
+                             _RadialTables, _direct_factors,
+                             _envelope_cutoff, _radial_grid)
 from conftest import PARAM_SETS
 
 KINDS = {"111": (1, 1, 1), "221": (2, 2, 1), "212": (2, 1, 2),
@@ -286,42 +287,67 @@ def test_direct_route_matches_dense_oracle(e, nu0, xi):
 
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
 def test_direct_kernel_matches_closed_integral(e, nu0, xi):
-    # each fused chunk equals the angular core times the mean closed form,
-    # elementwise, within a few roundings of the closed form itself
+    # the separable factors times powers of the Cauchy kernel equal the
+    # mean closed form, elementwise on every block the route evaluates,
+    # within a few roundings of the closed form itself
     params, profile = ModelParams(e=e, nu0=nu0), make_gaussian_profile(xi)
-    alpha, n, eps = params.e * params.nu, _PANEL_NODES, np.finfo(float).eps
+    alpha, eps = params.e * params.nu, np.finfo(float).eps
+    n = _BLOCK_PANELS * _PANEL_NODES
     for R in (5.0, 40.0, 120.0):
-        r, w = _radial_grid(profile, R)
-        j0, j2 = angular_bracket_kernels(r)
-        f = np.stack([j0, j2], axis=1) * (
-            w * r ** 4 * profile.radial(r / R) ** 2)[:, None]
-        fc = f @ _ANGULAR_MATRIX
-        bsq = (r / R) ** 2
         for kinds in (("221", "212"), ("311",)):
-            chunks = 0
-            for m, chunk in enumerate(_direct_rows(profile, R, alpha, kinds)):
-                rows, cols = slice(m * n, (m + 1) * n), slice(m * n, None)
-                core = fc[rows] @ f[cols].T
-                core[:, n:] *= 2.0
-                tri = sum(closed_integral(k, alpha ** 2, bsq[rows, None],
-                                          bsq[None, cols])
+            rho, _, terms = _direct_factors(profile, R, alpha, kinds)
+            for lo in range(0, len(rho), n):
+                rows, cols = slice(lo, lo + n), slice(lo, None)
+                cauchy = 1.0 / np.add.outer(rho[rows], rho[cols])
+                kern = sum((u[rows] @ v[cols].T) * cauchy ** power
+                           for power, u, v in terms)
+                ref = sum(closed_integral(k, alpha ** 2, rho[rows, None] ** 2,
+                                          rho[None, cols] ** 2)
                           for k in kinds) / len(kinds)
-                ref = core * tri
-                assert np.all(np.abs(chunk - ref) <= 32 * eps * np.abs(ref)), \
-                    (R, kinds, m)
-                chunks += 1
-            assert chunks == len(r) // n
+                assert np.all(np.abs(kern - ref) <= 32 * eps * np.abs(ref)), \
+                    (R, kinds, rows)
 
 
 def test_direct_route_node_count_is_upper_triangle():
-    # the fused kernel still visits every node pair of the upper triangle
+    # nodes counts the Cauchy entries of the blocks evaluated, which cover
+    # every node pair of the upper panel triangle
     params, profile, R = ModelParams(e=0.5, nu0=2.0), \
         make_gaussian_profile(1.0), 120.0
     m, n = len(_radial_grid(profile, R)[0]), _PANEL_NODES
-    expected = sum(n * (m - n * k) for k in range(m // n))
+    block = _BLOCK_PANELS * n
+    expected = sum(min(block, m - lo) * (m - lo) for lo in range(0, m, block))
+    assert expected == 2_384_640
+    assert expected >= sum(n * (m - n * k) for k in range(m // n))
     for fn in (fourth_order_main, fourth_order_error):
         assert fn(R, params, profile,
                   route="direct-quadrature").nodes == expected, fn
+
+
+@pytest.mark.parametrize("xi", sorted({xi for _, _, xi in PARAM_SETS}))
+def test_radial_moments_match_dense_exponential(xi):
+    # the edge x offset factorisation of exp(-t r) reproduces the dense
+    # damped product within a few roundings of its absolute sum, from
+    # t = 0 to rates where every exponential underflows
+    params, profile = ModelParams(e=0.5, nu0=2.0), make_gaussian_profile(xi)
+    eps = np.finfo(float).eps
+    t = np.concatenate([[0.0], np.geomspace(0.01, 3.0, 25), [10.0, 100.0,
+                                                            1e3]])
+    for R in (5.0, 30.0, 120.0):
+        tables = _RadialTables(params, profile, R)
+        r, n, n_pan = tables.r, _PANEL_NODES, len(tables.edges)
+        rmax = _envelope_cutoff(profile, R)
+        mh = np.arange(n_pan) * (rmax / n_pan)
+        grid = (mh[:, None] + tables.offsets[None, :]).ravel()
+        assert np.all(np.abs(tables.edges - mh) <= 4 * eps * rmax)
+        assert np.all(np.abs(grid - r) <= 4 * eps * rmax)
+        # the same moment columns in node order
+        cols = tables._cols.reshape(n, len(tables.edges), -1).transpose(
+            1, 0, 2).reshape(len(r), -1)
+        dense = np.exp(-np.outer(t, r))
+        ref, bound = dense @ cols, 8 * eps * (dense @ np.abs(cols))
+        g, h = tables.moments(t)
+        got = np.stack([g, h]).transpose(2, 0, 1, 3).reshape(len(t), -1)
+        assert np.all(np.abs(got - ref) <= bound), R
 
 
 def test_direct_route_streams_in_small_memory():
