@@ -17,7 +17,7 @@ from .errors import (AccuracyError, ClassificationError, ConfigError,
                      NotPositiveSemidefiniteError, SeriesDivergenceError,
                      TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
-                    ModelParams, PolarizationPair, build_lattice,
+                    ModelParams, OrbitTable, PolarizationPair, build_lattice,
                     check_constraints, form_factor, lattice_norm,
                     make_custom_profile, make_gaussian_profile, polarization,
                     polarization_basis, profile_norm)

@@ -8,7 +8,8 @@ four value types defined here:
 ``ChargeProfile``
     radial form factor with cached continuum norms,
 ``Lattice``
-    the cutoff momentum box with its quadrature weight,
+    the cutoff momentum box with its quadrature weight and its
+    ``OrbitTable``, the modes grouped by ``(|k|, |k_z|)``,
 ``ModelParams`` / ``Geometry``
     couplings and the two-center geometry,
 ``ConstraintReport``
@@ -27,10 +28,10 @@ from .errors import EmptyLatticeError, IntegrabilityError, InvalidParameterError
 from .quadrature import QuadratureSpec, integrate_interval
 
 __all__ = [
-    "ChargeProfile", "Lattice", "ModelParams", "Geometry", "PolarizationPair",
-    "ConstraintReport", "make_gaussian_profile", "make_custom_profile",
-    "profile_norm", "build_lattice", "lattice_norm", "polarization",
-    "polarization_basis", "form_factor", "check_constraints",
+    "ChargeProfile", "Lattice", "OrbitTable", "ModelParams", "Geometry",
+    "PolarizationPair", "ConstraintReport", "make_gaussian_profile",
+    "make_custom_profile", "profile_norm", "build_lattice", "lattice_norm",
+    "polarization", "polarization_basis", "form_factor", "check_constraints",
 ]
 
 #: value of a normalized charge distribution's form factor at the origin
@@ -163,19 +164,53 @@ class ConstraintReport:
         }
 
 
+@dataclass(frozen=True)
+class OrbitTable:
+    """A lattice's modes grouped into orbits of bit-equal ``(|k|, |k_z|)``.
+
+    Every channel column of ``traces.TraceSystem``, its copy times
+    ``cos(k_z R)`` and ``|k|^2`` are bitwise functions of that key, so a mode
+    sum of them is the sum over orbits of the representative's value times
+    ``count``: folding changes only the summation order.  Orbits are sorted
+    by ``|k|``, then ``|k_z|``.
+
+    Attributes
+    ----------
+    norms, kz : ndarray, shape (orbits,)
+        The representative ``|k|`` and ``|k_z|``.
+    count : ndarray of int, shape (orbits,)
+        Multiplicities; they sum to the number of modes.
+    moments : ndarray, shape (orbits, 4)
+        Per-orbit sums of ``u_x u_y``, ``u_x u_z``, ``u_y u_z`` and ``u_x^2 -
+        u_y^2`` of the unit vectors ``u = k / |k|``: a weighted mode sum of
+        ``u u^T`` with weights that depend on the key alone is
+        ``diag(T, T, L)`` iff the weights annihilate all four columns.
+    """
+
+    norms: np.ndarray
+    kz: np.ndarray
+    count: np.ndarray
+    moments: np.ndarray
+
+
 class Lattice:
     """Momentum modes ``k`` in ``(2 pi Z / L)**3`` with ``|k_i| <= 2 pi Lam``,
     origin excluded, ordered lexicographically.
 
     The box built by ``build_lattice`` is symmetric under each reflection
     ``k_i -> -k_i`` and under ``k_x <-> k_y``; the trace and binding
-    kernels rely on this to reduce every mode sum to axis channels.
+    kernels rely on this to reduce every mode sum to axis channels.  Those
+    sums run over ``orbits``, the table of bit-equal ``(|k|, |k_z|)`` built
+    once here from the points, for any lattice; the per-mode attributes
+    serve ``build_coupling`` (the border) and the test oracles.
 
     Attributes
     ----------
     points : ndarray, shape (N, 3)
     norms : ndarray, shape (N,)
         Euclidean lengths ``|k|``.
+    orbits : OrbitTable
+        The modes grouped by ``(|k|, |k_z|)``.
     cell_weight : float
         Riemann cell volume ``(2 pi / L)**3`` entering every lattice norm.
     """
@@ -186,12 +221,21 @@ class Lattice:
         self.uv_cutoff = float(uv_cutoff)
         self.points = points
         self.cell_weight = (2.0 * math.pi / box_period) ** 3
-        self.norms = np.linalg.norm(points, axis=1)
-        self.units = points / self.norms[:, None]
+        # the sum of np.linalg.norm, taken column by column
+        norms = points[:, 0] * points[:, 0]
+        norms += points[:, 1] * points[:, 1]
+        norms += points[:, 2] * points[:, 2]
+        self.norms = np.sqrt(norms, out=norms)
+        self.orbits = _orbit_table(points, self.norms)
 
     @property
     def count(self) -> int:
         return len(self.points)
+
+    @property
+    def units(self) -> np.ndarray:
+        """Unit vectors ``k / |k|``, shape (N, 3), built on each access."""
+        return self.points / self.norms[:, None]
 
     def __repr__(self):
         return (f"Lattice(L={self.box_period}, Lambda={self.uv_cutoff}, "
@@ -202,21 +246,47 @@ class Lattice:
 _CHUNK_ELEMS = 1 << 19
 
 
-def _resolvent_chunks(z: np.ndarray, ksq: np.ndarray):
-    """Yield ``(modes, 1 / (z + ksq[modes]))`` for 1-D ``z`` over
-    consecutive slices of the modes, each table of shape ``(len(z), chunk)``.
+def _orbit_table(points: np.ndarray, norms: np.ndarray) -> OrbitTable:
+    """Group the modes by bit-equal ``(|k|, |k_z|)``: one ``lexsort``, a
+    boundary mask, and the moments summed over sorted slices of at most
+    ``_CHUNK_ELEMS`` entries."""
+    kz = np.abs(points[:, 2])
+    order = np.lexsort((kz, norms))
+    norms, kz = np.take(norms, order), np.take(kz, order)
+    change = np.ones(len(order), dtype=bool)
+    change[1:] = (norms[1:] != norms[:-1]) | (kz[1:] != kz[:-1])
+    starts = np.flatnonzero(change)
+    moments = np.zeros((len(starts), 4))
+    step = _CHUNK_ELEMS // 4
+    for lo in range(0, len(order), step):
+        ux, uy, uz = (np.take(points, order[lo:lo + step], axis=0)
+                      / norms[lo:lo + step, None]).T
+        mono = np.stack([ux * uy, ux * uz, uy * uz, ux * ux - uy * uy])
+        cut = np.flatnonzero(change[lo:lo + step])
+        if not cut.size or cut[0]:  # the slice opens inside an orbit
+            cut = np.concatenate(([0], cut))
+        first = int(np.searchsorted(starts, lo, side="right")) - 1
+        moments[first:first + len(cut)] += np.add.reduceat(mono, cut, 1).T
+    return OrbitTable(norms=norms[starts], kz=kz[starts],
+                      count=np.diff(np.append(starts, len(order))),
+                      moments=moments)
 
-    This is the one place a per-mode resolvent table is built: a mode sum
-    loops over the chunks and reduces each against its per-mode columns,
-    so no table holds more than ``_CHUNK_ELEMS`` floats whatever the
-    number of modes.
+
+def _resolvent_chunks(z: np.ndarray, ksq: np.ndarray):
+    """Yield ``(rows, 1 / (z + ksq[rows]))`` for 1-D ``z`` over consecutive
+    slices of ``ksq``, each table of shape ``(len(z), chunk)``.
+
+    This is the one place a resolvent table is built: a mode sum loops over
+    the chunks of its orbits' ``|k|^2`` and reduces each against its
+    per-orbit columns, so no table holds more than ``_CHUNK_ELEMS`` floats
+    whatever the number of orbits.
     """
     step = max(1, _CHUNK_ELEMS // len(z))
     for lo in range(0, len(ksq), step):
-        modes = slice(lo, lo + step)
-        res = z[:, None] + ksq[None, modes]
+        rows = slice(lo, lo + step)
+        res = z[:, None] + ksq[None, rows]
         np.reciprocal(res, out=res)
-        yield modes, res
+        yield rows, res
 
 
 def make_gaussian_profile(xi: float) -> ChargeProfile:
@@ -292,7 +362,9 @@ def build_lattice(box_period: float, uv_cutoff: float) -> Lattice:
     """Enumerate the cutoff momentum box.
 
     The number of points is ``(2 floor(Lam L) + 1)**3 - 1``; an empty box
-    (no nonzero mode on any axis) raises ``EmptyLatticeError``.
+    (no nonzero mode on any axis) raises ``EmptyLatticeError``.  The rows
+    of the ``(n, n, n, 3)`` grid are already lexicographic, and the origin
+    is the middle one.
     """
     if not all(x > 0 and math.isfinite(x) for x in (box_period, uv_cutoff)):
         raise InvalidParameterError(
@@ -302,26 +374,30 @@ def build_lattice(box_period: float, uv_cutoff: float) -> Lattice:
         raise EmptyLatticeError(
             f"no modes: floor(Lambda*L) = {n_max} < 1 for "
             f"L={box_period}, Lambda={uv_cutoff}")
-    step = 2.0 * math.pi / box_period
-    idx = np.arange(-n_max, n_max + 1)
-    grid = np.stack(np.meshgrid(idx, idx, idx, indexing="ij"),
-                    axis=-1).reshape(-1, 3)
-    grid = grid[np.any(grid != 0, axis=1)]
-    order = np.lexsort((grid[:, 2], grid[:, 1], grid[:, 0]))
-    points = step * grid[order].astype(float)
-    return Lattice(box_period, uv_cutoff, points)
+    axis = (2.0 * math.pi / box_period) * np.arange(-n_max, n_max + 1.0)
+    grid = np.empty(((2 * n_max + 1) ** 3, 3))
+    cube = grid.reshape((len(axis),) * 3 + (3,))
+    cube[..., 0] = axis[:, None, None]
+    cube[..., 1] = axis[:, None]
+    cube[..., 2] = axis
+    mid = len(grid) // 2
+    grid[mid:-1] = grid[mid + 1:]  # drop the origin in place
+    return Lattice(box_period, uv_cutoff, grid[:-1])
 
 
 def lattice_norm(profile: ChargeProfile, lattice: Lattice, p: int) -> float:
-    """Discrete norm ``(cell_weight * sum_k |k|**(2p) f(|k|)**2)**0.5``.
+    """Discrete norm ``(cell_weight * sum_k |k|**(2p) f(|k|)**2)**0.5``,
+    summed over the lattice's orbits with their multiplicities.
 
     Finite for every ``p`` in ``{-1, 0, 1}`` because the origin is excluded
     from the lattice.
     """
     if p not in (-1, 0, 1):
         raise InvalidParameterError("norm exponent p must be -1, 0 or 1")
-    f = profile.radial(lattice.norms)
-    total = lattice.cell_weight * np.sum(lattice.norms ** (2 * p) * f * f)
+    orbits = lattice.orbits
+    f = profile.radial(orbits.norms)
+    total = lattice.cell_weight * float(
+        orbits.count @ (orbits.norms ** (2 * p) * f * f))
     return math.sqrt(total)
 
 

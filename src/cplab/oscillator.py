@@ -4,8 +4,9 @@ A dipole at position ``x`` couples linearly to the lattice field through a
 dense ``3 x 4N`` block.  The full quadratic form is a ``p x p`` particle
 block ``P`` (``p = 3`` or ``6``), the diagonal photon block ``K`` and the
 ``p x 4N`` border ``B`` between them.  A form stores ``P``, ``K`` and
-``TraceSystem``'s channel columns of ``B``; the border and the dense matrix
-are rebuilt on request, for tests and oracles.
+``TraceSystem``'s channel columns of ``B``, one row per orbit of bit-equal
+``(|k|, |k_z|)`` with the orbit's ``|k|^2``; the border and the dense
+matrix are rebuilt on request, for tests and oracles.
 
 The ground energy is the zero-point trace ``0.5 Tr(sqrt(Omega) -
 sqrt(Omega_0))`` plus the shift ``1.5 e nu`` per particle.  By the Schur
@@ -19,7 +20,7 @@ the finite-lattice Lifshitz / TGTG formula (Emig, Graham, Jaffe, Kardar,
 PRL 99, 170403 (2007); Rahi et al., PRD 80, 085021 (2009)).  ``X(s)`` is
 diagonal in the axis channels of ``traces.TraceSystem`` within one dipole
 and across the pair, with closed-form eigenvalues ``x_c -+ y_c``: a node
-costs ``O(N)`` and no ``p x p`` matrix is formed.  The binding energy is
+costs ``O(orbits)`` and no ``p x p`` matrix is formed.  The binding energy is
 the mixed part of the same log-det, never a difference of two energies.
 The bottom eigenvalue is the least channel root of the Schur complement
 ``S(lam) = P - lam - B (K - lam)^-1 B^T``, found by a secular Newton.
@@ -77,14 +78,17 @@ class QuadraticForm:
 
     ``particle`` is the ``p x p`` block ``P`` and ``omega0_diag`` the free
     diagonal, whose last ``4N`` entries are the photon block ``K`` (the four
-    channels of a mode share one frequency).  ``columns`` holds per mode
-    ``T = (M_xx + M_yy) / 2`` and ``L = M_zz`` of ``M_n = sum_c b_{n,c}
-    b_{n,c}^T`` (``b`` the columns of ``B``) within a dipole and across:
-    ``e^2 coupling_scale^2 TraceSystem._columns``, for any shift or rotation.
+    channels of a mode share one frequency).  ``columns`` holds per orbit of
+    ``Lattice.orbits`` the sums over its modes of ``T = (M_xx + M_yy) / 2``
+    and ``L = M_zz`` of ``M_n = sum_c b_{n,c} b_{n,c}^T`` (``b`` the columns
+    of ``B``) within a dipole and across: ``e^2 coupling_scale^2
+    TraceSystem._columns``, for any shift or rotation.  ``ksq`` is the
+    orbits' ``|k|^2``, aligned with ``columns``.
     """
 
     omega0_diag: np.ndarray
     columns: np.ndarray
+    ksq: np.ndarray
     particle: np.ndarray
     zero_point_shift: float
     _coupling: Callable[[], np.ndarray] = field(repr=False)
@@ -172,8 +176,9 @@ def assemble_one_electron(params: ModelParams, lattice: Lattice,
     """
     x = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
     diag, scale = _free_diag(params, lattice, 3), coupling_scale * params.e
+    system = TraceSystem(params, lattice, profile)
     return QuadraticForm(
-        diag, scale ** 2 * TraceSystem(params, lattice, profile)._columns,
+        diag, scale ** 2 * system._columns, system._ksq,
         _channel_block(diag[0], 0.0, 3), 1.5 * params.e * params.nu,
         lambda: scale * build_coupling(x, lattice, profile,
                                        rotation_angles).entries)
@@ -188,13 +193,16 @@ def direct_coupling(params: ModelParams, lattice: Lattice,
     a plain quadrature of its defining continuum integral, not a field
     mode, and dropping the origin cell would leave a spurious
     R-independent offset.  Decays faster than any power of ``R`` for
-    rapidly decreasing profiles while ``R`` stays below half the box.
+    rapidly decreasing profiles while ``R`` stays below half the box.  The
+    sum runs over the lattice's orbits with their multiplicities, as
+    ``r`` lies along z.
     """
-    f = profile.radial(lattice.norms)
-    cos = np.cos(lattice.points @ geometry.r)
+    orbits = lattice.orbits
+    f = profile.radial(orbits.norms)
+    cos = np.cos(orbits.kz * geometry.R)
     origin = float(profile.radial(0.0)) ** 2
     return (params.e ** 2 * lattice.cell_weight
-            * (origin + float(np.sum(f * f * cos))))
+            * (origin + float(orbits.count @ (f * f * cos))))
 
 
 def assemble_two_electron(params: ModelParams, lattice: Lattice,
@@ -211,9 +219,9 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
     diag, scale = _free_diag(params, lattice, 6), coupling_scale * params.e
     g = (direct_coupling(params, lattice, profile, geometry)
          if include_direct_term else 0.0)
+    system = TraceSystem(params, lattice, profile, geometry)
     return QuadraticForm(
-        diag, scale ** 2 * TraceSystem(params, lattice, profile,
-                                       geometry)._columns,
+        diag, scale ** 2 * system._columns, system._ksq,
         _channel_block(diag[0], g, 6), 3.0 * params.e * params.nu,
         lambda: scale * np.vstack([
             build_coupling(x, lattice, profile, rotation_angles).entries
@@ -247,23 +255,24 @@ def _split(v: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """A form's channel columns, stacked with the same columns over ``k_n^2``.
-    ``TraceSystem`` has checked the box symmetry that makes every ``sum_n M_n
-    g(k_n^2)`` the channel matrix ``diag(T, T, L)`` (separation along z), so
-    with the particle block ``d I`` or ``[[d I, g I], [g I, d I]]``, checked
-    here, ``X(s)`` and ``S(lam)`` are diagonal in the channels: ``O(N)`` per
-    node, no ``p x p`` matrix."""
+    """A form's channel columns, stacked with the same columns over ``k_n^2``,
+    one row per orbit.  ``TraceSystem`` has checked the box symmetry that
+    makes every ``sum_n M_n g(k_n^2)`` the channel matrix ``diag(T, T, L)``
+    (separation along z), so with the particle block ``d I`` or ``[[d I, g
+    I], [g I, d I]]``, checked here, ``X(s)`` and ``S(lam)`` are diagonal in
+    the channels: ``O(orbits)`` per node, no ``p x p`` matrix."""
 
     def __init__(self, form: QuadraticForm):
         p = len(form.particle)
-        self.freq2 = form.omega0_diag[p::4]
+        self.freq2 = form.ksq
         self.enu2 = float(form.omega0_diag[0])
         self.d = float(form.particle[0, 0])
         self.g = float(form.particle[0, 3]) if p == 6 else 0.0
         dev = max(np.max(np.abs(form.particle
                              - _channel_block(self.d, self.g, p))),
                   np.max(np.abs(form.omega0_diag[:p] - self.enu2)))
-        scale = max(np.max(np.abs(form.particle)), np.max(form.omega0_diag))
+        scale = max(np.max(np.abs(form.particle)), self.enu2,
+                    float(np.max(self.freq2)))
         if dev > SYMMETRY_REL * scale:
             raise InvalidParameterError(
                 f"particle block is not d I or [[d I, g I], [g I, d I]]: "
@@ -279,8 +288,8 @@ class _Kernel:
         """Channels of ``sum_n M_n / (z + k_n^2)``, then of ``sum_n M_n /
         (k_n^2 (z + k_n^2))``, summed over ``model._resolvent_chunks``."""
         out = np.zeros((len(z), self.columns.shape[1]))
-        for modes, res in _resolvent_chunks(z, self.freq2):
-            out += res @ self.columns[modes]
+        for rows, res in _resolvent_chunks(z, self.freq2):
+            out += res @ self.columns[rows]
         return out
 
     def schur(self, lam: float) -> np.ndarray:
@@ -288,8 +297,8 @@ class _Kernel:
         the channels ``d_c - lam - sum_n M_{n,c} / (k_n^2 - lam)`` of ``S``
         and their slopes ``-1 - sum_n M_{n,c} / (k_n^2 - lam)^2``, one pass."""
         sums = np.zeros((2, self.q))
-        for modes, res in _resolvent_chunks(np.array([-lam]), self.freq2):
-            cols = self.columns[modes, :self.q]
+        for rows, res in _resolvent_chunks(np.array([-lam]), self.freq2):
+            cols = self.columns[rows, :self.q]
             sums[0] += res[0] @ cols
             res *= res
             sums[1] += res[0] @ cols

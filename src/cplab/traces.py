@@ -9,10 +9,11 @@ with ``Q_i(s)`` the symmetrically resolvent-dressed blocks.  The trace
 collapses into products of mode sums of the transverse projectors, and on
 the symmetric cutoff box each of those is diagonal in the axes: a
 transverse channel (x and y) and a longitudinal one (z).
-``TraceSystem.channel_sums`` is the one kernel that evaluates them, so a
-word costs ``O(N)`` per quadrature node and a chain is a product of
-scalars per channel.  The envelope ``D(s)`` behind every tail bound is the
-one-dipole order-2 closure of the same sums.  The dense matrix product of
+``TraceSystem.channel_sums`` is the one kernel that evaluates them, over
+the lattice's ``(|k|, |k_z|)`` orbits, so a word costs ``O(orbits)`` per
+quadrature node and a chain is a product of scalars per channel.  The
+envelope ``D(s)`` behind every tail bound is the one-dipole order-2
+closure of the same sums.  The dense matrix product of
 the full blocks is the test suite's oracle for it.
 
 The series never enumerates words.  Per channel, summed over its letters, a
@@ -160,6 +161,11 @@ class TraceSystem:
     ``channel_sums`` evaluates the ``T`` and ``L`` entries, and a trace
     closes as ``sum_c m_c (...)`` over the channels.  ``geometry=None``
     restricts the system to the single-dipole words (all letters 1).
+
+    The channel entries ``T`` and ``L`` of ``w_k P_k [cos(k . r)]`` depend
+    on ``k`` only through ``(|k|, |k_z|)``, so ``_columns`` and ``_ksq`` hold
+    one row per orbit of ``lattice.orbits``, the columns times the orbit's
+    multiplicity: every mode sum costs ``O(orbits)``.
     """
 
     #: channel multiplicities: transverse (x and y), longitudinal (z)
@@ -171,28 +177,25 @@ class TraceSystem:
         self.lattice = lattice
         self.profile = profile
         self.geometry = geometry
-        self._ksq = lattice.norms ** 2
-        f = profile.radial(lattice.norms)
+        orbits = lattice.orbits
+        self._ksq = orbits.norms ** 2
+        f = profile.radial(orbits.norms)
         wk = lattice.cell_weight * self._ksq * f * f
-        uz2 = lattice.units[:, 2] ** 2
+        uz2 = (orbits.kz / orbits.norms) ** 2
         columns = [0.5 * wk * (1.0 + uz2), wk * (1.0 - uz2)]
         if geometry is not None:
-            cosr = np.cos(lattice.points @ geometry.r)
+            cosr = np.cos(orbits.kz * geometry.R)
             columns += [columns[0] * cosr, columns[1] * cosr]
-        self._columns = np.stack(columns, axis=1)
+        columns = np.stack(columns, axis=1)
         # sum_k (w_k / |k|^2) P_k [cos(k . r)] is diag(T, T, L) iff the same
         # sum of u_k u_k^T has xx = yy and no off-diagonal; w_k is T + L / 2
-        m = 0.0
-        for lo in range(0, lattice.count, 1 << 13):  # cache-sized slices
-            modes = slice(lo, lo + (1 << 13))
-            c, u = self._columns[modes], lattice.units[modes]
-            w = (c[:, 0::2] + 0.5 * c[:, 1::2]) / self._ksq[modes, None]
-            m = m + (w.T[:, None, :] * u.T) @ u
-        dev = np.max(np.abs([m[:, 0, 1], m[:, 0, 2], m[:, 1, 2],
-                             m[:, 0, 0] - m[:, 1, 1]]))
-        if not dev <= SYMMETRY_REL * np.trace(m[0]):
+        # of one mode, so the sum is w^T moments over the orbits
+        w = (columns[:, 0::2] + 0.5 * columns[:, 1::2]) / self._ksq[:, None]
+        dev = np.max(np.abs(w.T @ orbits.moments))
+        if not dev <= SYMMETRY_REL * (orbits.count @ w[:, 0]):
             raise InvalidParameterError(f"lattice breaks the box symmetry: "
                                         f"{dev:.3e} off diag(T, T, L)")
+        self._columns = columns * orbits.count[:, None]
         self._report: Optional[ConstraintReport] = None
         self._d_integral: Optional[float] = None
 
@@ -214,16 +217,19 @@ class TraceSystem:
 
             (1/pi) Int D = (e / 2 nu) sum_k w_k / (|k| (e nu + |k|)),
 
-        ``w_k = cell_weight |k|^2 f(|k|)^2``, summed with ``math.fsum``.
+        ``w_k = cell_weight |k|^2 f(|k|)^2``, summed over the orbits with
+        their multiplicities by ``math.fsum``.
         ``D`` closes the within-dipole sums only, so the value does not
         depend on the geometry.  The quadrature of ``d_envelope`` is its
         test oracle.
         """
         if self._d_integral is None:
-            k = self.lattice.norms
+            orbits = self.lattice.orbits
+            k = orbits.norms
             f = self.profile.radial(k)
             alpha = self.params.e * self.params.nu
-            terms = self.lattice.cell_weight * k * f * f / (alpha + k)
+            terms = (self.lattice.cell_weight * orbits.count * k * f * f
+                     / (alpha + k))
             self._d_integral = (self.params.e / (2.0 * self.params.nu)
                                 * math.fsum(terms))
         return self._d_integral
@@ -244,15 +250,15 @@ class TraceSystem:
         and longitudinal entries of ``sum_k w_k P_k (s^2 + |k|^2)^-m``
         (``within``, one dipole) and of the same sum times ``cos(k . r)``
         (``across``, ``None`` without geometry).  The mode sum runs over
-        ``model._resolvent_chunks``, so its working set stays bounded
-        whatever the number of modes.  ``d_envelope`` is the order-2
+        the orbits in ``model._resolvent_chunks``, so its working set stays
+        bounded whatever the number of orbits.  ``d_envelope`` is the order-2
         closure of ``within``.
         """
         s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
         sums = {m: np.zeros((len(s2), self._columns.shape[1]))
                 for m in powers}
-        for modes, res in _resolvent_chunks(s2, self._ksq):
-            columns = self._columns[modes]
+        for rows, res in _resolvent_chunks(s2, self._ksq):
+            columns = self._columns[rows]
             if 1 in sums:
                 sums[1] += res @ columns
             if 2 in sums:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cplab import (EnergyResult, ModelParams, assemble_one_electron,
-                   assemble_two_electron, build_lattice,
-                   make_gaussian_profile)
+from cplab import (EnergyResult, Lattice, ModelParams, OrbitTable,
+                   assemble_one_electron, assemble_two_electron,
+                   build_lattice, make_gaussian_profile)
 
 # constraint-passing sets (e, nu0, xi) spanning the admissible region;
 # the first is the documented default
@@ -46,6 +46,41 @@ def strong_setup():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20200426)
+
+
+def orbit_index(lattice):
+    """The orbit row of each mode, found by its bit-equal ``(|k|, |k_z|)``
+    in a dictionary of the orbit table's representatives."""
+    orbits = lattice.orbits
+    rows = {key: i for i, key in enumerate(zip(orbits.norms, orbits.kz))}
+    assert len(rows) == len(orbits.count), "two orbits share a key"
+    return np.array([rows[k, abs(z)]
+                     for k, z in zip(lattice.norms, lattice.points[:, 2])])
+
+
+def reduce_over_orbits(lattice, per_mode):
+    """Sum a per-mode array (modes along axis 0) over each orbit."""
+    idx = orbit_index(lattice)
+    out = np.zeros((len(lattice.orbits.count),) + per_mode.shape[1:])
+    np.add.at(out, idx, per_mode)
+    return out
+
+
+def unit_monomials(units):
+    """``u_x u_y``, ``u_x u_z``, ``u_y u_z`` and ``u_x^2 - u_y^2`` per mode."""
+    ux, uy, uz = units.T
+    return np.stack([ux * uy, ux * uz, uy * uz, ux * ux - uy * uy], axis=1)
+
+
+def per_mode_lattice(lattice):
+    """Test oracle: the same points with one orbit per mode, in mode order,
+    so every folded mode sum of the package runs over all N modes."""
+    twin = Lattice(lattice.box_period, lattice.uv_cutoff, lattice.points)
+    twin.orbits = OrbitTable(
+        norms=twin.norms, kz=np.abs(twin.points[:, 2]),
+        count=np.ones(twin.count, dtype=int),
+        moments=unit_monomials(twin.units))
+    return twin
 
 
 #: largest form the dense oracle accepts

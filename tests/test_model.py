@@ -12,6 +12,8 @@ from cplab import (EmptyLatticeError, Geometry, IntegrabilityError,
 from cplab import model
 from cplab.oscillator import _Kernel
 
+from conftest import orbit_index, reduce_over_orbits, unit_monomials
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -129,6 +131,46 @@ def test_lattice_structure():
     # lexicographic ordering
     keys = list(map(tuple, np.round(ratios).astype(int)))
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("box,size", [(2.0, 17), (3.0, 39), (4.0, 74)])
+def test_lattice_orbit_invariants(box, size):
+    # orbits of bit-equal (|k|, |k_z|): distinct sorted keys, multiplicities
+    # summing to N, every mode's key equal to its orbit's bit for bit
+    lat = build_lattice(box, 1.0)
+    orbits = lat.orbits
+    assert len(orbits.count) == size
+    assert orbits.count.sum() == lat.count
+    keys = list(zip(orbits.norms, orbits.kz))
+    assert keys == sorted(set(keys))
+    idx = orbit_index(lat)
+    np.testing.assert_array_equal(np.bincount(idx, minlength=size),
+                                  orbits.count)
+    np.testing.assert_array_equal(orbits.norms[idx], lat.norms)
+    np.testing.assert_array_equal(orbits.kz[idx], np.abs(lat.points[:, 2]))
+    # the symmetric box: every orbit's moments cancel to roundoff
+    bound = 1e-15 * orbits.count[:, None]
+    assert np.all(np.abs(orbits.moments) <= bound)
+
+
+def test_orbit_moments_do_not_depend_on_chunking(monkeypatch):
+    # slices of 10 modes cut most orbits of the L = 3 box; without the
+    # mode (2 pi / 3) (1, 1, 0) its orbit keeps a nonzero u_x u_y moment
+    lat = build_lattice(3.0, 1.0)
+    keep = np.any(lat.points != TWO_PI / 3.0 * np.array([1.0, 1.0, 0.0]),
+                  axis=1)
+    for points in (lat.points, lat.points[keep]):
+        whole = model.Lattice(3.0, 1.0, points)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_CHUNK_ELEMS", 40)
+            sliced = model.Lattice(3.0, 1.0, points)
+        ref = reduce_over_orbits(whole, unit_monomials(whole.units))
+        for built in (whole, sliced):
+            np.testing.assert_array_equal(built.orbits.count,
+                                          whole.orbits.count)
+            np.testing.assert_allclose(built.orbits.moments, ref, rtol=0.0,
+                                       atol=1e-15 * whole.count)
+    assert np.max(np.abs(whole.orbits.moments[:, 0])) > 0.1
 
 
 def test_resolvent_chunks_cover_each_mode_once(monkeypatch):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cplab
+from cplab import model, oscillator, traces
 from cplab import (AccuracyError, Geometry, InvalidParameterError, Lattice,
                    LatticePeriodicityWarning, ModelParams,
                    NotPositiveSemidefiniteError, TraceSystem,
@@ -19,7 +20,8 @@ from cplab import (AccuracyError, Geometry, InvalidParameterError, Lattice,
                    series_binding, series_one_electron)
 from cplab.oscillator import SYMMETRY_REL, _Kernel
 
-from conftest import PARAM_SETS, dense_ground_energy
+from conftest import (PARAM_SETS, dense_ground_energy, per_mode_lattice,
+                      reduce_over_orbits)
 
 
 def zero_profile():
@@ -229,9 +231,13 @@ def test_border_breaking_box_symmetry_rejected(strong_setup, rng, factor,
 
 def test_kernel_columns_match_trace_system(strong_setup, rng):
     # the kernel's channel columns are e^2 coupling_scale^2 times
-    # TraceSystem's, mode by mode, for a shifted or rotated border, stacked
-    # with the same columns over k_n^2
+    # TraceSystem's, orbit by orbit, for a shifted or rotated border, stacked
+    # with the same columns over k_n^2: the per-mode columns, built from
+    # the points, summed over each orbit
     params, prof, lat = strong_setup
+    wk = lat.cell_weight * lat.norms ** 2 * prof.radial(lat.norms) ** 2
+    uz2 = lat.units[:, 2] ** 2
+    within = np.stack([0.5 * wk * (1.0 + uz2), wk * (1.0 - uz2)], axis=1)
     angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
     g = Geometry(0.4)
     cases = [
@@ -244,11 +250,19 @@ def test_kernel_columns_match_trace_system(strong_setup, rng):
     ]
     for form, system, scale in cases:
         kernel = _Kernel(form)
-        ref = params.e ** 2 * scale ** 2 * system._columns
-        q = ref.shape[1]
-        assert kernel.columns.shape == (lat.count, 2 * q)
-        for half, r in ((kernel.columns[:, :q], ref),
-                        (kernel.columns[:, q:], ref / lat.norms[:, None] ** 2)):
+        modes = within
+        if system.geometry is not None:
+            cosr = np.cos(lat.points @ system.geometry.r)
+            modes = np.hstack([within, within * cosr[:, None]])
+        modes = params.e ** 2 * scale ** 2 * modes
+        q = modes.shape[1]
+        assert kernel.columns.shape == (len(lat.orbits.count), 2 * q)
+        for half, r in (
+                (kernel.columns[:, :q],
+                 params.e ** 2 * scale ** 2 * system._columns),
+                (kernel.columns[:, :q], reduce_over_orbits(lat, modes)),
+                (kernel.columns[:, q:],
+                 reduce_over_orbits(lat, modes / lat.norms[:, None] ** 2))):
             dev = np.abs(half - r)
             assert np.all(dev <= 1e-14 * np.max(np.abs(r), axis=0))
 
@@ -278,7 +292,7 @@ def test_border_gram_matches_channel_columns(strong_setup, rng, dipoles):
         p = len(form.particle)
         border = form.border
         gram = (border / form.omega0_diag[p:]) @ border.T
-        t, l, *across = np.sum(form.columns / lat.norms[:, None] ** 2,
+        t, l, *across = np.sum(form.columns / lat.orbits.norms[:, None] ** 2,
                                axis=0)
         ref = np.kron(np.eye(p // 3), np.diag([t, t, l]))
         if across:
@@ -312,6 +326,101 @@ def test_lattice_breaking_box_symmetry_rejected(route):
     }[route]
     with pytest.raises(InvalidParameterError, match="box symmetry"):
         run()
+
+
+# ---------------------------------------------------------------------------
+# the orbit fold against per-mode sums
+# ---------------------------------------------------------------------------
+
+def relative_gap(value, ref, scale=None):
+    """``max |value - ref|`` over ``max |ref|``, or over ``scale``."""
+    value, ref = np.asarray(value, dtype=float), np.asarray(ref, dtype=float)
+    return np.max(np.abs(value - ref)) / (
+        np.max(np.abs(ref)) if scale is None else scale)
+
+
+@pytest.mark.parametrize("box", [2.0, 3.0, 8.0])
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+def test_orbit_fold_matches_per_mode_sums(e, nu0, xi, box):
+    # the same points with one orbit per mode run every mode sum over all N
+    # modes; folding onto (|k|, |k_z|) orbits changes only the summation
+    # order.  Across sums and the contact term cancel, so they are measured
+    # against the sums of their magnitudes.
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
+    folded = build_lattice(box, 1.0)
+    modes = per_mode_lattice(folded)
+    R = 0.3 * box
+    g = Geometry(R)
+    s = np.geomspace(1e-2, 1e2, 9)
+    gaps = []
+    one, ref = (TraceSystem(params, lat, prof, g) for lat in (folded, modes))
+    sums, ref_sums = one.channel_sums(s), ref.channel_sums(s)
+    for m in (1, 2):
+        scale = np.max(np.abs(ref_sums[m][0]))
+        gaps += [relative_gap(sums[m][0], ref_sums[m][0]),
+                 relative_gap(sums[m][1], ref_sums[m][1], scale)]
+    gaps.append(relative_gap(one.d_integral(), ref.d_integral()))
+    gaps += [relative_gap(lattice_norm(prof, folded, p),
+                          lattice_norm(prof, modes, p)) for p in (-1, 0, 1)]
+    magnitude = params.e ** 2 * folded.cell_weight * (
+        float(prof.radial(0.0)) ** 2
+        + np.sum(prof.radial(folded.norms) ** 2))
+    gaps.append(relative_gap(direct_coupling(params, folded, prof, g),
+                             direct_coupling(params, modes, prof, g),
+                             magnitude))
+    for assemble in (
+            lambda lat: assemble_one_electron(params, lat, prof),
+            lambda lat: assemble_two_electron(params, lat, prof, g,
+                                              include_direct_term=True)):
+        kernel, ref_kernel = (_Kernel(assemble(lat))
+                              for lat in (folded, modes))
+        gaps.append(relative_gap(kernel.resolvent_sum(s * s),
+                                 ref_kernel.resolvent_sum(s * s)))
+        for lam in (0.0, 0.5 * float(np.min(ref_kernel.freq2))):
+            gaps.append(relative_gap(kernel.schur(lam),
+                                     ref_kernel.schur(lam)))
+        res, ref_res = (ground_energy(assemble(lat))
+                        for lat in (folded, modes))
+        gaps += [relative_gap(res.energy, ref_res.energy),
+                 relative_gap(res.trace_difference, ref_res.trace_difference)]
+    gaps.append(relative_gap(binding_energy_exact(params, folded, prof, R),
+                             binding_energy_exact(params, modes, prof, R)))
+    for series in (lambda lat: series_one_electron(params, lat, prof, 6),
+                   lambda lat: series_binding(params, lat, prof, R, 6)):
+        terms, ref_terms = (series(lat).contributions
+                            for lat in (folded, modes))
+        # order 2 of the binding has no words: zero on both sides
+        gaps += [relative_gap(a, b) if b else abs(a)
+                 for a, b in zip(terms, ref_terms)]
+    assert max(gaps) <= 1e-13
+
+
+def test_mode_sums_are_orbit_wide(monkeypatch):
+    # every resolvent table of the series, the binding and the energy spans
+    # the 39 orbits of the L = 3 box, not its 342 modes
+    widths, chunks = [], model._resolvent_chunks
+
+    def recorder(z, ksq):
+        widths.append(len(ksq))
+        return chunks(z, ksq)
+
+    for module in (model, traces, oscillator):
+        monkeypatch.setattr(module, "_resolvent_chunks", recorder)
+    params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
+    lat = build_lattice(3.0, 1.0)
+    assert (len(lat.orbits.count), lat.count) == (39, 342)
+    runs = [
+        lambda: series_one_electron(params, lat, prof, 6),
+        lambda: series_binding(params, lat, prof, 0.9, 6),
+        lambda: binding_energy_exact(params, lat, prof, 0.9),
+        lambda: ground_energy(assemble_one_electron(params, lat, prof)),
+        lambda: ground_energy(assemble_two_electron(params, lat, prof,
+                                                    Geometry(0.9))),
+    ]
+    for run in runs:
+        widths.clear()
+        run()
+        assert widths and set(widths) == {39}
 
 
 def test_violated_positivity_raises(small_lattice):
