@@ -21,21 +21,19 @@ from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
                     check_constraints, form_factor, lattice_norm,
                     make_custom_profile, make_gaussian_profile, polarization,
                     polarization_basis, profile_norm)
-from .oscillator import (CouplingMatrix, EnergyResult,
-                         LatticePeriodicityWarning, QuadraticForm,
-                         assemble_one_electron, assemble_two_electron,
-                         binding_energy_exact, build_coupling,
-                         direct_coupling, ground_energy)
+from .oscillator import (EnergyResult, LatticePeriodicityWarning,
+                         QuadraticForm, assemble_one_electron,
+                         assemble_two_electron, binding_energy_exact,
+                         build_coupling, direct_coupling, ground_energy)
 from .quadrature import (IntegrationResult, QuadratureSpec,
                          integrate_half_line, integrate_interval)
 from .traces import (IndexWord, TraceSeries, TraceSystem, d_envelope,
                      mixed_even_words, series_binding, series_one_electron,
                      trace_word, word_bound)
-from .continuum import (FourthOrderResult, TripleResolventIntegral,
-                        ab_identity_check, angular_bracket_kernels,
-                        angular_factor, closed_integral, cp_constant,
-                        fourth_order_error, fourth_order_main,
-                        integral_quadrature_oracle)
+from .continuum import (FourthOrderResult, ab_identity_check,
+                        angular_bracket_kernels, angular_factor,
+                        closed_integral, cp_constant, fourth_order_error,
+                        fourth_order_main, integral_quadrature_oracle)
 from .asymptotics import (PowerFit, SweepResult, convergence_study,
                           fit_power_law, sweep_R)
 

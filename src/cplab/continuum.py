@@ -39,7 +39,7 @@ from .model import ChargeProfile, ModelParams
 from .quadrature import QuadratureSpec, gauss_panel_rule, integrate_half_line
 
 __all__ = [
-    "TripleResolventIntegral", "FourthOrderResult", "closed_integral",
+    "FourthOrderResult", "closed_integral",
     "integral_quadrature_oracle", "angular_factor", "angular_bracket_kernels",
     "fourth_order_main", "fourth_order_error", "ab_identity_check",
     "cp_constant",
@@ -57,39 +57,6 @@ _PANEL_NODES = 12
 #: doubles): one-panel blocks lose time to call overhead, 16 exceed M^2 bytes
 _BLOCK_PANELS = 4
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class TripleResolventIntegral:
-    """One labelled integral with its square-root sum combinations."""
-
-    kind: str
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise InvalidParameterError(f"kind must be one of {_KINDS}")
-        if not all(x > 0 and math.isfinite(x)
-                   for x in (self.a, self.b, self.c)):
-            raise InvalidParameterError("arguments must be positive and "
-                                        "finite")
-
-    @property
-    def A(self) -> float:
-        return math.sqrt(self.a) + math.sqrt(self.b)
-
-    @property
-    def B(self) -> float:
-        return math.sqrt(self.b) + math.sqrt(self.c)
-
-    @property
-    def C(self) -> float:
-        return math.sqrt(self.c) + math.sqrt(self.a)
-
-    def value(self) -> float:
-        return closed_integral(self.kind, self.a, self.b, self.c)
 
 
 @dataclass(frozen=True)
@@ -410,7 +377,7 @@ def _direct_term(R: float, params: ModelParams, profile: ChargeProfile,
     block = _BLOCK_PANELS * _PANEL_NODES
     for lo in range(0, len(rho), block):
         kern = np.add.outer(rho[lo:lo + block], rho[lo:])
-        np.reciprocal(kern, out=kern)
+        np.divide(1.0, kern, out=kern)
         nodes += kern.size
         width = len(kern)
         own, rest = slice(lo, lo + width), slice(lo + width, None)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -272,21 +272,28 @@ def _orbit_table(points: np.ndarray, norms: np.ndarray) -> OrbitTable:
                       moments=moments)
 
 
-def _resolvent_chunks(z: np.ndarray, ksq: np.ndarray):
-    """Yield ``(rows, 1 / (z + ksq[rows]))`` for 1-D ``z`` over consecutive
-    slices of ``ksq``, each table of shape ``(len(z), chunk)``.
+def _resolvent_sums(z: np.ndarray, ksq: np.ndarray, columns: np.ndarray,
+                    powers: Tuple[int, ...] = (1,)) -> np.ndarray:
+    """``sum_n columns[n] / (z + ksq[n])^m`` for 1-D ``z`` and each ``m`` in
+    ``powers`` (ascending, a subset of (1, 2)), shape ``(len(powers),
+    len(z), columns.shape[1])``.
 
-    This is the one place a resolvent table is built: a mode sum loops over
-    the chunks of its orbits' ``|k|^2`` and reduces each against its
-    per-orbit columns, so no table holds more than ``_CHUNK_ELEMS`` floats
-    whatever the number of orbits.
+    This is the one mode-sum reducer: the exact energy, the binding and the
+    series all reduce their per-orbit columns here.  The resolvent table is
+    built over consecutive slices of ``ksq``, so none holds more than
+    ``_CHUNK_ELEMS`` floats whatever the number of orbits.
     """
+    sums = np.zeros((len(powers), len(z), columns.shape[1]))
     step = max(1, _CHUNK_ELEMS // len(z))
     for lo in range(0, len(ksq), step):
-        rows = slice(lo, lo + step)
-        res = z[:, None] + ksq[None, rows]
+        res = z[:, None] + ksq[None, lo:lo + step]
         np.reciprocal(res, out=res)
-        yield rows, res
+        cols = columns[lo:lo + step]
+        for power, out in zip(powers, sums):
+            if power == 2:
+                res *= res
+            out += res @ cols
+    return sums
 
 
 def make_gaussian_profile(xi: float) -> ChargeProfile:

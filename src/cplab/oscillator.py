@@ -3,10 +3,11 @@
 A dipole at position ``x`` couples linearly to the lattice field through a
 dense ``3 x 4N`` block.  The full quadratic form is a ``p x p`` particle
 block ``P`` (``p = 3`` or ``6``), the diagonal photon block ``K`` and the
-``p x 4N`` border ``B`` between them.  A form stores ``P``, ``K`` and
-``TraceSystem``'s channel columns of ``B``, one row per orbit of bit-equal
-``(|k|, |k_z|)`` with the orbit's ``|k|^2``; the border and the dense
-matrix are rebuilt on request, for tests and oracles.
+``p x 4N`` border ``B`` between them.  A form stores ``P``, the scalar
+``e^2 nu^2`` and ``TraceSystem``'s channel columns of ``B``, one row per
+orbit of bit-equal ``(|k|, |k_z|)``, and reads ``K`` from its lattice; the
+free diagonal, the border and the dense matrix are rebuilt on request, for
+tests and oracles.
 
 The ground energy is the zero-point trace ``0.5 Tr(sqrt(Omega) -
 sqrt(Omega_0))`` plus the shift ``1.5 e nu`` per particle.  By the Schur
@@ -38,12 +39,12 @@ import numpy as np
 from .errors import (AccuracyError, InvalidParameterError,
                      NotPositiveSemidefiniteError)
 from .model import (ChargeProfile, Geometry, Lattice, ModelParams,
-                    _resolvent_chunks, polarization_basis)
+                    _resolvent_sums, polarization_basis)
 from .quadrature import integrate_half_line
 from .traces import SYMMETRY_REL, TraceSystem
 
 __all__ = [
-    "CouplingMatrix", "QuadraticForm", "EnergyResult",
+    "QuadraticForm", "EnergyResult",
     "LatticePeriodicityWarning", "build_coupling", "assemble_one_electron",
     "assemble_two_electron", "direct_coupling", "ground_energy",
     "binding_energy_exact",
@@ -59,43 +60,39 @@ class LatticePeriodicityWarning(UserWarning):
     """Separation is commensurate with the box; energies are periodic in R."""
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Dense dipole-field coupling block.
-
-    ``entries[i, 4*n + (c-1)]`` is the i-th component of the polarization
-    vector of mode ``n`` in channel ``c`` times that mode's form factor at
-    the dipole position ``x``.  Sine channels (3, 4) vanish at ``x = 0``.
-    """
-
-    x: np.ndarray
-    entries: np.ndarray
-
-
 @dataclass
 class QuadraticForm:
-    """Symmetric form ``[[P, B], [B^T, K]]`` held by its channel columns.
+    """Symmetric form ``[[P, B], [B^T, K]]`` held by its orbit data.
 
-    ``particle`` is the ``p x p`` block ``P`` and ``omega0_diag`` the free
-    diagonal, whose last ``4N`` entries are the photon block ``K`` (the four
-    channels of a mode share one frequency).  ``columns`` holds per orbit of
-    ``Lattice.orbits`` the sums over its modes of ``T = (M_xx + M_yy) / 2``
-    and ``L = M_zz`` of ``M_n = sum_c b_{n,c} b_{n,c}^T`` (``b`` the columns
-    of ``B``) within a dipole and across: ``e^2 coupling_scale^2
-    TraceSystem._columns``, for any shift or rotation.  ``ksq`` is the
-    orbits' ``|k|^2``, aligned with ``columns``.
+    ``particle`` is the ``p x p`` block ``P`` and ``enu2`` the free particle
+    frequency ``e^2 nu^2``; the photon block ``K`` is ``|k|^2`` of each mode
+    of ``lattice``, shared by its four channels.  ``columns`` holds per
+    orbit of ``lattice.orbits`` the sums over its modes of ``T = (M_xx +
+    M_yy) / 2`` and ``L = M_zz`` of ``M_n = sum_c b_{n,c} b_{n,c}^T`` (``b``
+    the columns of ``B``) within a dipole and across: ``e^2
+    coupling_scale^2 TraceSystem._columns``, for any shift or rotation.  No
+    field grows with the number of modes.
     """
 
-    omega0_diag: np.ndarray
     columns: np.ndarray
-    ksq: np.ndarray
     particle: np.ndarray
+    enu2: float
     zero_point_shift: float
+    lattice: Lattice = field(repr=False)
     _coupling: Callable[[], np.ndarray] = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.omega0_diag)
+        return len(self.particle) + 4 * self.lattice.count
+
+    @property
+    def omega0_diag(self) -> np.ndarray:
+        """The free diagonal ``[e^2 nu^2] * p + K``, built read-only on each
+        access, for tests and oracles only."""
+        out = np.concatenate([np.full(len(self.particle), self.enu2),
+                              np.repeat(self.lattice.norms ** 2, 4)])
+        out.setflags(write=False)
+        return out
 
     @property
     def border(self) -> np.ndarray:
@@ -134,11 +131,13 @@ class EnergyResult:
 
 def build_coupling(x, lattice: Lattice, profile: ChargeProfile,
                    rotation_angles: Optional[np.ndarray] = None
-                   ) -> CouplingMatrix:
-    """Assemble the ``3 x 4N`` coupling block at dipole position ``x``.
+                   ) -> np.ndarray:
+    """Assemble the dense ``3 x 4N`` coupling block at dipole position ``x``.
 
-    Channel layout per mode: (cos, eps1), (cos, eps2), (sin, eps1),
-    (sin, eps2).
+    Entry ``[i, 4*n + (c-1)]`` is the i-th component of the polarization
+    vector of mode ``n`` in channel ``c`` times that mode's form factor at
+    ``x``.  Channel layout per mode: (cos, eps1), (cos, eps2), (sin, eps1),
+    (sin, eps2); the sine channels vanish at ``x = 0``.
     """
     x = np.asarray(x, dtype=float)
     eps1, eps2 = polarization_basis(lattice.points, rotation_angles)
@@ -150,12 +149,7 @@ def build_coupling(x, lattice: Lattice, profile: ChargeProfile,
     for c, (eps, trig) in enumerate(((eps1, cos), (eps2, cos), (eps1, sin),
                                      (eps2, sin))):
         entries[:, c::4] = (eps * (scale * trig)[:, None]).T
-    return CouplingMatrix(x=x, entries=entries)
-
-
-def _free_diag(params: ModelParams, lattice: Lattice, p: int) -> np.ndarray:
-    return np.concatenate([np.full(p, (params.e * params.nu) ** 2),
-                           np.repeat(lattice.norms ** 2, 4)])
+    return entries
 
 
 def _channel_block(d: float, g: float, p: int) -> np.ndarray:
@@ -175,13 +169,12 @@ def assemble_one_electron(params: ModelParams, lattice: Lattice,
     perturbative cross-checks).
     """
     x = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
-    diag, scale = _free_diag(params, lattice, 3), coupling_scale * params.e
+    enu2, scale = (params.e * params.nu) ** 2, coupling_scale * params.e
     system = TraceSystem(params, lattice, profile)
     return QuadraticForm(
-        diag, scale ** 2 * system._columns, system._ksq,
-        _channel_block(diag[0], 0.0, 3), 1.5 * params.e * params.nu,
-        lambda: scale * build_coupling(x, lattice, profile,
-                                       rotation_angles).entries)
+        scale ** 2 * system._columns, _channel_block(enu2, 0.0, 3), enu2,
+        1.5 * params.e * params.nu, lattice,
+        lambda: scale * build_coupling(x, lattice, profile, rotation_angles))
 
 
 def direct_coupling(params: ModelParams, lattice: Lattice,
@@ -216,15 +209,15 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
     The particle-particle block is zero unless ``include_direct_term`` is
     set, in which case it carries ``gamma(R)`` times the identity.
     """
-    diag, scale = _free_diag(params, lattice, 6), coupling_scale * params.e
+    enu2, scale = (params.e * params.nu) ** 2, coupling_scale * params.e
     g = (direct_coupling(params, lattice, profile, geometry)
          if include_direct_term else 0.0)
     system = TraceSystem(params, lattice, profile, geometry)
     return QuadraticForm(
-        diag, scale ** 2 * system._columns, system._ksq,
-        _channel_block(diag[0], g, 6), 3.0 * params.e * params.nu,
+        scale ** 2 * system._columns, _channel_block(enu2, g, 6), enu2,
+        3.0 * params.e * params.nu, lattice,
         lambda: scale * np.vstack([
-            build_coupling(x, lattice, profile, rotation_angles).entries
+            build_coupling(x, lattice, profile, rotation_angles)
             for x in (np.zeros(3), geometry.r)]))
 
 
@@ -256,21 +249,21 @@ def _split(v: np.ndarray) -> np.ndarray:
 
 class _Kernel:
     """A form's channel columns, stacked with the same columns over ``k_n^2``,
-    one row per orbit.  ``TraceSystem`` has checked the box symmetry that
-    makes every ``sum_n M_n g(k_n^2)`` the channel matrix ``diag(T, T, L)``
-    (separation along z), so with the particle block ``d I`` or ``[[d I, g
-    I], [g I, d I]]``, checked here, ``X(s)`` and ``S(lam)`` are diagonal in
-    the channels: ``O(orbits)`` per node, no ``p x p`` matrix."""
+    one row per orbit of the form's lattice, with ``freq2`` the orbits'
+    ``|k|^2`` (bit-equal to ``TraceSystem._ksq``); every mode sum is one
+    ``model._resolvent_sums``.  ``TraceSystem`` has checked the box symmetry
+    that makes every ``sum_n M_n g(k_n^2)`` the channel matrix ``diag(T, T,
+    L)`` (separation along z), so with the particle block ``d I`` or ``[[d
+    I, g I], [g I, d I]]``, checked here, ``X(s)`` and ``S(lam)`` are
+    diagonal in the channels: ``O(orbits)`` per node, no ``p x p`` matrix."""
 
     def __init__(self, form: QuadraticForm):
         p = len(form.particle)
-        self.freq2 = form.ksq
-        self.enu2 = float(form.omega0_diag[0])
+        self.freq2 = form.lattice.orbits.norms ** 2
+        self.enu2 = form.enu2
         self.d = float(form.particle[0, 0])
         self.g = float(form.particle[0, 3]) if p == 6 else 0.0
-        dev = max(np.max(np.abs(form.particle
-                             - _channel_block(self.d, self.g, p))),
-                  np.max(np.abs(form.omega0_diag[:p] - self.enu2)))
+        dev = np.max(np.abs(form.particle - _channel_block(self.d, self.g, p)))
         scale = max(np.max(np.abs(form.particle)), self.enu2,
                     float(np.max(self.freq2)))
         if dev > SYMMETRY_REL * scale:
@@ -286,23 +279,16 @@ class _Kernel:
 
     def resolvent_sum(self, z: np.ndarray) -> np.ndarray:
         """Channels of ``sum_n M_n / (z + k_n^2)``, then of ``sum_n M_n /
-        (k_n^2 (z + k_n^2))``, summed over ``model._resolvent_chunks``."""
-        out = np.zeros((len(z), self.columns.shape[1]))
-        for rows, res in _resolvent_chunks(z, self.freq2):
-            out += res @ self.columns[rows]
-        return out
+        (k_n^2 (z + k_n^2))``, one ``model._resolvent_sums``."""
+        return _resolvent_sums(z, self.freq2, self.columns)[0]
 
     def schur(self, lam: float) -> np.ndarray:
         """Rows ``[S_c, S_c']`` at ``lam < min k_n^2`` in ``_split`` order:
         the channels ``d_c - lam - sum_n M_{n,c} / (k_n^2 - lam)`` of ``S``
         and their slopes ``-1 - sum_n M_{n,c} / (k_n^2 - lam)^2``, one pass."""
-        sums = np.zeros((2, self.q))
-        for rows, res in _resolvent_chunks(np.array([-lam]), self.freq2):
-            cols = self.columns[rows, :self.q]
-            sums[0] += res[0] @ cols
-            res *= res
-            sums[1] += res[0] @ cols
-        out = _split(self._schur_base - sums)
+        sums = _resolvent_sums(np.array([-lam]), self.freq2,
+                               self.columns[:, :self.q], (1, 2))
+        out = _split(self._schur_base - sums[:, 0])
         out[0] -= lam
         out[1] -= 1.0
         return out
@@ -394,9 +380,9 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
                          include_direct_term: bool = False) -> float:
     """Exact binding ``2 E - E(R)`` from the mixed part of one log-det.
 
-    The two-dipole ``X(s)`` is ``[[x, y], [y, x]]`` in the axis channels of
-    ``TraceSystem.channel_sums`` (``_axis_channels`` with ``gamma`` the
-    direct coupling, or zero).  Per channel ``det(1 - X) = (1 - x - y)(1 -
+    The two-dipole ``X(s)`` is ``[[x, y], [y, x]]`` in the axis channels,
+    the ``model._resolvent_sums`` of ``TraceSystem._columns``
+    (``_axis_channels`` with ``gamma`` the direct coupling, or zero).  Per channel ``det(1 - X) = (1 - x - y)(1 -
     x + y)``, so the binding is ``-(1/2 pi) Int_0^inf ds sum_c m_c log(1 -
     sigma_c^2)`` with ``sigma_c = y_c / (1 - x_c)``, resolvable at its own
     magnitude.  ``S(0) = e^2 nu^2 (1 - X(0))``, so only a channel with
@@ -418,8 +404,10 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
     e2, enu2 = params.e ** 2, (params.e * params.nu) ** 2
 
     def channels(s):
-        xy = _axis_channels(e2 * np.hstack(system.channel_sums(s, (1,))[1]),
-                            s * s, enu2, gamma=gamma)
+        s2 = s * s
+        xy = _axis_channels(e2 * _resolvent_sums(s2, system._ksq,
+                                                 system._columns)[0],
+                            s2, enu2, gamma=gamma)
         return xy[:, :2], xy[:, 2:]
 
     x0, y0 = channels(np.zeros(1))

@@ -40,7 +40,7 @@ import numpy as np
 from .errors import (ClassificationError, InvalidParameterError,
                      SeriesDivergenceError, TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
-                    ModelParams, _resolvent_chunks, check_constraints)
+                    ModelParams, _resolvent_sums, check_constraints)
 from .quadrature import QuadratureSpec, integrate_half_line
 
 __all__ = [
@@ -241,32 +241,22 @@ class TraceSystem:
 
     # -- channel sums ---------------------------------------------------------
 
-    def channel_sums(self, s: np.ndarray, powers: Sequence[int] = (1, 2)
+    def channel_sums(self, s: np.ndarray
                      ) -> Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Channel entries of the mode sums at resolvent powers ``powers``.
+        """Channel entries of the mode sums at resolvent powers 1 and 2.
 
-        Returns ``{m: (within, across)}`` for each ``m`` in ``powers`` (a
-        subset of {1, 2}), each of shape ``(nodes, 2)`` with the transverse
-        and longitudinal entries of ``sum_k w_k P_k (s^2 + |k|^2)^-m``
-        (``within``, one dipole) and of the same sum times ``cos(k . r)``
-        (``across``, ``None`` without geometry).  The mode sum runs over
-        the orbits in ``model._resolvent_chunks``, so its working set stays
-        bounded whatever the number of orbits.  ``d_envelope`` is the order-2
-        closure of ``within``.
+        Returns ``{m: (within, across)}`` for ``m`` in (1, 2), each of shape
+        ``(nodes, 2)`` with the transverse and longitudinal entries of
+        ``sum_k w_k P_k (s^2 + |k|^2)^-m`` (``within``, one dipole) and of
+        the same sum times ``cos(k . r)`` (``across``, ``None`` without
+        geometry), one ``model._resolvent_sums`` over the orbits.
+        ``d_envelope`` is the order-2 closure of ``within``.
         """
         s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
-        sums = {m: np.zeros((len(s2), self._columns.shape[1]))
-                for m in powers}
-        for rows, res in _resolvent_chunks(s2, self._ksq):
-            columns = self._columns[rows]
-            if 1 in sums:
-                sums[1] += res @ columns
-            if 2 in sums:
-                res *= res
-                sums[2] += res @ columns
+        sums = _resolvent_sums(s2, self._ksq, self._columns, (1, 2))
         two = self.geometry is not None
         return {m: (v[:, :2], v[:, 2:] if two else None)
-                for m, v in sums.items()}
+                for m, v in zip((1, 2), sums)}
 
     def word_integrand_fast(self, word: Sequence[int],
                             s: np.ndarray) -> np.ndarray:

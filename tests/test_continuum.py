@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
-from cplab import (InvalidParameterError, ModelParams,
-                   TripleResolventIntegral, ab_identity_check,
+from cplab import (InvalidParameterError, ModelParams, ab_identity_check,
                    angular_bracket_kernels, angular_factor, closed_integral,
                    cp_constant, fourth_order_error, fourth_order_main,
                    integral_quadrature_oracle, make_gaussian_profile)
@@ -81,15 +80,6 @@ def test_domain_errors():
         closed_integral("999", 1.0, 1.0, 1.0)
     with pytest.raises(InvalidParameterError):
         integral_quadrature_oracle(1, 0, 1, 1.0, 1.0, 1.0)
-    with pytest.raises(InvalidParameterError):
-        TripleResolventIntegral("111", 1.0, 0.0, 1.0)
-
-
-def test_triple_resolvent_dataclass():
-    tri = TripleResolventIntegral("221", 4.0, 9.0, 16.0)
-    assert (tri.A, tri.B, tri.C) == (5.0, 7.0, 6.0)
-    assert tri.value() == pytest.approx(
-        closed_integral("221", 4.0, 9.0, 16.0), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +413,6 @@ def test_non_finite_inputs_rejected(default_params, gaussian, bad):
         closed_integral("111", bad, 1.0, 1.0)
     with pytest.raises(InvalidParameterError):
         closed_integral("221", 1.0, np.array([1.0, bad]), 1.0)
-    with pytest.raises(InvalidParameterError):
-        TripleResolventIntegral("311", 1.0, 1.0, bad)
     for fn in (fourth_order_main, fourth_order_error):
         for route in ("t-representation", "direct-quadrature"):
             with pytest.raises(InvalidParameterError):

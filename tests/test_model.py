@@ -174,15 +174,25 @@ def test_orbit_moments_do_not_depend_on_chunking(monkeypatch):
 
 
 def test_resolvent_chunks_cover_each_mode_once(monkeypatch):
+    # one-hot columns give every mode its own output column, so a mode
+    # summed twice or skipped shows as 2x or 0 against the unchunked table;
+    # the column slices the reducer reads bound each table it builds
     monkeypatch.setattr(model, "_CHUNK_ELEMS", 1000)
     z = np.linspace(0.0, 3.0, 7)
     ksq = np.linspace(0.5, 9.0, 1001)
-    seen = []
-    for modes, res in model._resolvent_chunks(z, ksq):
-        assert res.size <= 1000
-        np.testing.assert_array_equal(res, 1.0 / (z[:, None] + ksq[modes]))
-        seen.extend(range(len(ksq))[modes])
-    assert seen == list(range(len(ksq)))
+    slices = []
+
+    class RowLog(np.ndarray):
+        def __getitem__(self, rows):
+            slices.append(range(len(ksq))[rows])
+            return np.asarray(self)[rows]
+
+    sums = model._resolvent_sums(z, ksq, np.eye(len(ksq)).view(RowLog),
+                                 (1, 2))
+    table = 1.0 / (z[:, None] + ksq)
+    np.testing.assert_array_equal(sums, [table, table * table])
+    assert all(len(rows) * len(z) <= 1000 for rows in slices)
+    assert [n for rows in slices for n in rows] == list(range(len(ksq)))
 
 
 def test_mode_sums_do_not_depend_on_chunking(monkeypatch):

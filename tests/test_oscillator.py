@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import functools
 import math
 import re
@@ -34,15 +35,15 @@ def zero_profile():
 # ---------------------------------------------------------------------------
 
 def test_sine_channels_vanish_at_origin(small_lattice, gaussian):
-    cm = build_coupling(np.zeros(3), small_lattice, gaussian)
-    assert np.all(cm.entries[:, 2::4] == 0.0)
-    assert np.all(cm.entries[:, 3::4] == 0.0)
+    block = build_coupling(np.zeros(3), small_lattice, gaussian)
+    assert np.all(block[:, 2::4] == 0.0)
+    assert np.all(block[:, 3::4] == 0.0)
 
 
 def test_coupling_gram_positive_semidefinite(small_lattice, gaussian, rng):
     x = rng.normal(size=3)
-    cm = build_coupling(x, small_lattice, gaussian)
-    gram = cm.entries @ cm.entries.T
+    block = build_coupling(x, small_lattice, gaussian)
+    gram = block @ block.T
     np.testing.assert_allclose(gram, gram.T, atol=1e-15)
     assert np.min(np.linalg.eigvalsh(gram)) >= -1e-15
 
@@ -52,10 +53,10 @@ def test_weighted_coupling_norm_bound(strong_setup):
     # sqrt(2) * lattice norm of the profile, uniformly in s
     params, prof, lat = strong_setup
     bound = math.sqrt(2.0) * lattice_norm(prof, lat, 0)
-    cm = build_coupling(np.array([0.3, -1.0, 2.0]), lat, prof)
+    block = build_coupling(np.array([0.3, -1.0, 2.0]), lat, prof)
     diag = np.repeat(lat.norms ** 2, 4)
     for s in (0.0, 1.0, 10.0):
-        weighted = cm.entries / np.sqrt(s * s + diag)[None, :]
+        weighted = block / np.sqrt(s * s + diag)[None, :]
         norm = np.linalg.norm(weighted, 2)
         assert norm <= bound * (1 + 1e-12)
 
@@ -65,8 +66,8 @@ def test_weighted_gram_trace_position_independent(small_lattice, gaussian):
     refs = []
     for x in (np.zeros(3), np.array([0.0, 0.0, 0.4]),
               np.array([0.2, -0.7, 1.1])):
-        cm = build_coupling(x, small_lattice, gaussian)
-        weighted = cm.entries / np.sqrt(1.0 + diag)[None, :]
+        block = build_coupling(x, small_lattice, gaussian)
+        weighted = block / np.sqrt(1.0 + diag)[None, :]
         refs.append(np.trace(weighted @ weighted.T))
     assert refs[1] == pytest.approx(refs[0], rel=1e-12)
     assert refs[2] == pytest.approx(refs[0], rel=1e-12)
@@ -194,7 +195,7 @@ def border_variants(params, lat, prof, dipoles, angles):
                    "coupling_scale": 0.7}, x, 0.7)]
         return [(assemble_one_electron(params, lat, prof, **kw),
                  scale * e * build_coupling(x, lat, prof,
-                                            kw.get("rotation_angles")).entries)
+                                            kw.get("rotation_angles")))
                 for kw, x, scale in cases]
     g = Geometry(0.4)
     cases = [({}, 1.0), ({"include_direct_term": True}, 1.0),
@@ -202,8 +203,7 @@ def border_variants(params, lat, prof, dipoles, angles):
              ({"coupling_scale": 1.3}, 1.3)]
     return [(assemble_two_electron(params, lat, prof, g, **kw),
              scale * e * np.vstack([
-                 build_coupling(x, lat, prof,
-                                kw.get("rotation_angles")).entries
+                 build_coupling(x, lat, prof, kw.get("rotation_angles"))
                  for x in (np.zeros(3), g.r)]))
             for kw, scale in cases]
 
@@ -398,14 +398,14 @@ def test_orbit_fold_matches_per_mode_sums(e, nu0, xi, box):
 def test_mode_sums_are_orbit_wide(monkeypatch):
     # every resolvent table of the series, the binding and the energy spans
     # the 39 orbits of the L = 3 box, not its 342 modes
-    widths, chunks = [], model._resolvent_chunks
+    widths, reduce = [], model._resolvent_sums
 
-    def recorder(z, ksq):
+    def recorder(z, ksq, *args):
         widths.append(len(ksq))
-        return chunks(z, ksq)
+        return reduce(z, ksq, *args)
 
     for module in (model, traces, oscillator):
-        monkeypatch.setattr(module, "_resolvent_chunks", recorder)
+        monkeypatch.setattr(module, "_resolvent_sums", recorder)
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     lat = build_lattice(3.0, 1.0)
     assert (len(lat.orbits.count), lat.count) == (39, 342)
@@ -421,6 +421,20 @@ def test_mode_sums_are_orbit_wide(monkeypatch):
         widths.clear()
         run()
         assert widths and set(widths) == {39}
+
+
+def test_forms_hold_orbit_data_only():
+    # an assembled form stores nothing per mode: at L = 3 no array field is
+    # longer than the 39 orbits, while the per-mode views keep 3 or 6 + 4N
+    params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
+    lat = build_lattice(3.0, 1.0)
+    for form in (assemble_one_electron(params, lat, prof),
+                 assemble_two_electron(params, lat, prof, Geometry(0.9))):
+        arrays = [getattr(form, f.name) for f in dataclasses.fields(form)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert arrays and max(len(a) for a in arrays) <= 39
+        assert form.dim == len(form.omega0_diag) == 4 * 342 + len(
+            form.particle)
 
 
 def test_violated_positivity_raises(small_lattice):
@@ -488,8 +502,10 @@ def test_log_det_matches_dense_oracle(e, nu0, xi, box):
 
 def test_dense_routes_stay_oracles():
     # the package calls no eigensolver, and only QuadraticForm's own
-    # properties read the dense border and matrix; tests and the oracles
-    # in conftest.py are the only other readers
+    # properties read the per-mode free diagonal, the dense border and
+    # matrix; tests and the oracles in conftest.py are the only other
+    # readers.  Resolvent tables are built in model.py alone, by the one
+    # chunked reducer.
     for path in sorted(Path(cplab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         form_class = {id(node) for top in tree.body
@@ -503,9 +519,15 @@ def test_dense_routes_stay_oracles():
                 assert name not in ("eig", "eigh", "eigvals", "eigvalsh"), (
                     f"{path.name}:{node.lineno} calls {name}")
             elif (isinstance(node, ast.Attribute)
-                    and node.attr in ("border", "omega")):
+                    and node.attr in ("border", "omega", "omega0_diag")):
                 assert id(node) in form_class, (
                     f"{path.name}:{node.lineno} reads .{node.attr}")
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
+                name = getattr(node, "id", getattr(node, "attr",
+                                                   getattr(node, "name", "")))
+                assert path.name == "model.py" or name not in (
+                    "_CHUNK_ELEMS", "reciprocal"), (
+                    f"{path.name}:{node.lineno} names {name}")
 
 
 @pytest.mark.parametrize("delta", [1e-9, 1e-11, 1e-13])
