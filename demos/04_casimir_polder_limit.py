@@ -31,7 +31,7 @@ both = fourth_order_main(50.0, params, profile)
 check = fourth_order_main(50.0, params, profile, route="direct-quadrature")
 print(f"\nroute cross-check at R = 50:")
 print(f"  exponential decoupling  {both.value:.10e}")
-print(f"  direct 2D quadrature    {check.value:.10e}")
+print(f"  continuum mode table    {check.value:.10e}")
 print(f"  retarded / remainder split: {both.retarded_part:.3e} "
       f"/ {both.remainder_part:.3e}")
 

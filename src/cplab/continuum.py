@@ -14,16 +14,11 @@ exponential representation ``1/(sqrt(b) + sqrt(c)) = R Int_0^inf dt
 exp(-t (r1 + r2))`` decouples the radial variables and turns each term
 into one-dimensional quadratures over one table of damped radial moments
 (route A); its panels are uniform, so ``exp(-t r)`` factors into a
-panel-edge and an in-panel-offset exponential.  A direct two-dimensional
-panel quadrature over the radial plane with the closed forms (route B)
-validates it.  On that grid every closed-form input but the Cauchy kernel
-``K = 1/(sqrt(b) + sqrt(c))`` is a row or a column factor, so route B
-writes each term as a few positive separable factors times ``K`` or
-``K^2``, evaluates ``K`` pointwise (never through the exponential
-representation) and reduces blocks of panel rows against per-node tables
-by small matrix products; the integrand is symmetric, so only the blocks
-on and above the diagonal are evaluated.  ``closed_integral`` stays the
-general, broadcasting implementation and the factors' elementwise oracle.
+panel-edge and an in-panel-offset exponential.  Route "direct-quadrature"
+keeps the s-integral: on the same radial grid the continuum is one more
+mode table, reduced by ``model._resolvent_sums`` like the lattice's orbits,
+and each term is an order-4 closure of its channel sums.
+``closed_integral`` serves the CLI's self-test of the closed forms.
 """
 
 from __future__ import annotations
@@ -35,8 +30,9 @@ from typing import Tuple
 import numpy as np
 
 from .errors import AccuracyError, InvalidParameterError
-from .model import ChargeProfile, ModelParams
+from .model import ChargeProfile, ModelParams, _resolvent_sums
 from .quadrature import QuadratureSpec, gauss_panel_rule, integrate_half_line
+from .traces import TraceSystem
 
 __all__ = [
     "FourthOrderResult", "closed_integral",
@@ -51,12 +47,12 @@ _KINDS = ("111", "221", "212", "311")
 #: ``J_p J_q`` (p, q in {0, 2}): ``angular_factor(x1, x2) = [1, x1^2] C
 #: [1, x2^2]``
 _ANGULAR_MATRIX = 2.0 * math.pi ** 2 * np.array([[3.0, -1.0], [-1.0, 3.0]])
+#: series coefficients of ``angular_bracket_kernels``: rows n, columns p
+_BRACKET_SERIES = np.array([[2.0 * (-1) ** n / (math.factorial(2 * n)
+                                                * (2 * n + p + 1))
+                             for p in (0, 2)] for n in range(10)])
 #: Gauss nodes per radial panel; one panel spans about pi in r
 _PANEL_NODES = 12
-#: panel rows per Cauchy block of the direct route (``K`` is ``48 x M``
-#: doubles): one-panel blocks lose time to call overhead, 16 exceed M^2 bytes
-_BLOCK_PANELS = 4
-_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -69,8 +65,8 @@ class FourthOrderResult:
     estimated_error: float
     retarded_part: float = 0.0
     remainder_part: float = 0.0
-    #: integrand nodes; the t-representation main term counts the nodes
-    #: its two parts share once
+    #: integrand nodes: t-nodes of route A (the main term counts the nodes
+    #: its two parts share once), s-nodes of "direct-quadrature"
     nodes: int = 0
 
 
@@ -144,9 +140,11 @@ def angular_bracket_kernels(r):
     """The two analytic cosine moments ``Int_-1^1 X^p exp(i r X) dX``.
 
     Returns ``(Int dX e^{irX}, Int dX X^2 e^{irX})``, i.e.
-    ``2 sin(r) / r`` and ``2 ((r^2 - 2) sin r + 2 r cos r) / r^3``.  A
-    sixth-order series replaces both below ``r = 1e-3`` where the closed
-    forms cancel catastrophically.
+    ``2 sin(r) / r`` and ``2 ((r^2 - 2) sin r + 2 r cos r) / r^3``.  Below
+    ``r = 1``, where the closed form of ``J2`` loses digits to
+    cancellation, both come from their Taylor series ``J_p = 2 sum_n (-1)^n
+    r^(2n) / ((2n)! (2n + p + 1))`` through ``n = 9`` (first omitted term
+    below 4e-20), evaluated by Horner's rule.
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
@@ -155,16 +153,13 @@ def angular_bracket_kernels(r):
         raise InvalidParameterError("radial argument must be nonnegative")
     j0 = np.empty_like(r)
     j2 = np.empty_like(r)
-    small = r < 1e-3
-    rs = r[small]
+    small = r < 1.0
     rb = r[~small]
     j0[~small] = 2.0 * np.sin(rb) / rb
     j2[~small] = 2.0 * ((rb ** 2 - 2.0) * np.sin(rb)
                         + 2.0 * rb * np.cos(rb)) / rb ** 3
-    r2 = rs * rs
-    j0[small] = 2.0 * (1.0 - r2 / 6.0 + r2 ** 2 / 120.0 - r2 ** 3 / 5040.0)
-    j2[small] = 2.0 * (1.0 / 3.0 - r2 / 10.0 + r2 ** 2 / 168.0
-                       - r2 ** 3 / 6480.0)
+    j0[small], j2[small] = np.polynomial.polynomial.polyval(r[small] ** 2,
+                                                            _BRACKET_SERIES)
     if scalar:
         return float(j0[0]), float(j2[0])
     return j0, j2
@@ -270,7 +265,7 @@ def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum((u @ _ANGULAR_MATRIX) * v, axis=-1)
 
 
-def _t_quadrature(integrand, rel_tol: float, scale):
+def _half_line(integrand, rel_tol: float, scale):
     """``scale`` times the half-line integral: ``(value, error, nodes)``;
     a ``(nodes, K)`` integrand with a length-K ``scale`` gives length-K
     values and errors."""
@@ -299,99 +294,25 @@ def _main_term_t_representation(R: float, params: ModelParams,
                          4.0 * _pair(g[2], h[0]) + 2.0 * _pair(g[1], h[1])],
                         axis=1)
 
-    (re_part, ir_part), (re_err, ir_err), nodes = _t_quadrature(
+    (re_part, ir_part), (re_err, ir_err), nodes = _half_line(
         integrand, rel_tol, np.array([R ** -7, R ** -8]) * pref)
     return float(re_part), float(ir_part), float(re_err + ir_err), nodes
 
 
-def _direct_factors(profile: ChargeProfile, R: float, alpha: float, kinds):
-    """Separable factors of the direct radial-plane integrand.
+def _across_table(profile: ChargeProfile, R: float):
+    """``(ksq, columns)``: the continuum's across channel table.
 
-    The integrand ``W_ij = f_i^T C f_j * mean_k I[k](alpha^2; b_i; b_j)``,
-    with ``f = [J0, J2] * (w r^4 u)``, ``C`` the angular coefficients and
-    ``b = rho^2``, ``rho = r/R``, is symmetric in ``i, j``: ``C`` is
-    symmetric, ``I311`` is symmetric in its last two arguments and the mean
-    of ``I221`` and ``I212`` is too.  With ``A = alpha + rho`` (``A_i`` on
-    the rows is the ``A``, ``A_j`` on the columns the ``C`` of
-    ``closed_integral``; ``sqrt(b) = rho`` exactly) the only factor that is
-    not a row or a column factor is the Cauchy kernel ``K_ij = 1/(rho_i +
-    rho_j)``, and
-
-    - ``mean(I221, I212) = K^2 (A_i + rho_j)(p_i + p_j) / (A_i^2 A_j^2)
-      + K (q_i + q_j) / (A_i A_j)``, ``p = 1/(4 alpha rho)``, ``q = p/A^2``;
-    - ``I311 = K (h_i k_j + g_i + g_j) / (A_i A_j)`` with ``k = 1/A``,
-      ``h = k/(4 alpha^2)`` and ``g = (2/A^2 + 1/(alpha A)) / (8 alpha^2)``.
-
-    ``kinds`` is ``("221", "212")`` (main term) or ``("311",)`` (error
-    term).  Returns ``(rho, f, terms)``: the kernel is ``sum over (power,
-    u, v) in terms of (u @ v.T) * K^power``, every entry of ``u`` and ``v``
-    positive, with the powers ascending.
+    As ``cell_weight sum_k -> Int d^3k``, ``TraceSystem``'s across columns
+    ``w_k [(1 + u_z^2) / 2, 1 - u_z^2] cos(k R u_z)`` average over the
+    directions of ``k`` to ``w_k [(J0 + J2) / 4, (J0 - J2) / 2]`` at ``r =
+    k R``; on the radial grid ``k = r/R``, ``w_k = 4 pi (w/R) k^4 f(k)^2``.
     """
     r, w = _radial_grid(profile, R)
-    f = np.stack(angular_bracket_kernels(r), axis=1) * (
-        w * r ** 4 * profile.radial(r / R) ** 2)[:, None]
-    rho = r / R
-    big_a = alpha + rho
-    one = np.ones_like(rho)
-    if kinds == ("311",):
-        g = (2.0 / big_a ** 2 + 1.0 / (alpha * big_a)) / (8.0 * alpha ** 2)
-        terms = [(1, [1.0 / (4.0 * alpha ** 2 * big_a), g, one],
-                  [1.0 / big_a, one, g])]
-    else:
-        p = 1.0 / (4.0 * alpha * rho)
-        q = p / big_a ** 2
-        terms = [(1, [q, one], [one, q]),
-                 (2, [big_a * p, big_a, p, one], [one, p, rho, rho * p])]
-    return rho, f, [(power, np.stack(u, 1) / big_a[:, None] ** power,
-                     np.stack(v, 1) / big_a[:, None] ** power)
-                    for power, u, v in terms]
-
-
-def _direct_term(R: float, params: ModelParams, profile: ChargeProfile,
-                 kinds) -> Tuple[float, float, int]:
-    """One ordering of a fourth-order term by direct 2D panel quadrature.
-
-    The angular core ``fc_i . f_j`` (``fc = f C``) is folded into the
-    separable factors of ``_direct_factors``, giving per-node row tables
-    ``U`` and column tables ``Y`` with ``sum_j W_ij = sum_t U_it (K^p
-    Y)_it``.  By symmetry only blocks of ``_BLOCK_PANELS`` panel rows
-    against the columns from their own block on are evaluated: ``K`` once
-    per block (squared in place for the ``K^2`` terms), reduced by ``K[:,
-    own] @ Y[own] + 2 K[:, rest] @ Y[rest]``.  The sum is ill-conditioned
-    (``sum |W_ij| / |sum W_ij|`` reaches 1e10 at R = 120, xi = 1 for the
-    error term), so the M row sums are combined exactly with ``math.fsum``.
-    Returns ``(value, error estimate, nodes)``: ``nodes`` counts the
-    Cauchy entries evaluated, and the estimate is the roundoff bound ``eps
-    sum_t |U_it| (K^p |Y|)_it`` of this order, at least ``eps sum |W_ij|``.
-    """
-    rho, f, terms = _direct_factors(profile, R, params.e * params.nu, kinds)
-    fc = f @ _ANGULAR_MATRIX
-    tables = []
-    for power, row, col in terms:
-        # per node [values | absolute values], angular label major
-        u = (fc[:, :, None] * row[:, None, :]).reshape(len(rho), -1)
-        y = (f[:, :, None] * col[:, None, :]).reshape(len(rho), -1)
-        tables.append((power, u.shape[1], np.hstack([u, np.abs(u)]),
-                       np.hstack([y, np.abs(y)])))
-    row_sums, abs_sum, nodes = [], 0.0, 0
-    block = _BLOCK_PANELS * _PANEL_NODES
-    for lo in range(0, len(rho), block):
-        kern = np.add.outer(rho[lo:lo + block], rho[lo:])
-        np.divide(1.0, kern, out=kern)
-        nodes += kern.size
-        width = len(kern)
-        own, rest = slice(lo, lo + width), slice(lo + width, None)
-        rows = np.zeros(width)
-        for power, half, u, y in tables:
-            if power == 2:
-                kern *= kern
-            z = kern[:, :width] @ y[own] + 2.0 * (kern[:, width:] @ y[rest])
-            z *= u[own]
-            rows += z[:, :half].sum(axis=1)
-            abs_sum += float(z[:, half:].sum())
-        row_sums.extend(rows.tolist())
-    pref = R ** -10 * (params.e ** 4 / 2.0)
-    return pref * math.fsum(row_sums), pref * _EPS * abs_sum, nodes
+    k = r / R
+    wk = 4.0 * math.pi * (w / R) * k ** 4 * profile.radial(k) ** 2
+    j0, j2 = angular_bracket_kernels(r)
+    return k * k, np.stack([wk * (j0 + j2) / 4.0, wk * (j0 - j2) / 2.0],
+                           axis=1)
 
 
 def _check_separation(R: float) -> None:
@@ -407,9 +328,12 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
 
     Route "t-representation" (default) decouples the radial variables with
     an exponential integral and performs nested one-dimensional
-    quadratures; route "direct-quadrature" integrates the two-dimensional
-    radial reduction against the closed forms and validates the default.
-    The term approaches ``cp_constant(nu0) * R**-7`` at large separation.
+    quadratures.  Route "direct-quadrature" integrates the order-4 photon
+    closure ``(1/pi) Int s^2 e^4 / (s^2 + e^2 nu^2)^2 sum_c m_c 2 a1_c a2_c
+    ds`` of the channel sums ``a_m`` (resolvent power ``m``, multiplicities
+    ``m_c``) that ``model._resolvent_sums`` reduces from ``_across_table``;
+    its estimate and nodes are the s-quadrature's.  The term approaches
+    ``cp_constant(nu0) * R**-7`` at large separation.
     """
     _check_separation(R)
     if route == "t-representation":
@@ -419,11 +343,20 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
                                  route=route, estimated_error=2.0 * err,
                                  retarded_part=2.0 * re_part,
                                  remainder_part=2.0 * ir_part, nodes=nodes)
-    if route == "direct-quadrature":
-        value, err, nodes = _direct_term(R, params, profile, ("221", "212"))
-        return FourthOrderResult(R=R, value=2.0 * value, route=route,
-                                 estimated_error=2.0 * err, nodes=nodes)
-    raise InvalidParameterError(f"unknown route {route!r}")
+    if route != "direct-quadrature":
+        raise InvalidParameterError(f"unknown route {route!r}")
+    ksq, across = _across_table(profile, R)
+    enu2 = (params.e * params.nu) ** 2
+
+    def integrand(s):
+        s2 = s * s
+        a1, a2 = _resolvent_sums(s2, ksq, across, (1, 2))
+        pref = s2 * params.e ** 4 / (s2 + enu2) ** 2
+        return pref * ((2.0 * a1 * a2) @ TraceSystem.multiplicity)
+
+    value, err, nodes = _half_line(integrand, rel_tol, 1.0 / math.pi)
+    return FourthOrderResult(R=R, value=value, route=route,
+                             estimated_error=err, nodes=nodes)
 
 
 def fourth_order_error(R: float, params: ModelParams,
@@ -434,7 +367,9 @@ def fourth_order_error(R: float, params: ModelParams,
 
     Decays like ``R**-9`` with a prefactor scaling as ``1/(e^2 nu^6)``;
     multiply by two for the full crossed contribution (the alternating
-    words vanish identically).
+    words vanish identically).  Route "direct-quadrature" integrates half
+    the order-4 particle closure, ``(1/pi) Int s^2 e^4 / (s^2 + e^2 nu^2)^3
+    sum_c m_c a1_c^2 ds``, over the table of ``_across_table``.
     """
     _check_separation(R)
     e, nu = params.e, params.nu
@@ -446,10 +381,19 @@ def fourth_order_error(R: float, params: ModelParams,
             return (4.0 * _pair(h[0], h[2]) + 2.0 * _pair(h[1], h[1])
                     + 2.0 * _pair(h[0], h[1]) / (e * nu))
 
-        value, err, nodes = _t_quadrature(integrand, rel_tol,
-                                          R ** -9 * e ** 2 / (16.0 * nu ** 2))
+        value, err, nodes = _half_line(integrand, rel_tol,
+                                       R ** -9 * e ** 2 / (16.0 * nu ** 2))
     elif route == "direct-quadrature":
-        value, err, nodes = _direct_term(R, params, profile, ("311",))
+        ksq, across = _across_table(profile, R)
+        enu2 = (e * nu) ** 2
+
+        def integrand(s):
+            s2 = s * s
+            a1 = _resolvent_sums(s2, ksq, across)[0]
+            pref = s2 * e ** 4 / (s2 + enu2) ** 3
+            return pref * ((a1 * a1) @ TraceSystem.multiplicity)
+
+        value, err, nodes = _half_line(integrand, rel_tol, 1.0 / math.pi)
     else:
         raise InvalidParameterError(f"unknown route {route!r}")
     return FourthOrderResult(R=R, value=value, route=route,

@@ -505,7 +505,8 @@ def test_dense_routes_stay_oracles():
     # properties read the per-mode free diagonal, the dense border and
     # matrix; tests and the oracles in conftest.py are the only other
     # readers.  Resolvent tables are built in model.py alone, by the one
-    # chunked reducer.
+    # chunked reducer.  No ufunc builds an outer (pair) table, and the
+    # closed triple-resolvent forms serve the CLI's self-test only.
     for path in sorted(Path(cplab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         form_class = {id(node) for top in tree.body
@@ -518,10 +519,15 @@ def test_dense_routes_stay_oracles():
                                getattr(node.func, "id", None))
                 assert name not in ("eig", "eigh", "eigvals", "eigvalsh"), (
                     f"{path.name}:{node.lineno} calls {name}")
+                assert name != "closed_integral" or path.name == "cli.py", (
+                    f"{path.name}:{node.lineno} calls {name}")
             elif (isinstance(node, ast.Attribute)
                     and node.attr in ("border", "omega", "omega0_diag")):
                 assert id(node) in form_class, (
                     f"{path.name}:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.Attribute) and node.attr == "outer":
+                assert not isinstance(node.value, ast.Attribute), (
+                    f"{path.name}:{node.lineno} builds a ufunc outer table")
             if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
                 name = getattr(node, "id", getattr(node, "attr",
                                                    getattr(node, "name", "")))
