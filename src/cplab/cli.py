@@ -13,10 +13,12 @@ constraints.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -29,8 +31,8 @@ from .continuum import (ab_identity_check, angular_factor, closed_integral,
 from .errors import ConfigError, CplabError
 from .model import (ModelParams, build_lattice, check_constraints,
                     make_gaussian_profile)
-from .oscillator import (assemble_one_electron, binding_energy_exact,
-                         ground_energy)
+from .oscillator import (LatticePeriodicityWarning, assemble_one_electron,
+                         binding_energy_exact, ground_energy)
 from .quadrature import QuadratureSpec
 from .traces import series_one_electron
 
@@ -93,6 +95,17 @@ def _parse_bool(key: str, raw: Union[str, bool]) -> bool:
     raise ConfigError(f"key '{key}': expected a boolean, got {raw!r}")
 
 
+def _parse_number(key: str, raw, kind: type = float):
+    """``kind(raw)`` for ``kind`` float or int; a non-number, a boolean or a
+    fraction read as an int raises ``ConfigError`` naming ``key``."""
+    fraction = isinstance(raw, float) and kind is int and not raw.is_integer()
+    if not (isinstance(raw, bool) or fraction):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            return kind(raw)
+    name = "a number" if kind is float else "an integer"
+    raise ConfigError(f"key '{key}': expected {name}, got {raw!r}")
+
+
 def _parse_grid(key: str, raw) -> List[float]:
     """Either an explicit list of separations or (min, max, count, spacing)."""
     if isinstance(raw, str):
@@ -106,21 +119,15 @@ def _parse_grid(key: str, raw) -> List[float]:
         if len(items) != 4:
             raise ConfigError(
                 f"key '{key}': spaced form is (min, max, count, spacing)")
-        try:
-            lo, hi = float(items[0]), float(items[1])
-            count = int(items[2])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"key '{key}': {exc}") from None
+        lo, hi = _parse_number(key, items[0]), _parse_number(key, items[1])
+        count = _parse_number(key, items[2], int)
         if not (0 < lo < hi < math.inf) or count < 2:
             raise ConfigError(f"key '{key}': need 0 < min < max < inf and "
                               "count >= 2")
         if items[-1].lower() == "linear":
             return list(np.linspace(lo, hi, count))
         return list(np.geomspace(lo, hi, count))
-    try:
-        grid = [float(x) for x in items]
-    except (TypeError, ValueError):
-        raise ConfigError(f"key '{key}': entries must be numbers") from None
+    grid = [_parse_number(key, x) for x in items]
     if not grid or not all(0 < g < math.inf for g in grid) or \
             any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError(
@@ -158,19 +165,12 @@ def parse_config(text: str) -> RunConfig:
     cfg = RunConfig()
     for key, raw in entries.items():
         if key in ("e", "nu0", "xi", "L", "Lambda", "quad_rel_tol"):
-            try:
-                val = float(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"key '{key}': expected a number") from None
+            val = _parse_number(key, raw)
             if not (val > 0 and math.isfinite(val)):
                 raise ConfigError(f"key '{key}': must be positive and finite")
             setattr(cfg, key, val)
         elif key == "max_order":
-            try:
-                val = int(raw)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError("key 'max_order': expected an integer") \
-                    from None
+            val = _parse_number(key, raw, int)
             if val < 2 or val % 2:
                 raise ConfigError(
                     "key 'max_order': must be an even integer >= 2")
@@ -220,12 +220,12 @@ def _run_energy(cfg, params, profile, lattice, report):
 
 
 def _run_binding(cfg, params, profile, lattice, report):
-    import warnings as _w
     cols = ["R", "binding", "warn_period"]
     rows = []
     for r in cfg.resolved_grid():
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        # the warn_period column reports the periodicity warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", LatticePeriodicityWarning)
             b = binding_energy_exact(params, lattice, profile, r,
                                      cfg.include_direct_term)
         rows.append([r, b, float(r >= cfg.L / 2.0)])
@@ -354,13 +354,13 @@ def run(subcommand: str, config: RunConfig) -> RunReport:
     cols, rows, scalars = _DISPATCH[subcommand](config, params, profile,
                                                 lattice, report)
     wall = time.perf_counter() - t0
-    warnings = [f"constraint violated: {name}" for name, ok in
+    violated = [f"constraint violated: {name}" for name, ok in
                 report.as_dict().items()
                 if name.endswith(("half", "ge_1", "lt_1", "quarter"))
                 and not ok]
     return RunReport(config=config.as_dict(), constraints=report.as_dict(),
                      columns=cols, rows=rows, scalars=scalars,
-                     warnings=warnings, wall_clock_s=wall)
+                     warnings=violated, wall_clock_s=wall)
 
 
 def _fmt(x) -> str:

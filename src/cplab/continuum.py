@@ -16,8 +16,8 @@ into one-dimensional quadratures over one table of damped radial moments
 (route A); its panels are uniform, so ``exp(-t r)`` factors into a
 panel-edge and an in-panel-offset exponential.  Route "direct-quadrature"
 keeps the s-integral: on the same radial grid the continuum is one more
-mode table, reduced by ``model._resolvent_sums`` like the lattice's orbits,
-and each term is an order-4 closure of its channel sums.
+``model.ModeTable``, reduced like the lattice's orbits, and each term is an
+order-4 closure of its channel sums.
 ``closed_integral`` serves the CLI's self-test of the closed forms.
 """
 
@@ -30,9 +30,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import AccuracyError, InvalidParameterError
-from .model import ChargeProfile, ModelParams, _resolvent_sums
+from .model import ChargeProfile, Geometry, ModelParams, ModeTable
 from .quadrature import QuadratureSpec, gauss_panel_rule, integrate_half_line
-from .traces import TraceSystem
 
 __all__ = [
     "FourthOrderResult", "closed_integral",
@@ -299,10 +298,10 @@ def _main_term_t_representation(R: float, params: ModelParams,
     return float(re_part), float(ir_part), float(re_err + ir_err), nodes
 
 
-def _across_table(profile: ChargeProfile, R: float):
-    """``(ksq, columns)``: the continuum's across channel table.
+def _across_table(profile: ChargeProfile, R: float) -> ModeTable:
+    """The continuum's ``ModeTable``: the across pair ``[T, L]`` alone.
 
-    As ``cell_weight sum_k -> Int d^3k``, ``TraceSystem``'s across columns
+    As ``cell_weight sum_k -> Int d^3k``, the lattice's across columns
     ``w_k [(1 + u_z^2) / 2, 1 - u_z^2] cos(k R u_z)`` average over the
     directions of ``k`` to ``w_k [(J0 + J2) / 4, (J0 - J2) / 2]`` at ``r =
     k R``; on the radial grid ``k = r/R``, ``w_k = 4 pi (w/R) k^4 f(k)^2``.
@@ -311,14 +310,8 @@ def _across_table(profile: ChargeProfile, R: float):
     k = r / R
     wk = 4.0 * math.pi * (w / R) * k ** 4 * profile.radial(k) ** 2
     j0, j2 = angular_bracket_kernels(r)
-    return k * k, np.stack([wk * (j0 + j2) / 4.0, wk * (j0 - j2) / 2.0],
-                           axis=1)
-
-
-def _check_separation(R: float) -> None:
-    if not (R > 0 and math.isfinite(R)):
-        raise InvalidParameterError("separation R must be positive and "
-                                    "finite")
+    return ModeTable(k * k, np.stack(
+        [wk * (j0 + j2) / 4.0, wk * (j0 - j2) / 2.0], axis=1))
 
 
 def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
@@ -331,11 +324,11 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
     quadratures.  Route "direct-quadrature" integrates the order-4 photon
     closure ``(1/pi) Int s^2 e^4 / (s^2 + e^2 nu^2)^2 sum_c m_c 2 a1_c a2_c
     ds`` of the channel sums ``a_m`` (resolvent power ``m``, multiplicities
-    ``m_c``) that ``model._resolvent_sums`` reduces from ``_across_table``;
-    its estimate and nodes are the s-quadrature's.  The term approaches
-    ``cp_constant(nu0) * R**-7`` at large separation.
+    ``m_c``) of the mode table ``_across_table``; its estimate and nodes are
+    the s-quadrature's.  The term approaches ``cp_constant(nu0) * R**-7`` at
+    large separation.
     """
-    _check_separation(R)
+    Geometry(R)  # validates
     if route == "t-representation":
         re_part, ir_part, err, nodes = _main_term_t_representation(
             R, params, profile, rel_tol)
@@ -345,14 +338,14 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
                                  remainder_part=2.0 * ir_part, nodes=nodes)
     if route != "direct-quadrature":
         raise InvalidParameterError(f"unknown route {route!r}")
-    ksq, across = _across_table(profile, R)
+    table = _across_table(profile, R)
     enu2 = (params.e * params.nu) ** 2
 
     def integrand(s):
         s2 = s * s
-        a1, a2 = _resolvent_sums(s2, ksq, across, (1, 2))
+        a1, a2 = table.sums(s2, (1, 2))
         pref = s2 * params.e ** 4 / (s2 + enu2) ** 2
-        return pref * ((2.0 * a1 * a2) @ TraceSystem.multiplicity)
+        return pref * ((2.0 * a1 * a2) @ table.multiplicity)
 
     value, err, nodes = _half_line(integrand, rel_tol, 1.0 / math.pi)
     return FourthOrderResult(R=R, value=value, route=route,
@@ -371,7 +364,7 @@ def fourth_order_error(R: float, params: ModelParams,
     the order-4 particle closure, ``(1/pi) Int s^2 e^4 / (s^2 + e^2 nu^2)^3
     sum_c m_c a1_c^2 ds``, over the table of ``_across_table``.
     """
-    _check_separation(R)
+    Geometry(R)  # validates
     e, nu = params.e, params.nu
     if route == "t-representation":
         tables = _RadialTables(params, profile, R)
@@ -384,14 +377,14 @@ def fourth_order_error(R: float, params: ModelParams,
         value, err, nodes = _half_line(integrand, rel_tol,
                                        R ** -9 * e ** 2 / (16.0 * nu ** 2))
     elif route == "direct-quadrature":
-        ksq, across = _across_table(profile, R)
+        table = _across_table(profile, R)
         enu2 = (e * nu) ** 2
 
         def integrand(s):
             s2 = s * s
-            a1 = _resolvent_sums(s2, ksq, across)[0]
+            a1 = table.sums(s2)[0]
             pref = s2 * e ** 4 / (s2 + enu2) ** 3
-            return pref * ((a1 * a1) @ TraceSystem.multiplicity)
+            return pref * ((a1 * a1) @ table.multiplicity)
 
         value, err, nodes = _half_line(integrand, rel_tol, 1.0 / math.pi)
     else:

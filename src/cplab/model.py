@@ -3,7 +3,7 @@ parameter-constraint calculus.
 
 The model couples point dipoles to a transverse field regularized by a
 rotation-invariant radial form factor.  Everything downstream consumes the
-four value types defined here:
+value types defined here:
 
 ``ChargeProfile``
     radial form factor with cached continuum norms,
@@ -12,6 +12,8 @@ four value types defined here:
     ``OrbitTable``, the modes grouped by ``(|k|, |k_z|)``,
 ``ModelParams`` / ``Geometry``
     couplings and the two-center geometry,
+``ModeTable``
+    the rows of every mode sum, from ``lattice_table`` or a radial grid,
 ``ConstraintReport``
     the smallness quantities guarding every series expansion.
 """
@@ -29,13 +31,16 @@ from .quadrature import QuadratureSpec, integrate_interval
 
 __all__ = [
     "ChargeProfile", "Lattice", "OrbitTable", "ModelParams", "Geometry",
-    "PolarizationPair", "ConstraintReport", "make_gaussian_profile",
-    "make_custom_profile", "profile_norm", "build_lattice", "lattice_norm",
+    "PolarizationPair", "ConstraintReport", "ModeTable", "lattice_table",
+    "make_gaussian_profile", "make_custom_profile", "profile_norm",
+    "build_lattice", "lattice_norm",
     "polarization", "polarization_basis", "form_factor", "check_constraints",
 ]
 
 #: value of a normalized charge distribution's form factor at the origin
 NORMALIZED_AT_ZERO = (2.0 * math.pi) ** -1.5
+#: enforced relative symmetry of the box's mode sums and of assembled forms
+SYMMETRY_REL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ class ConstraintReport:
 class OrbitTable:
     """A lattice's modes grouped into orbits of bit-equal ``(|k|, |k_z|)``.
 
-    Every channel column of ``traces.TraceSystem``, its copy times
+    Every channel column of ``lattice_table``, its copy times
     ``cos(k_z R)`` and ``|k|^2`` are bitwise functions of that key, so a mode
     sum of them is the sum over orbits of the representative's value times
     ``count``: folding changes only the summation order.  Orbits are sorted
@@ -198,11 +203,10 @@ class Lattice:
     origin excluded, ordered lexicographically.
 
     The box built by ``build_lattice`` is symmetric under each reflection
-    ``k_i -> -k_i`` and under ``k_x <-> k_y``; the trace and binding
-    kernels rely on this to reduce every mode sum to axis channels.  Those
-    sums run over ``orbits``, the table of bit-equal ``(|k|, |k_z|)`` built
-    once here from the points, for any lattice; the per-mode attributes
-    serve ``build_coupling`` (the border) and the test oracles.
+    ``k_i -> -k_i`` and under ``k_x <-> k_y``, so ``lattice_table`` reduces
+    every mode sum to axis channels over ``orbits``, built once here from
+    the points; the per-mode attributes serve ``build_coupling`` (the
+    border) and the test oracles.
 
     Attributes
     ----------
@@ -278,10 +282,10 @@ def _resolvent_sums(z: np.ndarray, ksq: np.ndarray, columns: np.ndarray,
     ``powers`` (ascending, a subset of (1, 2)), shape ``(len(powers),
     len(z), columns.shape[1])``.
 
-    This is the one mode-sum reducer: the exact energy, the binding and the
-    series all reduce their per-orbit columns here.  The resolvent table is
-    built over consecutive slices of ``ksq``, so none holds more than
-    ``_CHUNK_ELEMS`` floats whatever the number of orbits.
+    This is the one mode-sum reducer, behind ``ModeTable.sums``: the exact
+    energy, the binding, the series and the continuum terms all reduce
+    here.  The resolvent table is built over consecutive slices of ``ksq``,
+    so none holds more than ``_CHUNK_ELEMS`` floats whatever the row count.
     """
     sums = np.zeros((len(powers), len(z), columns.shape[1]))
     step = max(1, _CHUNK_ELEMS // len(z))
@@ -294,6 +298,54 @@ def _resolvent_sums(z: np.ndarray, ksq: np.ndarray, columns: np.ndarray,
                 res *= res
             out += res @ cols
     return sums
+
+
+@dataclass(frozen=True)
+class ModeTable:
+    """The rows of a mode sum: ``ksq = |k|^2`` and the weighted ``columns``.
+
+    Columns come in pairs ``[T, L]``, the transverse and longitudinal
+    entries of ``w_k P_k`` (``P_k = 1 - u_k u_k^T``, ``w_k = cell_weight
+    |k|^2 f(|k|)^2``) within one dipole, then across (times ``cos(k . r)``);
+    the continuum's table holds the across pair alone.  A trace closes as
+    ``sum_c m_c (...)`` over the channels, ``m_c`` the ``multiplicity``.
+    """
+
+    ksq: np.ndarray
+    columns: np.ndarray
+    #: channel multiplicities: transverse (x and y), longitudinal (z)
+    multiplicity = (2.0, 1.0)
+
+    def sums(self, z: np.ndarray, powers: Tuple[int, ...] = (1,)):
+        """``_resolvent_sums`` of the rows, ``(len(powers), len(z), q)``."""
+        return _resolvent_sums(z, self.ksq, self.columns, powers)
+
+
+def lattice_table(lattice: Lattice, profile: ChargeProfile,
+                  R: Optional[float] = None) -> ModeTable:
+    """The lattice's ``ModeTable``: per orbit, ``[T, L]`` then, unless ``R``
+    is ``None``, ``[T, L] cos(k_z R)``, times the orbit's multiplicity.  A
+    lattice whose sums ``sum_k w_k P_k [cos(k . r)] g(|k|^2)`` are not
+    ``diag(T, T, L)`` (``r`` along z) raises ``InvalidParameterError``."""
+    orbits = lattice.orbits
+    ksq = orbits.norms ** 2
+    f = profile.radial(orbits.norms)
+    wk = lattice.cell_weight * ksq * f * f
+    uz2 = (orbits.kz / orbits.norms) ** 2
+    columns = [0.5 * wk * (1.0 + uz2), wk * (1.0 - uz2)]
+    if R is not None:
+        cosr = np.cos(orbits.kz * R)
+        columns += [columns[0] * cosr, columns[1] * cosr]
+    columns = np.stack(columns, axis=1)
+    # sum_k (w_k / |k|^2) P_k [cos(k . r)] is diag(T, T, L) iff the same
+    # sum of u_k u_k^T has xx = yy and no off-diagonal; w_k is T + L / 2
+    # of one mode, so the sum is w^T moments over the orbits
+    w = (columns[:, 0::2] + 0.5 * columns[:, 1::2]) / ksq[:, None]
+    dev = np.max(np.abs(w.T @ orbits.moments))
+    if not dev <= SYMMETRY_REL * (orbits.count @ w[:, 0]):
+        raise InvalidParameterError(f"lattice breaks the box symmetry: "
+                                    f"{dev:.3e} off diag(T, T, L)")
+    return ModeTable(ksq, columns * orbits.count[:, None])
 
 
 def make_gaussian_profile(xi: float) -> ChargeProfile:

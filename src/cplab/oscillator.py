@@ -4,10 +4,9 @@ A dipole at position ``x`` couples linearly to the lattice field through a
 dense ``3 x 4N`` block.  The full quadratic form is a ``p x p`` particle
 block ``P`` (``p = 3`` or ``6``), the diagonal photon block ``K`` and the
 ``p x 4N`` border ``B`` between them.  A form stores ``P``, the scalar
-``e^2 nu^2`` and ``TraceSystem``'s channel columns of ``B``, one row per
-orbit of bit-equal ``(|k|, |k_z|)``, and reads ``K`` from its lattice; the
-free diagonal, the border and the dense matrix are rebuilt on request, for
-tests and oracles.
+``e^2 nu^2`` and the channel columns of ``B`` as a ``model.ModeTable``, one
+row per orbit of bit-equal ``(|k|, |k_z|)``; the free diagonal, the border
+and the dense matrix are rebuilt on request, for tests and oracles.
 
 The ground energy is the zero-point trace ``0.5 Tr(sqrt(Omega) -
 sqrt(Omega_0))`` plus the shift ``1.5 e nu`` per particle.  By the Schur
@@ -19,8 +18,8 @@ complement on the photon block it equals the imaginary-frequency log-det
 
 the finite-lattice Lifshitz / TGTG formula (Emig, Graham, Jaffe, Kardar,
 PRL 99, 170403 (2007); Rahi et al., PRD 80, 085021 (2009)).  ``X(s)`` is
-diagonal in the axis channels of ``traces.TraceSystem`` within one dipole
-and across the pair, with closed-form eigenvalues ``x_c -+ y_c``: a node
+diagonal in the axis channels of the mode table within one dipole and
+across the pair, with closed-form eigenvalues ``x_c -+ y_c``: a node
 costs ``O(orbits)`` and no ``p x p`` matrix is formed.  The binding energy is
 the mixed part of the same log-det, never a difference of two energies.
 The bottom eigenvalue is the least channel root of the Schur complement
@@ -38,10 +37,9 @@ import numpy as np
 
 from .errors import (AccuracyError, InvalidParameterError,
                      NotPositiveSemidefiniteError)
-from .model import (ChargeProfile, Geometry, Lattice, ModelParams,
-                    _resolvent_sums, polarization_basis)
+from .model import (SYMMETRY_REL, ChargeProfile, Geometry, Lattice,
+                    ModelParams, ModeTable, lattice_table, polarization_basis)
 from .quadrature import integrate_half_line
-from .traces import SYMMETRY_REL, TraceSystem
 
 __all__ = [
     "QuadraticForm", "EnergyResult",
@@ -66,15 +64,14 @@ class QuadraticForm:
 
     ``particle`` is the ``p x p`` block ``P`` and ``enu2`` the free particle
     frequency ``e^2 nu^2``; the photon block ``K`` is ``|k|^2`` of each mode
-    of ``lattice``, shared by its four channels.  ``columns`` holds per
-    orbit of ``lattice.orbits`` the sums over its modes of ``T = (M_xx +
-    M_yy) / 2`` and ``L = M_zz`` of ``M_n = sum_c b_{n,c} b_{n,c}^T`` (``b``
-    the columns of ``B``) within a dipole and across: ``e^2
-    coupling_scale^2 TraceSystem._columns``, for any shift or rotation.  No
-    field grows with the number of modes.
+    of ``lattice``, shared by its four channels.  ``table`` is
+    ``lattice_table`` times ``e^2 coupling_scale^2``: per orbit, the sums of
+    ``T = (M_xx + M_yy) / 2`` and ``L = M_zz`` of ``M_n = sum_c b_{n,c}
+    b_{n,c}^T`` (``b`` the columns of ``B``) over its modes, for any shift
+    or rotation.  No field grows with the number of modes.
     """
 
-    columns: np.ndarray
+    table: ModeTable
     particle: np.ndarray
     enu2: float
     zero_point_shift: float
@@ -170,9 +167,10 @@ def assemble_one_electron(params: ModelParams, lattice: Lattice,
     """
     x = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
     enu2, scale = (params.e * params.nu) ** 2, coupling_scale * params.e
-    system = TraceSystem(params, lattice, profile)
+    table = lattice_table(lattice, profile)
     return QuadraticForm(
-        scale ** 2 * system._columns, _channel_block(enu2, 0.0, 3), enu2,
+        ModeTable(table.ksq, scale ** 2 * table.columns),
+        _channel_block(enu2, 0.0, 3), enu2,
         1.5 * params.e * params.nu, lattice,
         lambda: scale * build_coupling(x, lattice, profile, rotation_angles))
 
@@ -212,9 +210,10 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
     enu2, scale = (params.e * params.nu) ** 2, coupling_scale * params.e
     g = (direct_coupling(params, lattice, profile, geometry)
          if include_direct_term else 0.0)
-    system = TraceSystem(params, lattice, profile, geometry)
+    table = lattice_table(lattice, profile, geometry.R)
     return QuadraticForm(
-        scale ** 2 * system._columns, _channel_block(enu2, g, 6), enu2,
+        ModeTable(table.ksq, scale ** 2 * table.columns),
+        _channel_block(enu2, g, 6), enu2,
         3.0 * params.e * params.nu, lattice,
         lambda: scale * np.vstack([
             build_coupling(x, lattice, profile, rotation_angles)
@@ -248,18 +247,16 @@ def _split(v: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """A form's channel columns, stacked with the same columns over ``k_n^2``,
-    one row per orbit of the form's lattice, with ``freq2`` the orbits'
-    ``|k|^2`` (bit-equal to ``TraceSystem._ksq``); every mode sum is one
-    ``model._resolvent_sums``.  ``TraceSystem`` has checked the box symmetry
-    that makes every ``sum_n M_n g(k_n^2)`` the channel matrix ``diag(T, T,
-    L)`` (separation along z), so with the particle block ``d I`` or ``[[d
-    I, g I], [g I, d I]]``, checked here, ``X(s)`` and ``S(lam)`` are
-    diagonal in the channels: ``O(orbits)`` per node, no ``p x p`` matrix."""
+    """A form's mode ``table`` and ``stacked``, the same rows with the
+    columns over ``k_n^2`` appended; ``freq2`` is the rows' ``|k|^2``.
+    With the box symmetry ``lattice_table`` checks (separation along z) and
+    the particle block ``d I`` or ``[[d I, g I], [g I, d I]]``, checked
+    here, ``X(s)`` and ``S(lam)`` are diagonal in the channels:
+    ``O(orbits)`` per node, no ``p x p`` matrix."""
 
     def __init__(self, form: QuadraticForm):
         p = len(form.particle)
-        self.freq2 = form.lattice.orbits.norms ** 2
+        self.table, self.freq2 = form.table, form.table.ksq
         self.enu2 = form.enu2
         self.d = float(form.particle[0, 0])
         self.g = float(form.particle[0, 3]) if p == 6 else 0.0
@@ -270,24 +267,19 @@ class _Kernel:
             raise InvalidParameterError(
                 f"particle block is not d I or [[d I, g I], [g I, d I]]: "
                 f"deviation {dev:.3e} vs scale {scale:.3e}")
-        cols, self.q = form.columns, form.columns.shape[1]
-        self.columns = np.hstack([cols, cols / self.freq2[:, None]])
-        self.multiplicity = np.tile(TraceSystem.multiplicity, p // 3)
+        cols, self.q = self.table.columns, self.table.columns.shape[1]
+        self.stacked = ModeTable(self.freq2, np.hstack(
+            [cols, cols / self.freq2[:, None]]))
+        self.multiplicity = np.tile(ModeTable.multiplicity, p // 3)
         self._schur_base = np.array([[self.d, self.d, self.g, self.g],
                                      [0.0] * 4])[:, :self.q]
         self.schur0 = self.schur(0.0)[0]
-
-    def resolvent_sum(self, z: np.ndarray) -> np.ndarray:
-        """Channels of ``sum_n M_n / (z + k_n^2)``, then of ``sum_n M_n /
-        (k_n^2 (z + k_n^2))``, one ``model._resolvent_sums``."""
-        return _resolvent_sums(z, self.freq2, self.columns)[0]
 
     def schur(self, lam: float) -> np.ndarray:
         """Rows ``[S_c, S_c']`` at ``lam < min k_n^2`` in ``_split`` order:
         the channels ``d_c - lam - sum_n M_{n,c} / (k_n^2 - lam)`` of ``S``
         and their slopes ``-1 - sum_n M_{n,c} / (k_n^2 - lam)^2``, one pass."""
-        sums = _resolvent_sums(np.array([-lam]), self.freq2,
-                               self.columns[:, :self.q], (1, 2))
+        sums = self.table.sums(np.array([-lam]), (1, 2))
         out = _split(self._schur_base - sums[:, 0])
         out[0] -= lam
         out[1] -= 1.0
@@ -298,7 +290,7 @@ class _Kernel:
         ``1 - mu_c = (S(0) + s^2 (1 + sum_n M_n / (k_n^2 (s^2 + k_n^2))))
         / (s^2 + e^2 nu^2)``, exact relative to its small value."""
         s2 = np.asarray(s, dtype=float) ** 2
-        sums = self.resolvent_sum(s2)
+        sums = self.stacked.sums(s2)[0]
         mu = _split(_axis_channels(sums[:, :self.q], s2, self.enu2,
                                    self.d - self.enu2, self.g))
         near = self.schur0 + s2[:, None] * (1 + _split(sums[:, self.q:]))
@@ -310,7 +302,7 @@ class _Kernel:
     def bracket(self) -> Tuple[float, float]:
         """Weyl bracket of the spectrum: that of ``diag(P, K)`` widened by
         ``||B||``, the root of the largest split channel of ``sum_n M_n``."""
-        norm = math.sqrt(np.max(_split(self.columns[:, :self.q].sum(0)[None])))
+        norm = math.sqrt(np.max(_split(self.table.columns.sum(0)[None])))
         return (min(self.d - abs(self.g), float(np.min(self.freq2))) - norm,
                 max(self.d + abs(self.g), float(np.max(self.freq2))) + norm)
 
@@ -381,8 +373,8 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
     """Exact binding ``2 E - E(R)`` from the mixed part of one log-det.
 
     The two-dipole ``X(s)`` is ``[[x, y], [y, x]]`` in the axis channels,
-    the ``model._resolvent_sums`` of ``TraceSystem._columns``
-    (``_axis_channels`` with ``gamma`` the direct coupling, or zero).  Per channel ``det(1 - X) = (1 - x - y)(1 -
+    the sums of ``lattice_table`` (``_axis_channels`` with ``gamma`` the
+    direct coupling, or zero).  Per channel ``det(1 - X) = (1 - x - y)(1 -
     x + y)``, so the binding is ``-(1/2 pi) Int_0^inf ds sum_c m_c log(1 -
     sigma_c^2)`` with ``sigma_c = y_c / (1 - x_c)``, resolvable at its own
     magnitude.  ``S(0) = e^2 nu^2 (1 - X(0))``, so only a channel with
@@ -398,16 +390,14 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
             f"{lattice.box_period}; the binding energy is periodic in R",
             LatticePeriodicityWarning, stacklevel=2)
     geometry = Geometry(R)
-    system = TraceSystem(params, lattice, profile, geometry)
+    table = lattice_table(lattice, profile, geometry.R)
     gamma = (direct_coupling(params, lattice, profile, geometry)
              if include_direct_term else 0.0)
     e2, enu2 = params.e ** 2, (params.e * params.nu) ** 2
 
     def channels(s):
         s2 = s * s
-        xy = _axis_channels(e2 * _resolvent_sums(s2, system._ksq,
-                                                 system._columns)[0],
-                            s2, enu2, gamma=gamma)
+        xy = _axis_channels(e2 * table.sums(s2)[0], s2, enu2, gamma=gamma)
         return xy[:, :2], xy[:, 2:]
 
     x0, y0 = channels(np.zeros(1))
@@ -423,6 +413,6 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
                 "a one-dipole block of the two-dipole form is not positive "
                 "definite")
         sigma = y / (1.0 - x)
-        return -(_log_abs_one_minus(sigma * sigma) @ system.multiplicity)
+        return -(_log_abs_one_minus(sigma * sigma) @ table.multiplicity)
 
     return integrate_half_line(integrand) / (2.0 * math.pi)

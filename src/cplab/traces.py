@@ -9,12 +9,12 @@ with ``Q_i(s)`` the symmetrically resolvent-dressed blocks.  The trace
 collapses into products of mode sums of the transverse projectors, and on
 the symmetric cutoff box each of those is diagonal in the axes: a
 transverse channel (x and y) and a longitudinal one (z).
-``TraceSystem.channel_sums`` is the one kernel that evaluates them, over
-the lattice's ``(|k|, |k_z|)`` orbits, so a word costs ``O(orbits)`` per
-quadrature node and a chain is a product of scalars per channel.  The
-envelope ``D(s)`` behind every tail bound is the one-dipole order-2
-closure of the same sums.  The dense matrix product of
-the full blocks is the test suite's oracle for it.
+``TraceSystem.channel_sums`` evaluates them by reducing the lattice's
+``model.ModeTable``, one row per ``(|k|, |k_z|)`` orbit, so a word costs
+``O(orbits)`` per quadrature node and a chain is a product of scalars per
+channel.  The envelope ``D(s)`` behind every tail bound is the one-dipole
+order-2 closure of the same sums.  The dense matrix product of the full
+blocks is the test suite's oracle for it.
 
 The series never enumerates words.  Per channel, summed over its letters, a
 closure is a power of ``[[s, a], [a, s]]`` (``s`` within one dipole, ``a``
@@ -40,7 +40,7 @@ import numpy as np
 from .errors import (ClassificationError, InvalidParameterError,
                      SeriesDivergenceError, TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
-                    ModelParams, _resolvent_sums, check_constraints)
+                    ModelParams, check_constraints, lattice_table)
 from .quadrature import QuadratureSpec, integrate_half_line
 
 __all__ = [
@@ -48,9 +48,6 @@ __all__ = [
     "series_one_electron", "series_binding", "d_envelope", "word_bound",
     "mixed_even_words",
 ]
-
-#: enforced relative symmetry of the box's mode sums and of assembled forms
-SYMMETRY_REL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -151,25 +148,12 @@ def d_envelope(s, params: ModelParams, profile: ChargeProfile,
 class TraceSystem:
     """Evaluation context bundling parameters, lattice, profile and geometry.
 
-    Every trace is built from the resolvent-weighted mode sums
-    ``sum_k w_k P_k [cos(k . r)] (s^2 + |k|^2)^-m`` of the transverse
-    projectors ``P_k = 1 - u_k u_k^T``, with ``w_k = cell_weight |k|^2
-    f(|k|)^2``.  The cutoff box is symmetric under ``k_i -> -k_i`` and
-    ``k_x <-> k_y`` and ``r`` lies along z, so each such sum is
-    ``diag(T, T, L)``, which the constructor checks at ``m = 1``, ``s = 0``:
-    a transverse channel of multiplicity two and a longitudinal one.
-    ``channel_sums`` evaluates the ``T`` and ``L`` entries, and a trace
-    closes as ``sum_c m_c (...)`` over the channels.  ``geometry=None``
-    restricts the system to the single-dipole words (all letters 1).
-
-    The channel entries ``T`` and ``L`` of ``w_k P_k [cos(k . r)]`` depend
-    on ``k`` only through ``(|k|, |k_z|)``, so ``_columns`` and ``_ksq`` hold
-    one row per orbit of ``lattice.orbits``, the columns times the orbit's
-    multiplicity: every mode sum costs ``O(orbits)``.
+    Every trace closes as ``sum_c m_c (...)`` over the channels of the
+    resolvent-weighted mode sums ``sum_k w_k P_k [cos(k . r)] (s^2 +
+    |k|^2)^-m``, which ``channel_sums`` reduces from ``table``, the
+    lattice's ``model.ModeTable``.  ``geometry=None`` restricts the system
+    to the single-dipole words (all letters 1).
     """
-
-    #: channel multiplicities: transverse (x and y), longitudinal (z)
-    multiplicity = (2.0, 1.0)
 
     def __init__(self, params: ModelParams, lattice: Lattice,
                  profile: ChargeProfile, geometry: Optional[Geometry] = None):
@@ -177,25 +161,7 @@ class TraceSystem:
         self.lattice = lattice
         self.profile = profile
         self.geometry = geometry
-        orbits = lattice.orbits
-        self._ksq = orbits.norms ** 2
-        f = profile.radial(orbits.norms)
-        wk = lattice.cell_weight * self._ksq * f * f
-        uz2 = (orbits.kz / orbits.norms) ** 2
-        columns = [0.5 * wk * (1.0 + uz2), wk * (1.0 - uz2)]
-        if geometry is not None:
-            cosr = np.cos(orbits.kz * geometry.R)
-            columns += [columns[0] * cosr, columns[1] * cosr]
-        columns = np.stack(columns, axis=1)
-        # sum_k (w_k / |k|^2) P_k [cos(k . r)] is diag(T, T, L) iff the same
-        # sum of u_k u_k^T has xx = yy and no off-diagonal; w_k is T + L / 2
-        # of one mode, so the sum is w^T moments over the orbits
-        w = (columns[:, 0::2] + 0.5 * columns[:, 1::2]) / self._ksq[:, None]
-        dev = np.max(np.abs(w.T @ orbits.moments))
-        if not dev <= SYMMETRY_REL * (orbits.count @ w[:, 0]):
-            raise InvalidParameterError(f"lattice breaks the box symmetry: "
-                                        f"{dev:.3e} off diag(T, T, L)")
-        self._columns = columns * orbits.count[:, None]
+        self.table = lattice_table(lattice, profile, geometry and geometry.R)
         self._report: Optional[ConstraintReport] = None
         self._d_integral: Optional[float] = None
 
@@ -245,15 +211,13 @@ class TraceSystem:
                      ) -> Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]:
         """Channel entries of the mode sums at resolvent powers 1 and 2.
 
-        Returns ``{m: (within, across)}`` for ``m`` in (1, 2), each of shape
-        ``(nodes, 2)`` with the transverse and longitudinal entries of
-        ``sum_k w_k P_k (s^2 + |k|^2)^-m`` (``within``, one dipole) and of
-        the same sum times ``cos(k . r)`` (``across``, ``None`` without
-        geometry), one ``model._resolvent_sums`` over the orbits.
+        Returns ``{m: (within, across)}`` for ``m`` in (1, 2), the ``[T,
+        L]`` pairs of one ``table.sums`` at ``z = s^2``, each of shape
+        ``(nodes, 2)`` (``across`` is ``None`` without geometry).
         ``d_envelope`` is the order-2 closure of ``within``.
         """
         s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
-        sums = _resolvent_sums(s2, self._ksq, self._columns, (1, 2))
+        sums = self.table.sums(s2, (1, 2))
         two = self.geometry is not None
         return {m: (v[:, :2], v[:, 2:] if two else None)
                 for m, v in zip((1, 2), sums)}
@@ -288,14 +252,14 @@ class TraceSystem:
             prod = chain(2, word[-1] != word[0])
             for j in range(0, n - 2, 2):
                 prod = prod * chain(1, word[j + 1] != word[j + 2])
-            total += prod @ self.multiplicity
+            total += prod @ self.table.multiplicity
         # closure through a particle sector: pairs (2,3), (4,5), ..., ends match
         if word[0] == word[-1] and all(word[2 * j + 1] == word[2 * j + 2]
                                        for j in range((n - 2) // 2)):
             prod = chain(1, word[0] != word[1])
             for j in range(2, n, 2):
                 prod = prod * chain(1, word[j] != word[j + 1])
-            total += (prod @ self.multiplicity) / (s * s + enu2)
+            total += (prod @ self.table.multiplicity) / (s * s + enu2)
         pref = self.params.e ** n * (s * s + enu2) ** (-n / 2.0)
         return s * s * pref * total
 
@@ -341,7 +305,7 @@ class TraceSystem:
                      for k in range(2, j + 1, 2)), zero)
             closed = photon + particle / (s * s + enu2)[:, None]
             pref = self.params.e ** order * (s * s + enu2) ** (-order / 2.0)
-            columns.append(s * s * pref * (closed @ self.multiplicity))
+            columns.append(s * s * pref * (closed @ self.table.multiplicity))
         return np.stack(columns, axis=1)
 
     def order_integrand(self, order: int, s: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
 import json
 import math
+import warnings
 
 import pytest
 
-from cplab import ConfigError
+from cplab import ConfigError, cli
 from cplab.cli import emit, main, parse_config, run
 
 
@@ -79,11 +80,20 @@ def test_default_grid_scales_with_width():
     ("R_grid = 30, inf", "R_grid"),
     ('{"max_order": Infinity}', "max_order"),
     ('{"R_grid": [30, 120, Infinity, "linear"]}', "R_grid"),
+    # no silent coercion: a fraction truncated, a boolean read as 1
+    ('{"max_order": 4.7}', "'max_order'"),
+    ('{"L": true}', "'L'"),
+    ('{"R_grid": [1, 10, 3.5, "linear"]}', "'R_grid'"),
+    ('{"R_grid": [true, 10]}', "'R_grid'"),
 ])
 def test_rejected_documents(doc, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert fragment in str(err.value)
+
+
+def test_integral_json_max_order_accepted():
+    assert parse_config('{"max_order": 6}').max_order == 6
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +189,24 @@ def test_binding_subcommand_flags_periodicity(tmp_path):
     assert float(rows[0][2]) == 0.0
     assert float(rows[1][2]) == 1.0
     assert float(rows[0][1]) > 0.0
+
+
+def test_binding_subcommand_silences_periodicity_only(monkeypatch):
+    # a numerical warning inside the binding reaches the caller, while the
+    # periodicity warning, which warn_period reports, stays silent
+    cfg = parse_config("L = 1\nxi = 0.25\nnu0 = 3\nR_grid = 0.3, 0.6")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run("binding", cfg)
+    assert [row[2] for row in report.rows] == [0.0, 1.0]
+
+    def noisy(*args):
+        warnings.warn("overflow in the mode sums", RuntimeWarning)
+        return 0.0
+
+    monkeypatch.setattr(cli, "binding_energy_exact", noisy)
+    with pytest.warns(RuntimeWarning, match="overflow in the mode sums"):
+        run("binding", cfg)
 
 
 def test_series_subcommand_within_tail(tmp_path, capsys):

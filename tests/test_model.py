@@ -206,7 +206,7 @@ def test_mode_sums_do_not_depend_on_chunking(monkeypatch):
     def evaluate():
         sums = system.channel_sums(svals)
         return [np.stack(sums[m]) for m in (1, 2)] + [
-            kernel.resolvent_sum(svals ** 2)]
+            kernel.stacked.sums(svals ** 2)[0]]
 
     whole = evaluate()
     monkeypatch.setattr(model, "_CHUNK_ELEMS", 50)

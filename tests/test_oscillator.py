@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cplab
-from cplab import model, oscillator, traces
+from cplab import model
 from cplab import (AccuracyError, Geometry, InvalidParameterError, Lattice,
                    LatticePeriodicityWarning, ModelParams,
                    NotPositiveSemidefiniteError, TraceSystem,
@@ -256,12 +256,13 @@ def test_kernel_columns_match_trace_system(strong_setup, rng):
             modes = np.hstack([within, within * cosr[:, None]])
         modes = params.e ** 2 * scale ** 2 * modes
         q = modes.shape[1]
-        assert kernel.columns.shape == (len(lat.orbits.count), 2 * q)
+        stacked = kernel.stacked.columns
+        assert stacked.shape == (len(lat.orbits.count), 2 * q)
         for half, r in (
-                (kernel.columns[:, :q],
-                 params.e ** 2 * scale ** 2 * system._columns),
-                (kernel.columns[:, :q], reduce_over_orbits(lat, modes)),
-                (kernel.columns[:, q:],
+                (stacked[:, :q],
+                 params.e ** 2 * scale ** 2 * system.table.columns),
+                (stacked[:, :q], reduce_over_orbits(lat, modes)),
+                (stacked[:, q:],
                  reduce_over_orbits(lat, modes / lat.norms[:, None] ** 2))):
             dev = np.abs(half - r)
             assert np.all(dev <= 1e-14 * np.max(np.abs(r), axis=0))
@@ -292,8 +293,8 @@ def test_border_gram_matches_channel_columns(strong_setup, rng, dipoles):
         p = len(form.particle)
         border = form.border
         gram = (border / form.omega0_diag[p:]) @ border.T
-        t, l, *across = np.sum(form.columns / lat.orbits.norms[:, None] ** 2,
-                               axis=0)
+        t, l, *across = np.sum(
+            form.table.columns / lat.orbits.norms[:, None] ** 2, axis=0)
         ref = np.kron(np.eye(p // 3), np.diag([t, t, l]))
         if across:
             ref += np.kron([[0, 1], [1, 0]], np.diag(across[:1] + across))
@@ -374,8 +375,8 @@ def test_orbit_fold_matches_per_mode_sums(e, nu0, xi, box):
                                               include_direct_term=True)):
         kernel, ref_kernel = (_Kernel(assemble(lat))
                               for lat in (folded, modes))
-        gaps.append(relative_gap(kernel.resolvent_sum(s * s),
-                                 ref_kernel.resolvent_sum(s * s)))
+        gaps.append(relative_gap(kernel.stacked.sums(s * s),
+                                 ref_kernel.stacked.sums(s * s)))
         for lam in (0.0, 0.5 * float(np.min(ref_kernel.freq2))):
             gaps.append(relative_gap(kernel.schur(lam),
                                      ref_kernel.schur(lam)))
@@ -397,15 +398,15 @@ def test_orbit_fold_matches_per_mode_sums(e, nu0, xi, box):
 
 def test_mode_sums_are_orbit_wide(monkeypatch):
     # every resolvent table of the series, the binding and the energy spans
-    # the 39 orbits of the L = 3 box, not its 342 modes
+    # the 39 orbits of the L = 3 box, not its 342 modes; all of them come
+    # from the one reducer in model.py
     widths, reduce = [], model._resolvent_sums
 
     def recorder(z, ksq, *args):
         widths.append(len(ksq))
         return reduce(z, ksq, *args)
 
-    for module in (model, traces, oscillator):
-        monkeypatch.setattr(module, "_resolvent_sums", recorder)
+    monkeypatch.setattr(model, "_resolvent_sums", recorder)
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     lat = build_lattice(3.0, 1.0)
     assert (len(lat.orbits.count), lat.count) == (39, 342)
@@ -424,15 +425,19 @@ def test_mode_sums_are_orbit_wide(monkeypatch):
 
 
 def test_forms_hold_orbit_data_only():
-    # an assembled form stores nothing per mode: at L = 3 no array field is
-    # longer than the 39 orbits, while the per-mode views keep 3 or 6 + 4N
+    # an assembled form stores nothing per mode: at L = 3 no array field,
+    # its mode table's included, is longer than the 39 orbits, and both
+    # table arrays hold one row per orbit, while the per-mode views keep 3
+    # or 6 + 4N
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     lat = build_lattice(3.0, 1.0)
     for form in (assemble_one_electron(params, lat, prof),
                  assemble_two_electron(params, lat, prof, Geometry(0.9))):
+        table = [form.table.ksq, form.table.columns]
+        assert [len(a) for a in table] == [39, 39]
         arrays = [getattr(form, f.name) for f in dataclasses.fields(form)]
-        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-        assert arrays and max(len(a) for a in arrays) <= 39
+        arrays = [a for a in arrays + table if isinstance(a, np.ndarray)]
+        assert len(arrays) == 3 and max(len(a) for a in arrays) <= 39
         assert form.dim == len(form.omega0_diag) == 4 * 342 + len(
             form.particle)
 
@@ -505,8 +510,10 @@ def test_dense_routes_stay_oracles():
     # properties read the per-mode free diagonal, the dense border and
     # matrix; tests and the oracles in conftest.py are the only other
     # readers.  Resolvent tables are built in model.py alone, by the one
-    # chunked reducer.  No ufunc builds an outer (pair) table, and the
-    # closed triple-resolvent forms serve the CLI's self-test only.
+    # chunked reducer that ModeTable.sums calls, and neither the forms nor
+    # the continuum reach the mode table through traces.py.  No ufunc builds
+    # an outer (pair) table, and the closed triple-resolvent forms serve the
+    # CLI's self-test only.
     for path in sorted(Path(cplab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         form_class = {id(node) for top in tree.body
@@ -528,11 +535,17 @@ def test_dense_routes_stay_oracles():
             elif isinstance(node, ast.Attribute) and node.attr == "outer":
                 assert not isinstance(node.value, ast.Attribute), (
                     f"{path.name}:{node.lineno} builds a ufunc outer table")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [
+                    alias.name for alias in node.names]
+                assert path.name not in ("oscillator.py", "continuum.py") or (
+                    "traces" not in names), (
+                    f"{path.name}:{node.lineno} imports from traces.py")
             if isinstance(node, (ast.Name, ast.Attribute, ast.alias)):
                 name = getattr(node, "id", getattr(node, "attr",
                                                    getattr(node, "name", "")))
                 assert path.name == "model.py" or name not in (
-                    "_CHUNK_ELEMS", "reciprocal"), (
+                    "_CHUNK_ELEMS", "reciprocal", "_resolvent_sums"), (
                     f"{path.name}:{node.lineno} names {name}")
 
 
