@@ -85,14 +85,33 @@ class RunReport:
 
 
 def _parse_bool(key: str, raw: Union[str, bool]) -> bool:
+    """A JSON boolean or one of the spellings ``true 1 yes`` / ``false 0
+    no``; anything else, a JSON number included, raises."""
     if isinstance(raw, bool):
         return raw
-    low = str(raw).strip().lower()
+    low = raw.strip().lower() if isinstance(raw, str) else None
     if low in ("true", "1", "yes"):
         return True
     if low in ("false", "0", "no"):
         return False
     raise ConfigError(f"key '{key}': expected a boolean, got {raw!r}")
+
+
+def _parse_text(key: str, raw) -> str:
+    """``raw`` itself; a JSON value other than a string raises."""
+    if not isinstance(raw, str):
+        raise ConfigError(f"key '{key}': expected a string, got {raw!r}")
+    return raw
+
+
+def _unique(pairs) -> Dict:
+    """The ``(key, value)`` pairs as a dict; a repeated key raises."""
+    entries = {}
+    for key, value in pairs:
+        if key in entries:
+            raise ConfigError(f"key '{key}': repeated")
+        entries[key] = value
+    return entries
 
 
 def _parse_number(key: str, raw, kind: type = float):
@@ -138,21 +157,21 @@ def _parse_grid(key: str, raw) -> List[float]:
 def parse_config(text: str) -> RunConfig:
     """Validate a flat key-value or JSON document into a RunConfig.
 
-    Unknown keys, type mismatches and constraint violations (positivity,
-    finiteness, parity of max_order) raise ``ConfigError`` naming the
-    offending key.
+    Unknown or repeated keys, type mismatches and constraint violations
+    (positivity, finiteness, parity of max_order) raise ``ConfigError``
+    naming the offending key.  JSON values are not coerced: a string key
+    takes a string, a boolean key a boolean or a key-value spelling.
     """
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
-            raw = json.loads(text)
+            entries = json.loads(text, object_pairs_hook=_unique)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON config: {exc}") from None
-        if not isinstance(raw, dict):
+        if not isinstance(entries, dict):
             raise ConfigError("JSON config must be a flat object")
-        entries = dict(raw)
     else:
-        entries = {}
+        pairs = []
         for lineno, line in enumerate(text.splitlines(), 1):
             body = line.split("#", 1)[0].strip()
             if not body:
@@ -160,7 +179,8 @@ def parse_config(text: str) -> RunConfig:
             if "=" not in body:
                 raise ConfigError(f"line {lineno}: expected 'key = value'")
             key, _, value = body.partition("=")
-            entries[key.strip()] = value.strip()
+            pairs.append((key.strip(), value.strip()))
+        entries = _unique(pairs)
 
     cfg = RunConfig()
     for key, raw in entries.items():
@@ -180,9 +200,9 @@ def parse_config(text: str) -> RunConfig:
         elif key == "R_grid":
             cfg.R_grid = _parse_grid(key, raw)
         elif key == "output_path":
-            cfg.output_path = str(raw) if raw else None
+            cfg.output_path = _parse_text(key, raw) or None
         elif key == "output_format":
-            fmt = str(raw).strip().lower()
+            fmt = _parse_text(key, raw).strip().lower()
             if fmt not in ("csv", "json"):
                 raise ConfigError("key 'output_format': must be csv or json")
             cfg.output_format = fmt

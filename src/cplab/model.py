@@ -9,7 +9,8 @@ value types defined here:
     radial form factor with cached continuum norms,
 ``Lattice``
     the cutoff momentum box with its quadrature weight and its
-    ``OrbitTable``, the modes grouped by ``(|k|, |k_z|)``,
+    ``OrbitTable``, the modes grouped by ``(|k|, |k_z|)``; the box builds
+    it from integer keys and stores no per-mode array,
 ``ModelParams`` / ``Geometry``
     couplings and the two-center geometry,
 ``ModeTable``
@@ -171,25 +172,29 @@ class ConstraintReport:
 
 @dataclass(frozen=True)
 class OrbitTable:
-    """A lattice's modes grouped into orbits of bit-equal ``(|k|, |k_z|)``.
+    """A lattice's modes grouped into orbits of equal ``(|k|, |k_z|)``.
 
     Every channel column of ``lattice_table``, its copy times
-    ``cos(k_z R)`` and ``|k|^2`` are bitwise functions of that key, so a mode
-    sum of them is the sum over orbits of the representative's value times
-    ``count``: folding changes only the summation order.  Orbits are sorted
-    by ``|k|``, then ``|k_z|``.
+    ``cos(k_z R)`` and ``|k|^2`` are functions of that key, so a mode sum of
+    them is the sum over orbits of the representative's value times
+    ``count``.  The box of ``build_lattice`` keys its orbits by the integers
+    ``(n^2, |n_z|)`` of ``k = (2 pi / L) n``; a lattice of explicit points
+    folds them by bit-equal float keys.  Orbits are sorted by ``|k|``, then
+    ``|k_z|``.
 
     Attributes
     ----------
     norms, kz : ndarray, shape (orbits,)
-        The representative ``|k|`` and ``|k_z|``.
+        The representative ``|k|`` and ``|k_z|``; on the box ``(2 pi / L)
+        sqrt(n^2)`` and ``(2 pi / L) |n_z|``.
     count : ndarray of int, shape (orbits,)
         Multiplicities; they sum to the number of modes.
     moments : ndarray, shape (orbits, 4)
         Per-orbit sums of ``u_x u_y``, ``u_x u_z``, ``u_y u_z`` and ``u_x^2 -
         u_y^2`` of the unit vectors ``u = k / |k|``: a weighted mode sum of
         ``u u^T`` with weights that depend on the key alone is
-        ``diag(T, T, L)`` iff the weights annihilate all four columns.
+        ``diag(T, T, L)`` iff the weights annihilate all four columns.  Zero
+        on the box, whose reflections and ``k_x <-> k_y`` cancel each one.
     """
 
     norms: np.ndarray
@@ -202,17 +207,21 @@ class Lattice:
     """Momentum modes ``k`` in ``(2 pi Z / L)**3`` with ``|k_i| <= 2 pi Lam``,
     origin excluded, ordered lexicographically.
 
-    The box built by ``build_lattice`` is symmetric under each reflection
-    ``k_i -> -k_i`` and under ``k_x <-> k_y``, so ``lattice_table`` reduces
-    every mode sum to axis channels over ``orbits``, built once here from
-    the points; the per-mode attributes serve ``build_coupling`` (the
-    border) and the test oracles.
+    ``Lattice(L, Lam)`` is that cutoff box (``build_lattice``).  It holds
+    only its ``orbits``, built from integer keys; no per-mode array is
+    stored.  The box is symmetric under each reflection ``k_i -> -k_i`` and
+    under ``k_x <-> k_y``, so ``lattice_table`` reduces every mode sum to
+    axis channels over ``orbits``.  ``Lattice(L, Lam, points)`` holds
+    explicit points, such as a box with a mode removed, and folds them by
+    bit-equal float keys.
+
+    The per-mode ``points``, ``norms`` and ``units`` serve
+    ``build_coupling`` (the border) and the test oracles; on the box they
+    are rebuilt on each access, with ``norms`` equal to the orbits' ``(2 pi
+    / L) sqrt(n^2)`` bit for bit.
 
     Attributes
     ----------
-    points : ndarray, shape (N, 3)
-    norms : ndarray, shape (N,)
-        Euclidean lengths ``|k|``.
     orbits : OrbitTable
         The modes grouped by ``(|k|, |k_z|)``.
     cell_weight : float
@@ -220,21 +229,42 @@ class Lattice:
     """
 
     def __init__(self, box_period: float, uv_cutoff: float,
-                 points: np.ndarray):
+                 points: Optional[np.ndarray] = None):
+        self._points = points
+        if points is None:
+            self._n_max = _box_extent(box_period, uv_cutoff)
         self.box_period = float(box_period)
         self.uv_cutoff = float(uv_cutoff)
-        self.points = points
         self.cell_weight = (2.0 * math.pi / box_period) ** 3
-        # the sum of np.linalg.norm, taken column by column
-        norms = points[:, 0] * points[:, 0]
-        norms += points[:, 1] * points[:, 1]
-        norms += points[:, 2] * points[:, 2]
-        self.norms = np.sqrt(norms, out=norms)
-        self.orbits = _orbit_table(points, self.norms)
+        self.orbits = (_box_orbits(2.0 * math.pi / box_period, self._n_max)
+                       if points is None
+                       else _orbit_table(points, self.norms))
 
     @property
     def count(self) -> int:
-        return len(self.points)
+        return int(self.orbits.count.sum())
+
+    @property
+    def points(self) -> np.ndarray:
+        """Modes ``k``, shape (N, 3); the box's are built on each access."""
+        if self._points is None:
+            return (2.0 * math.pi / self.box_period) * _box_modes(self._n_max)
+        return self._points
+
+    @property
+    def norms(self) -> np.ndarray:
+        """Lengths ``|k|``, shape (N,), built on each access: ``(2 pi / L)
+        sqrt(n^2)`` on the box, else the column-by-column sum of
+        ``np.linalg.norm``."""
+        if self._points is None:
+            n = _box_modes(self._n_max)
+            return (2.0 * math.pi / self.box_period) * np.sqrt(
+                np.einsum("ij,ij->i", n, n))
+        points = self._points
+        norms = points[:, 0] * points[:, 0]
+        norms += points[:, 1] * points[:, 1]
+        norms += points[:, 2] * points[:, 2]
+        return np.sqrt(norms, out=norms)
 
     @property
     def units(self) -> np.ndarray:
@@ -250,9 +280,66 @@ class Lattice:
 _CHUNK_ELEMS = 1 << 19
 
 
+def _box_extent(box_period: float, uv_cutoff: float) -> int:
+    """``n_max = floor(Lam L)``, with a ``1e-12`` slack for roundoff in
+    ``Lam L``; invalid inputs and an empty box raise."""
+    if not all(x > 0 and math.isfinite(x) for x in (box_period, uv_cutoff)):
+        raise InvalidParameterError(
+            "box period and cutoff must be positive and finite")
+    n_max = int(math.floor(uv_cutoff * box_period + 1e-12))
+    if n_max < 1:
+        raise EmptyLatticeError(
+            f"no modes: floor(Lambda*L) = {n_max} < 1 for "
+            f"L={box_period}, Lambda={uv_cutoff}")
+    return n_max
+
+
+def _box_modes(n_max: int) -> np.ndarray:
+    """The box's integer modes ``n``, shape ((2 n_max + 1)**3 - 1, 3): the
+    rows of the ``(m, m, m, 3)`` grid are already lexicographic, and the
+    origin is the middle one."""
+    axis = np.arange(-n_max, n_max + 1)
+    grid = np.empty((len(axis) ** 3, 3), dtype=axis.dtype)
+    cube = grid.reshape((len(axis),) * 3 + (3,))
+    cube[..., 0] = axis[:, None, None]
+    cube[..., 1] = axis[:, None]
+    cube[..., 2] = axis
+    mid = len(grid) // 2
+    grid[mid:-1] = grid[mid + 1:]  # drop the origin in place
+    return grid[:-1]
+
+
+def _box_orbits(step: float, n_max: int) -> OrbitTable:
+    """The box's orbits from integer keys ``(n^2, |n_z|)``.
+
+    The plane ``|n_x|, |n_y| <= n_max`` gives the distinct ``rho^2 = n_x^2
+    + n_y^2`` and their multiplicities; each pairs with every ``n_z`` in
+    ``[0, n_max]``, twice for ``n_z > 0``.  The keys ``n^2 (n_max + 1) +
+    n_z`` are flagged in one boolean array, whose ``flatnonzero`` lists
+    them sorted by ``(n^2, n_z)``; the origin's key 0 is dropped.
+    """
+    sq = np.arange(-n_max, n_max + 1) ** 2
+    plane = np.bincount((sq[:, None] + sq).ravel())
+    width = n_max + 1
+    keys = np.flatnonzero(plane)[:, None] + sq[n_max:]  # n^2 of each pair
+    keys *= width
+    keys += np.arange(width)
+    seen = np.zeros(keys[-1, -1] + 1, dtype=bool)
+    seen[keys.ravel()] = True
+    del keys
+    n2, nz = np.divmod(np.flatnonzero(seen)[1:], width)
+    del seen
+    norms = np.sqrt(n2)
+    norms *= step
+    rho2 = np.subtract(n2, nz * nz, out=n2)  # n2 is spent
+    return OrbitTable(norms=norms, kz=step * nz,
+                      count=plane[rho2] << (nz > 0),
+                      moments=np.zeros((len(nz), 4)))
+
+
 def _orbit_table(points: np.ndarray, norms: np.ndarray) -> OrbitTable:
-    """Group the modes by bit-equal ``(|k|, |k_z|)``: one ``lexsort``, a
-    boundary mask, and the moments summed over sorted slices of at most
+    """Group explicit points by bit-equal ``(|k|, |k_z|)``: one ``lexsort``,
+    a boundary mask, and the moments summed over sorted slices of at most
     ``_CHUNK_ELEMS`` entries."""
     kz = np.abs(points[:, 2])
     order = np.lexsort((kz, norms))
@@ -418,30 +505,15 @@ def profile_norm(profile: ChargeProfile, p: int, rel_tol: float = 1e-10
 
 
 def build_lattice(box_period: float, uv_cutoff: float) -> Lattice:
-    """Enumerate the cutoff momentum box.
+    """The cutoff momentum box ``Lattice(box_period, uv_cutoff)``.
 
-    The number of points is ``(2 floor(Lam L) + 1)**3 - 1``; an empty box
-    (no nonzero mode on any axis) raises ``EmptyLatticeError``.  The rows
-    of the ``(n, n, n, 3)`` grid are already lexicographic, and the origin
-    is the middle one.
+    The number of modes is ``(2 floor(Lam L) + 1)**3 - 1``; a non-positive
+    or non-finite input raises ``InvalidParameterError``, an empty box (no
+    nonzero mode on any axis) ``EmptyLatticeError``.  The orbits come from
+    integer keys in ``O(n_max^3)`` small integers at most, never from the
+    ``(N, 3)`` box.
     """
-    if not all(x > 0 and math.isfinite(x) for x in (box_period, uv_cutoff)):
-        raise InvalidParameterError(
-            "box period and cutoff must be positive and finite")
-    n_max = int(math.floor(uv_cutoff * box_period + 1e-12))
-    if n_max < 1:
-        raise EmptyLatticeError(
-            f"no modes: floor(Lambda*L) = {n_max} < 1 for "
-            f"L={box_period}, Lambda={uv_cutoff}")
-    axis = (2.0 * math.pi / box_period) * np.arange(-n_max, n_max + 1.0)
-    grid = np.empty(((2 * n_max + 1) ** 3, 3))
-    cube = grid.reshape((len(axis),) * 3 + (3,))
-    cube[..., 0] = axis[:, None, None]
-    cube[..., 1] = axis[:, None]
-    cube[..., 2] = axis
-    mid = len(grid) // 2
-    grid[mid:-1] = grid[mid + 1:]  # drop the origin in place
-    return Lattice(box_period, uv_cutoff, grid[:-1])
+    return Lattice(box_period, uv_cutoff)
 
 
 def lattice_norm(profile: ChargeProfile, lattice: Lattice, p: int) -> float:

@@ -5,7 +5,7 @@ dense ``3 x 4N`` block.  The full quadratic form is a ``p x p`` particle
 block ``P`` (``p = 3`` or ``6``), the diagonal photon block ``K`` and the
 ``p x 4N`` border ``B`` between them.  A form stores ``P``, the scalar
 ``e^2 nu^2`` and the channel columns of ``B`` as a ``model.ModeTable``, one
-row per orbit of bit-equal ``(|k|, |k_z|)``; the free diagonal, the border
+row per orbit of equal ``(|k|, |k_z|)``; the free diagonal, the border
 and the dense matrix are rebuilt on request, for tests and oracles.
 
 The ground energy is the zero-point trace ``0.5 Tr(sqrt(Omega) -
@@ -316,12 +316,15 @@ class _Kernel:
         >= 0``, each ``G_c = (p - lam) S_c`` is convex on ``(-inf, p)``, so
         from below every eigenvalue the least Newton tangent root over the
         descending channels climbs to it without reaching ``p`` (Bunch,
-        Nielsen & Sorensen, Numer. Math. 31 (1978) 31)."""
+        Nielsen & Sorensen, Numer. Math. 31 (1978) 31).  It stops at a step
+        within ``4 eps`` of the bracket's scale, or once two steps predict a
+        next one below ``eps`` of it."""
         lo, hi = self.bracket()
-        tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+        ulp = np.finfo(float).eps * max(abs(lo), abs(hi))
+        tol = 4.0 * ulp
         p = float(np.min(self.freq2))
         n_neg = int(self.multiplicity @ (self.schur0 < 0.0))
-        bottom = lo if n_neg else max(lo, 0.0)
+        bottom, step = (lo if n_neg else max(lo, 0.0)), 0.0
         for _ in range(NEWTON_STEPS):
             x = bottom
             if x >= p:
@@ -330,7 +333,10 @@ class _Kernel:
             g, dg = (p - x) * s, (p - x) * ds - s
             down = dg < 0.0
             bottom = min(p, float(np.min(x - g[down] / dg[down], initial=p)))
-            if bottom - x <= tol:
+            # the convergence is quadratic: the next step would be about
+            # step^3 / last^2, so no pass is spent only to see it vanish
+            last, step = step, bottom - x
+            if step <= tol or step ** 3 <= ulp * last ** 2:
                 break
         else:
             raise AccuracyError(f"{NEWTON_STEPS} Newton steps left the bottom "

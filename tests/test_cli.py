@@ -85,6 +85,13 @@ def test_default_grid_scales_with_width():
     ('{"L": true}', "'L'"),
     ('{"R_grid": [1, 10, 3.5, "linear"]}', "'R_grid'"),
     ('{"R_grid": [true, 10]}', "'R_grid'"),
+    # a repeated key does not override the earlier value, in either form
+    ("e = 0.5\ne = 0.8", "key 'e': repeated"),
+    ('{"e": 0.5, "e": 0.8}', "key 'e': repeated"),
+    # JSON non-strings are not read as text or as a boolean spelling
+    ('{"output_path": 5}', "'output_path'"),
+    ('{"output_format": 5}', "'output_format'"),
+    ('{"include_direct_term": 1}', "'include_direct_term'"),
 ])
 def test_rejected_documents(doc, fragment):
     with pytest.raises(ConfigError) as err:

@@ -5,14 +5,15 @@ import pytest
 
 from cplab import (EmptyLatticeError, Geometry, IntegrabilityError,
                    InvalidParameterError, ModelParams, TraceSystem,
-                   assemble_two_electron, build_lattice, check_constraints,
-                   form_factor, lattice_norm, make_custom_profile,
-                   make_gaussian_profile, polarization, polarization_basis,
-                   profile_norm)
+                   assemble_two_electron, binding_energy_exact, build_lattice,
+                   check_constraints, form_factor, lattice_norm,
+                   make_custom_profile, make_gaussian_profile, polarization,
+                   polarization_basis, profile_norm, series_binding)
 from cplab import model
+from cplab.cli import parse_config, run
 from cplab.oscillator import _Kernel
 
-from conftest import orbit_index, reduce_over_orbits, unit_monomials
+from conftest import reduce_over_orbits, unit_monomials
 
 TWO_PI = 2.0 * math.pi
 
@@ -133,24 +134,105 @@ def test_lattice_structure():
     assert keys == sorted(keys)
 
 
+def box_keys(n_max):
+    """Test oracle: the integer modes ``n`` of the box, lexicographic and
+    without the origin, with their keys ``n^2`` and ``|n_z|``."""
+    axis = np.arange(-n_max, n_max + 1)
+    n = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    n = n.reshape(-1, 3)
+    n = n[np.any(n != 0, axis=1)]
+    return n, np.sum(n * n, axis=1), np.abs(n[:, 2])
+
+
 @pytest.mark.parametrize("box,size", [(2.0, 17), (3.0, 39), (4.0, 74)])
 def test_lattice_orbit_invariants(box, size):
-    # orbits of bit-equal (|k|, |k_z|): distinct sorted keys, multiplicities
-    # summing to N, every mode's key equal to its orbit's bit for bit
+    # orbits of the integer keys (n^2, |n_z|): distinct sorted keys, every
+    # mode of the box mapped to exactly one orbit, multiplicities counting
+    # the box, and |k| = (2 pi / L) sqrt(n^2) bit for bit
     lat = build_lattice(box, 1.0)
     orbits = lat.orbits
+    step = TWO_PI / box
+    n, n2, nz = box_keys(int(box))
     assert len(orbits.count) == size
-    assert orbits.count.sum() == lat.count
-    keys = list(zip(orbits.norms, orbits.kz))
-    assert keys == sorted(set(keys))
-    idx = orbit_index(lat)
+    assert orbits.count.sum() == lat.count == len(n)
+    keys = np.rint([(orbits.norms / step) ** 2, orbits.kz / step]).astype(int)
+    np.testing.assert_array_equal(orbits.norms, step * np.sqrt(keys[0]))
+    np.testing.assert_array_equal(orbits.kz, step * keys[1])
+    rows = {key: i for i, key in enumerate(zip(*keys))}
+    assert len(rows) == size and list(rows) == sorted(rows)
+    idx = np.array([rows[key] for key in zip(n2, nz)])
     np.testing.assert_array_equal(np.bincount(idx, minlength=size),
                                   orbits.count)
-    np.testing.assert_array_equal(orbits.norms[idx], lat.norms)
-    np.testing.assert_array_equal(orbits.kz[idx], np.abs(lat.points[:, 2]))
-    # the symmetric box: every orbit's moments cancel to roundoff
-    bound = 1e-15 * orbits.count[:, None]
-    assert np.all(np.abs(orbits.moments) <= bound)
+    # the per-mode oracles are the same modes, with the orbits' norms
+    np.testing.assert_array_equal(lat.points, step * n)
+    np.testing.assert_array_equal(lat.norms, orbits.norms[idx])
+    # the symmetric box: each orbit's moments, zero in the table, cancel
+    # to roundoff over its modes
+    assert not np.any(orbits.moments)
+    moments = np.zeros((size, 4))
+    np.add.at(moments, idx, unit_monomials(lat.units))
+    assert np.all(np.abs(moments) <= 1e-15 * orbits.count[:, None])
+
+
+@pytest.mark.parametrize("box,cut", [
+    (1.0, 1.0), (2.0, 1.0), (3.0, 1.0), (8.0, 1.0), (2.5, 1.3),
+    # L Lambda just below an integer: the 1e-12 slack keeps n_max = 3, 8
+    (3.0, (3.0 - 1e-13) / 3.0), (5.0, 1.6 - 1e-14),
+])
+def test_integer_orbits_match_float_box_fold(box, cut):
+    # the integer table against the bit-equal float fold of the explicit
+    # box: regrouped by integer key, the float orbits carry the same
+    # multiplicities, and every mode sum agrees to 1e-14 of the sum of its
+    # terms' magnitudes
+    lat = build_lattice(box, cut)
+    n_max = math.floor(box * cut + 1e-12)
+    assert n_max <= 8 and lat.count == (2 * n_max + 1) ** 3 - 1
+    if box * cut < round(box * cut):
+        assert math.floor(box * cut) == n_max - 1
+    ref = model.Lattice(box, cut, lat.points)
+    assert ref.count == lat.count
+    step = TWO_PI / box
+    keys = (np.rint((ref.orbits.norms / step) ** 2) * (n_max + 1)
+            + np.rint(ref.orbits.kz / step))
+    _, inverse = np.unique(keys, return_inverse=True)
+    np.testing.assert_array_equal(
+        np.bincount(inverse, weights=ref.orbits.count), lat.orbits.count)
+    prof = make_gaussian_profile(0.5)
+    z = np.geomspace(1e-2, 1e2, 5)
+    for R in (None, 0.3 * box):
+        table, oracle = (model.lattice_table(x, prof, R) for x in (lat, ref))
+        size = model.ModeTable(oracle.ksq, np.abs(oracle.columns))
+        pairs = [(table.columns.sum(0), oracle.columns.sum(0),
+                  size.columns.sum(0)),
+                 (table.sums(z, (1, 2)), oracle.sums(z, (1, 2)),
+                  size.sums(z, (1, 2)))]
+        for value, expected, magnitude in pairs:
+            assert np.all(np.abs(value - expected) <= 1e-14 * magnitude)
+    for p in (-1, 0, 1):
+        assert lattice_norm(prof, lat, p) == pytest.approx(
+            lattice_norm(prof, ref, p), rel=1e-14, abs=0.0)
+
+
+def test_production_never_builds_the_box(monkeypatch):
+    # every CLI route and both exact and series bindings read the orbits
+    # alone: with the per-mode box builder refusing, they still run
+    def refuse(n_max):
+        raise AssertionError(f"per-mode box built at n_max = {n_max}")
+
+    monkeypatch.setattr(model, "_box_modes", refuse)
+    with pytest.raises(AssertionError, match="per-mode box"):
+        build_lattice(2.0, 1.0).points
+    cfg = parse_config("L = 3\nxi = 0.25\nnu0 = 3\nR_grid = 0.6, 0.9\n"
+                       "max_order = 6")
+    for sub in ("check", "energy", "binding", "series", "convergence"):
+        assert run(sub, cfg).rows
+    params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
+    lat = build_lattice(3.0, 1.0)
+    assert series_binding(params, lat, prof, 0.9, 6).value > 0.0
+    assert binding_energy_exact(params, lat, prof, 0.9) > 0.0
+    # the mode count comes from the table: 111,284,640 modes at n_max = 240
+    for n_max in (1, 2, 7, 64, 240):
+        assert build_lattice(n_max, 1.0).count == (2 * n_max + 1) ** 3 - 1
 
 
 def test_orbit_moments_do_not_depend_on_chunking(monkeypatch):
