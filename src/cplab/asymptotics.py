@@ -76,7 +76,8 @@ def sweep_R(grid: Sequence[float],
             evaluator: Union[str, Callable[[float], float]],
             params: ModelParams, profile: ChargeProfile, lattice=None,
             rel_tol: float = 1e-8) -> SweepResult:
-    """Evaluate an observable over an increasing positive separation grid.
+    """Evaluate an observable over an increasing, positive and finite
+    separation grid.
 
     ``evaluator`` is either a callable or one of the names
     "continuum-main", "continuum-error", "lattice-binding".  Evaluation
@@ -85,8 +86,9 @@ def sweep_R(grid: Sequence[float],
     bug and propagates.
     """
     grid = [float(g) for g in grid]
-    if not grid or any(g <= 0 for g in grid):
-        raise InvalidParameterError("grid must be nonempty and positive")
+    if not grid or not all(g > 0 and math.isfinite(g) for g in grid):
+        raise InvalidParameterError(
+            "grid must be nonempty, positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("grid must be strictly increasing")
     name = evaluator if isinstance(evaluator, str) else getattr(
@@ -122,7 +124,8 @@ def fit_power_law(points, window: Optional[Tuple[float, float]] = None
     """Ordinary least squares of ``log |value|`` on ``log R``.
 
     ``points`` is a pair of arrays or a sequence of (R, value) pairs.  All
-    values inside the window must share one sign; two points give an exact
+    values inside the window must be finite and share one sign, at finite
+    positive R, or ``FitDomainError`` is raised; two points give an exact
     degenerate fit flagged low-confidence.
     """
     if isinstance(points, SweepResult):
@@ -135,10 +138,12 @@ def fit_power_law(points, window: Optional[Tuple[float, float]] = None
     if window is not None:
         keep = (rr >= window[0]) & (rr <= window[1])
         rr, vv = rr[keep], vv[keep]
-    else:
-        window = (float(rr.min()), float(rr.max())) if len(rr) else (0.0, 0.0)
     if len(rr) < 2:
         raise FitDomainError("need at least two points to fit")
+    if not (np.all(rr > 0) and np.all(np.isfinite(rr))
+            and np.all(np.isfinite(vv))):
+        raise FitDomainError(
+            "R and values inside window must be finite, R positive")
     if np.any(vv == 0) or (np.any(vv > 0) and np.any(vv < 0)):
         raise FitDomainError("values change sign (or vanish) inside window")
     x = np.log(rr)
@@ -165,9 +170,11 @@ def convergence_study(L_ladder: Sequence[float],
     ``binding_energy_exact``, not the difference of the energies) and the
     signed successive differences along the box ladder.
     """
-    if any(b <= a for a, b in zip(L_ladder, L_ladder[1:])) or \
+    if not (len(L_ladder) and len(Lambda_ladder)) or \
+       any(b <= a for a, b in zip(L_ladder, L_ladder[1:])) or \
        any(b <= a for a, b in zip(Lambda_ladder, Lambda_ladder[1:])):
-        raise InvalidParameterError("ladders must be strictly increasing")
+        raise InvalidParameterError(
+            "ladders must be nonempty and strictly increasing")
     if R >= min(L_ladder) / 2.0:
         raise InvalidParameterError(
             "separation must stay below half the smallest box")

@@ -9,8 +9,8 @@ value types defined here:
     radial form factor with cached continuum norms,
 ``Lattice``
     the cutoff momentum box with its quadrature weight and its
-    ``OrbitTable``, the modes grouped by ``(|k|, |k_z|)``; the box builds
-    it from integer keys and stores no per-mode array,
+    ``OrbitTable``, the modes grouped by ``(|k|, |k_z|)``, built from
+    integer keys; no per-mode array is stored,
 ``ModelParams`` / ``Geometry``
     couplings and the two-center geometry,
 ``ModeTable``
@@ -107,7 +107,7 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Geometry:
-    """Separation ``R`` along the fixed direction ``n_hat = (0, 0, 1)``."""
+    """Separation ``R`` along the z axis, ``r = (0, 0, R)``."""
 
     R: float
 
@@ -115,10 +115,6 @@ class Geometry:
         if not (self.R > 0 and math.isfinite(self.R)):
             raise InvalidParameterError(
                 "separation R must be positive and finite")
-
-    @property
-    def n_hat(self) -> np.ndarray:
-        return np.array([0.0, 0.0, 1.0])
 
     @property
     def r(self) -> np.ndarray:
@@ -151,7 +147,6 @@ class ConstraintReport:
     sqrt2_e_norm_lt_1: bool
     a_lt_quarter: bool
     continuum_norms: Dict[int, float]
-    lattice_norms: Dict[int, float]
     nu: float
 
     @property
@@ -177,10 +172,8 @@ class OrbitTable:
     Every channel column of ``lattice_table``, its copy times
     ``cos(k_z R)`` and ``|k|^2`` are functions of that key, so a mode sum of
     them is the sum over orbits of the representative's value times
-    ``count``.  The box of ``build_lattice`` keys its orbits by the integers
-    ``(n^2, |n_z|)`` of ``k = (2 pi / L) n``; a lattice of explicit points
-    folds them by bit-equal float keys.  Orbits are sorted by ``|k|``, then
-    ``|k_z|``.
+    ``count``.  The box keys its orbits by the integers ``(n^2, |n_z|)`` of
+    ``k = (2 pi / L) n``, sorted by ``|k|``, then ``|k_z|``.
 
     Attributes
     ----------
@@ -194,7 +187,9 @@ class OrbitTable:
         u_y^2`` of the unit vectors ``u = k / |k|``: a weighted mode sum of
         ``u u^T`` with weights that depend on the key alone is
         ``diag(T, T, L)`` iff the weights annihilate all four columns.  Zero
-        on the box, whose reflections and ``k_x <-> k_y`` cancel each one.
+        on the box, whose reflections and ``k_x <-> k_y`` cancel each one;
+        ``lattice_table`` still checks them, so a table built by hand
+        (one orbit per mode, say) that breaks the symmetry is refused.
     """
 
     norms: np.ndarray
@@ -211,14 +206,12 @@ class Lattice:
     only its ``orbits``, built from integer keys; no per-mode array is
     stored.  The box is symmetric under each reflection ``k_i -> -k_i`` and
     under ``k_x <-> k_y``, so ``lattice_table`` reduces every mode sum to
-    axis channels over ``orbits``.  ``Lattice(L, Lam, points)`` holds
-    explicit points, such as a box with a mode removed, and folds them by
-    bit-equal float keys.
+    axis channels over ``orbits``.
 
     The per-mode ``points``, ``norms`` and ``units`` serve
-    ``build_coupling`` (the border) and the test oracles; on the box they
-    are rebuilt on each access, with ``norms`` equal to the orbits' ``(2 pi
-    / L) sqrt(n^2)`` bit for bit.
+    ``build_coupling`` (the border) and the test oracles; they are rebuilt
+    on each access, with ``norms`` equal to the orbits' ``(2 pi / L)
+    sqrt(n^2)`` bit for bit.
 
     Attributes
     ----------
@@ -228,17 +221,12 @@ class Lattice:
         Riemann cell volume ``(2 pi / L)**3`` entering every lattice norm.
     """
 
-    def __init__(self, box_period: float, uv_cutoff: float,
-                 points: Optional[np.ndarray] = None):
-        self._points = points
-        if points is None:
-            self._n_max = _box_extent(box_period, uv_cutoff)
+    def __init__(self, box_period: float, uv_cutoff: float):
+        self._n_max = _box_extent(box_period, uv_cutoff)
         self.box_period = float(box_period)
         self.uv_cutoff = float(uv_cutoff)
         self.cell_weight = (2.0 * math.pi / box_period) ** 3
-        self.orbits = (_box_orbits(2.0 * math.pi / box_period, self._n_max)
-                       if points is None
-                       else _orbit_table(points, self.norms))
+        self.orbits = _box_orbits(2.0 * math.pi / box_period, self._n_max)
 
     @property
     def count(self) -> int:
@@ -246,25 +234,16 @@ class Lattice:
 
     @property
     def points(self) -> np.ndarray:
-        """Modes ``k``, shape (N, 3); the box's are built on each access."""
-        if self._points is None:
-            return (2.0 * math.pi / self.box_period) * _box_modes(self._n_max)
-        return self._points
+        """Modes ``k``, shape (N, 3), built on each access."""
+        return (2.0 * math.pi / self.box_period) * _box_modes(self._n_max)
 
     @property
     def norms(self) -> np.ndarray:
-        """Lengths ``|k|``, shape (N,), built on each access: ``(2 pi / L)
-        sqrt(n^2)`` on the box, else the column-by-column sum of
-        ``np.linalg.norm``."""
-        if self._points is None:
-            n = _box_modes(self._n_max)
-            return (2.0 * math.pi / self.box_period) * np.sqrt(
-                np.einsum("ij,ij->i", n, n))
-        points = self._points
-        norms = points[:, 0] * points[:, 0]
-        norms += points[:, 1] * points[:, 1]
-        norms += points[:, 2] * points[:, 2]
-        return np.sqrt(norms, out=norms)
+        """Lengths ``(2 pi / L) sqrt(n^2)``, shape (N,), built on each
+        access."""
+        n = _box_modes(self._n_max)
+        return (2.0 * math.pi / self.box_period) * np.sqrt(
+            np.einsum("ij,ij->i", n, n))
 
     @property
     def units(self) -> np.ndarray:
@@ -335,32 +314,6 @@ def _box_orbits(step: float, n_max: int) -> OrbitTable:
     return OrbitTable(norms=norms, kz=step * nz,
                       count=plane[rho2] << (nz > 0),
                       moments=np.zeros((len(nz), 4)))
-
-
-def _orbit_table(points: np.ndarray, norms: np.ndarray) -> OrbitTable:
-    """Group explicit points by bit-equal ``(|k|, |k_z|)``: one ``lexsort``,
-    a boundary mask, and the moments summed over sorted slices of at most
-    ``_CHUNK_ELEMS`` entries."""
-    kz = np.abs(points[:, 2])
-    order = np.lexsort((kz, norms))
-    norms, kz = np.take(norms, order), np.take(kz, order)
-    change = np.ones(len(order), dtype=bool)
-    change[1:] = (norms[1:] != norms[:-1]) | (kz[1:] != kz[:-1])
-    starts = np.flatnonzero(change)
-    moments = np.zeros((len(starts), 4))
-    step = _CHUNK_ELEMS // 4
-    for lo in range(0, len(order), step):
-        ux, uy, uz = (np.take(points, order[lo:lo + step], axis=0)
-                      / norms[lo:lo + step, None]).T
-        mono = np.stack([ux * uy, ux * uz, uy * uz, ux * ux - uy * uy])
-        cut = np.flatnonzero(change[lo:lo + step])
-        if not cut.size or cut[0]:  # the slice opens inside an orbit
-            cut = np.concatenate(([0], cut))
-        first = int(np.searchsorted(starts, lo, side="right")) - 1
-        moments[first:first + len(cut)] += np.add.reduceat(mono, cut, 1).T
-    return OrbitTable(norms=norms[starts], kz=kz[starts],
-                      count=np.diff(np.append(starts, len(order))),
-                      moments=moments)
 
 
 def _resolvent_sums(z: np.ndarray, ksq: np.ndarray, columns: np.ndarray,
@@ -618,4 +571,4 @@ def check_constraints(params: ModelParams, profile: ChargeProfile,
         sqrt2_e_nu0_ge_1=rt2 * e * nu0 >= 1.0,
         sqrt2_e_norm_lt_1=rt2 * e * cn[0] < 1.0,
         a_lt_quarter=a < 0.25,
-        continuum_norms=cn, lattice_norms=ln, nu=nu)
+        continuum_norms=cn, nu=nu)

@@ -3,10 +3,11 @@
 A dipole at position ``x`` couples linearly to the lattice field through a
 dense ``3 x 4N`` block.  The full quadratic form is a ``p x p`` particle
 block ``P`` (``p = 3`` or ``6``), the diagonal photon block ``K`` and the
-``p x 4N`` border ``B`` between them.  A form stores ``P``, the scalar
-``e^2 nu^2`` and the channel columns of ``B`` as a ``model.ModeTable``, one
-row per orbit of equal ``(|k|, |k_z|)``; the free diagonal, the border
-and the dense matrix are rebuilt on request, for tests and oracles.
+``p x 4N`` border ``B`` between them.  ``P`` is ``d I`` or ``[[d I, g I],
+[g I, d I]]``; a form stores the scalars ``d``, ``g`` and ``e^2 nu^2`` and
+the channel columns of ``B`` as a ``model.ModeTable``, one row per orbit of
+equal ``(|k|, |k_z|)``.  ``P``, the free diagonal, the border and the dense
+matrix are rebuilt on request, for tests and oracles.
 
 The ground energy is the zero-point trace ``0.5 Tr(sqrt(Omega) -
 sqrt(Omega_0))`` plus the shift ``1.5 e nu`` per particle.  By the Schur
@@ -35,10 +36,9 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import (AccuracyError, InvalidParameterError,
-                     NotPositiveSemidefiniteError)
-from .model import (SYMMETRY_REL, ChargeProfile, Geometry, Lattice,
-                    ModelParams, ModeTable, lattice_table, polarization_basis)
+from .errors import AccuracyError, NotPositiveSemidefiniteError
+from .model import (ChargeProfile, Geometry, Lattice, ModelParams, ModeTable,
+                    lattice_table, polarization_basis)
 from .quadrature import integrate_half_line
 
 __all__ = [
@@ -62,17 +62,21 @@ class LatticePeriodicityWarning(UserWarning):
 class QuadraticForm:
     """Symmetric form ``[[P, B], [B^T, K]]`` held by its orbit data.
 
-    ``particle`` is the ``p x p`` block ``P`` and ``enu2`` the free particle
-    frequency ``e^2 nu^2``; the photon block ``K`` is ``|k|^2`` of each mode
-    of ``lattice``, shared by its four channels.  ``table`` is
-    ``lattice_table`` times ``e^2 coupling_scale^2``: per orbit, the sums of
-    ``T = (M_xx + M_yy) / 2`` and ``L = M_zz`` of ``M_n = sum_c b_{n,c}
-    b_{n,c}^T`` (``b`` the columns of ``B``) over its modes, for any shift
-    or rotation.  No field grows with the number of modes.
+    The particle block ``P`` is ``d I`` for one dipole and ``[[d I, g I],
+    [g I, d I]]`` for two, the table holding two columns per dipole;
+    ``enu2`` is the free particle frequency ``e^2 nu^2``.  The photon block
+    ``K`` is ``|k|^2`` of each mode of ``lattice``, shared by its four
+    channels.  ``table`` is ``lattice_table`` times ``e^2``:
+    per orbit, the sums of ``T = (M_xx + M_yy) / 2`` and ``L = M_zz`` of
+    ``M_n = sum_c b_{n,c} b_{n,c}^T`` (``b`` the columns of ``B``) over its
+    modes, the same for any shift of the dipoles or rotation of the
+    polarizations.  ``_coupling`` builds ``B`` for the oracles.  No field
+    grows with the number of modes.
     """
 
     table: ModeTable
-    particle: np.ndarray
+    d: float
+    g: float
     enu2: float
     zero_point_shift: float
     lattice: Lattice = field(repr=False)
@@ -80,7 +84,17 @@ class QuadraticForm:
 
     @property
     def dim(self) -> int:
-        return len(self.particle) + 4 * self.lattice.count
+        return 3 * self.table.columns.shape[1] // 2 + 4 * self.lattice.count
+
+    @property
+    def particle(self) -> np.ndarray:
+        """The ``p x p`` block ``P``, built read-only on each access, for
+        tests and oracles only."""
+        dipoles = self.table.columns.shape[1] // 2
+        out = np.kron([[self.d, self.g], [self.g, self.d]],
+                      np.eye(3))[:3 * dipoles, :3 * dipoles]
+        out.setflags(write=False)
+        return out
 
     @property
     def omega0_diag(self) -> np.ndarray:
@@ -149,30 +163,16 @@ def build_coupling(x, lattice: Lattice, profile: ChargeProfile,
     return entries
 
 
-def _channel_block(d: float, g: float, p: int) -> np.ndarray:
-    """Particle block ``d I`` (``p = 3``) or ``[[d I, g I], [g I, d I]]``."""
-    return np.kron([[d, g], [g, d]], np.eye(3))[:p, :p]
-
-
 def assemble_one_electron(params: ModelParams, lattice: Lattice,
-                          profile: ChargeProfile, shift=None,
-                          rotation_angles: Optional[np.ndarray] = None,
-                          coupling_scale: float = 1.0) -> QuadraticForm:
-    """One-dipole form of dimension ``3 + 4N``.
-
-    ``shift`` moves the dipole position used in the coupling block; the
-    spectrum is invariant under it, and the canonical choice is the origin.
-    ``coupling_scale`` multiplies the off-diagonal block only (used by
-    perturbative cross-checks).
-    """
-    x = np.zeros(3) if shift is None else np.asarray(shift, dtype=float)
-    enu2, scale = (params.e * params.nu) ** 2, coupling_scale * params.e
+                          profile: ChargeProfile) -> QuadraticForm:
+    """One-dipole form of dimension ``3 + 4N``, the dipole at the origin:
+    ``d = e^2 nu^2``, ``g = 0``."""
+    enu2 = (params.e * params.nu) ** 2
     table = lattice_table(lattice, profile)
     return QuadraticForm(
-        ModeTable(table.ksq, scale ** 2 * table.columns),
-        _channel_block(enu2, 0.0, 3), enu2,
+        ModeTable(table.ksq, params.e ** 2 * table.columns), enu2, 0.0, enu2,
         1.5 * params.e * params.nu, lattice,
-        lambda: scale * build_coupling(x, lattice, profile, rotation_angles))
+        lambda: params.e * build_coupling(np.zeros(3), lattice, profile))
 
 
 def direct_coupling(params: ModelParams, lattice: Lattice,
@@ -198,25 +198,22 @@ def direct_coupling(params: ModelParams, lattice: Lattice,
 
 def assemble_two_electron(params: ModelParams, lattice: Lattice,
                           profile: ChargeProfile, geometry: Geometry,
-                          include_direct_term: bool = False,
-                          rotation_angles: Optional[np.ndarray] = None,
-                          coupling_scale: float = 1.0) -> QuadraticForm:
+                          include_direct_term: bool = False) -> QuadraticForm:
     """Two-dipole form of dimension ``6 + 4N``.
 
-    The first dipole couples at the origin, the second at ``r = R n_hat``.
-    The particle-particle block is zero unless ``include_direct_term`` is
-    set, in which case it carries ``gamma(R)`` times the identity.
+    The first dipole couples at the origin, the second at ``r = (0, 0,
+    R)``; ``d = e^2 nu^2``.  The particle-particle scalar ``g`` is zero
+    unless ``include_direct_term`` is set, in which case it is ``gamma(R)``.
     """
-    enu2, scale = (params.e * params.nu) ** 2, coupling_scale * params.e
+    enu2 = (params.e * params.nu) ** 2
     g = (direct_coupling(params, lattice, profile, geometry)
          if include_direct_term else 0.0)
     table = lattice_table(lattice, profile, geometry.R)
     return QuadraticForm(
-        ModeTable(table.ksq, scale ** 2 * table.columns),
-        _channel_block(enu2, g, 6), enu2,
+        ModeTable(table.ksq, params.e ** 2 * table.columns), enu2, g, enu2,
         3.0 * params.e * params.nu, lattice,
-        lambda: scale * np.vstack([
-            build_coupling(x, lattice, profile, rotation_angles)
+        lambda: params.e * np.vstack([
+            build_coupling(x, lattice, profile)
             for x in (np.zeros(3), geometry.r)]))
 
 
@@ -250,27 +247,17 @@ class _Kernel:
     """A form's mode ``table`` and ``stacked``, the same rows with the
     columns over ``k_n^2`` appended; ``freq2`` is the rows' ``|k|^2``.
     With the box symmetry ``lattice_table`` checks (separation along z) and
-    the particle block ``d I`` or ``[[d I, g I], [g I, d I]]``, checked
-    here, ``X(s)`` and ``S(lam)`` are diagonal in the channels:
-    ``O(orbits)`` per node, no ``p x p`` matrix."""
+    the particle block of the form's ``d`` and ``g``, ``X(s)`` and
+    ``S(lam)`` are diagonal in the channels: ``O(orbits)`` per node, no
+    ``p x p`` matrix."""
 
     def __init__(self, form: QuadraticForm):
-        p = len(form.particle)
         self.table, self.freq2 = form.table, form.table.ksq
-        self.enu2 = form.enu2
-        self.d = float(form.particle[0, 0])
-        self.g = float(form.particle[0, 3]) if p == 6 else 0.0
-        dev = np.max(np.abs(form.particle - _channel_block(self.d, self.g, p)))
-        scale = max(np.max(np.abs(form.particle)), self.enu2,
-                    float(np.max(self.freq2)))
-        if dev > SYMMETRY_REL * scale:
-            raise InvalidParameterError(
-                f"particle block is not d I or [[d I, g I], [g I, d I]]: "
-                f"deviation {dev:.3e} vs scale {scale:.3e}")
+        self.enu2, self.d, self.g = form.enu2, form.d, form.g
         cols, self.q = self.table.columns, self.table.columns.shape[1]
         self.stacked = ModeTable(self.freq2, np.hstack(
             [cols, cols / self.freq2[:, None]]))
-        self.multiplicity = np.tile(ModeTable.multiplicity, p // 3)
+        self.multiplicity = np.tile(ModeTable.multiplicity, self.q // 2)
         self._schur_base = np.array([[self.d, self.d, self.g, self.g],
                                      [0.0] * 4])[:, :self.q]
         self.schur0 = self.schur(0.0)[0]
@@ -354,9 +341,8 @@ def ground_energy(form: QuadraticForm) -> EnergyResult:
     """Exact ground energy of an assembled form by the channel kernel, with
     the quadrature's ``error_estimate`` and ``nodes``.
 
-    A particle block other than ``d I`` or ``[[d I, g I], [g I, d I]]`` (to
-    ``SYMMETRY_REL``) raises ``InvalidParameterError``, as does assembling a
-    form on a lattice that breaks the box symmetry.  Eigenvalues in
+    Assembling a form on a lattice that breaks the box symmetry raises
+    ``InvalidParameterError``.  Eigenvalues in
     ``[-1e-10 * norm, 0)`` are roundoff, clamped to zero (``log|.|`` gives
     them zero weight); a lower one raises ``NotPositiveSemidefiniteError``.
     """

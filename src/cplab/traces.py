@@ -104,7 +104,6 @@ class TraceSeries:
     converged: bool
     a: float
     zero_point_shift: float = 0.0
-    kind: str = "energy"
     #: per order: the quadrature's own error estimate and integrand nodes
     error_estimates: List[float] = field(default_factory=list)
     nodes: List[int] = field(default_factory=list)
@@ -389,8 +388,8 @@ def series_one_electron(params: ModelParams, lattice: Lattice,
     value = shift - math.fsum(terms)
     return TraceSeries(orders=orders, contributions=terms, value=value,
                        tail_bound=tail, converged=a < 1.0, a=a,
-                       zero_point_shift=shift, kind="energy",
-                       error_estimates=errors, nodes=nodes)
+                       zero_point_shift=shift, error_estimates=errors,
+                       nodes=nodes)
 
 
 def series_binding(params: ModelParams, lattice: Lattice,
@@ -424,7 +423,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
         tail = math.inf
     return TraceSeries(orders=orders, contributions=terms,
                        value=math.fsum(terms), tail_bound=tail,
-                       converged=a < 0.25, a=a, kind="binding",
+                       converged=a < 0.25, a=a,
                        error_estimates=errors, nodes=nodes)
 
 

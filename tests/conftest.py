@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cplab import (EnergyResult, Lattice, ModelParams, OrbitTable,
                    assemble_one_electron, assemble_two_electron,
-                   build_lattice, make_gaussian_profile)
+                   build_coupling, build_lattice, make_gaussian_profile)
 
 # constraint-passing sets (e, nu0, xi) spanning the admissible region;
 # the first is the documented default
@@ -72,15 +74,33 @@ def unit_monomials(units):
     return np.stack([ux * uy, ux * uz, uy * uz, ux * ux - uy * uy], axis=1)
 
 
-def per_mode_lattice(lattice):
-    """Test oracle: the same points with one orbit per mode, in mode order,
-    so every folded mode sum of the package runs over all N modes."""
-    twin = Lattice(lattice.box_period, lattice.uv_cutoff, lattice.points)
+def per_mode_lattice(lattice, points=None):
+    """Test oracle: the box with a hand-built table of one orbit per mode of
+    ``points``, in their order, so every folded mode sum of the package runs
+    over all of them.  By default the points are the box's own modes;
+    other points (a box with a mode removed, say) give a table that breaks
+    the box symmetry.  Only ``orbits`` is replaced: the per-mode views stay
+    the box's."""
+    twin = Lattice(lattice.box_period, lattice.uv_cutoff)
+    if points is None:
+        points, norms = lattice.points, lattice.norms
+    else:
+        norms = np.linalg.norm(points, axis=1)
     twin.orbits = OrbitTable(
-        norms=twin.norms, kz=np.abs(twin.points[:, 2]),
-        count=np.ones(twin.count, dtype=int),
-        moments=unit_monomials(twin.units))
+        norms=norms, kz=np.abs(points[:, 2]),
+        count=np.ones(len(points), dtype=int),
+        moments=unit_monomials(points / norms[:, None]))
     return twin
+
+
+def rebordered(form, params, profile, positions, rotation_angles=None):
+    """Test oracle: ``form`` with the border ``e build_coupling`` of dipoles
+    at ``positions`` with polarizations rotated by ``rotation_angles``.  A
+    shift or rotation changes the border alone, not the spectrum, so the
+    dense oracle of the result must give the energy of ``form``."""
+    return dataclasses.replace(form, _coupling=lambda: params.e * np.vstack(
+        [build_coupling(x, form.lattice, profile, rotation_angles)
+         for x in positions]))
 
 
 #: largest form the dense oracle accepts

@@ -50,6 +50,10 @@ def test_sweep_validates_grid(default_params, gaussian):
         sweep_R([2.0, 1.0], lambda R: 1.0, default_params, gaussian)
     with pytest.raises(InvalidParameterError):
         sweep_R([1.0, 2.0], "no-such-evaluator", default_params, gaussian)
+    # non-finite entries would give non-finite rows with no gap
+    for grid in ([math.nan], [1.0, math.inf], [math.nan, 2.0]):
+        with pytest.raises(InvalidParameterError):
+            sweep_R(grid, lambda R: 1.0, default_params, gaussian)
 
 
 def test_sweep_lattice_binding_warn_flags():
@@ -108,6 +112,20 @@ def test_fit_sign_change_rejected():
         fit_power_law(([1.0], [1.0]))
 
 
+def test_fit_non_finite_rejected():
+    # a NaN value (or R) inside the window would give an all-NaN fit
+    for rr, vv in (([1.0, 2.0, 3.0], [1.0, math.nan, 0.1]),
+                   ([1.0, 2.0, 3.0], [1.0, math.inf, 0.1]),
+                   ([1.0, math.nan, 3.0], [1.0, 0.5, 0.1]),
+                   ([-1.0, 2.0, 3.0], [1.0, 0.5, 0.1])):
+        with pytest.raises(FitDomainError):
+            fit_power_law((rr, vv))
+    # outside the window a NaN is never read
+    fit = fit_power_law(([1.0, 2.0, 4.0], [math.nan, 0.25, 0.0625]),
+                        window=(2.0, 4.0))
+    assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
+
+
 def test_fit_window_selection():
     rr = np.array([1.0, 2.0, 10.0, 20.0, 40.0])
     vv = 2.0 * rr ** -3
@@ -145,6 +163,10 @@ def test_convergence_validates_ladders(default_params, gaussian):
         convergence_study([2.0, 1.0], [1.0], default_params, gaussian, 0.3)
     with pytest.raises(InvalidParameterError):
         convergence_study([1.0, 2.0], [1.0], default_params, gaussian, 0.6)
+    # an empty box or cutoff ladder has no rows to refine
+    for boxes, cutoffs in (([], [1.0]), ([1.0, 2.0], [])):
+        with pytest.raises(InvalidParameterError):
+            convergence_study(boxes, cutoffs, default_params, gaussian, 0.3)
 
 
 def test_lattice_fourth_order_approaches_continuum():

@@ -13,7 +13,7 @@ from cplab import model
 from cplab.cli import parse_config, run
 from cplab.oscillator import _Kernel
 
-from conftest import reduce_over_orbits, unit_monomials
+from conftest import per_mode_lattice, unit_monomials
 
 TWO_PI = 2.0 * math.pi
 
@@ -180,8 +180,8 @@ def test_lattice_orbit_invariants(box, size):
     (3.0, (3.0 - 1e-13) / 3.0), (5.0, 1.6 - 1e-14),
 ])
 def test_integer_orbits_match_float_box_fold(box, cut):
-    # the integer table against the bit-equal float fold of the explicit
-    # box: regrouped by integer key, the float orbits carry the same
+    # the integer table against the per-mode table of the box, one orbit
+    # per mode: regrouped by integer key, its modes count the same
     # multiplicities, and every mode sum agrees to 1e-14 of the sum of its
     # terms' magnitudes
     lat = build_lattice(box, cut)
@@ -189,8 +189,8 @@ def test_integer_orbits_match_float_box_fold(box, cut):
     assert n_max <= 8 and lat.count == (2 * n_max + 1) ** 3 - 1
     if box * cut < round(box * cut):
         assert math.floor(box * cut) == n_max - 1
-    ref = model.Lattice(box, cut, lat.points)
-    assert ref.count == lat.count
+    ref = per_mode_lattice(lat)
+    assert ref.count == lat.count == len(ref.orbits.count)
     step = TWO_PI / box
     keys = (np.rint((ref.orbits.norms / step) ** 2) * (n_max + 1)
             + np.rint(ref.orbits.kz / step))
@@ -233,26 +233,6 @@ def test_production_never_builds_the_box(monkeypatch):
     # the mode count comes from the table: 111,284,640 modes at n_max = 240
     for n_max in (1, 2, 7, 64, 240):
         assert build_lattice(n_max, 1.0).count == (2 * n_max + 1) ** 3 - 1
-
-
-def test_orbit_moments_do_not_depend_on_chunking(monkeypatch):
-    # slices of 10 modes cut most orbits of the L = 3 box; without the
-    # mode (2 pi / 3) (1, 1, 0) its orbit keeps a nonzero u_x u_y moment
-    lat = build_lattice(3.0, 1.0)
-    keep = np.any(lat.points != TWO_PI / 3.0 * np.array([1.0, 1.0, 0.0]),
-                  axis=1)
-    for points in (lat.points, lat.points[keep]):
-        whole = model.Lattice(3.0, 1.0, points)
-        with monkeypatch.context() as patch:
-            patch.setattr(model, "_CHUNK_ELEMS", 40)
-            sliced = model.Lattice(3.0, 1.0, points)
-        ref = reduce_over_orbits(whole, unit_monomials(whole.units))
-        for built in (whole, sliced):
-            np.testing.assert_array_equal(built.orbits.count,
-                                          whole.orbits.count)
-            np.testing.assert_allclose(built.orbits.moments, ref, rtol=0.0,
-                                       atol=1e-15 * whole.count)
-    assert np.max(np.abs(whole.orbits.moments[:, 0])) > 0.1
 
 
 def test_resolvent_chunks_cover_each_mode_once(monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 
 import cplab
 from cplab import model
-from cplab import (AccuracyError, Geometry, InvalidParameterError, Lattice,
+from cplab import (AccuracyError, Geometry, InvalidParameterError,
                    LatticePeriodicityWarning, ModelParams,
                    NotPositiveSemidefiniteError, TraceSystem,
                    assemble_one_electron, assemble_two_electron,
@@ -19,10 +19,11 @@ from cplab import (AccuracyError, Geometry, InvalidParameterError, Lattice,
                    direct_coupling, ground_energy, lattice_norm,
                    make_custom_profile, make_gaussian_profile,
                    series_binding, series_one_electron)
-from cplab.oscillator import SYMMETRY_REL, _Kernel
+from cplab.model import SYMMETRY_REL
+from cplab.oscillator import _Kernel
 
 from conftest import (PARAM_SETS, dense_ground_energy, per_mode_lattice,
-                      reduce_over_orbits)
+                      rebordered, reduce_over_orbits)
 
 
 def zero_profile():
@@ -91,14 +92,6 @@ def test_zero_profile_energies(default_params, small_lattice):
         == pytest.approx(0.0, abs=1e-13)
 
 
-def test_identity_case_energy_is_shift(default_params, small_lattice,
-                                       gaussian):
-    form = assemble_one_electron(default_params, small_lattice, gaussian,
-                                 coupling_scale=0.0)
-    res = ground_energy(form)
-    assert res.energy == pytest.approx(form.zero_point_shift, abs=1e-12)
-
-
 def test_positivity_under_hypotheses(strong_setup):
     params, prof, lat = strong_setup
     one = ground_energy(assemble_one_electron(params, lat, prof))
@@ -110,25 +103,28 @@ def test_positivity_under_hypotheses(strong_setup):
 
 
 def test_energy_shift_invariance(strong_setup):
+    # the production energy against the dense spectrum of a border built
+    # with the dipole away from the origin
     params, prof, lat = strong_setup
-    base = ground_energy(assemble_one_electron(params, lat, prof)).energy
-    shifted = ground_energy(assemble_one_electron(
-        params, lat, prof, shift=np.array([0.3, -1.0, 2.0]))).energy
-    assert shifted == pytest.approx(base, rel=1e-10)
+    form = assemble_one_electron(params, lat, prof)
+    shifted = rebordered(form, params, prof, [np.array([0.3, -1.0, 2.0])])
+    assert dense_ground_energy(shifted).energy == pytest.approx(
+        ground_energy(form).energy, rel=1e-10)
 
 
 def test_energy_polarization_rotation_invariance(strong_setup, rng):
+    # the production energies against the dense spectra of borders built
+    # with every mode's polarization pair rotated in its transverse plane
     params, prof, lat = strong_setup
-    base = ground_energy(assemble_one_electron(params, lat, prof)).energy
     angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
-    rotated = ground_energy(assemble_one_electron(
-        params, lat, prof, rotation_angles=angles)).energy
-    assert rotated == pytest.approx(base, rel=1e-10)
     g = Geometry(0.4)
-    base2 = ground_energy(assemble_two_electron(params, lat, prof, g)).energy
-    rot2 = ground_energy(assemble_two_electron(
-        params, lat, prof, g, rotation_angles=angles)).energy
-    assert rot2 == pytest.approx(base2, rel=1e-10)
+    for form, positions in (
+            (assemble_one_electron(params, lat, prof), [np.zeros(3)]),
+            (assemble_two_electron(params, lat, prof, g),
+             [np.zeros(3), g.r])):
+        rotated = rebordered(form, params, prof, positions, angles)
+        assert dense_ground_energy(rotated).energy == pytest.approx(
+            ground_energy(form).energy, rel=1e-10)
 
 
 def test_direct_term_block(default_params, small_lattice, gaussian):
@@ -157,71 +153,43 @@ def test_direct_coupling_fast_decay():
     assert p_far > p_near
 
 
-def test_asymmetric_form_rejected(default_params, small_lattice, gaussian):
-    form = assemble_one_electron(default_params, small_lattice, gaussian)
-    form.particle[0, 1] += 1.0
-    with pytest.raises(InvalidParameterError):
-        ground_energy(form)
-
-
-@pytest.mark.parametrize("dipoles,i,j", [(1, 0, 1), (2, 0, 1), (2, 2, 2),
-                                          (2, 0, 4), (2, 1, 5)])
-def test_non_channel_particle_block_rejected(default_params, small_lattice,
-                                             gaussian, dipoles, i, j):
-    # a symmetric edit that is not d I within or g I across breaks the
-    # channel structure the kernel relies on
-    args = (default_params, small_lattice, gaussian)
-    form = (assemble_one_electron(*args) if dipoles == 1 else
-            assemble_two_electron(*args, Geometry(0.3),
-                                  include_direct_term=True))
-    form.particle[i, j] += 0.1
-    if i != j:
-        form.particle[j, i] += 0.1
-    with pytest.raises(InvalidParameterError):
-        ground_energy(form)
-
-
 def border_variants(params, lat, prof, dipoles, angles):
-    """Forms of one or two dipoles with each way of building the border:
-    canonical, shifted (one) or with the contact term (two), rotated
-    polarizations and a coupling scale, each with its border built from
-    ``build_coupling``."""
-    e = params.e
+    """Forms of one or two dipoles, each with the border ``build_coupling``
+    gives it: canonical, with the contact term (two), and the canonical
+    form re-bordered with its dipole shifted (one) or its polarizations
+    rotated."""
+    def border(positions, rotation=None):
+        return params.e * np.vstack([build_coupling(x, lat, prof, rotation)
+                                     for x in positions])
+
     if dipoles == 1:
-        x = np.array([0.3, -1.0, 2.0])
-        cases = [({}, np.zeros(3), 1.0), ({"shift": x}, x, 1.0),
-                 ({"rotation_angles": angles}, np.zeros(3), 1.0),
-                 ({"shift": x, "rotation_angles": angles,
-                   "coupling_scale": 0.7}, x, 0.7)]
-        return [(assemble_one_electron(params, lat, prof, **kw),
-                 scale * e * build_coupling(x, lat, prof,
-                                            kw.get("rotation_angles")))
-                for kw, x, scale in cases]
-    g = Geometry(0.4)
-    cases = [({}, 1.0), ({"include_direct_term": True}, 1.0),
-             ({"rotation_angles": angles}, 1.0),
-             ({"coupling_scale": 1.3}, 1.3)]
-    return [(assemble_two_electron(params, lat, prof, g, **kw),
-             scale * e * np.vstack([
-                 build_coupling(x, lat, prof, kw.get("rotation_angles"))
-                 for x in (np.zeros(3), g.r)]))
-            for kw, scale in cases]
+        form = assemble_one_electron(params, lat, prof)
+        at, moved = [np.zeros(3)], [np.array([0.3, -1.0, 2.0])]
+        out = [(form, border(at))]
+        variants = [(moved, None), (at, angles), (moved, angles)]
+    else:
+        g = Geometry(0.4)
+        form = assemble_two_electron(params, lat, prof, g)
+        at = [np.zeros(3), g.r]
+        out = [(form, border(at)),
+               (assemble_two_electron(params, lat, prof, g,
+                                      include_direct_term=True), border(at))]
+        variants = [(at, angles)]
+    return out + [(rebordered(form, params, prof, x, rotation),
+                   border(x, rotation)) for x, rotation in variants]
 
 
 @pytest.mark.parametrize("factor", [5.0, 2.0])
 @pytest.mark.parametrize("dipoles", [1, 2])
-def test_border_breaking_box_symmetry_rejected(strong_setup, rng, factor,
+def test_border_breaking_box_symmetry_rejected(strong_setup, factor,
                                                dipoles):
-    # scaling one mode's wavevector changes only that mode's border columns
-    # and makes sum_n M_n / k_n^2 non-diagonal; every valid way of building
-    # the border gives a kernel, the scaled mode is refused at assembly
+    # scaling one mode's wavevector in a per-mode table changes only that
+    # mode's row and makes sum_n M_n / k_n^2 non-diagonal: assembly refuses
+    # the table
     params, prof, lat = strong_setup
-    angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
-    for form, _ in border_variants(params, lat, prof, dipoles, angles):
-        _Kernel(form)
     points = lat.points.copy()
     points[3] *= factor
-    broken = Lattice(lat.box_period, lat.uv_cutoff, points)
+    broken = per_mode_lattice(lat, points)
     with pytest.raises(InvalidParameterError, match="box symmetry"):
         if dipoles == 1:
             assemble_one_electron(params, broken, prof)
@@ -229,38 +197,33 @@ def test_border_breaking_box_symmetry_rejected(strong_setup, rng, factor,
             assemble_two_electron(params, broken, prof, Geometry(0.4))
 
 
-def test_kernel_columns_match_trace_system(strong_setup, rng):
-    # the kernel's channel columns are e^2 coupling_scale^2 times
-    # TraceSystem's, orbit by orbit, for a shifted or rotated border, stacked
-    # with the same columns over k_n^2: the per-mode columns, built from
-    # the points, summed over each orbit
+def test_kernel_columns_match_trace_system(strong_setup):
+    # the kernel's channel columns are e^2 times TraceSystem's, orbit by
+    # orbit, stacked with the same columns over k_n^2: the per-mode
+    # columns, built from the points, summed over each orbit
     params, prof, lat = strong_setup
     wk = lat.cell_weight * lat.norms ** 2 * prof.radial(lat.norms) ** 2
     uz2 = lat.units[:, 2] ** 2
     within = np.stack([0.5 * wk * (1.0 + uz2), wk * (1.0 - uz2)], axis=1)
-    angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
     g = Geometry(0.4)
     cases = [
-        (assemble_one_electron(params, lat, prof, shift=[0.3, -1.0, 2.0],
-                               rotation_angles=angles, coupling_scale=0.7),
-         TraceSystem(params, lat, prof), 0.7),
-        (assemble_two_electron(params, lat, prof, g, rotation_angles=angles,
-                               coupling_scale=1.3),
-         TraceSystem(params, lat, prof, g), 1.3),
+        (assemble_one_electron(params, lat, prof),
+         TraceSystem(params, lat, prof)),
+        (assemble_two_electron(params, lat, prof, g),
+         TraceSystem(params, lat, prof, g)),
     ]
-    for form, system, scale in cases:
+    for form, system in cases:
         kernel = _Kernel(form)
         modes = within
         if system.geometry is not None:
             cosr = np.cos(lat.points @ system.geometry.r)
             modes = np.hstack([within, within * cosr[:, None]])
-        modes = params.e ** 2 * scale ** 2 * modes
+        modes = params.e ** 2 * modes
         q = modes.shape[1]
         stacked = kernel.stacked.columns
         assert stacked.shape == (len(lat.orbits.count), 2 * q)
         for half, r in (
-                (stacked[:, :q],
-                 params.e ** 2 * scale ** 2 * system.table.columns),
+                (stacked[:, :q], params.e ** 2 * system.table.columns),
                 (stacked[:, :q], reduce_over_orbits(lat, modes)),
                 (stacked[:, q:],
                  reduce_over_orbits(lat, modes / lat.norms[:, None] ** 2))):
@@ -271,7 +234,7 @@ def test_kernel_columns_match_trace_system(strong_setup, rng):
 @pytest.mark.parametrize("dipoles", [1, 2])
 def test_border_is_read_only_coupling_view(strong_setup, rng, dipoles):
     # the form stores no border: each access rebuilds it, read-only, from
-    # build_coupling with the form's shift, rotation and scale
+    # build_coupling at the form's dipoles and polarizations
     params, prof, lat = strong_setup
     angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
     for form, ref in border_variants(params, lat, prof, dipoles, angles):
@@ -303,11 +266,12 @@ def test_border_gram_matches_channel_columns(strong_setup, rng, dipoles):
 
 
 def asymmetric_lattice():
-    """The L = 2 box less the mode pi (1, 1, 0): no longer symmetric."""
+    """The L = 2 box's per-mode table less the mode pi (1, 1, 0): no longer
+    symmetric."""
     lat = build_lattice(2.0, 1.0)
     keep = np.any(lat.points != math.pi * np.array([1.0, 1.0, 0.0]), axis=1)
     assert np.sum(~keep) == 1
-    return Lattice(2.0, 1.0, lat.points[keep])
+    return per_mode_lattice(lat, lat.points[keep])
 
 
 @pytest.mark.parametrize("route", ["energy", "binding", "series_energy",
@@ -425,10 +389,10 @@ def test_mode_sums_are_orbit_wide(monkeypatch):
 
 
 def test_forms_hold_orbit_data_only():
-    # an assembled form stores nothing per mode: at L = 3 no array field,
-    # its mode table's included, is longer than the 39 orbits, and both
-    # table arrays hold one row per orbit, while the per-mode views keep 3
-    # or 6 + 4N
+    # an assembled form stores nothing per mode: at L = 3 its only arrays
+    # are the mode table's two, one row per orbit of 39, and its particle
+    # block is the scalars d and g, while the per-mode views keep 3 or
+    # 6 + 4N
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     lat = build_lattice(3.0, 1.0)
     for form in (assemble_one_electron(params, lat, prof),
@@ -437,7 +401,9 @@ def test_forms_hold_orbit_data_only():
         assert [len(a) for a in table] == [39, 39]
         arrays = [getattr(form, f.name) for f in dataclasses.fields(form)]
         arrays = [a for a in arrays + table if isinstance(a, np.ndarray)]
-        assert len(arrays) == 3 and max(len(a) for a in arrays) <= 39
+        assert len(arrays) == 2 and max(len(a) for a in arrays) <= 39
+        assert all(type(getattr(form, name)) is float
+                   for name in ("d", "g", "enu2"))
         assert form.dim == len(form.omega0_diag) == 4 * 342 + len(
             form.particle)
 
@@ -560,7 +526,7 @@ def test_in_window_eigenvalues_clamped_like_dense(default_params,
     form = assemble_one_electron(default_params, small_lattice, gaussian)
     photon = form.omega0_diag[3:]
     schur0 = form.particle - (form.border / photon) @ form.border.T
-    form.particle -= (np.linalg.eigvalsh(schur0)[0] + delta) * np.eye(3)
+    form.d -= np.linalg.eigvalsh(schur0)[0] + delta
     res = ground_energy(form)
     ref = dense_ground_energy(form)
     assert res.n_clamped == ref.n_clamped == 3

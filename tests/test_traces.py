@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cplab import (ClassificationError, Geometry, IndexWord,
+from cplab import (ChargeProfile, ClassificationError, Geometry, IndexWord,
                    InvalidParameterError, ModelParams, QuadratureSpec,
                    SeriesDivergenceError, TailBoundUnavailableError,
                    TraceSystem, assemble_one_electron, binding_energy_exact,
@@ -321,16 +321,18 @@ def test_word_norm_bounds(strong_system, strong_setup):
 
 
 def test_second_order_matches_small_coupling_limit(strong_setup):
-    # scaling the coupling block by g isolates the g^2 coefficient of the
-    # exact energy, which must equal minus the first series term
+    # scaling the profile, and with it the coupling block, by g isolates
+    # the g^2 coefficient of the exact energy, which must equal minus the
+    # first series term
     params, prof, lat = strong_setup
     system = TraceSystem(params, lat, prof)
     term = trace_word((1, 1), system)
     shift = 1.5 * params.e * params.nu
     vals = []
     for g in (0.25, 0.125, 0.0625):
+        scaled = ChargeProfile(lambda r, g=g: g * prof.radial(r), xi=None)
         en = ground_energy(assemble_one_electron(
-            params, lat, prof, coupling_scale=g)).energy
+            params, lat, scaled)).energy
         vals.append((en - shift) / g ** 2)
     # halving g quarters the leading g^2 error of the quotient
     extrap = (4.0 * vals[2] - vals[1]) / 3.0
