@@ -134,7 +134,11 @@ def fit_power_law(points, window: Optional[Tuple[float, float]] = None
         rr, vv = np.asarray(points[0], float), np.asarray(points[1], float)
     else:
         arr = np.asarray(list(points), dtype=float)
-        rr, vv = arr[:, 0], arr[:, 1]
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise FitDomainError("points must be (R, value) pairs")
+        rr, vv = arr.T
+    if rr.ndim != 1 or rr.shape != vv.shape:
+        raise FitDomainError("R and values must be 1-D and of equal length")
     if window is not None:
         keep = (rr >= window[0]) & (rr <= window[1])
         rr, vv = rr[keep], vv[keep]

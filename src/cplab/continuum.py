@@ -30,7 +30,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import AccuracyError, InvalidParameterError
-from .model import ChargeProfile, Geometry, ModelParams, ModeTable
+from .model import (ChargeProfile, Geometry, ModelParams, ModeTable,
+                    chunk_rows)
 from .quadrature import QuadratureSpec, gauss_panel_rule, integrate_half_line
 
 __all__ = [
@@ -52,6 +53,8 @@ _BRACKET_SERIES = np.array([[2.0 * (-1) ** n / (math.factorial(2 * n)
                              for p in (0, 2)] for n in range(10)])
 #: Gauss nodes per radial panel; one panel spans about pi in r
 _PANEL_NODES = 12
+#: damping exponent past which ``exp(-t r)`` (below 3e-261) is taken as 0
+_EXP_CUTOFF = 600.0
 
 
 @dataclass(frozen=True)
@@ -157,8 +160,12 @@ def angular_bracket_kernels(r):
     j0[~small] = 2.0 * np.sin(rb) / rb
     j2[~small] = 2.0 * ((rb ** 2 - 2.0) * np.sin(rb)
                         + 2.0 * rb * np.cos(rb)) / rb ** 3
-    j0[small], j2[small] = np.polynomial.polynomial.polyval(r[small] ** 2,
-                                                            _BRACKET_SERIES)
+    x = r[small] ** 2
+    series = np.zeros((len(x), 2))
+    for coef in _BRACKET_SERIES[::-1]:
+        series *= x[:, None]
+        series += coef
+    j0[small], j2[small] = series.T
     if scalar:
         return float(j0[0]), float(j2[0])
     return j0, j2
@@ -218,45 +225,65 @@ def _radial_grid(profile: ChargeProfile, R: float):
 class _RadialTables:
     """Exponentially damped radial moments against the angular kernels.
 
-    ``moments(t)`` returns ``(G, H)``, each indexed ``[m - 1, node, p]``
-    for resolvent power ``m`` in {1, 2, 3} and kernel label ``p`` in
-    {0, 2}, at an array of damping rates ``t``:
+    ``labels`` name the moments a term reads, ``"G1"`` to ``"H3"``; only
+    those are built and contracted (the main term reads G1, G2, G3, H1 and
+    H2, the crossed term H1, H2 and H3).  ``moments(t)`` returns them
+    stacked in label order, indexed ``[label, node, p]`` for kernel label
+    ``p`` in {0, 2}, at an array of damping rates ``t``:
 
-        G[m, p](t) = Int_0^inf dr r^3 u(r) e^{-t r} J_p(r) / alpha(r)^m,
-        H[m, p](t) =             ... r^4 ...
+        G<m>[p](t) = Int_0^inf dr r^3 u(r) e^{-t r} J_p(r) / alpha(r)^m,
+        H<m>[p](t) =             ... r^4 ...
 
-    with ``u(r) = profile(r/R)^2`` and ``alpha(r) = e nu + r/R``.  Both
-    come from one damped product against the twelve moment columns.  The
-    panels are uniform and start at 0, so each node is ``r = e_m + x_k``,
-    a panel edge plus one of the twelve in-panel offsets, and ``e^{-t r} =
-    e^{-t e_m} e^{-t x_k}``: per rate, ``n_pan + 12`` exponentials and the
-    contraction ``sum_m P[t, m] sum_k Q[t, k] cols[m, k, :]``.
+    with ``u(r) = profile(r/R)^2`` and ``alpha(r) = e nu + r/R``.  The
+    panels are uniform and start at 0, so each node is ``r = e_m + x_k``, a
+    panel edge plus one of the twelve in-panel offsets, and ``e^{-t r} =
+    e^{-t e_m} e^{-t x_k}``.  The contraction runs panel first: one product
+    of the ``(rates, panels)`` edge exponentials with the ``(panels, 12 C)``
+    moment columns (``C`` = two per label), then, per rate, the twelve
+    offset exponentials against the ``(12, C)`` result.  Exponentials whose
+    argument exceeds ``_EXP_CUTOFF`` are exact zeros: a subnormal costs far
+    more than a normal ``exp``, and a subnormal product input far more than
+    a normal one.  The rates are taken in slices so that no temporary
+    exceeds the reducer's chunk size.
     """
 
     def __init__(self, params: ModelParams, profile: ChargeProfile,
-                 R: float):
+                 R: float, labels: Tuple[str, ...]):
         self.r, w = _radial_grid(profile, R)
-        wu = (w * profile.radial(self.r / R) ** 2)[:, None]
+        wuj = (w * profile.radial(self.r / R) ** 2)[:, None] * np.stack(
+            angular_bracket_kernels(self.r), axis=1)
         alpha = (params.e * params.nu + self.r / R)[:, None]
-        j = np.stack(angular_bracket_kernels(self.r), axis=1)
+        r = self.r[:, None]
         n = _PANEL_NODES
         self.offsets = self.r[:n]
         self.edges = self.r[::n] - self.offsets[0]
-        # columns ordered (G or H, m, p); rows ordered (offset, panel)
+        # one row per panel, its entries ordered (offset, column)
         cols = np.concatenate(
-            [wu * j / alpha ** m * self.r[:, None] ** power
-             for power in (3, 4) for m in (1, 2, 3)], axis=1)
-        self._cols = cols.reshape(len(self.edges), n, -1).transpose(
-            1, 0, 2).reshape(n, -1)
+            [wuj * r ** {"G": 3, "H": 4}[label[0]] / alpha ** int(label[1])
+             for label in labels], axis=1)
+        self._cols = cols.reshape(len(self.edges), -1)
 
-    def moments(self, t) -> Tuple[np.ndarray, np.ndarray]:
+    def moments(self, t) -> np.ndarray:
         t = np.atleast_1d(t)
-        inner = (np.exp(-np.outer(t, self.offsets)) @ self._cols).reshape(
-            len(t), len(self.edges), -1)
-        vals = np.matmul(np.exp(-np.outer(t, self.edges))[:, None, :],
-                         inner)[:, 0]
-        g, h = vals.reshape(len(t), 2, 3, 2).transpose(1, 2, 0, 3)
-        return g, h
+        n, width = _PANEL_NODES, self._cols.shape[1]
+        out = np.empty((len(t), width // n))
+        step = chunk_rows(max(len(self.edges), width))
+        for lo in range(0, len(t), step):
+            rate = t[lo:lo + step]
+            inner = (_damping(rate, self.edges) @ self._cols).reshape(
+                len(rate), n, -1)
+            out[lo:lo + step] = np.matmul(
+                _damping(rate, self.offsets)[:, None, :], inner)[:, 0]
+        return out.reshape(len(t), -1, 2).transpose(1, 0, 2)
+
+
+def _damping(t: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``exp(-t x)`` of every pair, shape ``(len(t), len(x))``; exact zero
+    where ``t x`` exceeds ``_EXP_CUTOFF``."""
+    arg = t[:, None] * x
+    keep = arg <= _EXP_CUTOFF
+    np.negative(arg, out=arg)
+    return np.exp(arg, out=np.zeros_like(arg), where=keep)
 
 
 def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -284,14 +311,13 @@ def _main_term_t_representation(R: float, params: ModelParams,
     ``moments`` product and ``nodes`` counts the shared nodes once; each
     part converges to ``rel_tol`` of its own magnitude.
     """
-    tables = _RadialTables(params, profile, R)
+    tables = _RadialTables(params, profile, R, ("G1", "G2", "G3", "H1", "H2"))
     pref = params.e ** 3 / (16.0 * params.nu)
 
     def integrand(t):
-        g, h = tables.moments(t)
-        return np.stack([2.0 * _pair(g[0], g[1]),
-                         4.0 * _pair(g[2], h[0]) + 2.0 * _pair(g[1], h[1])],
-                        axis=1)
+        g1, g2, g3, h1, h2 = tables.moments(t)
+        return np.stack([2.0 * _pair(g1, g2),
+                         4.0 * _pair(g3, h1) + 2.0 * _pair(g2, h2)], axis=1)
 
     (re_part, ir_part), (re_err, ir_err), nodes = _half_line(
         integrand, rel_tol, np.array([R ** -7, R ** -8]) * pref)
@@ -367,12 +393,12 @@ def fourth_order_error(R: float, params: ModelParams,
     Geometry(R)  # validates
     e, nu = params.e, params.nu
     if route == "t-representation":
-        tables = _RadialTables(params, profile, R)
+        tables = _RadialTables(params, profile, R, ("H1", "H2", "H3"))
 
         def integrand(t):
-            _, h = tables.moments(t)
-            return (4.0 * _pair(h[0], h[2]) + 2.0 * _pair(h[1], h[1])
-                    + 2.0 * _pair(h[0], h[1]) / (e * nu))
+            h1, h2, h3 = tables.moments(t)
+            return (4.0 * _pair(h1, h3) + 2.0 * _pair(h2, h2)
+                    + 2.0 * _pair(h1, h2) / (e * nu))
 
         value, err, nodes = _half_line(integrand, rel_tol,
                                        R ** -9 * e ** 2 / (16.0 * nu ** 2))

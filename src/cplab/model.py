@@ -259,6 +259,11 @@ class Lattice:
 _CHUNK_ELEMS = 1 << 19
 
 
+def chunk_rows(width: int) -> int:
+    """Rows of a ``width``-wide float64 temporary that fit ``_CHUNK_ELEMS``."""
+    return max(1, _CHUNK_ELEMS // width)
+
+
 def _box_extent(box_period: float, uv_cutoff: float) -> int:
     """``n_max = floor(Lam L)``, with a ``1e-12`` slack for roundoff in
     ``Lam L``; invalid inputs and an empty box raise."""
@@ -328,7 +333,7 @@ def _resolvent_sums(z: np.ndarray, ksq: np.ndarray, columns: np.ndarray,
     so none holds more than ``_CHUNK_ELEMS`` floats whatever the row count.
     """
     sums = np.zeros((len(powers), len(z), columns.shape[1]))
-    step = max(1, _CHUNK_ELEMS // len(z))
+    step = chunk_rows(len(z))
     for lo in range(0, len(ksq), step):
         res = z[:, None] + ksq[None, lo:lo + step]
         np.reciprocal(res, out=res)

@@ -2,16 +2,20 @@
 
 The integrators take vectorized integrands ``f(x: ndarray) -> ndarray`` of
 shape ``(nodes,)`` or, for ``K`` integrals over the same nodes, ``(nodes,
-K)``.  Gauss-Legendre panels are refined until every component's summed
-error estimate (difference of a 15-point and a 7-point rule) meets its own
-tolerance ``max(rel_tol |I_k|, abs_tol_k)``, so each integral is resolved
-at its own magnitude however small it is beside the others (not the
-norm-based rule of QUADPACK's vector integrators).  A panel splits when any
-component still open needs it split, and every component is evaluated on
-the resulting shared panels.  Panel sums are accumulated per component with
-``math.fsum`` in interval order, so results are bit-stable regardless of
-refinement history, and a ``(nodes,)`` integrand gives bit for bit the
-value of its ``(nodes, 1)`` form.
+K)``.  Each panel takes the nested Gauss-Kronrod pair of QUADPACK's qk15:
+the 15-point Kronrod rule, whose odd-indexed nodes are the 7-point Gauss
+nodes, so 15 integrand evaluations give both rules.  A panel's error
+estimate is the raw ``|K15 - G7|``, without qk15's ``(200 err /
+resasc)^1.5`` rescaling.  Panels are refined until every component's summed
+error estimate meets its own tolerance ``max(rel_tol |I_k|, abs_tol_k)``,
+so each integral is resolved at its own magnitude however small it is
+beside the others (not the norm-based rule of QUADPACK's vector
+integrators).  A panel splits when any component still open needs it
+split, and every component is evaluated on the resulting shared panels.
+Panel sums are accumulated per component with ``math.fsum`` in interval
+order, so results are bit-stable regardless of refinement history, and a
+``(nodes,)`` integrand gives bit for bit the value of its ``(nodes, 1)``
+form.
 """
 
 from __future__ import annotations
@@ -25,10 +29,38 @@ import numpy as np
 
 from .errors import AccuracyError, InvalidParameterError
 
-_GL_LO = np.polynomial.legendre.leggauss(7)
-_GL_HI = np.polynomial.legendre.leggauss(15)
-#: integrand nodes per panel: the 15-point and the 7-point rule
-_PANEL_COST = 22
+#: the non-negative 15-point Kronrod abscissae, descending, and their
+#: weights; ``_XGK[1::2]`` are the non-negative 7-point Gauss nodes
+#: (QUADPACK qk15, Piessens et al. 1983)
+_XGK = (0.991455371120812639206854697526329,
+        0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926,
+        0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013,
+        0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245,
+        0.0)
+_WGK = (0.022935322010529224963732008058970,
+        0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518,
+        0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550,
+        0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649,
+        0.209482141084727828012999174891714)
+#: 7-point Gauss weights of the nodes ``_XGK[1::2]``
+_WG = (0.129484966168869693270611432679082,
+       0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975,
+       0.417959183673469387755102040816327)
+#: the 15 nodes on ``[-1, 1]``, ascending, and the weights of both rules;
+#: the Gauss nodes are ``_K15_NODES[1::2]``
+_K15_NODES = np.concatenate([np.negative(_XGK[:-1]), _XGK[::-1]])
+_K15_WEIGHTS = np.array(_WGK[:-1] + _WGK[::-1])
+_G7_WEIGHTS = np.array(_WG + _WG[-2::-1])
+#: integrand nodes per panel: the Kronrod rule's 15, which hold the Gauss
+#: rule's 7
+_PANEL_COST = len(_K15_NODES)
 
 
 @dataclass(frozen=True)
@@ -85,14 +117,12 @@ def _panel_values(f, lo, hi):
     integrand), and whether the integrand is vector-valued."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    x_hi = mid[:, None] + half[:, None] * _GL_HI[0][None, :]
-    x_lo = mid[:, None] + half[:, None] * _GL_LO[0][None, :]
+    x = (mid[:, None] + half[:, None] * _K15_NODES[None, :]).ravel()
     npan = len(lo)
-    both = np.concatenate([x_hi.ravel(), x_lo.ravel()])
-    y = np.asarray(f(both), dtype=float)
-    if y.ndim not in (1, 2) or len(y) != len(both):
+    y = np.asarray(f(x), dtype=float)
+    if y.ndim not in (1, 2) or len(y) != len(x):
         raise InvalidParameterError(
-            f"integrand returned shape {y.shape} for {len(both)} nodes; "
+            f"integrand returned shape {y.shape} for {len(x)} nodes; "
             "expected (nodes,) or (nodes, K)")
     vector = y.ndim == 2
     # one contiguous row per component, reduced exactly as a 1-D integrand
@@ -100,8 +130,9 @@ def _panel_values(f, lo, hi):
     v_hi = np.empty((len(rows), npan))
     v_lo = np.empty((len(rows), npan))
     for row, hi_k, lo_k in zip(rows, v_hi, v_lo):
-        hi_k[:] = half * (row[: npan * 15].reshape(npan, 15) @ _GL_HI[1])
-        lo_k[:] = half * (row[npan * 15:].reshape(npan, 7) @ _GL_LO[1])
+        panels = row.reshape(npan, _PANEL_COST)
+        hi_k[:] = half * (panels @ _K15_WEIGHTS)
+        lo_k[:] = half * (panels[:, 1::2] @ _G7_WEIGHTS)
     return v_hi, np.abs(v_hi - v_lo), vector
 
 

@@ -126,6 +126,15 @@ def test_fit_non_finite_rejected():
     assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
 
 
+def test_fit_malformed_points_rejected():
+    # no points, a point without a value, and unequal R and value arrays
+    for points in ([], [(1.0,)], ([1.0, 2.0], [1.0]),
+                   [(1.0, 1.0, 1.0), (2.0, 0.5, 0.5)],
+                   ([[1.0, 2.0]], [[1.0, 0.25]])):
+        with pytest.raises(FitDomainError):
+            fit_power_law(points)
+
+
 def test_fit_window_selection():
     rr = np.array([1.0, 2.0, 10.0, 20.0, 40.0])
     vv = 2.0 * rr ** -3

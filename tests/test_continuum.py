@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ from cplab import (InvalidParameterError, ModelParams, ab_identity_check,
                    cp_constant, fourth_order_error, fourth_order_main,
                    integral_quadrature_oracle, make_custom_profile,
                    make_gaussian_profile)
-from cplab.continuum import (_ANGULAR_MATRIX, _PANEL_NODES, _RadialTables,
-                             _envelope_cutoff, _radial_grid)
+from cplab import continuum
+from cplab.continuum import (_ANGULAR_MATRIX, _RadialTables, _envelope_cutoff,
+                             _radial_grid)
+from cplab.model import _CHUNK_ELEMS
 from conftest import PARAM_SETS
 
 KINDS = {"111": (1, 1, 1), "221": (2, 2, 1), "212": (2, 1, 2),
@@ -292,27 +296,67 @@ def test_direct_route_matches_dense_oracle(e, nu0, xi):
 def test_radial_moments_match_dense_exponential(xi):
     # the edge x offset factorisation of exp(-t r) reproduces the dense
     # damped product within a few roundings of its absolute sum, from
-    # t = 0 to rates where every exponential underflows
+    # t = 0 to rates where every exponential underflows or is cut to 0,
+    # for the moment columns of either term
     params, profile = ModelParams(e=0.5, nu0=2.0), make_gaussian_profile(xi)
     eps = np.finfo(float).eps
     t = np.concatenate([[0.0], np.geomspace(0.01, 3.0, 25), [10.0, 100.0,
                                                             1e3]])
-    for R in (5.0, 30.0, 120.0):
-        tables = _RadialTables(params, profile, R)
-        r, n, n_pan = tables.r, _PANEL_NODES, len(tables.edges)
+    for R, labels in itertools.product(
+            (5.0, 30.0, 120.0),
+            (("G1", "G2", "G3", "H1", "H2"), ("H1", "H2", "H3"))):
+        tables = _RadialTables(params, profile, R, labels)
+        r, n_pan = tables.r, len(tables.edges)
         rmax = _envelope_cutoff(profile, R)
         mh = np.arange(n_pan) * (rmax / n_pan)
         grid = (mh[:, None] + tables.offsets[None, :]).ravel()
         assert np.all(np.abs(tables.edges - mh) <= 4 * eps * rmax)
         assert np.all(np.abs(grid - r) <= 4 * eps * rmax)
-        # the same moment columns in node order
-        cols = tables._cols.reshape(n, len(tables.edges), -1).transpose(
-            1, 0, 2).reshape(len(r), -1)
+        # the same moment columns in node order, two per label
+        cols = tables._cols.reshape(len(r), -1)
+        assert cols.shape[1] == 2 * len(labels)
         dense = np.exp(-np.outer(t, r))
         ref, bound = dense @ cols, 8 * eps * (dense @ np.abs(cols))
-        g, h = tables.moments(t)
-        got = np.stack([g, h]).transpose(2, 0, 1, 3).reshape(len(t), -1)
-        assert np.all(np.abs(got - ref) <= bound), R
+        got = tables.moments(t)
+        assert got.shape == (len(labels), len(t), 2)
+        got = got.transpose(1, 0, 2).reshape(len(t), -1)
+        assert np.all(np.abs(got - ref) <= bound), (R, labels)
+
+
+def test_radial_moments_memory_stays_chunked():
+    # 20,000 rates against 719 panels: the dense (rates, panels) exponential
+    # alone would be 110 MiB; the rates are taken a chunk at a time
+    params, profile = ModelParams(e=0.5, nu0=2.0), make_gaussian_profile(0.25)
+    tables = _RadialTables(params, profile, 120.0,
+                           ("G1", "G2", "G3", "H1", "H2"))
+    t = np.geomspace(1e-4, 10.0, 20_000)
+    assert len(tables.edges) * len(t) > 20 * _CHUNK_ELEMS
+    tracemalloc.start()
+    try:
+        out = tables.moments(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (5, len(t), 2)
+    assert peak < 4 * 8 * _CHUNK_ELEMS + out.nbytes
+
+
+def test_radial_grid_is_resolved(monkeypatch):
+    # both routes share the radial grid, so their agreement cannot see its
+    # error: 16 Gauss nodes per panel in place of 12 move neither term by
+    # more than 1e-9 of itself
+    for e, nu0, xi in PARAM_SETS:
+        params, profile = ModelParams(e=e, nu0=nu0), make_gaussian_profile(xi)
+        for R in (2.0, 30.0):
+            for fn in (fourth_order_main, fourth_order_error):
+                ref = fn(R, params, profile)
+                with monkeypatch.context() as patch:
+                    patch.setattr(continuum, "_PANEL_NODES", 16)
+                    nodes = len(_radial_grid(profile, R)[0])
+                    fine = fn(R, params, profile)
+                assert nodes == 16 / 12 * len(_radial_grid(profile, R)[0])
+                assert abs(ref.value - fine.value) <= 1e-9 * abs(fine.value), (
+                    e, nu0, xi, R, fn.__name__)
 
 
 @pytest.mark.parametrize("e,nu0,xi,R", [

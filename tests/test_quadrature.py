@@ -5,11 +5,48 @@ import pytest
 
 from cplab import (AccuracyError, InvalidParameterError, QuadratureSpec,
                    integrate_half_line, integrate_interval)
+from cplab.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS,
+                              _PANEL_COST)
 
 
 def test_interval_polynomial_exact():
     val = integrate_interval(lambda x: x ** 2, 0.0, 1.0)
     assert val == pytest.approx(1.0 / 3.0, rel=1e-14)
+
+
+def test_nested_rule_exactness_and_symmetry():
+    # K15 integrates x^0..x^22 exactly on [-1, 1], and the G7 rule on its
+    # odd-indexed nodes x^0..x^13; neither reaches the next even power
+    x, wk, wg = _K15_NODES, _K15_WEIGHTS, _G7_WEIGHTS
+    eps = np.finfo(float).eps
+    assert len(x) == len(wk) == _PANEL_COST == 15 and len(wg) == 7
+    assert np.all(np.diff(x) > 0) and np.all(x == -x[::-1]) and x[7] == 0.0
+    assert np.all(wk == wk[::-1]) and np.all(wg == wg[::-1])
+    gauss = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(x[1::2], gauss[0], rtol=0, atol=4 * eps)
+    assert np.allclose(wg, gauss[1], rtol=0, atol=4 * eps)
+    for nodes, w, degree in ((x, wk, 22), (x[1::2], wg, 13)):
+        for k in range(degree + 3):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            err = abs(nodes ** k @ w - exact)
+            # odd powers vanish by symmetry at every degree
+            assert (err <= 8 * eps) == (k <= degree or k % 2 == 1), (
+                degree, k, err)
+
+
+def test_panel_calls_integrand_on_fifteen_nodes():
+    calls = []
+
+    def f(x):
+        calls.append(x.copy())
+        return np.cos(x)
+
+    res = integrate_interval(f, 0.0, 1.0, QuadratureSpec(rel_tol=1e-8),
+                             initial_panels=1, full_output=True)
+    assert [len(x) for x in calls] == [_PANEL_COST]
+    assert np.array_equal(calls[0], 0.5 + 0.5 * _K15_NODES)
+    assert res.nodes_used == _PANEL_COST
+    assert res.value == pytest.approx(math.sin(1.0), rel=1e-15)
 
 
 def test_half_line_exponential():
@@ -114,9 +151,9 @@ def test_stiff_component_refines_shared_panels():
 
     spec = QuadratureSpec(rel_tol=1e-11)
     alone = integrate_interval(smooth, 0.0, 1.0, spec, full_output=True)
-    assert alone.nodes_used == 176
+    assert alone.nodes_used == 8 * _PANEL_COST
     stiff = integrate_interval(peak, 0.0, 1.0, spec, full_output=True)
-    assert stiff.nodes_used > 176
+    assert stiff.nodes_used > 8 * _PANEL_COST
     both = integrate_interval(lambda x: np.stack([smooth(x), peak(x)], 1),
                               0.0, 1.0, spec, full_output=True)
     assert both.nodes_used == stiff.nodes_used
@@ -173,7 +210,7 @@ def test_initial_panels_respect_node_budget():
     with pytest.raises(InvalidParameterError):
         integrate_half_line(f, QuadratureSpec(max_nodes=100))
     assert calls == []
-    res = integrate_half_line(f, QuadratureSpec(max_nodes=176),
+    res = integrate_half_line(f, QuadratureSpec(max_nodes=8 * _PANEL_COST),
                               full_output=True)
-    assert res.nodes_used == 176 == sum(calls)
+    assert res.nodes_used == 8 * _PANEL_COST == sum(calls)
     assert res.value == pytest.approx(1.0, rel=1e-12)
