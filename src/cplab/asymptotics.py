@@ -38,7 +38,6 @@ class SweepResult:
     value: np.ndarray
     r7_scaled: np.ndarray
     r9_scaled: np.ndarray
-    evaluator: str
     warn: List[bool] = field(default_factory=list)
     gaps: List[Tuple[float, str]] = field(default_factory=list)
 
@@ -48,7 +47,6 @@ class PowerFit:
     """Least-squares slope of ``log |value|`` against ``log R``."""
 
     exponent: float
-    log_coefficient: float
     coefficient: float
     residual_rms: float
     window: Tuple[float, float]
@@ -91,8 +89,6 @@ def sweep_R(grid: Sequence[float],
             "grid must be nonempty, positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("grid must be strictly increasing")
-    name = evaluator if isinstance(evaluator, str) else getattr(
-        evaluator, "__name__", "custom")
     fn = (_builtin_evaluator(evaluator, params, profile, lattice, rel_tol)
           if isinstance(evaluator, str) else evaluator)
     rows, warn, gaps = [], [], []
@@ -115,35 +111,33 @@ def sweep_R(grid: Sequence[float],
     rr = np.array([x[0] for x in rows])
     vv = np.array([x[1] for x in rows])
     return SweepResult(R=rr, value=vv, r7_scaled=rr ** 7 * vv,
-                       r9_scaled=rr ** 9 * vv, evaluator=name, warn=warn,
-                       gaps=gaps)
+                       r9_scaled=rr ** 9 * vv, warn=warn, gaps=gaps)
 
 
 def fit_power_law(points, window: Optional[Tuple[float, float]] = None
                   ) -> PowerFit:
     """Ordinary least squares of ``log |value|`` on ``log R``.
 
-    ``points`` is a pair of arrays or a sequence of (R, value) pairs.  All
-    values inside the window must be finite and share one sign, at finite
-    positive R, or ``FitDomainError`` is raised; two points give an exact
-    degenerate fit flagged low-confidence.
+    ``points`` is a ``SweepResult`` or an ``(R, values)`` pair of arrays.
+    The window must hold two distinct R, and all values inside it must be
+    finite and share one sign, at finite positive R, or ``FitDomainError``
+    is raised; two points give an exact degenerate fit flagged
+    low-confidence.
     """
     if isinstance(points, SweepResult):
         rr, vv = points.R, points.value
     elif isinstance(points, tuple) and len(points) == 2:
         rr, vv = np.asarray(points[0], float), np.asarray(points[1], float)
     else:
-        arr = np.asarray(list(points), dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise FitDomainError("points must be (R, value) pairs")
-        rr, vv = arr.T
+        raise FitDomainError(
+            "points must be a SweepResult or an (R, values) pair of arrays")
     if rr.ndim != 1 or rr.shape != vv.shape:
         raise FitDomainError("R and values must be 1-D and of equal length")
     if window is not None:
         keep = (rr >= window[0]) & (rr <= window[1])
         rr, vv = rr[keep], vv[keep]
-    if len(rr) < 2:
-        raise FitDomainError("need at least two points to fit")
+    if len(rr) < 2 or np.all(rr == rr[0]):
+        raise FitDomainError("need at least two distinct R to fit")
     if not (np.all(rr > 0) and np.all(np.isfinite(rr))
             and np.all(np.isfinite(vv))):
         raise FitDomainError(
@@ -156,7 +150,7 @@ def fit_power_law(points, window: Optional[Tuple[float, float]] = None
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid ** 2)))
     sign = 1.0 if vv[0] > 0 else -1.0
-    return PowerFit(exponent=float(slope), log_coefficient=float(intercept),
+    return PowerFit(exponent=float(slope),
                     coefficient=sign * math.exp(float(intercept)),
                     residual_rms=rms,
                     window=(float(rr.min()), float(rr.max())),

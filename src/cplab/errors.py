@@ -26,12 +26,13 @@ class NotPositiveSemidefiniteError(CplabError):
 
 
 class AccuracyError(CplabError):
-    """Quadrature could not meet its tolerance within the node budget.
+    """Quadrature could not meet its tolerance within the node budget, or
+    roundoff stalled its refinement.
 
     Attributes
     ----------
     best_estimate : float
-        The value obtained with the exhausted budget.
+        The value obtained when the quadrature stopped.
     achieved_tol : float
         Relative error estimate actually reached.
     """

@@ -22,13 +22,15 @@ PRL 99, 170403 (2007); Rahi et al., PRD 80, 085021 (2009)).  ``X(s)`` is
 diagonal in the axis channels of the mode table within one dipole and
 across the pair, with closed-form eigenvalues ``x_c -+ y_c``: a node
 costs ``O(orbits)`` and no ``p x p`` matrix is formed.  The binding energy is
-the mixed part of the same log-det, never a difference of two energies.
-The bottom eigenvalue is the least channel root of the Schur complement
-``S(lam) = P - lam - B (K - lam)^-1 B^T``, found by a secular Newton.
+the mixed part of the same kernel's log-det on the one assembled two-dipole
+form, never a difference of two energies.  The bottom eigenvalue is the
+least channel root of the Schur complement ``S(lam) = P - lam - B (K -
+lam)^-1 B^T``, found by a secular Newton.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -221,20 +223,14 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
 # the channel log-det kernel
 # ---------------------------------------------------------------------------
 
-def _log_abs_one_minus(x: np.ndarray) -> np.ndarray:
-    """``log|1 - x|``, exact to roundoff for small ``|x|`` and finite at 1."""
-    near = np.log1p(-np.minimum(x, 0.5))
-    far = np.log(np.maximum(np.abs(1.0 - x), np.finfo(float).tiny))
-    return np.where(x < 0.5, near, far)
-
-
-def _axis_channels(sums: np.ndarray, s2: np.ndarray, enu2: float,
-                   offset: float = 0.0, gamma: float = 0.0) -> np.ndarray:
-    """``X(s)`` in the axis channels, ``[x_c | y_c] = ([within_c | across_c]
-    - [d - e^2 nu^2 | gamma]) / (s^2 + e^2 nu^2)``, from the channels of
-    ``B (s^2 + K)^-1 B^T`` and a particle block ``[[d I, gamma I], ...]``."""
-    shift = np.array([offset, offset, gamma, gamma])[:sums.shape[1]]
-    return (sums - shift) / (s2 + enu2)[:, None]
+def _log_one_minus(x: np.ndarray, far: Optional[np.ndarray] = None
+                   ) -> np.ndarray:
+    """``log(1 - x)`` by ``log1p`` below 1/2, exact to roundoff for small
+    ``|x|``; elsewhere ``far``, or ``log|1 - x|`` floored at the least
+    normal when it is not given."""
+    if far is None:
+        far = np.log(np.maximum(np.abs(1.0 - x), np.finfo(float).tiny))
+    return np.where(x < 0.5, np.log1p(-np.minimum(x, 0.5)), far)
 
 
 def _split(v: np.ndarray) -> np.ndarray:
@@ -244,23 +240,29 @@ def _split(v: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """A form's mode ``table`` and ``stacked``, the same rows with the
-    columns over ``k_n^2`` appended; ``freq2`` is the rows' ``|k|^2``.
-    With the box symmetry ``lattice_table`` checks (separation along z) and
-    the particle block of the form's ``d`` and ``g``, ``X(s)`` and
-    ``S(lam)`` are diagonal in the channels: ``O(orbits)`` per node, no
-    ``p x p`` matrix."""
+    """A form's mode ``table`` and, built on first use, ``stacked``: the
+    same rows with the columns over ``k_n^2`` appended; ``freq2`` is the
+    rows' ``|k|^2``.  With the box symmetry ``lattice_table`` checks
+    (separation along z) and the particle block of the form's ``d`` and
+    ``g``, ``X(s)`` and ``S(lam)`` are diagonal in the channels:
+    ``O(orbits)`` per node, no ``p x p`` matrix."""
 
     def __init__(self, form: QuadraticForm):
         self.table, self.freq2 = form.table, form.table.ksq
         self.enu2, self.d, self.g = form.enu2, form.d, form.g
-        cols, self.q = self.table.columns, self.table.columns.shape[1]
-        self.stacked = ModeTable(self.freq2, np.hstack(
-            [cols, cols / self.freq2[:, None]]))
-        self.multiplicity = np.tile(ModeTable.multiplicity, self.q // 2)
+        self.q = self.table.columns.shape[1]
+        self.multiplicity = np.array(ModeTable.multiplicity * (self.q // 2))
         self._schur_base = np.array([[self.d, self.d, self.g, self.g],
                                      [0.0] * 4])[:, :self.q]
-        self.schur0 = self.schur(0.0)[0]
+        # S(0): the first row of schur(0.0), without the slopes' pass
+        self.schur0 = _split(self._schur_base[:1]
+                             - self.table.sums(np.zeros(1))[0])[0]
+
+    @functools.cached_property
+    def stacked(self) -> ModeTable:
+        cols = self.table.columns
+        return ModeTable(self.freq2, np.hstack([cols,
+                                                cols / self.freq2[:, None]]))
 
     def schur(self, lam: float) -> np.ndarray:
         """Rows ``[S_c, S_c']`` at ``lam < min k_n^2`` in ``_split`` order:
@@ -278,13 +280,29 @@ class _Kernel:
         / (s^2 + e^2 nu^2)``, exact relative to its small value."""
         s2 = np.asarray(s, dtype=float) ** 2
         sums = self.stacked.sums(s2)[0]
-        mu = _split(_axis_channels(sums[:, :self.q], s2, self.enu2,
-                                   self.d - self.enu2, self.g))
+        # the channels of P - e^2 nu^2
+        shift = self._schur_base[0] - [self.enu2, self.enu2, 0.0, 0.0][:self.q]
+        mu = _split((sums[:, :self.q] - shift) / (s2 + self.enu2)[:, None])
         near = self.schur0 + s2[:, None] * (1 + _split(sums[:, self.q:]))
         far = (np.log(np.maximum(np.abs(near), np.finfo(float).tiny))
                - np.log(s2 + self.enu2)[:, None])
-        out = np.where(mu < 0.5, np.log1p(-np.minimum(mu, 0.5)), far)
-        return out @ self.multiplicity
+        return _log_one_minus(mu, far) @ self.multiplicity
+
+    def binding(self, s: np.ndarray) -> np.ndarray:
+        """Minus the mixed part of a two-dipole ``log_det`` per node, ``-sum_c
+        m_c log(1 - sigma_c^2)`` with ``sigma_c = (A_c - g) / (s^2 + d -
+        W_c)``, ``W`` and ``A`` the within and across channel sums: resolved
+        at its own magnitude.  ``s^2 + d - W_c <= 0`` raises: a one-dipole
+        block is not positive definite."""
+        s2 = np.asarray(s, dtype=float) ** 2
+        sums = self.table.sums(s2)[0]
+        within = s2[:, None] + self.d - sums[:, :2]
+        if np.any(within <= 0.0):
+            raise NotPositiveSemidefiniteError(
+                "a one-dipole block of the two-dipole form is not positive "
+                "definite")
+        sigma = (sums[:, 2:] - self.g) / within
+        return -(_log_one_minus(sigma * sigma) @ self.multiplicity[:2])
 
     def bracket(self) -> Tuple[float, float]:
         """Weyl bracket of the spectrum: that of ``diag(P, K)`` widened by
@@ -364,14 +382,12 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
                          include_direct_term: bool = False) -> float:
     """Exact binding ``2 E - E(R)`` from the mixed part of one log-det.
 
-    The two-dipole ``X(s)`` is ``[[x, y], [y, x]]`` in the axis channels,
-    the sums of ``lattice_table`` (``_axis_channels`` with ``gamma`` the
-    direct coupling, or zero).  Per channel ``det(1 - X) = (1 - x - y)(1 -
-    x + y)``, so the binding is ``-(1/2 pi) Int_0^inf ds sum_c m_c log(1 -
-    sigma_c^2)`` with ``sigma_c = y_c / (1 - x_c)``, resolvable at its own
-    magnitude.  ``S(0) = e^2 nu^2 (1 - X(0))``, so only a channel with
-    ``|y_c(0)| > 1 - x_c(0)`` makes the form indefinite; only then is it
-    assembled for the clamp-or-raise rule of ``ground_energy``.
+    The two-dipole form is assembled once (``g`` the direct coupling, or
+    zero) and its ``_Kernel.binding`` integrated: ``-(1/2 pi) Int_0^inf ds
+    sum_c m_c log(1 - sigma_c^2)``, on the same table, ``S(0)`` and
+    positivity rule as ``ground_energy``.  Only a negative channel of
+    ``S(0)`` makes the form indefinite; only then does the clamp-or-raise
+    rule of ``ground_energy`` run.
 
     Positive values mean attraction.  ``R >= L / 2`` warns: lattice momenta
     are multiples of ``2 pi / L``, so the energy is periodic in ``R``.
@@ -381,30 +397,8 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
             f"R = {R} is not below half the box period L = "
             f"{lattice.box_period}; the binding energy is periodic in R",
             LatticePeriodicityWarning, stacklevel=2)
-    geometry = Geometry(R)
-    table = lattice_table(lattice, profile, geometry.R)
-    gamma = (direct_coupling(params, lattice, profile, geometry)
-             if include_direct_term else 0.0)
-    e2, enu2 = params.e ** 2, (params.e * params.nu) ** 2
-
-    def channels(s):
-        s2 = s * s
-        xy = _axis_channels(e2 * table.sums(s2)[0], s2, enu2, gamma=gamma)
-        return xy[:, :2], xy[:, 2:]
-
-    x0, y0 = channels(np.zeros(1))
-    if np.any(np.abs(y0) > 1.0 - x0):
-        _Kernel(assemble_two_electron(
-            params, lattice, profile, geometry,
-            include_direct_term=include_direct_term)).check_positivity()
-
-    def integrand(s):
-        x, y = channels(np.asarray(s, dtype=float))
-        if np.any(x >= 1.0):
-            raise NotPositiveSemidefiniteError(
-                "a one-dipole block of the two-dipole form is not positive "
-                "definite")
-        sigma = y / (1.0 - x)
-        return -(_log_abs_one_minus(sigma * sigma) @ table.multiplicity)
-
-    return integrate_half_line(integrand) / (2.0 * math.pi)
+    kernel = _Kernel(assemble_two_electron(params, lattice, profile,
+                                           Geometry(R), include_direct_term))
+    if np.any(kernel.schur0 < 0.0):
+        kernel.check_positivity()
+    return integrate_half_line(kernel.binding) / (2.0 * math.pi)

@@ -61,6 +61,9 @@ _G7_WEIGHTS = np.array(_WG + _WG[-2::-1])
 #: integrand nodes per panel: the Kronrod rule's 15, which hold the Gauss
 #: rule's 7
 _PANEL_COST = len(_K15_NODES)
+#: roundoff-bound splits that stop a component still open (QUADPACK
+#: dqagse's ``iroff1`` limit)
+_ROUNDOFF_SPLITS = 10
 
 
 @dataclass(frozen=True)
@@ -152,9 +155,13 @@ def integrate_interval(f: Callable, a: float, b: float,
         If the initial panels alone exceed ``spec.max_nodes``, or a tuple
         ``abs_tol`` does not have one entry per component.
     AccuracyError
-        If the node budget runs out first; carries the best estimate (an
-        array for a vector integrand) and the worst relative error of the
-        components still open.
+        If the node budget runs out first, or roundoff stalls a component
+        still open: ``_ROUNDOFF_SPLITS`` of the splits it needed left the
+        children's error at least 0.99 of the parent's and their value
+        within 1e-5 of it (the ``iroff1`` test of QUADPACK's dqagse,
+        Piessens et al. 1983).  Carries the best estimate (an array for a
+        vector integrand) and the worst relative error of the components
+        still open.
     """
     nodes = initial_panels * _PANEL_COST
     if nodes > spec.max_nodes:
@@ -166,6 +173,7 @@ def integrate_interval(f: Callable, a: float, b: float,
     hi = edges[1:].copy()
     vals, errs, vector = _panel_values(f, lo, hi)
     floors = spec.abs_floors(len(vals))
+    roundoff = [0] * len(vals)
 
     while True:
         order = np.argsort(lo, kind="stable")
@@ -181,24 +189,38 @@ def integrate_interval(f: Callable, a: float, b: float,
         # refine every panel holding more than its share of the error
         # budget of a component still open
         split = np.zeros(len(lo), dtype=bool)
+        needs = {}
         for k in open_:
             e = errs[k]
             need = e > max(toterrs[k] / (2 * len(lo)),
                            targets[k] / (4 * len(lo)))
-            split |= need if np.any(need) else e == e.max()
+            needs[k] = need if np.any(need) else e == e.max()
+            split |= needs[k]
         n_new = int(np.sum(split))
-        if nodes + 2 * n_new * _PANEL_COST > spec.max_nodes:
+        stalled = any(roundoff[k] >= _ROUNDOFF_SPLITS for k in open_)
+        if stalled or nodes + 2 * n_new * _PANEL_COST > spec.max_nodes:
             achieved = max(toterrs[k] / abs(totals[k]) if totals[k] != 0.0
                            else math.inf for k in open_)
+            cause = ("roundoff stalls the error" if stalled else
+                     f"node budget {spec.max_nodes} exhausted")
             raise AccuracyError(
-                f"node budget {spec.max_nodes} exhausted at relative error "
-                f"{achieved:.3e}", np.array(totals) if vector else totals[0],
-                achieved)
+                f"{cause} at relative error {achieved:.3e}",
+                np.array(totals) if vector else totals[0], achieved)
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate([lo[~split], lo[split], mid])
         new_hi = np.concatenate([hi[~split], mid, hi[split]])
         keep = len(lo) - n_new
         add_vals, add_errs, _ = _panel_values(f, new_lo[keep:], new_hi[keep:])
+        # dqagse's iroff1 test on each split a component needed; the value
+        # half is read only where the error half holds
+        bound = (add_errs[:, :n_new] + add_errs[:, n_new:]
+                 >= 0.99 * errs[:, split])
+        if bound.any():
+            kids = add_vals[:, :n_new] + add_vals[:, n_new:]
+            bound &= np.abs(vals[:, split] - kids) <= 1e-5 * np.abs(kids)
+            for k in open_:
+                roundoff[k] += int(np.count_nonzero(bound[k]
+                                                    & needs[k][split]))
         lo, hi = new_lo, new_hi
         vals = np.concatenate([vals[:, ~split], add_vals], axis=1)
         errs = np.concatenate([errs[:, ~split], add_errs], axis=1)

@@ -127,10 +127,14 @@ def test_fit_non_finite_rejected():
 
 
 def test_fit_malformed_points_rejected():
-    # no points, a point without a value, and unequal R and value arrays
+    # no points, a point without a value, unequal R and value arrays, one
+    # distinct R, and a sequence of (R, value) pairs, which a 2-tuple of
+    # pairs would silently transpose
     for points in ([], [(1.0,)], ([1.0, 2.0], [1.0]),
                    [(1.0, 1.0, 1.0), (2.0, 0.5, 0.5)],
-                   ([[1.0, 2.0]], [[1.0, 0.25]])):
+                   ([[1.0, 2.0]], [[1.0, 0.25]]),
+                   ([1.0, 1.0], [1.0, 2.0]),
+                   [(1.0, 2.0), (3.0, 2.0 ** -7)]):
         with pytest.raises(FitDomainError):
             fit_power_law(points)
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import cplab
-from cplab import model
+from cplab import model, oscillator
 from cplab import (AccuracyError, Geometry, InvalidParameterError,
                    LatticePeriodicityWarning, ModelParams,
                    NotPositiveSemidefiniteError, TraceSystem,
@@ -21,6 +21,7 @@ from cplab import (AccuracyError, Geometry, InvalidParameterError,
                    series_binding, series_one_electron)
 from cplab.model import SYMMETRY_REL
 from cplab.oscillator import _Kernel
+from cplab.quadrature import integrate_half_line
 
 from conftest import (PARAM_SETS, dense_ground_energy, per_mode_lattice,
                       rebordered, reduce_over_orbits)
@@ -479,12 +480,18 @@ def test_dense_routes_stay_oracles():
     # chunked reducer that ModeTable.sums calls, and neither the forms nor
     # the continuum reach the mode table through traces.py.  No ufunc builds
     # an outer (pair) table, and the closed triple-resolvent forms serve the
-    # CLI's self-test only.
+    # CLI's self-test only.  In oscillator.py only the assemble_* functions
+    # build a table or the contact term: the energy and the binding read
+    # the assembled form's.
     for path in sorted(Path(cplab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         form_class = {id(node) for top in tree.body
                       if isinstance(top, ast.ClassDef)
                       and top.name == "QuadraticForm"
+                      for node in ast.walk(top)}
+        assemblers = {id(node) for top in tree.body
+                      if isinstance(top, ast.FunctionDef)
+                      and top.name.startswith("assemble_")
                       for node in ast.walk(top)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
@@ -493,6 +500,10 @@ def test_dense_routes_stay_oracles():
                 assert name not in ("eig", "eigh", "eigvals", "eigvalsh"), (
                     f"{path.name}:{node.lineno} calls {name}")
                 assert name != "closed_integral" or path.name == "cli.py", (
+                    f"{path.name}:{node.lineno} calls {name}")
+                assert path.name != "oscillator.py" or name not in (
+                    "lattice_table", "direct_coupling") or (
+                        id(node) in assemblers), (
                     f"{path.name}:{node.lineno} calls {name}")
             elif (isinstance(node, ast.Attribute)
                     and node.attr in ("border", "omega", "omega0_diag")):
@@ -690,17 +701,37 @@ def test_binding_with_direct_term_matches_refined_dense_oracle(e, nu0, xi,
     # one-dipole blocks positive, the contact block alone makes it indefinite
     (0.5, 0.5, 0.5, True),
 ])
-def test_binding_rejects_indefinite_form(e, nu0, xi, direct, small_lattice):
+def test_binding_rejects_indefinite_form(e, nu0, xi, direct, small_lattice,
+                                         monkeypatch):
     params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
     form = assemble_two_electron(params, small_lattice, prof, Geometry(0.3),
                                  include_direct_term=direct)
     assert dense_ground_energy(form).min_eigenvalue < -1e-3
     # the message carries the bottom eigenvalue to its 7 printed digits
     ref = f"{np.linalg.eigvalsh(form.omega)[0]:.6e}"
+    # the positivity rule reads the one table the binding assembles
+    calls, table = [], oscillator.lattice_table
+    monkeypatch.setattr(oscillator, "lattice_table",
+                        lambda *args: calls.append(args) or table(*args))
     with pytest.raises(NotPositiveSemidefiniteError,
                        match=f"^eigenvalue {re.escape(ref)} below"):
         binding_energy_exact(params, small_lattice, prof, 0.3,
                              include_direct_term=direct)
+    assert len(calls) == 1
+
+
+def test_binding_never_builds_the_stacked_table(default_params,
+                                                small_lattice, gaussian):
+    # only log_det reads the columns over k_n^2; the binding path would
+    # hold them for nothing, N x 8 floats
+    kernel = _Kernel(assemble_two_electron(default_params, small_lattice,
+                                           gaussian, Geometry(0.3)))
+    value = integrate_half_line(kernel.binding)
+    assert "stacked" not in vars(kernel)
+    assert value / (2.0 * math.pi) == binding_energy_exact(
+        default_params, small_lattice, gaussian, 0.3)
+    kernel.log_det(np.ones(1))
+    assert "stacked" in vars(kernel)
 
 
 def test_large_box_smoke():

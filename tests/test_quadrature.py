@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cplab import (AccuracyError, InvalidParameterError, QuadratureSpec,
-                   integrate_half_line, integrate_interval)
+from cplab import (AccuracyError, InvalidParameterError, ModelParams,
+                   QuadratureSpec, fourth_order_main, integrate_half_line,
+                   integrate_interval, make_gaussian_profile)
 from cplab.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS,
                               _PANEL_COST)
 
@@ -95,6 +96,15 @@ def test_half_line_rejects_late_oscillation():
     # many oscillations next to u = 1: the contract excludes it
     with pytest.raises(AccuracyError, match="budget 400000 exhausted"):
         integrate_half_line(lambda s: np.cos(40.0 * s) / (1.0 + s ** 4))
+
+
+def test_roundoff_stall_fails_fast():
+    # the remainder part of this term stalls near 1e-12 relative: its
+    # splits stop shrinking the error long before the 400,000-node budget
+    with pytest.raises(AccuracyError, match="^roundoff") as err:
+        fourth_order_main(120.0, ModelParams(0.5, 2.0),
+                          make_gaussian_profile(0.25), rel_tol=1e-13)
+    assert 1e-13 < err.value.achieved_tol < 1e-11
 
 
 def test_spec_validation():
