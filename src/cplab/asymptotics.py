@@ -121,8 +121,8 @@ def fit_power_law(points, window: Optional[Tuple[float, float]] = None
     ``points`` is a ``SweepResult`` or an ``(R, values)`` pair of arrays.
     The window must hold two distinct R, and all values inside it must be
     finite and share one sign, at finite positive R, or ``FitDomainError``
-    is raised; two points give an exact degenerate fit flagged
-    low-confidence.
+    is raised; two distinct R give an exact degenerate fit, however many
+    points repeat them, flagged low-confidence.
     """
     if isinstance(points, SweepResult):
         rr, vv = points.R, points.value
@@ -136,7 +136,8 @@ def fit_power_law(points, window: Optional[Tuple[float, float]] = None
     if window is not None:
         keep = (rr >= window[0]) & (rr <= window[1])
         rr, vv = rr[keep], vv[keep]
-    if len(rr) < 2 or np.all(rr == rr[0]):
+    distinct = len(set(rr.tolist()))
+    if distinct < 2:
         raise FitDomainError("need at least two distinct R to fit")
     if not (np.all(rr > 0) and np.all(np.isfinite(rr))
             and np.all(np.isfinite(vv))):
@@ -154,7 +155,7 @@ def fit_power_law(points, window: Optional[Tuple[float, float]] = None
                     coefficient=sign * math.exp(float(intercept)),
                     residual_rms=rms,
                     window=(float(rr.min()), float(rr.max())),
-                    low_confidence=len(rr) == 2)
+                    low_confidence=distinct == 2)
 
 
 def convergence_study(L_ladder: Sequence[float],

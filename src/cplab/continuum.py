@@ -15,9 +15,9 @@ exp(-t (r1 + r2))`` decouples the radial variables and turns each term
 into one-dimensional quadratures over one table of damped radial moments
 (route A); its panels are uniform, so ``exp(-t r)`` factors into a
 panel-edge and an in-panel-offset exponential.  Route "direct-quadrature"
-keeps the s-integral: on the same radial grid the continuum is one more
-``model.ModeTable``, reduced like the lattice's orbits, and each term is an
-order-4 closure of its channel sums.
+keeps the s-integral, taken in ``t = sR/2``: on the same radial grid the
+continuum is one more ``model.ModeTable``, reduced like the lattice's
+orbits, and each term is an order-4 closure of its channel sums.
 ``closed_integral`` serves the CLI's self-test of the closed forms.
 """
 
@@ -68,7 +68,7 @@ class FourthOrderResult:
     retarded_part: float = 0.0
     remainder_part: float = 0.0
     #: integrand nodes: t-nodes of route A (the main term counts the nodes
-    #: its two parts share once), s-nodes of "direct-quadrature"
+    #: its two parts share once), ``t = sR/2`` nodes of "direct-quadrature"
     nodes: int = 0
 
 
@@ -146,20 +146,21 @@ def angular_bracket_kernels(r):
     ``r = 1``, where the closed form of ``J2`` loses digits to
     cancellation, both come from their Taylor series ``J_p = 2 sum_n (-1)^n
     r^(2n) / ((2n)! (2n + p + 1))`` through ``n = 9`` (first omitted term
-    below 4e-20), evaluated by Horner's rule.
+    below 4e-20), evaluated by Horner's rule.  The closed forms run over
+    every entry, with ``r < 1`` replaced by 1 (one ``sin`` and one ``cos``
+    of the whole array, no gather), and the series then overwrites the
+    entries below 1.
     """
     r = np.asarray(r, dtype=float)
     scalar = r.ndim == 0
     r = np.atleast_1d(r)
     if np.any(r < 0):
         raise InvalidParameterError("radial argument must be nonnegative")
-    j0 = np.empty_like(r)
-    j2 = np.empty_like(r)
     small = r < 1.0
-    rb = r[~small]
-    j0[~small] = 2.0 * np.sin(rb) / rb
-    j2[~small] = 2.0 * ((rb ** 2 - 2.0) * np.sin(rb)
-                        + 2.0 * rb * np.cos(rb)) / rb ** 3
+    rb = np.where(small, 1.0, r)
+    sin = np.sin(rb)
+    j0 = 2.0 * sin / rb
+    j2 = 2.0 * ((rb ** 2 - 2.0) * sin + 2.0 * rb * np.cos(rb)) / rb ** 3
     x = r[small] ** 2
     series = np.zeros((len(x), 2))
     for coef in _BRACKET_SERIES[::-1]:
@@ -245,23 +246,32 @@ class _RadialTables:
     more than a normal ``exp``, and a subnormal product input far more than
     a normal one.  The rates are taken in slices so that no temporary
     exceeds the reducer's chunk size.
+
+    The columns are built node-major: the kernels, ``r^3``, ``r^4`` and
+    ``alpha^m`` (m = 1, 2, 3) are evaluated once each, each label's two
+    columns are node-long products written into one ``(labels, 2, nodes)``
+    array, and one transposed copy lays them out ``(panel, offset x
+    column)``.
     """
 
     def __init__(self, params: ModelParams, profile: ChargeProfile,
                  R: float, labels: Tuple[str, ...]):
         self.r, w = _radial_grid(profile, R)
-        wuj = (w * profile.radial(self.r / R) ** 2)[:, None] * np.stack(
-            angular_bracket_kernels(self.r), axis=1)
-        alpha = (params.e * params.nu + self.r / R)[:, None]
-        r = self.r[:, None]
-        n = _PANEL_NODES
-        self.offsets = self.r[:n]
-        self.edges = self.r[::n] - self.offsets[0]
+        r, n = self.r, _PANEL_NODES
+        wuj = (w * profile.radial(r / R) ** 2) * np.stack(
+            angular_bracket_kernels(r))
+        alpha = params.e * params.nu + r / R
+        rpow = {"G": r ** 3, "H": r ** 4}
+        apow = {m: alpha ** m for m in (1, 2, 3)}
+        self.offsets = r[:n]
+        self.edges = r[::n] - self.offsets[0]
+        cols = np.empty((len(labels), 2, len(r)))
+        for col, label in zip(cols, labels):
+            np.multiply(wuj, rpow[label[0]], out=col)
+            col /= apow[int(label[1])]
         # one row per panel, its entries ordered (offset, column)
-        cols = np.concatenate(
-            [wuj * r ** {"G": 3, "H": 4}[label[0]] / alpha ** int(label[1])
-             for label in labels], axis=1)
-        self._cols = cols.reshape(len(self.edges), -1)
+        self._cols = cols.reshape(-1, len(self.edges), n).transpose(
+            1, 2, 0).reshape(len(self.edges), -1)
 
     def moments(self, t) -> np.ndarray:
         t = np.atleast_1d(t)
@@ -282,8 +292,13 @@ def _damping(t: np.ndarray, x: np.ndarray) -> np.ndarray:
     where ``t x`` exceeds ``_EXP_CUTOFF``."""
     arg = t[:, None] * x
     keep = arg <= _EXP_CUTOFF
+    # e^-600 is a normal number, so the clamped entries stay normal
+    # before the mask zeroes them
+    np.minimum(arg, _EXP_CUTOFF, out=arg)
     np.negative(arg, out=arg)
-    return np.exp(arg, out=np.zeros_like(arg), where=keep)
+    np.exp(arg, out=arg)
+    arg *= keep
+    return arg
 
 
 def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -351,8 +366,14 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
     closure ``(1/pi) Int s^2 e^4 / (s^2 + e^2 nu^2)^2 sum_c m_c 2 a1_c a2_c
     ds`` of the channel sums ``a_m`` (resolvent power ``m``, multiplicities
     ``m_c``) of the mode table ``_across_table``; its estimate and nodes are
-    the s-quadrature's.  The term approaches ``cp_constant(nu0) * R**-7`` at
-    large separation.
+    those of the quadrature over ``t = sR/2``, i.e. ``2/(pi R) Int dt`` of
+    the integrand at ``s = 2t/R``.  The across sums decay like ``e^{-sR}``,
+    so the closure's mass sits at ``s ~ 1/R``: in ``s`` it falls inside
+    the first initial panel of the half-line map, and every larger R costs
+    more bisection rounds to find it; in ``t`` it sits near ``t = 1/2`` at
+    every R, where the initial panels resolve it.  (Of ``t = s R c``, ``c =
+    1/2`` spent the fewest nodes; ``c = 1``, 2 and 4 spent more.)  The term
+    approaches ``cp_constant(nu0) * R**-7`` at large separation.
     """
     Geometry(R)  # validates
     if route == "t-representation":
@@ -367,13 +388,13 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
     table = _across_table(profile, R)
     enu2 = (params.e * params.nu) ** 2
 
-    def integrand(s):
-        s2 = s * s
+    def integrand(t):
+        s2 = (2.0 / R * t) ** 2
         a1, a2 = table.sums(s2, (1, 2))
         pref = s2 * params.e ** 4 / (s2 + enu2) ** 2
         return pref * ((2.0 * a1 * a2) @ table.multiplicity)
 
-    value, err, nodes = _half_line(integrand, rel_tol, 1.0 / math.pi)
+    value, err, nodes = _half_line(integrand, rel_tol, 2.0 / (math.pi * R))
     return FourthOrderResult(R=R, value=value, route=route,
                              estimated_error=err, nodes=nodes)
 
@@ -388,7 +409,8 @@ def fourth_order_error(R: float, params: ModelParams,
     multiply by two for the full crossed contribution (the alternating
     words vanish identically).  Route "direct-quadrature" integrates half
     the order-4 particle closure, ``(1/pi) Int s^2 e^4 / (s^2 + e^2 nu^2)^3
-    sum_c m_c a1_c^2 ds``, over the table of ``_across_table``.
+    sum_c m_c a1_c^2 ds``, over the table of ``_across_table``, in ``t =
+    sR/2`` as ``fourth_order_main`` does and for the same reason.
     """
     Geometry(R)  # validates
     e, nu = params.e, params.nu
@@ -406,13 +428,14 @@ def fourth_order_error(R: float, params: ModelParams,
         table = _across_table(profile, R)
         enu2 = (e * nu) ** 2
 
-        def integrand(s):
-            s2 = s * s
+        def integrand(t):
+            s2 = (2.0 / R * t) ** 2
             a1 = table.sums(s2)[0]
             pref = s2 * e ** 4 / (s2 + enu2) ** 3
             return pref * ((a1 * a1) @ table.multiplicity)
 
-        value, err, nodes = _half_line(integrand, rel_tol, 1.0 / math.pi)
+        value, err, nodes = _half_line(integrand, rel_tol,
+                                       2.0 / (math.pi * R))
     else:
         raise InvalidParameterError(f"unknown route {route!r}")
     return FourthOrderResult(R=R, value=value, route=route,

@@ -66,6 +66,15 @@ _PANEL_COST = len(_K15_NODES)
 _ROUNDOFF_SPLITS = 10
 
 
+def _holds(test: Callable[[], object]) -> bool:
+    """Whether ``test()`` is true; False where its operands do not support
+    the test (a string or ``None`` where a number belongs)."""
+    try:
+        return bool(test())
+    except (TypeError, ValueError):
+        return False
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Accuracy contract for the adaptive integrators.
@@ -81,18 +90,24 @@ class QuadratureSpec:
     max_nodes: int = 400_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
+        if not _holds(lambda: self.rel_tol > 0
+                      and math.isfinite(self.rel_tol)):
             raise InvalidParameterError("rel_tol must be positive and finite")
-        floors = np.atleast_1d(np.asarray(self.abs_tol, dtype=float))
-        if not (floors.ndim == 1 and floors.size
-                and np.all((floors >= 0) & np.isfinite(floors))):
+        try:
+            scalar = (isinstance(self.abs_tol, (int, float))
+                      or not np.ndim(self.abs_tol))
+            floors = ((float(self.abs_tol),) if scalar
+                      else tuple(float(f) for f in self.abs_tol))
+        except (TypeError, ValueError):
+            floors = ()
+        if not (floors and all(f >= 0 and math.isfinite(f) for f in floors)):
             raise InvalidParameterError(
                 "abs_tol must be non-negative and finite")
-        if np.ndim(self.abs_tol):
-            object.__setattr__(self, "abs_tol", tuple(floors.tolist()))
-        if not self.max_nodes >= 2 * _PANEL_COST:
+        if not scalar:
+            object.__setattr__(self, "abs_tol", floors)
+        if not _holds(lambda: self.max_nodes >= 2 * _PANEL_COST):
             raise InvalidParameterError(
-                "max_nodes below a single panel evaluation")
+                f"max_nodes must be a number of at least {2 * _PANEL_COST}")
 
     def abs_floors(self, k: int) -> Tuple[float, ...]:
         """The absolute floors of ``k`` integrand components."""

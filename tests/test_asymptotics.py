@@ -99,10 +99,13 @@ def test_fit_negative_values_carry_sign():
 
 
 def test_fit_two_points_low_confidence():
-    fit = fit_power_law(([1.0, 2.0], [1.0, 0.25]))
-    assert fit.low_confidence
-    assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
-    assert fit.residual_rms < 1e-14
+    # two distinct R make an exact fit however many points repeat them
+    for points in (([1.0, 2.0], [1.0, 0.25]),
+                   ([1.0, 1.0, 2.0], [1.0, 1.0, 0.25])):
+        fit = fit_power_law(points)
+        assert fit.low_confidence
+        assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
+        assert fit.residual_rms < 1e-14
 
 
 def test_fit_sign_change_rejected():

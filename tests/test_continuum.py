@@ -12,9 +12,10 @@ from cplab import (InvalidParameterError, ModelParams, ab_identity_check,
                    integral_quadrature_oracle, make_custom_profile,
                    make_gaussian_profile)
 from cplab import continuum
-from cplab.continuum import (_ANGULAR_MATRIX, _RadialTables, _envelope_cutoff,
-                             _radial_grid)
+from cplab.continuum import (_ANGULAR_MATRIX, _EXP_CUTOFF, _RadialTables,
+                             _damping, _envelope_cutoff, _radial_grid)
 from cplab.model import _CHUNK_ELEMS
+from cplab.quadrature import _PANEL_COST
 from conftest import PARAM_SETS
 
 KINDS = {"111": (1, 1, 1), "221": (2, 2, 1), "212": (2, 1, 2),
@@ -292,12 +293,24 @@ def test_direct_route_matches_dense_oracle(e, nu0, xi):
                                             + 64 * eps * abs_sum), (fn, R)
 
 
+def test_direct_route_converges_on_initial_panels():
+    # in t = sR/2 the closure's peak at s ~ 1/R sits at t ~ 1/2 for every
+    # R, so the initial panels resolve it without a split
+    for (e, nu0, xi), R in itertools.product(
+            PARAM_SETS, (20.0, 30.0, 60.0, 120.0, 240.0)):
+        params, profile = ModelParams(e=e, nu0=nu0), make_gaussian_profile(xi)
+        for fn in (fourth_order_main, fourth_order_error):
+            res = fn(R, params, profile, route="direct-quadrature")
+            assert res.nodes == 8 * _PANEL_COST, (e, nu0, xi, R, fn.__name__)
+
+
 @pytest.mark.parametrize("xi", sorted({xi for _, _, xi in PARAM_SETS}))
 def test_radial_moments_match_dense_exponential(xi):
     # the edge x offset factorisation of exp(-t r) reproduces the dense
     # damped product within a few roundings of its absolute sum, from
     # t = 0 to rates where every exponential underflows or is cut to 0,
-    # for the moment columns of either term
+    # for the moment columns of either term; the factors themselves are
+    # exact zeros past the cutoff and never subnormal
     params, profile = ModelParams(e=0.5, nu0=2.0), make_gaussian_profile(xi)
     eps = np.finfo(float).eps
     t = np.concatenate([[0.0], np.geomspace(0.01, 3.0, 25), [10.0, 100.0,
@@ -321,6 +334,10 @@ def test_radial_moments_match_dense_exponential(xi):
         assert got.shape == (len(labels), len(t), 2)
         got = got.transpose(1, 0, 2).reshape(len(t), -1)
         assert np.all(np.abs(got - ref) <= bound), (R, labels)
+        for x in (tables.edges, tables.offsets, r):
+            damp = _damping(t, x)
+            assert np.all((damp == 0) | (damp >= np.finfo(float).tiny))
+            assert np.all(damp[np.outer(t, x) > _EXP_CUTOFF] == 0)
 
 
 def test_radial_moments_memory_stays_chunked():

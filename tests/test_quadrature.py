@@ -114,7 +114,8 @@ def test_spec_validation():
                 {"abs_tol": math.inf}, {"abs_tol": (0.0, math.nan)},
                 {"abs_tol": (1e-3, -1e-9)}, {"abs_tol": (math.inf,)},
                 {"abs_tol": ()}, {"max_nodes": 10},
-                {"max_nodes": math.nan}):
+                {"max_nodes": math.nan}, {"rel_tol": "x"},
+                {"rel_tol": None}, {"abs_tol": "x"}, {"max_nodes": "x"}):
         with pytest.raises(InvalidParameterError):
             QuadratureSpec(**bad)
 
