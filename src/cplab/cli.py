@@ -302,8 +302,12 @@ def _run_cp_sweep(cfg, params, profile, lattice, report):
 def _run_error_sweep(cfg, params, profile, lattice, report):
     cols, rows, sweep, scalars = _continuum_sweep(cfg, params, profile,
                                                   "continuum-error")
-    main = sweep_R([cfg.resolved_grid()[-1]], "continuum-main", params,
-                   profile, rel_tol=max(cfg.quad_rel_tol, 1e-9))
+    r_max = cfg.resolved_grid()[-1]
+    main = sweep_R([r_max], "continuum-main", params, profile,
+                   rel_tol=max(cfg.quad_rel_tol, 1e-9))
+    if main.gaps:
+        raise CplabError(f"the main term at R = {r_max!r}, the grid's last "
+                         f"separation, is a gap: {main.gaps[0][1]}")
     scalars["crossed_over_main_at_max"] = abs(2.0 * sweep.value[-1]
                                               / main.value[-1])
     return cols, rows, scalars

@@ -19,13 +19,26 @@ keeps the s-integral, taken in ``t = sR/2``: on the same radial grid the
 continuum is one more ``model.ModeTable``, reduced like the lattice's
 orbits, and each term is an order-4 closure of its channel sums.
 ``closed_integral`` serves the CLI's self-test of the closed forms.
+
+Both routes read one radial grid.  Its panels have width ``h = pi / 2^q``
+and start at ``r = 0``, with ``q >= 0`` the least integer that puts at
+least 8 panels below the envelope cutoff, and they run to the first edge
+at or past the cutoff; so the grid of every R is a prefix of one grid per
+``(q, _PANEL_NODES)``.  Its R-independent columns (nodes, weights, the
+kernels times ``w r^3`` and ``w r^4``, the across pair) are built once
+per process in one shared basis per key, which grows to the largest
+cutoff seen (one array set per key, 64 bytes per node: under 0.2 MB at
+``R / xi = 120``) and never rewrites an array it has handed out.  A
+node's entries are elementwise functions of its panel and offset alone,
+so no value depends on which R were evaluated before; per R, the tables
+only multiply these columns by the profile and the resolvent factors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -51,7 +64,8 @@ _ANGULAR_MATRIX = 2.0 * math.pi ** 2 * np.array([[3.0, -1.0], [-1.0, 3.0]])
 _BRACKET_SERIES = np.array([[2.0 * (-1) ** n / (math.factorial(2 * n)
                                                 * (2 * n + p + 1))
                              for p in (0, 2)] for n in range(10)])
-#: Gauss nodes per radial panel; one panel spans about pi in r
+#: Gauss nodes per radial panel; a panel spans ``pi / 2^q`` in r, pi
+#: (about half the kernels' period ``2 pi``) from a cutoff of 8 pi on
 _PANEL_NODES = 12
 #: damping exponent past which ``exp(-t r)`` (below 3e-261) is taken as 0
 _EXP_CUTOFF = 600.0
@@ -215,12 +229,73 @@ def _envelope_cutoff(profile: ChargeProfile, R: float) -> float:
                         "range", r, math.inf)
 
 
-def _radial_grid(profile: ChargeProfile, R: float):
-    """Composite Gauss grid resolving the unit-period radial oscillation."""
+class _RadialBasis(NamedTuple):
+    """The R-independent columns of one radial grid, panel width ``h``.
+
+    Nodes ``r`` and weights ``w``; ``wjr[i, p] = w J_p r^(3 + i)`` (``i`` =
+    0, 1, ``J_p`` the two ``angular_bracket_kernels``), the columns of the
+    G and H moments; ``across = w r^4 [(J0 + J2) / 4, (J0 - J2) / 2]``,
+    the across pair of ``_across_table``.  The arrays are read-only.
+    """
+
+    h: float
+    r: np.ndarray
+    w: np.ndarray
+    wjr: np.ndarray
+    across: np.ndarray
+
+
+#: one shared basis per ``(q, _PANEL_NODES)``, as long as the largest
+#: cutoff seen; see ``_radial_basis``
+_BASES: Dict[Tuple[int, int], _RadialBasis] = {}
+
+
+def _basis_panels(h: float, lo: int, hi: int) -> _RadialBasis:
+    """The basis of panels ``lo .. hi - 1``, from elementwise operations
+    on their edges ``m h`` only."""
+    r, w = gauss_panel_rule(np.arange(lo, hi + 1) * h, order=_PANEL_NODES)
+    wj = w * np.stack(angular_bracket_kernels(r))
+    wjr = np.stack([wj * r ** 3, wj * r ** 4])
+    across = np.stack([(wjr[1, 0] + wjr[1, 1]) / 4.0,
+                       (wjr[1, 0] - wjr[1, 1]) / 2.0])
+    return _RadialBasis(h, r, w, wjr, across)
+
+
+def _radial_basis(profile: ChargeProfile, R: float) -> _RadialBasis:
+    """The shared basis of the grid that resolves R, cut to its panels.
+
+    The panels have width ``h = pi / 2^q``, ``q >= 0`` the least integer
+    that puts 8 of them below the envelope cutoff, and run from 0 to the
+    first edge at or past it.  The stored basis grows by the panels a call
+    lacks, appended to new arrays; an array once handed out is never
+    written, and threads that race can build a panel twice but never
+    change its values.
+    """
     rmax = _envelope_cutoff(profile, R)
-    n_pan = max(8, int(math.ceil(rmax / math.pi)))
-    edges = np.linspace(0.0, rmax, n_pan + 1)
-    return gauss_panel_rule(edges, order=_PANEL_NODES)
+    q, h = 0, math.pi
+    while 8.0 * h > rmax:
+        q, h = q + 1, h / 2.0
+    panels = math.ceil(rmax / h)
+    key = (q, _PANEL_NODES)
+    basis = _BASES.get(key)
+    built = 0 if basis is None else len(basis.r) // _PANEL_NODES
+    if built < panels:
+        new = _basis_panels(h, built, panels)
+        if basis is not None:
+            new = _RadialBasis(h, *(np.concatenate([a, b], axis=-1)
+                                    for a, b in zip(basis[1:], new[1:])))
+        for a in new[1:]:
+            a.setflags(write=False)
+        _BASES[key] = basis = new
+    n = panels * _PANEL_NODES
+    return _RadialBasis(h, basis.r[:n], basis.w[:n], basis.wjr[..., :n],
+                        basis.across[:, :n])
+
+
+def _radial_grid(profile: ChargeProfile, R: float):
+    """Nodes and weights of the radial grid that resolves R."""
+    basis = _radial_basis(profile, R)
+    return basis.r, basis.w
 
 
 class _RadialTables:
@@ -247,31 +322,31 @@ class _RadialTables:
     a normal one.  The rates are taken in slices so that no temporary
     exceeds the reducer's chunk size.
 
-    The columns are built node-major: the kernels, ``r^3``, ``r^4`` and
-    ``alpha^m`` (m = 1, 2, 3) are evaluated once each, each label's two
-    columns are node-long products written into one ``(labels, 2, nodes)``
-    array, and one transposed copy lays them out ``(panel, offset x
-    column)``.
+    Per R only ``u / alpha^m`` (m = 1, 2, 3) is evaluated; each label's
+    two columns are the shared basis's ``w J_p r^3`` or ``w J_p r^4``
+    times one of them, node-long products written straight into the
+    ``(node, column)`` array that is already the ``(panel, offset x
+    column)`` layout.
     """
 
     def __init__(self, params: ModelParams, profile: ChargeProfile,
                  R: float, labels: Tuple[str, ...]):
-        self.r, w = _radial_grid(profile, R)
-        r, n = self.r, _PANEL_NODES
-        wuj = (w * profile.radial(r / R) ** 2) * np.stack(
-            angular_bracket_kernels(r))
-        alpha = params.e * params.nu + r / R
-        rpow = {"G": r ** 3, "H": r ** 4}
-        apow = {m: alpha ** m for m in (1, 2, 3)}
-        self.offsets = r[:n]
-        self.edges = r[::n] - self.offsets[0]
-        cols = np.empty((len(labels), 2, len(r)))
-        for col, label in zip(cols, labels):
-            np.multiply(wuj, rpow[label[0]], out=col)
-            col /= apow[int(label[1])]
+        basis = _radial_basis(profile, R)
+        self.r, n = basis.r, _PANEL_NODES
+        k = self.r / R
+        alpha = params.e * params.nu + k
+        # u / alpha^m, m = 0 .. 3
+        fac = [profile.radial(k) ** 2]
+        for _ in range(3):
+            fac.append(fac[-1] / alpha)
+        self.offsets = self.r[:n]
+        self.edges = np.arange(len(self.r) // n) * basis.h
+        cols = np.empty((len(self.r), len(labels), 2))
+        for i, label in enumerate(labels):
+            np.multiply(basis.wjr["GH".index(label[0])], fac[int(label[1])],
+                        out=cols[:, i].T)
         # one row per panel, its entries ordered (offset, column)
-        self._cols = cols.reshape(-1, len(self.edges), n).transpose(
-            1, 2, 0).reshape(len(self.edges), -1)
+        self._cols = cols.reshape(len(self.edges), -1)
 
     def moments(self, t) -> np.ndarray:
         t = np.atleast_1d(t)
@@ -345,14 +420,14 @@ def _across_table(profile: ChargeProfile, R: float) -> ModeTable:
     As ``cell_weight sum_k -> Int d^3k``, the lattice's across columns
     ``w_k [(1 + u_z^2) / 2, 1 - u_z^2] cos(k R u_z)`` average over the
     directions of ``k`` to ``w_k [(J0 + J2) / 4, (J0 - J2) / 2]`` at ``r =
-    k R``; on the radial grid ``k = r/R``, ``w_k = 4 pi (w/R) k^4 f(k)^2``.
+    k R``; on the radial grid ``k = r/R``, ``w_k = 4 pi (w/R) k^4 f(k)^2
+    = (4 pi f(k)^2 / R^5) w r^4``, so the pair is the shared basis's
+    ``across`` times ``4 pi f(k)^2 / R^5``.
     """
-    r, w = _radial_grid(profile, R)
-    k = r / R
-    wk = 4.0 * math.pi * (w / R) * k ** 4 * profile.radial(k) ** 2
-    j0, j2 = angular_bracket_kernels(r)
-    return ModeTable(k * k, np.stack(
-        [wk * (j0 + j2) / 4.0, wk * (j0 - j2) / 2.0], axis=1))
+    basis = _radial_basis(profile, R)
+    k = basis.r / R
+    scale = (4.0 * math.pi / R ** 5) * profile.radial(k) ** 2
+    return ModeTable(k * k, (basis.across * scale).T)
 
 
 def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,

@@ -68,10 +68,11 @@ _ROUNDOFF_SPLITS = 10
 
 def _holds(test: Callable[[], object]) -> bool:
     """Whether ``test()`` is true; False where its operands do not support
-    the test (a string or ``None`` where a number belongs)."""
+    the test (a string or ``None`` where a number belongs, an integer past
+    the float range)."""
     try:
         return bool(test())
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         return False
 
 
@@ -82,7 +83,9 @@ class QuadratureSpec:
     ``rel_tol`` is the target relative tolerance, ``abs_tol`` an absolute
     floor used when the integral itself is (numerically) zero, either one
     floor for every component or a tuple with one per component, and
-    ``max_nodes`` the hard budget on integrand evaluations.
+    ``max_nodes`` the hard budget on integrand evaluations.  The
+    tolerances are stored as the floats they were validated as: ``rel_tol``
+    a float, ``abs_tol`` a float or a tuple of floats.
     """
 
     rel_tol: float = 1e-10
@@ -93,26 +96,26 @@ class QuadratureSpec:
         if not _holds(lambda: self.rel_tol > 0
                       and math.isfinite(self.rel_tol)):
             raise InvalidParameterError("rel_tol must be positive and finite")
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
         try:
             scalar = (isinstance(self.abs_tol, (int, float))
                       or not np.ndim(self.abs_tol))
             floors = ((float(self.abs_tol),) if scalar
                       else tuple(float(f) for f in self.abs_tol))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             floors = ()
         if not (floors and all(f >= 0 and math.isfinite(f) for f in floors)):
             raise InvalidParameterError(
                 "abs_tol must be non-negative and finite")
-        if not scalar:
-            object.__setattr__(self, "abs_tol", floors)
+        object.__setattr__(self, "abs_tol", floors[0] if scalar else floors)
         if not _holds(lambda: self.max_nodes >= 2 * _PANEL_COST):
             raise InvalidParameterError(
                 f"max_nodes must be a number of at least {2 * _PANEL_COST}")
 
     def abs_floors(self, k: int) -> Tuple[float, ...]:
         """The absolute floors of ``k`` integrand components."""
-        if not np.ndim(self.abs_tol):
-            return (float(self.abs_tol),) * k
+        if isinstance(self.abs_tol, float):
+            return (self.abs_tol,) * k
         if len(self.abs_tol) != k:
             raise InvalidParameterError(
                 f"abs_tol has {len(self.abs_tol)} entries for {k} "

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from cplab import ConfigError, cli
+from cplab import AccuracyError, ConfigError, CplabError, asymptotics, cli
 from cplab.cli import emit, main, parse_config, run
 
 
@@ -275,3 +275,23 @@ def test_cp_sweep_document_deterministic(tmp_path):
     assert code1 == code2 == 0
     assert doc1 == doc2
     assert doc1.splitlines()[0] == "R,value,r7_scaled,r9_scaled"
+
+
+def test_error_sweep_main_gap_at_max_is_error(tmp_path, monkeypatch, capsys):
+    # the crossed-over-main ratio reads the main term at the grid's last R;
+    # a gap there is a typed error naming R and the gap, not an IndexError
+    real = asymptotics.fourth_order_main
+
+    def failing_at_max(R, *args, **kwargs):
+        if R == 120.0:
+            raise AccuracyError("node budget exhausted", 0.0, math.inf)
+        return real(R, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, "fourth_order_main", failing_at_max)
+    cfg = parse_config("R_grid = 30, 60, 120")
+    with pytest.raises(CplabError, match=r"R = 120\.0.*AccuracyError: "
+                                         r"node budget exhausted"):
+        run("error-sweep", cfg)
+    code, doc = invoke(tmp_path, "error-sweep", "R_grid = 30, 60, 120")
+    assert (code, doc) == (1, "")
+    assert "error: the main term at R = 120.0" in capsys.readouterr().err

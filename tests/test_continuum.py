@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,8 +15,10 @@ from cplab import (InvalidParameterError, ModelParams, ab_identity_check,
                    integral_quadrature_oracle, make_custom_profile,
                    make_gaussian_profile)
 from cplab import continuum
+from cplab.cli import emit, parse_config, run
 from cplab.continuum import (_ANGULAR_MATRIX, _EXP_CUTOFF, _RadialTables,
-                             _damping, _envelope_cutoff, _radial_grid)
+                             _damping, _envelope_cutoff, _radial_basis,
+                             _radial_grid)
 from cplab.model import _CHUNK_ELEMS
 from cplab.quadrature import _PANEL_COST
 from conftest import PARAM_SETS
@@ -320,8 +325,12 @@ def test_radial_moments_match_dense_exponential(xi):
             (("G1", "G2", "G3", "H1", "H2"), ("H1", "H2", "H3"))):
         tables = _RadialTables(params, profile, R, labels)
         r, n_pan = tables.r, len(tables.edges)
-        rmax = _envelope_cutoff(profile, R)
-        mh = np.arange(n_pan) * (rmax / n_pan)
+        # panels of width pi / 2^q from 0 past the cutoff, 8 below it
+        rmax, h = _envelope_cutoff(profile, R), math.pi
+        while 8 * h > rmax:
+            h /= 2
+        assert n_pan == math.ceil(rmax / h)
+        mh = np.arange(n_pan) * h
         grid = (mh[:, None] + tables.offsets[None, :]).ravel()
         assert np.all(np.abs(tables.edges - mh) <= 4 * eps * rmax)
         assert np.all(np.abs(grid - r) <= 4 * eps * rmax)
@@ -358,6 +367,85 @@ def test_radial_moments_memory_stays_chunked():
     assert peak < 4 * 8 * _CHUNK_ELEMS + out.nbytes
 
 
+def test_radial_basis_grows_by_prefix(monkeypatch):
+    # a basis grown for a larger R starts with the smaller R's basis bit
+    # for bit, leaves the arrays it handed out as they were, and equals the
+    # basis built for the larger R alone
+    profile = make_gaussian_profile(1.0)
+    monkeypatch.setattr(continuum, "_BASES", {})
+    small = _radial_basis(profile, 30.0)
+    kept = [a.tobytes() for a in small[1:]]
+    large = _radial_basis(profile, 240.0)
+    n = len(small.r)
+    assert large.h == small.h == math.pi and len(large.r) > n
+    for a, b, bits in zip(small[1:], large[1:], kept):
+        assert not (a.flags.writeable or b.flags.writeable)
+        assert a.tobytes() == b[..., :n].tobytes() == bits
+    monkeypatch.setattr(continuum, "_BASES", {})
+    alone = _radial_basis(profile, 240.0)
+    for a, b in zip(alone[1:], large[1:]):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_small_grids_never_coarser_than_eight_panels(monkeypatch):
+    # below a cutoff of 8 pi the panels halve until 8 fit below it, so they
+    # are never wider than the cutoff / 8 of a fixed count of 8 (and at
+    # most twice as many); from 8 pi on they are pi wide, ceil(cutoff / pi)
+    # of them; the last panel reaches past the cutoff, its predecessor not
+    monkeypatch.setattr(continuum, "_BASES", {})
+    profiles = [make_gaussian_profile(xi)
+                for xi in sorted({xi for _, _, xi in PARAM_SETS})]
+    profiles.append(make_custom_profile(
+        lambda k: (2.0 * math.pi) ** -1.5 * (1.0 + k * k) ** -4))
+    for profile, R in itertools.product(profiles, np.geomspace(0.05, 20, 30)):
+        rmax = _envelope_cutoff(profile, R)
+        basis = _radial_basis(profile, R)
+        panels = len(basis.r) // continuum._PANEL_NODES
+        assert (panels - 1) * basis.h < rmax <= panels * basis.h
+        if rmax < 8 * math.pi:
+            assert basis.h <= rmax / 8 < 2 * basis.h and panels <= 16
+        else:
+            assert basis.h == math.pi
+            assert panels == max(8, math.ceil(rmax / math.pi))
+
+
+def _history_probe():
+    """Both terms by both routes on a q = 2 grid (xi = 1, R = 2) and on q =
+    0 grids up to 719 panels, and a cp-sweep document, as exact text."""
+    out = []
+    for (e, nu0, xi), R in itertools.product(PARAM_SETS[:2],
+                                             (2.0, 30.0, 120.0)):
+        params, profile = ModelParams(e=e, nu0=nu0), make_gaussian_profile(xi)
+        for fn, route in itertools.product(
+                (fourth_order_main, fourth_order_error),
+                ("t-representation", "direct-quadrature")):
+            res = fn(R, params, profile, route=route)
+            out.append(f"{res.value.hex()} {res.estimated_error.hex()} "
+                       f"{res.nodes}")
+    cfg = parse_config("R_grid = 10, 120, 6, geometric")
+    out.append(emit(run("cp-sweep", cfg), "json"))
+    return "\n".join(out)
+
+
+def test_terms_independent_of_evaluation_history(monkeypatch):
+    # after larger R have grown the shared bases (the q = 2 one by R = 2.3,
+    # the q = 0 one by R = 240), every term and the cp-sweep document read
+    # the same bits as in a fresh process
+    monkeypatch.setattr(continuum, "_BASES", {})
+    for (e, nu0, xi), R in itertools.product(PARAM_SETS[:2], (2.3, 240.0)):
+        fourth_order_main(R, ModelParams(e=e, nu0=nu0),
+                          make_gaussian_profile(xi))
+    after_larger = _history_probe()
+    paths = [os.path.dirname(os.path.dirname(continuum.__file__)),
+             os.path.dirname(os.path.abspath(__file__))]
+    fresh = subprocess.run(
+        [sys.executable, "-c", "from test_continuum import _history_probe; "
+                               "print(_history_probe(), end='')"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True, text=True, timeout=300, check=True)
+    assert fresh.stdout == after_larger
+
+
 def test_radial_grid_is_resolved(monkeypatch):
     # both routes share the radial grid, so their agreement cannot see its
     # error: 16 Gauss nodes per panel in place of 12 move neither term by
@@ -369,9 +457,15 @@ def test_radial_grid_is_resolved(monkeypatch):
                 ref = fn(R, params, profile)
                 with monkeypatch.context() as patch:
                     patch.setattr(continuum, "_PANEL_NODES", 16)
-                    nodes = len(_radial_grid(profile, R)[0])
+                    r16 = _radial_grid(profile, R)[0]
                     fine = fn(R, params, profile)
-                assert nodes == 16 / 12 * len(_radial_grid(profile, R)[0])
+                # the patched count reads a 16-node basis of its own on the
+                # same panels, and leaves the 12-node basis as it was
+                basis = _radial_basis(profile, R)
+                assert len(r16) == 16 / 12 * len(basis.r)
+                assert np.array_equal(np.floor(r16 / basis.h)[::16],
+                                      np.floor(basis.r / basis.h)[::12])
+                assert fn(R, params, profile).value == ref.value
                 assert abs(ref.value - fine.value) <= 1e-9 * abs(fine.value), (
                     e, nu0, xi, R, fn.__name__)
 

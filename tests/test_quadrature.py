@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -115,9 +116,29 @@ def test_spec_validation():
                 {"abs_tol": (1e-3, -1e-9)}, {"abs_tol": (math.inf,)},
                 {"abs_tol": ()}, {"max_nodes": 10},
                 {"max_nodes": math.nan}, {"rel_tol": "x"},
-                {"rel_tol": None}, {"abs_tol": "x"}, {"max_nodes": "x"}):
+                {"rel_tol": None}, {"abs_tol": "x"}, {"max_nodes": "x"},
+                {"rel_tol": 10 ** 400}, {"abs_tol": 10 ** 400}):
         with pytest.raises(InvalidParameterError):
             QuadratureSpec(**bad)
+
+
+def test_spec_stores_validated_floats():
+    # whatever form an accepted tolerance takes, the spec holds the float
+    # it was validated as
+    for raw in ("0.5", b"0.5", np.array("0.5"), np.array(0.5),
+                np.float32(0.5), Fraction(1, 2)):
+        spec = QuadratureSpec(abs_tol=raw)
+        assert type(spec.abs_tol) is float and spec.abs_tol == 0.5, raw
+        assert spec.abs_floors(2) == (0.5, 0.5)
+    for raw in ((0.5, np.float32(0.25)), [0.5, "0.25"],
+                np.array([0.5, 0.25])):
+        spec = QuadratureSpec(abs_tol=raw)
+        assert spec.abs_tol == (0.5, 0.25), raw
+        assert all(type(f) is float for f in spec.abs_tol)
+    for raw, stored in ((True, 1.0), (1, 1.0), (np.float64(1e-8), 1e-8),
+                        (np.array(1e-8), 1e-8), (Fraction(1, 4), 0.25)):
+        spec = QuadratureSpec(rel_tol=raw)
+        assert type(spec.rel_tol) is float and spec.rel_tol == stored, raw
 
 
 # ---------------------------------------------------------------------------
