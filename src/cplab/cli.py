@@ -275,11 +275,24 @@ def _run_series(cfg, params, profile, lattice, report):
     return cols, rows, scalars
 
 
-def _continuum_sweep(cfg, params, profile, evaluator):
+def _sweep_to_max(grid, evaluator, params, profile, cfg, term):
+    """``sweep_R`` of one continuum term over ``grid``; a gap at its last
+    separation, which the at-max scalars read, is a ``CplabError`` naming
+    the separation and the gap's diagnostic."""
+    sweep = sweep_R(grid, evaluator, params, profile,
+                    rel_tol=max(cfg.quad_rel_tol, 1e-9))
+    for r, diagnostic in sweep.gaps:
+        if r == grid[-1]:
+            raise CplabError(f"the {term} term at R = {r!r}, the grid's last "
+                             f"separation, is a gap: {diagnostic}")
+    return sweep
+
+
+def _continuum_sweep(cfg, params, profile, evaluator, term):
     """Sweep one continuum term over the grid: the table, the sweep, and
     the scalars of a power-law fit over the upper half of the grid."""
-    sweep = sweep_R(cfg.resolved_grid(), evaluator, params, profile,
-                    rel_tol=max(cfg.quad_rel_tol, 1e-9))
+    sweep = _sweep_to_max(cfg.resolved_grid(), evaluator, params, profile,
+                          cfg, term)
     rows = [[r, v, s7, s9] for r, v, s7, s9 in
             zip(sweep.R, sweep.value, sweep.r7_scaled, sweep.r9_scaled)]
     start = min(len(sweep.R) // 2, len(sweep.R) - 2)
@@ -292,7 +305,7 @@ def _continuum_sweep(cfg, params, profile, evaluator):
 
 def _run_cp_sweep(cfg, params, profile, lattice, report):
     cols, rows, sweep, scalars = _continuum_sweep(cfg, params, profile,
-                                                  "continuum-main")
+                                                  "continuum-main", "main")
     ref = cp_constant(cfg.nu0)
     scalars["cp_constant"] = ref
     scalars["r7_rel_dev_at_max"] = abs(sweep.r7_scaled[-1] - ref) / ref
@@ -301,13 +314,10 @@ def _run_cp_sweep(cfg, params, profile, lattice, report):
 
 def _run_error_sweep(cfg, params, profile, lattice, report):
     cols, rows, sweep, scalars = _continuum_sweep(cfg, params, profile,
-                                                  "continuum-error")
-    r_max = cfg.resolved_grid()[-1]
-    main = sweep_R([r_max], "continuum-main", params, profile,
-                   rel_tol=max(cfg.quad_rel_tol, 1e-9))
-    if main.gaps:
-        raise CplabError(f"the main term at R = {r_max!r}, the grid's last "
-                         f"separation, is a gap: {main.gaps[0][1]}")
+                                                  "continuum-error",
+                                                  "crossed")
+    main = _sweep_to_max(cfg.resolved_grid()[-1:], "continuum-main", params,
+                         profile, cfg, "main")
     scalars["crossed_over_main_at_max"] = abs(2.0 * sweep.value[-1]
                                               / main.value[-1])
     return cols, rows, scalars

@@ -21,6 +21,7 @@ value types defined here:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -208,6 +209,10 @@ class Lattice:
     under ``k_x <-> k_y``, so ``lattice_table`` reduces every mode sum to
     axis channels over ``orbits``.
 
+    Equal boxes share one read-only ``OrbitTable``: the process keeps the
+    orbits of the last two boxes built, so a separation sweep, an order
+    ladder or a step that alternates two boxes builds each of them once.
+
     The per-mode ``points``, ``norms`` and ``units`` serve
     ``build_coupling`` (the border) and the test oracles; they are rebuilt
     on each access, with ``norms`` equal to the orbits' ``(2 pi / L)
@@ -293,8 +298,10 @@ def _box_modes(n_max: int) -> np.ndarray:
     return grid[:-1]
 
 
+@functools.lru_cache(maxsize=2)
 def _box_orbits(step: float, n_max: int) -> OrbitTable:
-    """The box's orbits from integer keys ``(n^2, |n_z|)``.
+    """The box's orbits from integer keys ``(n^2, |n_z|)``, read-only and
+    cached for the last two boxes.
 
     The plane ``|n_x|, |n_y| <= n_max`` gives the distinct ``rho^2 = n_x^2
     + n_y^2`` and their multiplicities; each pairs with every ``n_z`` in
@@ -316,9 +323,12 @@ def _box_orbits(step: float, n_max: int) -> OrbitTable:
     norms = np.sqrt(n2)
     norms *= step
     rho2 = np.subtract(n2, nz * nz, out=n2)  # n2 is spent
-    return OrbitTable(norms=norms, kz=step * nz,
-                      count=plane[rho2] << (nz > 0),
-                      moments=np.zeros((len(nz), 4)))
+    table = OrbitTable(norms=norms, kz=step * nz,
+                       count=plane[rho2] << (nz > 0),
+                       moments=np.zeros((len(nz), 4)))
+    for column in (table.norms, table.kz, table.count, table.moments):
+        column.setflags(write=False)
+    return table
 
 
 def _resolvent_sums(z: np.ndarray, ksq: np.ndarray, columns: np.ndarray,

@@ -16,6 +16,15 @@ Panel sums are accumulated per component with ``math.fsum`` in interval
 order, so results are bit-stable regardless of refinement history, and a
 ``(nodes,)`` integrand gives bit for bit the value of its ``(nodes, 1)``
 form.
+
+Each batch of panels reduces all ``K`` components at once: one ``(K,
+panels, 15)`` product with the Kronrod weights and one with the Gauss
+weights, the same arithmetic per component as a 1-D integrand.  The
+initial panels of each ``(a, b, initial_panels)`` are built once per
+process and are read-only.  Bounds must be finite (the half line is
+mapped onto ``[0, 1]``), and a NaN or infinite panel value or error
+estimate raises ``AccuracyError`` naming the panel: a NaN error is never
+the largest, so refinement would otherwise split nothing and never end.
 """
 
 from __future__ import annotations
@@ -135,7 +144,10 @@ class IntegrationResult(NamedTuple):
 def _panel_values(f, lo, hi):
     """High-order panel estimates and their error estimates for a batch of
     panels, each of shape ``(K, panels)`` (``K = 1`` for a ``(nodes,)``
-    integrand), and whether the integrand is vector-valued."""
+    integrand), and whether the integrand is vector-valued.  A panel
+    whose error estimate is not finite (an integrand value on it is not,
+    or the value overflows) raises ``AccuracyError``.
+    """
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     x = (mid[:, None] + half[:, None] * _K15_NODES[None, :]).ravel()
@@ -146,15 +158,31 @@ def _panel_values(f, lo, hi):
             f"integrand returned shape {y.shape} for {len(x)} nodes; "
             "expected (nodes,) or (nodes, K)")
     vector = y.ndim == 2
-    # one contiguous row per component, reduced exactly as a 1-D integrand
-    rows = np.ascontiguousarray(y.T if vector else y[None, :])
-    v_hi = np.empty((len(rows), npan))
-    v_lo = np.empty((len(rows), npan))
-    for row, hi_k, lo_k in zip(rows, v_hi, v_lo):
-        panels = row.reshape(npan, _PANEL_COST)
-        hi_k[:] = half * (panels @ _K15_WEIGHTS)
-        lo_k[:] = half * (panels[:, 1::2] @ _G7_WEIGHTS)
-    return v_hi, np.abs(v_hi - v_lo), vector
+    # one contiguous row of panels per component, so a component reduces
+    # exactly as a 1-D integrand does
+    panels = np.ascontiguousarray(y.T if vector else y[None, :]).reshape(
+        -1, npan, _PANEL_COST)
+    with np.errstate(invalid="ignore", over="ignore"):
+        v_hi = half * (panels @ _K15_WEIGHTS)
+        v_lo = half * (panels[:, :, 1::2] @ _G7_WEIGHTS)
+        errs = np.abs(v_hi - v_lo)
+    if not np.isfinite(errs).all():
+        i = np.flatnonzero(~np.isfinite(errs).all(axis=0))[0]
+        raise AccuracyError(
+            f"the integrand is not finite on the panel [{lo[i]}, "
+            f"{hi[i]}]", np.full(len(errs), math.nan) if vector
+            else math.nan, math.inf)
+    return v_hi, errs, vector
+
+
+@functools.lru_cache(maxsize=16)
+def _initial_panels(a: float, b: float, count: int
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only lower and upper ends of ``count`` equal panels on ``[a,
+    b]``."""
+    edges = np.linspace(a, b, count + 1)
+    edges.setflags(write=False)
+    return edges[:-1], edges[1:]
 
 
 def integrate_interval(f: Callable, a: float, b: float,
@@ -170,25 +198,29 @@ def integrate_interval(f: Callable, a: float, b: float,
     Raises
     ------
     InvalidParameterError
-        If the initial panels alone exceed ``spec.max_nodes``, or a tuple
-        ``abs_tol`` does not have one entry per component.
+        If a bound is not finite, the initial panels alone exceed
+        ``spec.max_nodes``, or a tuple ``abs_tol`` does not have one entry
+        per component.
     AccuracyError
-        If the node budget runs out first, or roundoff stalls a component
-        still open: ``_ROUNDOFF_SPLITS`` of the splits it needed left the
-        children's error at least 0.99 of the parent's and their value
-        within 1e-5 of it (the ``iroff1`` test of QUADPACK's dqagse,
-        Piessens et al. 1983).  Carries the best estimate (an array for a
-        vector integrand) and the worst relative error of the components
-        still open.
+        If a panel value or error estimate is not finite (a NaN or
+        infinite integrand value), the node budget runs out first, or
+        roundoff stalls a component still open: ``_ROUNDOFF_SPLITS`` of
+        the splits it needed left the children's error at least 0.99 of
+        the parent's and their value within 1e-5 of it (the ``iroff1`` test
+        of QUADPACK's dqagse, Piessens et al. 1983).  Carries the best
+        estimate (an array for a vector integrand; NaN for a value that is
+        not finite) and the worst relative error of the components still
+        open (infinite for a value that is not finite).
     """
+    if not _holds(lambda: math.isfinite(a) and math.isfinite(b)):
+        raise InvalidParameterError(
+            f"integration bounds must be finite, got [{a}, {b}]")
     nodes = initial_panels * _PANEL_COST
     if nodes > spec.max_nodes:
         raise InvalidParameterError(
             f"{initial_panels} initial panels need {nodes} nodes, above "
             f"the budget max_nodes = {spec.max_nodes}")
-    edges = np.linspace(a, b, initial_panels + 1)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
+    lo, hi = _initial_panels(float(a), float(b), initial_panels)
     vals, errs, vector = _panel_values(f, lo, hi)
     floors = spec.abs_floors(len(vals))
     roundoff = [0] * len(vals)

@@ -19,7 +19,10 @@ blocks is the test suite's oracle for it.
 The series never enumerates words.  Per channel, summed over its letters, a
 closure is a power of ``[[s, a], [a, s]]`` (``s`` within one dipole, ``a``
 across), so ``TraceSystem.order_integrands`` takes all ``2**(n-1) - 2``
-mixed even-weight words of one order as a binomial sum in ``s`` and ``a``;
+mixed even-weight words of one order from the even and odd parts of ``(s
++ a)^m``.  A division-free recurrence builds those parts order by order
+from running products and never subtracts the constant words, so the
+mixed part keeps its full precision however small ``a`` is beside ``s``;
 the word-by-word sum is its test oracle.  Every order of a series is one
 column of a single adaptive pass over shared nodes, each resolved at its
 own magnitude.
@@ -274,38 +277,57 @@ class TraceSystem:
 
         Per channel, the letters of a paired word pick ``s_m`` (within) or
         ``a_m`` (across) at resolvent power ``m``, so summed over its words
-        a closure is a power of ``[[s1, a1], [a1, s1]]``, whose eigenvalues
-        are ``s1 +- a1``.  The photon closure ``tr(M2 M1^(j-1))`` has the
-        mixed part ``2 sum_{k>=1} C(j-1, k) s1^(j-1-k) a1^k`` times ``s2``
-        (even ``k``) or ``a2`` (odd ``k``), the particle closure
-        ``tr(M1^j)`` the mixed part ``2 sum_{even k>=2} C(j, k) s1^(j-k)
-        a1^k``.  Neither subtracts the constant words, which may exceed the
+        a closure is a power of ``[[s1, a1], [a1, s1]]``: the words of
+        ``(s1 + a1)^m`` with ``k`` letters across.  Its mixed even part
+        ``E_m`` (even ``k >= 2``) and its odd part ``B_m`` (odd ``k``)
+        follow from ``E_1 = 0``, ``B_1 = a1`` by the recurrence
+
+            E_{m+1} = s1 E_m + a1 B_m,
+            B_{m+1} = s1 B_m + a1 (s1^m + E_m).
+
+        The photon closure ``tr(M2 M1^(j-1))`` has the mixed part ``2 (a2
+        B_{j-1} + s2 E_{j-1})``, the particle closure ``tr(M1^j)`` the
+        mixed part ``2 E_j``.  Each step of the recurrence adds terms of
+        one sign (``s_m > 0``, and ``B`` has the sign of ``a1``), and the
+        closure never subtracts the constant words, which may exceed the
         mixed part by a hundred orders of magnitude.  Without geometry the
-        closures are ``s2 s1^(j-1)`` and ``s1^j``.
+        closures are ``s2 s1^(j-1)`` and ``s1^j``.  The powers of ``s1``
+        and the prefactor ``(e^2 / (s^2 + e^2 nu^2))^j`` are running
+        products, so one pass up to the highest order yields every column.
         """
         if any(order < 2 or order % 2 for order in orders):
             raise InvalidParameterError("order must be a positive even integer")
         s = np.asarray(s, dtype=float)
         sums = self.channel_sums(s)
         (s1, a1), (s2, a2) = sums[1], sums[2]
-        enu2 = (self.params.e * self.params.nu) ** 2
-        columns = []
-        for order in orders:
-            j = order // 2
+        s_sq = s * s
+        shifted = s_sq + (self.params.e * self.params.nu) ** 2
+        step = self.params.e ** 2 / shifted
+        # the mixed parts carry a factor 2, exact in any position
+        weight = s_sq if self.geometry is None else 2.0 * s_sq
+        # s1^(j-1) and the parts E_(j-1), B_(j-1) of (s1 + a1)^(j-1)
+        power = np.ones_like(s1)
+        even, odd = np.zeros_like(s1), np.zeros_like(s1)
+        columns = {}
+        for j in range(1, max(orders) // 2 + 1):
+            weight = weight * step
             if self.geometry is None:
-                photon, particle = s2 * s1 ** (j - 1), s1 ** j
+                photon = s2 * power
+                power = s1 * power
+                particle = power
             else:
-                zero = np.zeros_like(s1)
-                photon = 2.0 * sum(
-                    (math.comb(j - 1, k) * s1 ** (j - 1 - k) * a1 ** k
-                     * (a2 if k % 2 else s2) for k in range(1, j)), zero)
-                particle = 2.0 * sum(
-                    (math.comb(j, k) * s1 ** (j - k) * a1 ** k
-                     for k in range(2, j + 1, 2)), zero)
-            closed = photon + particle / (s * s + enu2)[:, None]
-            pref = self.params.e ** order * (s * s + enu2) ** (-order / 2.0)
-            columns.append(s * s * pref * (closed @ self.table.multiplicity))
-        return np.stack(columns, axis=1)
+                photon = a2 * odd + s2 * even
+                even, odd = (s1 * even + a1 * odd,
+                             s1 * odd + a1 * (power + even))
+                power = s1 * power
+                particle = even
+            if 2 * j in orders:
+                closed = photon + particle / shifted[:, None]
+                columns[2 * j] = weight * (closed @ self.table.multiplicity)
+        out = np.empty((len(s), len(orders)))
+        for col, order in enumerate(orders):
+            out[:, col] = columns[order]
+        return out
 
     def order_integrand(self, order: int, s: np.ndarray) -> np.ndarray:
         """Summed trace integrand of one series order ``2j``: the one
@@ -400,7 +422,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
 
     Per order ``2j`` the contribution is the sum of ``<Q_I>`` over every
     mixed word of that length (odd weights pruned analytically), taken as
-    one per-channel binomial sum by ``TraceSystem.order_integrand``; the
+    one per-channel closure by ``TraceSystem.order_integrands``; the
     series value carries the attractive sign convention.  The geometric
     tail bound ``(1/pi) Int D * 4 (4a)**jmax / (1 - 4a)`` needs ``a < 1/4``;
     with ``allow_unbounded_tail`` the value is still computed and the bound

@@ -295,3 +295,32 @@ def test_error_sweep_main_gap_at_max_is_error(tmp_path, monkeypatch, capsys):
     code, doc = invoke(tmp_path, "error-sweep", "R_grid = 30, 60, 120")
     assert (code, doc) == (1, "")
     assert "error: the main term at R = 120.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand,evaluator,term", [
+    ("cp-sweep", "fourth_order_main", "main"),
+    ("error-sweep", "fourth_order_error", "crossed"),
+])
+def test_sweep_gap_at_max_is_error(monkeypatch, subcommand, evaluator, term):
+    # the at-max scalars read the swept term at the grid's last R: a gap
+    # there is a typed error naming R and the gap, not the scalar of the
+    # last R that is not a gap; a gap below it stays a dropped row
+    real = getattr(asymptotics, evaluator)
+    failing = {120.0}
+
+    def failing_at(R, *args, **kwargs):
+        if R in failing:
+            raise AccuracyError("node budget exhausted", 0.0, math.inf)
+        return real(R, *args, **kwargs)
+
+    monkeypatch.setattr(asymptotics, evaluator, failing_at)
+    cfg = parse_config("R_grid = 30, 60, 90, 120")
+    with pytest.raises(CplabError, match=rf"the {term} term at R = 120\.0, "
+                                         r"the grid's last separation, is a "
+                                         r"gap: AccuracyError: node budget "
+                                         r"exhausted"):
+        run(subcommand, cfg)
+    failing.clear()
+    failing.add(60.0)
+    assert [row[0] for row in run(subcommand, cfg).rows] == [30.0, 90.0,
+                                                             120.0]

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,6 +175,53 @@ def test_lattice_orbit_invariants(box, size):
     moments = np.zeros((size, 4))
     np.add.at(moments, idx, unit_monomials(lat.units))
     assert np.all(np.abs(moments) <= 1e-15 * orbits.count[:, None])
+
+
+def _orbit_probe():
+    """The orbit tables of two boxes and the series and exact bindings
+    they feed, as exact text."""
+    out = []
+    params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
+    for box in (2.0, 3.0):
+        lat = build_lattice(box, 1.0)
+        out += [getattr(lat.orbits, name).tobytes().hex()
+                for name in ("norms", "kz", "count", "moments")]
+        out.append(series_binding(params, lat, prof, 0.3 * box, 6).value.hex())
+        out.append(binding_energy_exact(params, lat, prof, 0.3 * box).hex())
+    return "\n".join(out)
+
+
+def test_box_orbits_are_shared_read_only_and_history_free():
+    # equal boxes share one read-only table, bit for bit a fresh build
+    first, second = build_lattice(3.0, 1.0), build_lattice(3.0, 1.0)
+    assert first is not second and first.orbits is second.orbits
+    fresh = model._box_orbits.__wrapped__(TWO_PI / 3.0, 3)
+    for name in ("norms", "kz", "count", "moments"):
+        cached, built = getattr(first.orbits, name), getattr(fresh, name)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = 1
+        assert cached.dtype == built.dtype and cached.shape == built.shape
+        assert cached.tobytes() == built.tobytes()
+    # the cache holds two boxes: two others evict the first
+    assert model._box_orbits.cache_info().maxsize == 2
+    build_lattice(4.0, 1.0)
+    build_lattice(5.0, 1.0)
+    assert model._box_orbits.cache_info().currsize == 2
+    assert build_lattice(3.0, 1.0).orbits is not first.orbits
+    # whatever boxes passed through the cache before, tables and bindings
+    # read the bits of a fresh process
+    for box in (2.0, 6.0, 3.0, 2.5, 1.0):
+        build_lattice(box, 1.0)
+    after_others = _orbit_probe()
+    paths = [os.path.dirname(os.path.dirname(model.__file__)),
+             os.path.dirname(os.path.abspath(__file__))]
+    fresh_run = subprocess.run(
+        [sys.executable, "-c", "from test_model import _orbit_probe; "
+                               "print(_orbit_probe(), end='')"],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+        capture_output=True, text=True, timeout=300, check=True)
+    assert fresh_run.stdout == after_others
 
 
 @pytest.mark.parametrize("box,cut", [

@@ -6,9 +6,9 @@ import pytest
 
 from cplab import (AccuracyError, InvalidParameterError, ModelParams,
                    QuadratureSpec, fourth_order_main, integrate_half_line,
-                   integrate_interval, make_gaussian_profile)
+                   integrate_interval, make_gaussian_profile, sweep_R)
 from cplab.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS,
-                              _PANEL_COST)
+                              _PANEL_COST, _initial_panels, _panel_values)
 
 
 def test_interval_polynomial_exact():
@@ -49,6 +49,76 @@ def test_panel_calls_integrand_on_fifteen_nodes():
     assert np.array_equal(calls[0], 0.5 + 0.5 * _K15_NODES)
     assert res.nodes_used == _PANEL_COST
     assert res.value == pytest.approx(math.sin(1.0), rel=1e-15)
+
+
+def test_initial_panels_are_shared_and_read_only():
+    lo, hi = _initial_panels(0.0, 1.0, 8)
+    assert _initial_panels(0.0, 1.0, 8)[0] is lo
+    assert not (lo.flags.writeable or hi.flags.writeable)
+    edges = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(lo, edges[:-1]) and np.array_equal(hi, edges[1:])
+
+
+@pytest.mark.parametrize("k", [None, 1, 3])
+def test_batched_panel_reduction_matches_component_loop(rng, k):
+    # one (K, panels, 15) product per rule gives each component, bit for
+    # bit, the per-component reduction it replaced
+    edges = np.sort(rng.uniform(0.0, 3.0, 12))
+    lo, hi = edges[:-1], edges[1:]
+    shape = (len(lo) * _PANEL_COST,) + (() if k is None else (k,))
+    y = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    v_hi, errs, vector = _panel_values(lambda x: y, lo, hi)
+    assert vector == (k is not None)
+    half = 0.5 * (hi - lo)
+    for row, (value, err) in enumerate(zip(v_hi, errs)):
+        column = np.ascontiguousarray(y[:, row] if vector else y)
+        panels = column.reshape(len(lo), _PANEL_COST)
+        ref_hi = half * (panels @ _K15_WEIGHTS)
+        ref_lo = half * (panels[:, 1::2] @ _G7_WEIGHTS)
+        assert np.array_equal(value, ref_hi)
+        assert np.array_equal(err, np.abs(ref_hi - ref_lo))
+
+
+def test_non_finite_bounds_rejected():
+    calls = []
+
+    def f(x):
+        calls.append(len(x))
+        return np.exp(-x)
+
+    for a, b in ((0.0, np.inf), (-np.inf, 0.0), (math.nan, 1.0),
+                 (0.0, "x"), (0.0, 10 ** 400)):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            integrate_interval(f, a, b)
+    assert calls == []
+
+
+def test_non_finite_integrand_is_accuracy_error():
+    # a NaN error estimate never exceeds a share of the budget nor equals
+    # the largest one, so no panel would split and no node be spent: the
+    # refinement must stop on it, not loop
+    with pytest.raises(AccuracyError, match=r"panel \[0\.5, 0\.625\]") as err:
+        integrate_interval(lambda x: np.where(x > 0.5, np.nan, 1.0), 0.0, 1.0)
+    assert math.isnan(err.value.best_estimate)
+    assert err.value.achieved_tol == math.inf
+    # infinite values, of one sign or both, raise it without a warning
+    for inf in (np.inf, np.where(np.arange(_PANEL_COST) % 2, np.inf,
+                                 -np.inf)):
+        with pytest.raises(AccuracyError, match="not finite"):
+            integrate_interval(lambda x: np.where(
+                x > 0.25, np.resize(inf, len(x)), 1.0), 0.0, 1.0)
+    with pytest.raises(AccuracyError, match="not finite") as err:
+        integrate_half_line(lambda s: np.stack(
+            [np.exp(-s), np.where(s > 3.0, np.nan, 0.0)], 1))
+    assert err.value.best_estimate.shape == (2,)
+    # a sweep records it as a gap and goes on
+    sweep = sweep_R([1.0, 2.0, 3.0], lambda R: integrate_interval(
+        lambda x: np.where(x > R / 2.5, np.nan, 1.0), 0.0, 1.0),
+        ModelParams(0.5, 2.0), make_gaussian_profile(1.0))
+    assert [r for r, _ in sweep.gaps] == [1.0, 2.0]
+    assert all("AccuracyError" in diag for _, diag in sweep.gaps)
+    assert sweep.R.tolist() == [3.0]
+    assert sweep.value[0] == pytest.approx(1.0, rel=1e-15)
 
 
 def test_half_line_exponential():

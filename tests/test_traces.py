@@ -197,6 +197,25 @@ def test_order_integrand_equals_word_sum(e, nu0, xi, L):
     assert np.all(pair.order_integrand(2, svals) == 0.0)
 
 
+def test_order_closure_does_not_cancel():
+    # across a wide box the across sums nearly vanish at some nodes
+    # (|a1 / s1| down to 3.5e-11): a closure that subtracts the constant
+    # words, (s1 + a1)^m + (s1 - a1)^m - 2 s1^m, loses thousands of times
+    # 1e-13 there, the recurrence nothing beyond roundoff
+    lat = build_lattice(8.0, 2.0)
+    assert len(lat.orbits.count) == 2294
+    pair = TraceSystem(ModelParams(0.5, 3.0), lat, make_gaussian_profile(0.25),
+                       Geometry(3.6))
+    svals = np.geomspace(0.01, 100.0, 50)
+    s1, a1 = pair.channel_sums(svals)[1]
+    assert np.min(np.abs(a1 / s1)) < 1e-10
+    columns = pair.order_integrands([4, 6, 8], svals)
+    for column, order in zip(columns.T, (4, 6, 8)):
+        words = sum((pair.word_integrand_fast(w, svals)
+                     for w in mixed_even_words(order)), np.zeros_like(svals))
+        assert np.all(np.abs(column - words) <= 1e-13 * np.abs(words)), order
+
+
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
 @pytest.mark.parametrize("L", [1.0, 2.0, 3.0])
 def test_channel_sums_are_the_axis_diagonal(e, nu0, xi, L):
