@@ -18,7 +18,7 @@ reference = cp_constant(params.nu0)
 print(f"limiting constant 23/(256 pi^3 nu0^4) = {reference:.6e}\n")
 
 grid = [30.0, 42.0, 60.0, 84.0, 120.0]
-sweep = sweep_R(grid, "continuum-main", params, profile)
+sweep = sweep_R(grid, lambda R: fourth_order_main(R, params, profile).value)
 print("      R      main term        R^7-scaled     deviation")
 for r, v, s7 in zip(sweep.R, sweep.value, sweep.r7_scaled):
     print(f"  {r:5.0f}   {v:.6e}   {s7:.6e}   {abs(s7-reference)/reference:8.2%}")
@@ -35,7 +35,8 @@ print(f"  continuum mode table    {check.value:.10e}")
 print(f"  retarded / remainder split: {both.retarded_part:.3e} "
       f"/ {both.remainder_part:.3e}")
 
-err_sweep = sweep_R(grid, "continuum-error", params, profile)
+err_sweep = sweep_R(grid,
+                    lambda R: fourth_order_error(R, params, profile).value)
 err_fit = fit_power_law((err_sweep.R, err_sweep.value))
 crossed = 2.0 * fourth_order_error(120.0, params, profile).value
 print(f"\ncrossed-term exponent {err_fit.exponent:+.4f} (expected -9)")

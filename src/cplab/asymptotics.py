@@ -1,25 +1,23 @@
 """Separation sweeps, power-law extraction, and lattice refinement studies.
 
 These drivers tie the finite-lattice numerics to the continuum asymptotics:
-sweep an observable over a separation ladder, fit the log-log slope, and
-track how energies settle as the box grows and the cutoff rises.
+sweep any observable, given as a callable of the separation, over a
+separation ladder, fit the log-log slope of the resulting ``(R, values)``
+pair, and track how energies settle as the box grows and the cutoff rises.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .continuum import fourth_order_error, fourth_order_main
 from .errors import CplabError, FitDomainError, InvalidParameterError
 from .model import ChargeProfile, Geometry, ModelParams, build_lattice
-from .oscillator import (LatticePeriodicityWarning, assemble_one_electron,
-                         assemble_two_electron, binding_energy_exact,
-                         ground_energy)
+from .oscillator import (assemble_one_electron, assemble_two_electron,
+                         binding_energy_exact, ground_energy)
 
 __all__ = ["SweepResult", "PowerFit", "sweep_R", "fit_power_law",
            "convergence_study"]
@@ -30,15 +28,13 @@ class SweepResult:
     """Values of one observable over an increasing separation ladder.
 
     Failed evaluations never yield NaN rows: they are dropped from the
-    arrays and recorded in ``gaps`` with their diagnostic.  ``warn`` flags
-    rows where the finite-box periodicity caveat applies.
+    arrays and recorded in ``gaps`` with their diagnostic.
     """
 
     R: np.ndarray
     value: np.ndarray
     r7_scaled: np.ndarray
     r9_scaled: np.ndarray
-    warn: List[bool] = field(default_factory=list)
     gaps: List[Tuple[float, str]] = field(default_factory=list)
 
 
@@ -53,51 +49,32 @@ class PowerFit:
     low_confidence: bool = False
 
 
-def _builtin_evaluator(name: str, params: ModelParams,
-                       profile: ChargeProfile, lattice=None,
-                       rel_tol: float = 1e-8):
-    if name == "continuum-main":
-        return lambda R: fourth_order_main(R, params, profile,
-                                           rel_tol=rel_tol).value
-    if name == "continuum-error":
-        return lambda R: fourth_order_error(R, params, profile,
-                                            rel_tol=rel_tol).value
-    if name == "lattice-binding":
-        if lattice is None:
-            raise InvalidParameterError(
-                "lattice-binding evaluator needs a lattice")
-        return lambda R: binding_energy_exact(params, lattice, profile, R)
-    raise InvalidParameterError(f"unknown evaluator {name!r}")
-
-
 def sweep_R(grid: Sequence[float],
-            evaluator: Union[str, Callable[[float], float]],
-            params: ModelParams, profile: ChargeProfile, lattice=None,
-            rel_tol: float = 1e-8) -> SweepResult:
-    """Evaluate an observable over an increasing, positive and finite
+            evaluator: Callable[[float], float]) -> SweepResult:
+    """Evaluate ``evaluator(R)`` over an increasing, positive and finite
     separation grid.
 
-    ``evaluator`` is either a callable or one of the names
-    "continuum-main", "continuum-error", "lattice-binding".  Evaluation
+    The caller binds every other argument of the observable, e.g.
+    ``lambda R: fourth_order_main(R, params, profile).value``.  Evaluation
     failures (a ``CplabError``, ``LinAlgError`` or ``FloatingPointError``)
-    are recorded as gaps and the sweep continues; any other exception is a
-    bug and propagates.
+    and non-finite values are recorded as gaps and the sweep continues;
+    any other exception is a bug and propagates.  Warnings the evaluator
+    emits (a lattice binding past half the box warns of its periodic
+    images) pass through.
     """
+    if not callable(evaluator):
+        raise InvalidParameterError(
+            f"evaluator must be a callable of R, got {evaluator!r}")
     grid = [float(g) for g in grid]
     if not grid or not all(g > 0 and math.isfinite(g) for g in grid):
         raise InvalidParameterError(
             "grid must be nonempty, positive and finite")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise InvalidParameterError("grid must be strictly increasing")
-    fn = (_builtin_evaluator(evaluator, params, profile, lattice, rel_tol)
-          if isinstance(evaluator, str) else evaluator)
-    rows, warn, gaps = [], [], []
-    periodic = isinstance(evaluator, str) and evaluator == "lattice-binding"
+    rows, gaps = [], []
     for r in grid:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", LatticePeriodicityWarning)
-                v = float(fn(r))
+            v = float(evaluator(r))
         except (CplabError, np.linalg.LinAlgError,
                 FloatingPointError) as exc:  # gap row, sweep continues
             gaps.append((r, f"{type(exc).__name__}: {exc}"))
@@ -106,31 +83,26 @@ def sweep_R(grid: Sequence[float],
             gaps.append((r, "non-finite value"))
             continue
         rows.append((r, v))
-        warn.append(periodic and lattice is not None
-                    and r >= lattice.box_period / 2.0)
     rr = np.array([x[0] for x in rows])
     vv = np.array([x[1] for x in rows])
     return SweepResult(R=rr, value=vv, r7_scaled=rr ** 7 * vv,
-                       r9_scaled=rr ** 9 * vv, warn=warn, gaps=gaps)
+                       r9_scaled=rr ** 9 * vv, gaps=gaps)
 
 
 def fit_power_law(points, window: Optional[Tuple[float, float]] = None
                   ) -> PowerFit:
     """Ordinary least squares of ``log |value|`` on ``log R``.
 
-    ``points`` is a ``SweepResult`` or an ``(R, values)`` pair of arrays.
+    ``points`` is an ``(R, values)`` pair of arrays, e.g. ``(sweep.R,
+    sweep.value)`` of a ``SweepResult``.
     The window must hold two distinct R, and all values inside it must be
     finite and share one sign, at finite positive R, or ``FitDomainError``
     is raised; two distinct R give an exact degenerate fit, however many
     points repeat them, flagged low-confidence.
     """
-    if isinstance(points, SweepResult):
-        rr, vv = points.R, points.value
-    elif isinstance(points, tuple) and len(points) == 2:
-        rr, vv = np.asarray(points[0], float), np.asarray(points[1], float)
-    else:
-        raise FitDomainError(
-            "points must be a SweepResult or an (R, values) pair of arrays")
+    if not (isinstance(points, tuple) and len(points) == 2):
+        raise FitDomainError("points must be an (R, values) pair of arrays")
+    rr, vv = np.asarray(points[0], float), np.asarray(points[1], float)
     if rr.ndim != 1 or rr.shape != vv.shape:
         raise FitDomainError("R and values must be 1-D and of equal length")
     if window is not None:

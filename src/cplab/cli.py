@@ -27,7 +27,8 @@ import numpy as np
 from . import __version__
 from .asymptotics import convergence_study, fit_power_law, sweep_R
 from .continuum import (ab_identity_check, angular_factor, closed_integral,
-                        cp_constant, integral_quadrature_oracle)
+                        cp_constant, fourth_order_error, fourth_order_main,
+                        integral_quadrature_oracle)
 from .errors import ConfigError, CplabError
 from .model import (ModelParams, build_lattice, check_constraints,
                     make_gaussian_profile)
@@ -275,24 +276,31 @@ def _run_series(cfg, params, profile, lattice, report):
     return cols, rows, scalars
 
 
-def _sweep_to_max(grid, evaluator, params, profile, cfg, term):
-    """``sweep_R`` of one continuum term over ``grid``; a gap at its last
-    separation, which the at-max scalars read, is a ``CplabError`` naming
-    the separation and the gap's diagnostic."""
-    sweep = sweep_R(grid, evaluator, params, profile,
-                    rel_tol=max(cfg.quad_rel_tol, 1e-9))
+def _sweep_to_max(grid, term, params, profile, cfg, name):
+    """``sweep_R`` of the continuum ``term`` (``fourth_order_main`` or
+    ``fourth_order_error``) over ``grid``; a gap at its last separation,
+    which the at-max scalars read, is a ``CplabError`` naming the
+    separation and the gap's diagnostic."""
+    tol = max(cfg.quad_rel_tol, 1e-9)
+    sweep = sweep_R(grid, lambda R: term(R, params, profile,
+                                         rel_tol=tol).value)
     for r, diagnostic in sweep.gaps:
         if r == grid[-1]:
-            raise CplabError(f"the {term} term at R = {r!r}, the grid's last "
+            raise CplabError(f"the {name} term at R = {r!r}, the grid's last "
                              f"separation, is a gap: {diagnostic}")
     return sweep
 
 
-def _continuum_sweep(cfg, params, profile, evaluator, term):
+def _continuum_sweep(cfg, params, profile, term, name, subcommand):
     """Sweep one continuum term over the grid: the table, the sweep, and
-    the scalars of a power-law fit over the upper half of the grid."""
-    sweep = _sweep_to_max(cfg.resolved_grid(), evaluator, params, profile,
-                          cfg, term)
+    the scalars of a power-law fit over the upper half of the grid.  A
+    grid of fewer than two separations cannot be fitted and raises
+    ``ConfigError`` before any term is evaluated."""
+    grid = cfg.resolved_grid()
+    if len(grid) < 2:
+        raise ConfigError(f"key 'R_grid': {subcommand} fits a power law "
+                          "and needs at least two separations")
+    sweep = _sweep_to_max(grid, term, params, profile, cfg, name)
     rows = [[r, v, s7, s9] for r, v, s7, s9 in
             zip(sweep.R, sweep.value, sweep.r7_scaled, sweep.r9_scaled)]
     start = min(len(sweep.R) // 2, len(sweep.R) - 2)
@@ -304,8 +312,8 @@ def _continuum_sweep(cfg, params, profile, evaluator, term):
 
 
 def _run_cp_sweep(cfg, params, profile, lattice, report):
-    cols, rows, sweep, scalars = _continuum_sweep(cfg, params, profile,
-                                                  "continuum-main", "main")
+    cols, rows, sweep, scalars = _continuum_sweep(
+        cfg, params, profile, fourth_order_main, "main", "cp-sweep")
     ref = cp_constant(cfg.nu0)
     scalars["cp_constant"] = ref
     scalars["r7_rel_dev_at_max"] = abs(sweep.r7_scaled[-1] - ref) / ref
@@ -313,10 +321,9 @@ def _run_cp_sweep(cfg, params, profile, lattice, report):
 
 
 def _run_error_sweep(cfg, params, profile, lattice, report):
-    cols, rows, sweep, scalars = _continuum_sweep(cfg, params, profile,
-                                                  "continuum-error",
-                                                  "crossed")
-    main = _sweep_to_max(cfg.resolved_grid()[-1:], "continuum-main", params,
+    cols, rows, sweep, scalars = _continuum_sweep(
+        cfg, params, profile, fourth_order_error, "crossed", "error-sweep")
+    main = _sweep_to_max(cfg.resolved_grid()[-1:], fourth_order_main, params,
                          profile, cfg, "main")
     scalars["crossed_over_main_at_max"] = abs(2.0 * sweep.value[-1]
                                               / main.value[-1])

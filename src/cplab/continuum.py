@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -79,8 +79,10 @@ class FourthOrderResult:
     value: float
     route: str
     estimated_error: float
-    retarded_part: float = 0.0
-    remainder_part: float = 0.0
+    #: route A's split of the main term; ``None`` where no split is made
+    #: (the crossed term, and every "direct-quadrature" result)
+    retarded_part: Optional[float] = None
+    remainder_part: Optional[float] = None
     #: integrand nodes: t-nodes of route A (the main term counts the nodes
     #: its two parts share once), ``t = sR/2`` nodes of "direct-quadrature"
     nodes: int = 0
@@ -290,12 +292,6 @@ def _radial_basis(profile: ChargeProfile, R: float) -> _RadialBasis:
     n = panels * _PANEL_NODES
     return _RadialBasis(h, basis.r[:n], basis.w[:n], basis.wjr[..., :n],
                         basis.across[:, :n])
-
-
-def _radial_grid(profile: ChargeProfile, R: float):
-    """Nodes and weights of the radial grid that resolves R."""
-    basis = _radial_basis(profile, R)
-    return basis.r, basis.w
 
 
 class _RadialTables:

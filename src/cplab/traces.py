@@ -104,7 +104,6 @@ class TraceSeries:
     contributions: List[float]
     value: float
     tail_bound: float
-    converged: bool
     a: float
     zero_point_shift: float = 0.0
     #: per order: the quadrature's own error estimate and integrand nodes
@@ -409,7 +408,7 @@ def series_one_electron(params: ModelParams, lattice: Lattice,
     shift = 1.5 * params.e * params.nu
     value = shift - math.fsum(terms)
     return TraceSeries(orders=orders, contributions=terms, value=value,
-                       tail_bound=tail, converged=a < 1.0, a=a,
+                       tail_bound=tail, a=a,
                        zero_point_shift=shift, error_estimates=errors,
                        nodes=nodes)
 
@@ -444,8 +443,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
     else:
         tail = math.inf
     return TraceSeries(orders=orders, contributions=terms,
-                       value=math.fsum(terms), tail_bound=tail,
-                       converged=a < 0.25, a=a,
+                       value=math.fsum(terms), tail_bound=tail, a=a,
                        error_estimates=errors, nodes=nodes)
 
 

@@ -14,8 +14,8 @@ from cplab import (Geometry, IndexWord, LatticePeriodicityWarning,
                    ModelParams, TraceSystem, assemble_one_electron,
                    assemble_two_electron, binding_energy_exact, build_lattice,
                    check_constraints, cp_constant, closed_integral,
-                   d_envelope, fit_power_law, ground_energy,
-                   integral_quadrature_oracle, lattice_norm,
+                   d_envelope, fit_power_law, fourth_order_main,
+                   ground_energy, integral_quadrature_oracle, lattice_norm,
                    make_gaussian_profile, mixed_even_words, series_binding,
                    series_one_electron, sweep_R, trace_word)
 from cplab.cli import parse_config, run
@@ -42,8 +42,9 @@ def test_criterion_1_cp_constant():
     r7_last = rep.rows[-1][2]
     ref = cp_constant(2.0)
     dev = abs(r7_last - ref) / ref
-    sweep = sweep_R([30.0, 42.0, 60.0, 84.0, 120.0], "continuum-main",
-                    ModelParams(0.5, 2.0), make_gaussian_profile(1.0))
+    params, profile = ModelParams(0.5, 2.0), make_gaussian_profile(1.0)
+    sweep = sweep_R([30.0, 42.0, 60.0, 84.0, 120.0], lambda R:
+                    fourth_order_main(R, params, profile).value)
     fit = fit_power_law((sweep.R, sweep.value))
     ok = dev < 0.05 and abs(fit.exponent + 7.0) < 0.1
     report("criterion 1 (R^-7 constant)", ok,

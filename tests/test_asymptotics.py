@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cplab import (FitDomainError, Geometry, InvalidParameterError,
-                   ModelParams, TraceSystem, build_lattice, convergence_study,
+                   LatticePeriodicityWarning, ModelParams, TraceSystem,
+                   binding_energy_exact, build_lattice, convergence_study,
                    fit_power_law, fourth_order_main, make_custom_profile,
                    make_gaussian_profile, sweep_R, trace_word)
 
@@ -13,61 +14,74 @@ from cplab import (FitDomainError, Geometry, InvalidParameterError,
 # sweeps
 # ---------------------------------------------------------------------------
 
-def test_sweep_constant_evaluator(default_params, gaussian):
+def test_sweep_constant_evaluator():
     grid = [1.0, 2.0, 4.0]
-    sweep = sweep_R(grid, lambda R: 1.0, default_params, gaussian)
+    sweep = sweep_R(grid, lambda R: 1.0)
     np.testing.assert_allclose(sweep.r7_scaled, np.array(grid) ** 7)
     np.testing.assert_allclose(sweep.r9_scaled, np.array(grid) ** 9)
     assert sweep.gaps == []
 
 
-def test_sweep_records_gaps(default_params, gaussian):
+def test_sweep_records_gaps():
     def flaky(R):
         if R == 2.0:
             raise InvalidParameterError("boom")
         return 1.0 / R
 
-    sweep = sweep_R([1.0, 2.0, 3.0], flaky, default_params, gaussian)
+    sweep = sweep_R([1.0, 2.0, 3.0], flaky)
     assert list(sweep.R) == [1.0, 3.0]
     assert len(sweep.gaps) == 1 and sweep.gaps[0][0] == 2.0
     assert "boom" in sweep.gaps[0][1]
 
 
-def test_sweep_propagates_programming_errors(default_params, gaussian):
+def test_sweep_propagates_programming_errors():
     def buggy(R):
         if R == 2.0:
             return len(R)  # TypeError: a bug, not an evaluation failure
         return 1.0 / R
 
     with pytest.raises(TypeError):
-        sweep_R([1.0, 2.0, 3.0], buggy, default_params, gaussian)
+        sweep_R([1.0, 2.0, 3.0], buggy)
 
 
-def test_sweep_validates_grid(default_params, gaussian):
+def test_sweep_validates_grid():
     with pytest.raises(InvalidParameterError):
-        sweep_R([], lambda R: 1.0, default_params, gaussian)
+        sweep_R([], lambda R: 1.0)
     with pytest.raises(InvalidParameterError):
-        sweep_R([2.0, 1.0], lambda R: 1.0, default_params, gaussian)
-    with pytest.raises(InvalidParameterError):
-        sweep_R([1.0, 2.0], "no-such-evaluator", default_params, gaussian)
+        sweep_R([2.0, 1.0], lambda R: 1.0)
     # non-finite entries would give non-finite rows with no gap
     for grid in ([math.nan], [1.0, math.inf], [math.nan, 2.0]):
         with pytest.raises(InvalidParameterError):
-            sweep_R(grid, lambda R: 1.0, default_params, gaussian)
+            sweep_R(grid, lambda R: 1.0)
 
 
-def test_sweep_lattice_binding_warn_flags():
+def test_sweep_rejects_non_callable_evaluator():
+    # a name or a number is a typed error before the grid is walked
+    for evaluator in ("continuum-main", "no-such-evaluator", None, 1.0):
+        with pytest.raises(InvalidParameterError, match="callable"):
+            sweep_R([1.0, 2.0], evaluator)
+
+
+def test_sweep_lattice_binding_warns_past_half_box():
+    # the sweep passes the binding's own periodicity warning through, once,
+    # for the one separation at or past half the box
     params = ModelParams(e=0.5, nu0=3.0)
     prof = make_gaussian_profile(0.25)
     lat = build_lattice(1.0, 1.0)
-    sweep = sweep_R([0.2, 0.3, 0.6], "lattice-binding", params, prof,
-                    lattice=lat)
-    assert sweep.warn == [False, False, True]
+    with pytest.warns(LatticePeriodicityWarning) as record:
+        sweep = sweep_R([0.2, 0.3, 0.6], lambda R: binding_energy_exact(
+            params, lat, prof, R))
+    assert [w.category for w in record] == [LatticePeriodicityWarning]
+    assert "0.6" in str(record[0].message)
+    assert sweep.R.tolist() == [0.2, 0.3, 0.6] and sweep.gaps == []
 
 
 def test_sweep_determinism(default_params, gaussian):
-    a = sweep_R([30.0, 60.0], "continuum-main", default_params, gaussian)
-    b = sweep_R([30.0, 60.0], "continuum-main", default_params, gaussian)
+    def main(R):
+        return fourth_order_main(R, default_params, gaussian).value
+
+    a = sweep_R([30.0, 60.0], main)
+    b = sweep_R([30.0, 60.0], main)
     assert list(a.value) == list(b.value)
     assert list(a.r7_scaled) == list(b.r7_scaled)
 

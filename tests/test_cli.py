@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from cplab import AccuracyError, ConfigError, CplabError, asymptotics, cli
+from cplab import AccuracyError, ConfigError, CplabError, cli
 from cplab.cli import emit, main, parse_config, run
 
 
@@ -280,14 +280,14 @@ def test_cp_sweep_document_deterministic(tmp_path):
 def test_error_sweep_main_gap_at_max_is_error(tmp_path, monkeypatch, capsys):
     # the crossed-over-main ratio reads the main term at the grid's last R;
     # a gap there is a typed error naming R and the gap, not an IndexError
-    real = asymptotics.fourth_order_main
+    real = cli.fourth_order_main
 
     def failing_at_max(R, *args, **kwargs):
         if R == 120.0:
             raise AccuracyError("node budget exhausted", 0.0, math.inf)
         return real(R, *args, **kwargs)
 
-    monkeypatch.setattr(asymptotics, "fourth_order_main", failing_at_max)
+    monkeypatch.setattr(cli, "fourth_order_main", failing_at_max)
     cfg = parse_config("R_grid = 30, 60, 120")
     with pytest.raises(CplabError, match=r"R = 120\.0.*AccuracyError: "
                                          r"node budget exhausted"):
@@ -295,6 +295,33 @@ def test_error_sweep_main_gap_at_max_is_error(tmp_path, monkeypatch, capsys):
     code, doc = invoke(tmp_path, "error-sweep", "R_grid = 30, 60, 120")
     assert (code, doc) == (1, "")
     assert "error: the main term at R = 120.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand", ["cp-sweep", "error-sweep"])
+def test_one_point_sweep_is_config_error(tmp_path, monkeypatch, capsys,
+                                         subcommand):
+    # a single separation cannot be fitted: the config is refused before
+    # any term is evaluated, naming the key and the subcommand
+    calls = []
+
+    def recording(R, *args, **kwargs):
+        calls.append(R)
+        raise AssertionError("term evaluated")
+
+    for term in ("fourth_order_main", "fourth_order_error"):
+        monkeypatch.setattr(cli, term, recording)
+    with pytest.raises(ConfigError, match=rf"'R_grid': {subcommand} "):
+        run(subcommand, parse_config("R_grid = 50"))
+    code, doc = invoke(tmp_path, subcommand, "R_grid = 50")
+    assert (code, doc) == (1, "")
+    assert f"error: key 'R_grid': {subcommand}" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_binding_accepts_one_separation(tmp_path):
+    code, doc = invoke(tmp_path, "binding", "R_grid = 0.5\nL = 2")
+    assert code == 0
+    assert len(doc.splitlines()) == 2
 
 
 @pytest.mark.parametrize("subcommand,evaluator,term", [
@@ -305,7 +332,7 @@ def test_sweep_gap_at_max_is_error(monkeypatch, subcommand, evaluator, term):
     # the at-max scalars read the swept term at the grid's last R: a gap
     # there is a typed error naming R and the gap, not the scalar of the
     # last R that is not a gap; a gap below it stays a dropped row
-    real = getattr(asymptotics, evaluator)
+    real = getattr(cli, evaluator)
     failing = {120.0}
 
     def failing_at(R, *args, **kwargs):
@@ -313,7 +340,7 @@ def test_sweep_gap_at_max_is_error(monkeypatch, subcommand, evaluator, term):
             raise AccuracyError("node budget exhausted", 0.0, math.inf)
         return real(R, *args, **kwargs)
 
-    monkeypatch.setattr(asymptotics, evaluator, failing_at)
+    monkeypatch.setattr(cli, evaluator, failing_at)
     cfg = parse_config("R_grid = 30, 60, 90, 120")
     with pytest.raises(CplabError, match=rf"the {term} term at R = 120\.0, "
                                          r"the grid's last separation, is a "

@@ -17,8 +17,7 @@ from cplab import (InvalidParameterError, ModelParams, ab_identity_check,
 from cplab import continuum
 from cplab.cli import emit, parse_config, run
 from cplab.continuum import (_ANGULAR_MATRIX, _EXP_CUTOFF, _RadialTables,
-                             _damping, _envelope_cutoff, _radial_basis,
-                             _radial_grid)
+                             _damping, _envelope_cutoff, _radial_basis)
 from cplab.model import _CHUNK_ELEMS
 from cplab.quadrature import _PANEL_COST
 from conftest import PARAM_SETS
@@ -232,6 +231,21 @@ def test_main_term_routes_agree(default_params, gaussian):
                                         rel=1e-12)
 
 
+def test_only_route_a_main_term_has_parts(default_params, gaussian):
+    # the retarded/remainder split is route A's main term alone; a result
+    # that makes no split says so instead of reading 0.0
+    a = fourth_order_main(50.0, default_params, gaussian)
+    assert isinstance(a.retarded_part, float)
+    assert isinstance(a.remainder_part, float)
+    for result in (fourth_order_main(50.0, default_params, gaussian,
+                                     route="direct-quadrature"),
+                   fourth_order_error(50.0, default_params, gaussian),
+                   fourth_order_error(50.0, default_params, gaussian,
+                                      route="direct-quadrature")):
+        assert result.retarded_part is None
+        assert result.remainder_part is None
+
+
 def test_main_term_approaches_limit(default_params, gaussian):
     ref = cp_constant(default_params.nu0)
     r7 = [R ** 7 * fourth_order_main(R, default_params, gaussian).value
@@ -252,7 +266,8 @@ def test_error_term_routes_agree(default_params, gaussian):
 
 def _dense_direct_integrand(params, profile, R, kinds):
     """Test oracle: the full M x M direct-route integrand, built densely."""
-    r, w = _radial_grid(profile, R)
+    basis = _radial_basis(profile, R)
+    r, w = basis.r, basis.w
     u = profile.radial(r / R) ** 2
     j = np.stack(angular_bracket_kernels(r), axis=1)
     a0 = (params.e * params.nu) ** 2
@@ -457,7 +472,7 @@ def test_radial_grid_is_resolved(monkeypatch):
                 ref = fn(R, params, profile)
                 with monkeypatch.context() as patch:
                     patch.setattr(continuum, "_PANEL_NODES", 16)
-                    r16 = _radial_grid(profile, R)[0]
+                    r16 = _radial_basis(profile, R).r
                     fine = fn(R, params, profile)
                 # the patched count reads a 16-node basis of its own on the
                 # same panels, and leaves the 12-node basis as it was

@@ -1,7 +1,9 @@
+import ast
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from cplab import (EmptyLatticeError, Geometry, IntegrabilityError,
                    check_constraints, form_factor, lattice_norm,
                    make_custom_profile, make_gaussian_profile, polarization,
                    polarization_basis, profile_norm, series_binding)
+import cplab
 from cplab import model
 from cplab.cli import parse_config, run
 from cplab.oscillator import _Kernel
@@ -486,3 +489,39 @@ def test_constraint_a_definitional_identity(default_params, gaussian,
     assert rep.a == pytest.approx(expect, rel=1e-15)
     assert rep.c_L >= rep.D_rho
     assert rep.a >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# package imports
+# ---------------------------------------------------------------------------
+
+def _imported_modules(tree):
+    """``(lineno, dotted name)`` of every module an AST imports from;
+    relative imports are spelled from ``cplab``, and ``from X import y``
+    yields both ``X`` and ``X.y`` (``y`` may be a submodule)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = ("cplab" + ("." + node.module if node.module else "")
+                    if node.level else node.module)
+            yield node.lineno, base
+            for alias in node.names:
+                yield node.lineno, f"{base}.{alias.name}"
+
+
+def test_package_imports_nothing_but_numpy():
+    # the package runs on the standard library and numpy alone (scipy is
+    # a test dependency), and the sweep driver reaches the continuum terms
+    # only through the callable its caller passes
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cplab"}
+    for path in sorted(Path(cplab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for lineno, name in _imported_modules(tree):
+            assert name.split(".")[0] in allowed, (
+                f"{path.name}:{lineno} imports {name}")
+            assert path.name != "asymptotics.py" or not (
+                name == "cplab.continuum"
+                or name.startswith("cplab.continuum.")), (
+                f"{path.name}:{lineno} imports {name}")

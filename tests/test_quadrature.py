@@ -113,8 +113,7 @@ def test_non_finite_integrand_is_accuracy_error():
     assert err.value.best_estimate.shape == (2,)
     # a sweep records it as a gap and goes on
     sweep = sweep_R([1.0, 2.0, 3.0], lambda R: integrate_interval(
-        lambda x: np.where(x > R / 2.5, np.nan, 1.0), 0.0, 1.0),
-        ModelParams(0.5, 2.0), make_gaussian_profile(1.0))
+        lambda x: np.where(x > R / 2.5, np.nan, 1.0), 0.0, 1.0))
     assert [r for r, _ in sweep.gaps] == [1.0, 2.0]
     assert all("AccuracyError" in diag for _, diag in sweep.gaps)
     assert sweep.R.tolist() == [3.0]
