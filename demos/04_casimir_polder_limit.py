@@ -32,8 +32,6 @@ check = fourth_order_main(50.0, params, profile, route="direct-quadrature")
 print(f"\nroute cross-check at R = 50:")
 print(f"  exponential decoupling  {both.value:.10e}")
 print(f"  continuum mode table    {check.value:.10e}")
-print(f"  retarded / remainder split: {both.retarded_part:.3e} "
-      f"/ {both.remainder_part:.3e}")
 
 err_sweep = sweep_R(grid,
                     lambda R: fourth_order_error(R, params, profile).value)

@@ -13,11 +13,12 @@ two-dimensional radial integrals whose angular part is the contraction
 exponential representation ``1/(sqrt(b) + sqrt(c)) = R Int_0^inf dt
 exp(-t (r1 + r2))`` decouples the radial variables and turns each term
 into one-dimensional quadratures over one table of damped radial moments
-(route A); its panels are uniform, so ``exp(-t r)`` factors into a
-panel-edge and an in-panel-offset exponential.  Route "direct-quadrature"
-keeps the s-integral, taken in ``t = sR/2``: on the same radial grid the
-continuum is one more ``model.ModeTable``, reduced like the lattice's
-orbits, and each term is an order-4 closure of its channel sums.
+(route A), one scalar integrand per term; its panels are uniform, so
+``exp(-t r)`` factors into a panel-edge and an in-panel-offset
+exponential.  Route "direct-quadrature" keeps the s-integral, taken in
+``t = sR/2``: on the same radial grid the continuum is one more
+``model.ModeTable``, reduced like the lattice's orbits, and each term is
+an order-4 closure of its channel sums.
 ``closed_integral`` serves the CLI's self-test of the closed forms.
 
 Both routes read one radial grid.  Its panels have width ``h = pi / 2^q``
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 import numpy as np
 
@@ -79,12 +80,8 @@ class FourthOrderResult:
     value: float
     route: str
     estimated_error: float
-    #: route A's split of the main term; ``None`` where no split is made
-    #: (the crossed term, and every "direct-quadrature" result)
-    retarded_part: Optional[float] = None
-    remainder_part: Optional[float] = None
-    #: integrand nodes: t-nodes of route A (the main term counts the nodes
-    #: its two parts share once), ``t = sR/2`` nodes of "direct-quadrature"
+    #: integrand nodes: t-nodes of route A, ``t = sR/2`` nodes of
+    #: "direct-quadrature"
     nodes: int = 0
 
 
@@ -377,37 +374,11 @@ def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sum((u @ _ANGULAR_MATRIX) * v, axis=-1)
 
 
-def _half_line(integrand, rel_tol: float, scale):
-    """``scale`` times the half-line integral: ``(value, error, nodes)``;
-    a ``(nodes, K)`` integrand with a length-K ``scale`` gives length-K
-    values and errors."""
+def _half_line(integrand, rel_tol: float, scale: float):
+    """``scale`` times the half-line integral: ``(value, error, nodes)``."""
     res = integrate_half_line(integrand, QuadratureSpec(rel_tol=rel_tol),
                               full_output=True)
     return scale * res.value, scale * res.error_estimate, res.nodes_used
-
-
-def _main_term_t_representation(R: float, params: ModelParams,
-                                profile: ChargeProfile, rel_tol: float
-                                ) -> Tuple[float, float, float, int]:
-    """Main fourth-order term by the exponential decoupling route.
-
-    Returns ``(retarded part, remainder part, error estimate, nodes)`` for
-    a single letter ordering; the full term is twice the sum of the parts.
-    Both parts are columns of one integrand, so each node takes one
-    ``moments`` product and ``nodes`` counts the shared nodes once; each
-    part converges to ``rel_tol`` of its own magnitude.
-    """
-    tables = _RadialTables(params, profile, R, ("G1", "G2", "G3", "H1", "H2"))
-    pref = params.e ** 3 / (16.0 * params.nu)
-
-    def integrand(t):
-        g1, g2, g3, h1, h2 = tables.moments(t)
-        return np.stack([2.0 * _pair(g1, g2),
-                         4.0 * _pair(g3, h1) + 2.0 * _pair(g2, h2)], axis=1)
-
-    (re_part, ir_part), (re_err, ir_err), nodes = _half_line(
-        integrand, rel_tol, np.array([R ** -7, R ** -8]) * pref)
-    return float(re_part), float(ir_part), float(re_err + ir_err), nodes
 
 
 def _across_table(profile: ChargeProfile, R: float) -> ModeTable:
@@ -433,39 +404,47 @@ def fourth_order_main(R: float, params: ModelParams, profile: ChargeProfile,
 
     Route "t-representation" (default) decouples the radial variables with
     an exponential integral and performs nested one-dimensional
-    quadratures.  Route "direct-quadrature" integrates the order-4 photon
-    closure ``(1/pi) Int s^2 e^4 / (s^2 + e^2 nu^2)^2 sum_c m_c 2 a1_c a2_c
-    ds`` of the channel sums ``a_m`` (resolvent power ``m``, multiplicities
-    ``m_c``) of the mode table ``_across_table``; its estimate and nodes are
-    those of the quadrature over ``t = sR/2``, i.e. ``2/(pi R) Int dt`` of
-    the integrand at ``s = 2t/R``.  The across sums decay like ``e^{-sR}``,
-    so the closure's mass sits at ``s ~ 1/R``: in ``s`` it falls inside
-    the first initial panel of the half-line map, and every larger R costs
-    more bisection rounds to find it; in ``t`` it sits near ``t = 1/2`` at
-    every R, where the initial panels resolve it.  (Of ``t = s R c``, ``c =
-    1/2`` spent the fewest nodes; ``c = 1``, 2 and 4 spent more.)  The term
+    quadratures; the ``R^-8`` moments ride in the integrand at ``1/R``
+    relative, so the term converges to ``rel_tol`` as one quantity.  Route
+    "direct-quadrature" integrates the order-4 photon closure ``(1/pi) Int
+    s^2 e^4 / (s^2 + e^2 nu^2)^2 sum_c m_c 2 a1_c a2_c ds`` of the channel
+    sums ``a_m`` (resolvent power ``m``, multiplicities ``m_c``) of the
+    mode table ``_across_table``; its estimate and nodes are those of the
+    quadrature over ``t = sR/2``, i.e. ``2/(pi R) Int dt`` of the integrand
+    at ``s = 2t/R``.  The across sums decay like ``e^{-sR}``, so the
+    closure's mass sits at ``s ~ 1/R``: in ``s`` it falls inside the first
+    initial panel of the half-line map, and every larger R costs more
+    bisection rounds to find it; in ``t`` it sits near ``t = 1/2`` at every
+    R, where the initial panels resolve it.  (Of ``t = s R c``, ``c = 1/2``
+    spent the fewest nodes; ``c = 1``, 2 and 4 spent more.)  The term
     approaches ``cp_constant(nu0) * R**-7`` at large separation.
     """
     Geometry(R)  # validates
+    e, nu = params.e, params.nu
     if route == "t-representation":
-        re_part, ir_part, err, nodes = _main_term_t_representation(
-            R, params, profile, rel_tol)
-        return FourthOrderResult(R=R, value=2.0 * (re_part + ir_part),
-                                 route=route, estimated_error=2.0 * err,
-                                 retarded_part=2.0 * re_part,
-                                 remainder_part=2.0 * ir_part, nodes=nodes)
-    if route != "direct-quadrature":
+        tables = _RadialTables(params, profile, R,
+                               ("G1", "G2", "G3", "H1", "H2"))
+
+        def integrand(t):
+            g1, g2, g3, h1, h2 = tables.moments(t)
+            return 2.0 * _pair(g1, g2) + (4.0 * _pair(g3, h1)
+                                          + 2.0 * _pair(g2, h2)) / R
+
+        scale = R ** -7 * e ** 3 / (8.0 * nu)
+    elif route == "direct-quadrature":
+        table = _across_table(profile, R)
+        enu2 = (e * nu) ** 2
+
+        def integrand(t):
+            s2 = (2.0 / R * t) ** 2
+            a1, a2 = table.sums(s2, (1, 2))
+            pref = s2 * e ** 4 / (s2 + enu2) ** 2
+            return pref * ((2.0 * a1 * a2) @ table.multiplicity)
+
+        scale = 2.0 / (math.pi * R)
+    else:
         raise InvalidParameterError(f"unknown route {route!r}")
-    table = _across_table(profile, R)
-    enu2 = (params.e * params.nu) ** 2
-
-    def integrand(t):
-        s2 = (2.0 / R * t) ** 2
-        a1, a2 = table.sums(s2, (1, 2))
-        pref = s2 * params.e ** 4 / (s2 + enu2) ** 2
-        return pref * ((2.0 * a1 * a2) @ table.multiplicity)
-
-    value, err, nodes = _half_line(integrand, rel_tol, 2.0 / (math.pi * R))
+    value, err, nodes = _half_line(integrand, rel_tol, scale)
     return FourthOrderResult(R=R, value=value, route=route,
                              estimated_error=err, nodes=nodes)
 
@@ -493,8 +472,7 @@ def fourth_order_error(R: float, params: ModelParams,
             return (4.0 * _pair(h1, h3) + 2.0 * _pair(h2, h2)
                     + 2.0 * _pair(h1, h2) / (e * nu))
 
-        value, err, nodes = _half_line(integrand, rel_tol,
-                                       R ** -9 * e ** 2 / (16.0 * nu ** 2))
+        scale = R ** -9 * e ** 2 / (16.0 * nu ** 2)
     elif route == "direct-quadrature":
         table = _across_table(profile, R)
         enu2 = (e * nu) ** 2
@@ -505,9 +483,9 @@ def fourth_order_error(R: float, params: ModelParams,
             pref = s2 * e ** 4 / (s2 + enu2) ** 3
             return pref * ((a1 * a1) @ table.multiplicity)
 
-        value, err, nodes = _half_line(integrand, rel_tol,
-                                       2.0 / (math.pi * R))
+        scale = 2.0 / (math.pi * R)
     else:
         raise InvalidParameterError(f"unknown route {route!r}")
+    value, err, nodes = _half_line(integrand, rel_tol, scale)
     return FourthOrderResult(R=R, value=value, route=route,
                              estimated_error=err, nodes=nodes)

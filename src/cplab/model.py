@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -150,20 +150,25 @@ class ConstraintReport:
     continuum_norms: Dict[int, float]
     nu: float
 
+    #: the pass/fail flags, in report order
+    FLAGS: ClassVar[Tuple[str, ...]] = (
+        "c_inf_lt_half", "sqrt2_e_nu0_ge_1", "sqrt2_e_norm_lt_1",
+        "a_lt_quarter")
+
+    @property
+    def violated(self) -> Tuple[str, ...]:
+        """The names of the false flags, in ``FLAGS`` order."""
+        return tuple(name for name in self.FLAGS if not getattr(self, name))
+
     @property
     def all_satisfied(self) -> bool:
-        return (self.c_inf_lt_half and self.sqrt2_e_nu0_ge_1
-                and self.sqrt2_e_norm_lt_1 and self.a_lt_quarter)
+        return not self.violated
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "c_inf": self.c_inf, "a": self.a, "D_rho": self.D_rho,
-            "c_L": self.c_L,
-            "c_inf_lt_half": self.c_inf_lt_half,
-            "sqrt2_e_nu0_ge_1": self.sqrt2_e_nu0_ge_1,
-            "sqrt2_e_norm_lt_1": self.sqrt2_e_norm_lt_1,
-            "a_lt_quarter": self.a_lt_quarter,
-        }
+        d = {"c_inf": self.c_inf, "a": self.a, "D_rho": self.D_rho,
+             "c_L": self.c_L}
+        d.update((name, getattr(self, name)) for name in self.FLAGS)
+        return d
 
 
 @dataclass(frozen=True)

@@ -175,8 +175,8 @@ def test_convergence_zero_profile_rows_identical(default_params):
     rows = convergence_study([1.0, 2.0], [1.0], default_params, zp, 0.3)
     shift = 1.5 * default_params.e * default_params.nu
     for row in rows:
-        assert row["E1"] == pytest.approx(shift, abs=1e-12)
-        assert row["binding"] == pytest.approx(0.0, abs=1e-12)
+        assert row["E1"] == shift
+        assert row["binding"] == 0.0
 
 
 def test_convergence_gaps_shrink():

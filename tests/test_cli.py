@@ -6,6 +6,9 @@ import pytest
 
 from cplab import AccuracyError, ConfigError, CplabError, cli
 from cplab.cli import emit, main, parse_config, run
+from cplab.model import (ConstraintReport, ModelParams, build_lattice,
+                         check_constraints, make_gaussian_profile)
+from cplab.oscillator import assemble_one_electron, ground_energy
 
 
 # ---------------------------------------------------------------------------
@@ -177,15 +180,42 @@ def test_check_exit_two_on_violation(tmp_path):
     assert len(doc.splitlines()) == 2
 
 
+def test_warnings_name_the_false_flags_in_order(tmp_path):
+    # a tiny charge on a narrow profile fails three of the four flags; the
+    # document warns about exactly those, in the report's flag order
+    text = "e = 0.001\nxi = 0.05"
+    code, doc = invoke(tmp_path, "check", text, fmt="json")
+    assert code == 2
+    doc = json.loads(doc)
+    cfg = parse_config(text)
+    report = check_constraints(ModelParams(cfg.e, cfg.nu0),
+                               make_gaussian_profile(cfg.xi),
+                               build_lattice(cfg.L, cfg.Lambda))
+    false = [name for name in ConstraintReport.FLAGS
+             if not doc["constraints"][name]]
+    assert false == list(report.violated) and len(false) == 3
+    assert doc["warnings"] == [f"constraint violated: {name}"
+                               for name in false]
+
+
 def test_energy_subcommand(tmp_path):
-    code, doc = invoke(tmp_path, "energy", "L = 1")
+    # at this config the correction is -1.9e-3 of a 3.18 energy: the CSV's
+    # trace difference must be the library's double, not merely near it
+    text = "nu0 = 3\nxi = 0.25\nL = 1"
+    code, doc = invoke(tmp_path, "energy", text)
     assert code == 0
     header, row = doc.splitlines()
     cols = header.split(",")
     vals = dict(zip(cols, map(float, row.split(","))))
-    shift = 1.5 * 0.5 * math.sqrt(2) * 2.0
-    assert vals["zero_point_shift"] == pytest.approx(shift)
-    assert vals["energy"] == pytest.approx(shift, abs=1e-6)
+    cfg = parse_config(text)
+    params = ModelParams(cfg.e, cfg.nu0)
+    res = ground_energy(assemble_one_electron(
+        params, build_lattice(cfg.L, cfg.Lambda),
+        make_gaussian_profile(cfg.xi)))
+    assert vals["trace_difference"] == res.trace_difference
+    assert -2e-3 < res.trace_difference < -1.8e-3
+    shift = 1.5 * cfg.e * math.sqrt(2) * cfg.nu0
+    assert vals["zero_point_shift"] == pytest.approx(shift, rel=1e-15)
 
 
 def test_binding_subcommand_flags_periodicity(tmp_path):
@@ -265,6 +295,42 @@ def test_convergence_subcommand(tmp_path):
     lines = doc.splitlines()
     assert lines[0] == "Lambda,L,N,E1,E2,binding,dE1,dbinding"
     assert len(lines) >= 4
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_json_documents_parse_strictly(tmp_path, subcommand):
+    # JSON has no NaN or Infinity: a strict parser must accept every
+    # document, and convergence's first row per Lambda, which has no
+    # coarser box to difference against, reads null
+
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    code, doc = invoke(tmp_path, subcommand,
+                       "L = 1\nxi = 0.25\nnu0 = 3\nR_grid = 20, 30\n"
+                       "quad_rel_tol = 1e-8", fmt="json")
+    assert code == 0
+    parsed = json.loads(doc, parse_constant=refuse)
+    if subcommand == "convergence":
+        cols = parsed["columns"]
+        firsts = [row for row in parsed["rows"] if row[cols.index("L")] == 1]
+        assert len(firsts) == 2
+        for row in parsed["rows"]:
+            diffs = [row[cols.index(c)] for c in ("dE1", "dbinding")]
+            if row in firsts:
+                assert diffs == [None, None]
+            else:
+                assert all(math.isfinite(d) for d in diffs)
+
+
+def test_emit_writes_null_json_and_nan_csv():
+    report = make_report()
+    report.rows = [[math.nan, math.inf, 1.0]]
+    report.scalars = {"x": -math.inf}
+    parsed = json.loads(emit(report, "json"))
+    assert parsed["rows"] == [[None, None, 1.0]]
+    assert parsed["scalars"] == {"x": None}
+    assert emit(report, "csv").splitlines()[1] == "nan,inf,1"
 
 
 def test_cp_sweep_document_deterministic(tmp_path):

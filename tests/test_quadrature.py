@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cplab import (AccuracyError, InvalidParameterError, ModelParams,
-                   QuadratureSpec, fourth_order_main, integrate_half_line,
+                   QuadratureSpec, fourth_order_error, integrate_half_line,
                    integrate_interval, make_gaussian_profile, sweep_R)
 from cplab.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS,
                               _PANEL_COST, _initial_panels, _panel_values)
@@ -169,11 +169,11 @@ def test_half_line_rejects_late_oscillation():
 
 
 def test_roundoff_stall_fails_fast():
-    # the remainder part of this term stalls near 1e-12 relative: its
-    # splits stop shrinking the error long before the 400,000-node budget
+    # this term stalls near 1.7e-13 relative: its splits stop shrinking
+    # the error long before the 400,000-node budget
     with pytest.raises(AccuracyError, match="^roundoff") as err:
-        fourth_order_main(120.0, ModelParams(0.5, 2.0),
-                          make_gaussian_profile(0.25), rel_tol=1e-13)
+        fourth_order_error(120.0, ModelParams(0.5, 2.0),
+                           make_gaussian_profile(0.25), rel_tol=1e-13)
     assert 1e-13 < err.value.achieved_tol < 1e-11
 
 
