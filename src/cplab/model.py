@@ -382,21 +382,29 @@ class ModeTable:
 
 
 def lattice_table(lattice: Lattice, profile: ChargeProfile,
-                  R: Optional[float] = None) -> ModeTable:
+                  R: Optional[float] = None, *,
+                  radial: Optional[np.ndarray] = None) -> ModeTable:
     """The lattice's ``ModeTable``: per orbit, ``[T, L]`` then, unless ``R``
     is ``None``, ``[T, L] cos(k_z R)``, times the orbit's multiplicity.  A
     lattice whose sums ``sum_k w_k P_k [cos(k . r)] g(|k|^2)`` are not
-    ``diag(T, T, L)`` (``r`` along z) raises ``InvalidParameterError``."""
+    ``diag(T, T, L)`` (``r`` along z) raises ``InvalidParameterError``.
+
+    ``radial`` is the profile on ``lattice.orbits.norms``, evaluated here
+    when not given; a caller that needs it again (``TraceSystem``) passes
+    its own evaluation.  The columns are written into one preallocated
+    ``(orbits, 2 or 4)`` array.
+    """
     orbits = lattice.orbits
     ksq = orbits.norms ** 2
-    f = profile.radial(orbits.norms)
+    f = profile.radial(orbits.norms) if radial is None else radial
     wk = lattice.cell_weight * ksq * f * f
     uz2 = (orbits.kz / orbits.norms) ** 2
-    columns = [0.5 * wk * (1.0 + uz2), wk * (1.0 - uz2)]
+    columns = np.empty((len(ksq), 2 if R is None else 4))
+    np.multiply(0.5 * wk, 1.0 + uz2, out=columns[:, 0])
+    np.multiply(wk, 1.0 - uz2, out=columns[:, 1])
     if R is not None:
-        cosr = np.cos(orbits.kz * R)
-        columns += [columns[0] * cosr, columns[1] * cosr]
-    columns = np.stack(columns, axis=1)
+        np.multiply(columns[:, :2], np.cos(orbits.kz * R)[:, None],
+                    out=columns[:, 2:])
     # sum_k (w_k / |k|^2) P_k [cos(k . r)] is diag(T, T, L) iff the same
     # sum of u_k u_k^T has xx = yy and no off-diagonal; w_k is T + L / 2
     # of one mode, so the sum is w^T moments over the orbits
@@ -405,7 +413,8 @@ def lattice_table(lattice: Lattice, profile: ChargeProfile,
     if not dev <= SYMMETRY_REL * (orbits.count @ w[:, 0]):
         raise InvalidParameterError(f"lattice breaks the box symmetry: "
                                     f"{dev:.3e} off diag(T, T, L)")
-    return ModeTable(ksq, columns * orbits.count[:, None])
+    columns *= orbits.count[:, None]
+    return ModeTable(ksq, columns)
 
 
 def make_gaussian_profile(xi: float) -> ChargeProfile:
@@ -498,8 +507,12 @@ def lattice_norm(profile: ChargeProfile, lattice: Lattice, p: int) -> float:
     """
     if p not in (-1, 0, 1):
         raise InvalidParameterError("norm exponent p must be -1, 0 or 1")
+    return _lattice_norm(lattice, profile.radial(lattice.orbits.norms), p)
+
+
+def _lattice_norm(lattice: Lattice, f: np.ndarray, p: int) -> float:
+    """``lattice_norm`` from the profile's values ``f`` on the orbits."""
     orbits = lattice.orbits
-    f = profile.radial(orbits.norms)
     total = lattice.cell_weight * float(
         orbits.count @ (orbits.norms ** (2 * p) * f * f))
     return math.sqrt(total)
@@ -568,7 +581,9 @@ def form_factor(x, k, channel: int, lattice: Lattice,
 
 
 def check_constraints(params: ModelParams, profile: ChargeProfile,
-                      lattice: Lattice) -> ConstraintReport:
+                      lattice: Lattice, *,
+                      radial: Optional[np.ndarray] = None
+                      ) -> ConstraintReport:
     """Evaluate every smallness condition guarding the expansions.
 
     ``c_inf = max(sqrt(2) e n(-1), n(1) / (sqrt(2) e nu0**2), n(0) / nu0)``
@@ -576,9 +591,14 @@ def check_constraints(params: ModelParams, profile: ChargeProfile,
     ``a = (sqrt(2) n*(0) / nu)**2``,
     ``D_rho = max(sqrt(2) e n*(-1), sqrt(2) n*(1) / (e nu**2))`` and
     ``c_L = max(D_rho, sqrt(2) n*(0) / nu)``.
+
+    The three lattice norms ``n*(p)`` share one evaluation of the profile
+    on the orbits: ``radial``, as ``lattice_table`` takes it, or evaluated
+    here when not given.
     """
     cn = {p: profile_norm(profile, p) for p in (-1, 0, 1)}
-    ln = {p: lattice_norm(profile, lattice, p) for p in (-1, 0, 1)}
+    f = profile.radial(lattice.orbits.norms) if radial is None else radial
+    ln = {p: _lattice_norm(lattice, f, p) for p in (-1, 0, 1)}
     e, nu0, nu = params.e, params.nu0, params.nu
     rt2 = math.sqrt(2.0)
     c_inf = max(rt2 * e * cn[-1], cn[1] / (rt2 * e * nu0 ** 2), cn[0] / nu0)

@@ -60,6 +60,17 @@ class LatticePeriodicityWarning(UserWarning):
     """Separation is commensurate with the box; energies are periodic in R."""
 
 
+def warn_if_periodic(R: float, lattice: Lattice) -> None:
+    """Warn ``LatticePeriodicityWarning`` at the caller's caller if ``R >=
+    L / 2``: lattice momenta are multiples of ``2 pi / L``, so a binding
+    is periodic in ``R``."""
+    if R >= lattice.box_period / 2.0:
+        warnings.warn(
+            f"R = {R} is not below half the box period L = "
+            f"{lattice.box_period}; the binding energy is periodic in R",
+            LatticePeriodicityWarning, stacklevel=3)
+
+
 @dataclass
 class QuadraticForm:
     """Symmetric form ``[[P, B], [B^T, K]]`` held by its orbit data.
@@ -392,11 +403,7 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
     Positive values mean attraction.  ``R >= L / 2`` warns: lattice momenta
     are multiples of ``2 pi / L``, so the energy is periodic in ``R``.
     """
-    if R >= lattice.box_period / 2.0:
-        warnings.warn(
-            f"R = {R} is not below half the box period L = "
-            f"{lattice.box_period}; the binding energy is periodic in R",
-            LatticePeriodicityWarning, stacklevel=2)
+    warn_if_periodic(R, lattice)
     kernel = _Kernel(assemble_two_electron(params, lattice, profile,
                                            Geometry(R), include_direct_term))
     if np.any(kernel.schur0 < 0.0):

@@ -12,8 +12,13 @@ transverse channel (x and y) and a longitudinal one (z).
 ``TraceSystem.channel_sums`` evaluates them by reducing the lattice's
 ``model.ModeTable``, one row per ``(|k|, |k_z|)`` orbit, so a word costs
 ``O(orbits)`` per quadrature node and a chain is a product of scalars per
-channel.  The envelope ``D(s)`` behind every tail bound is the one-dipole
-order-2 closure of the same sums.  The dense matrix product of the full
+channel.  It copies the reducer's ``(nodes, 4)`` output once into
+contiguous channel rows, one ``(nodes,)`` row per channel, on which every
+chain and the order recurrence run.  A ``TraceSystem`` evaluates the
+profile on the orbits once, as ``radial``: the table, the constraint
+report's lattice norms and the envelope integral all read it.  The
+envelope ``D(s)`` behind every tail bound is the one-dipole order-2
+closure of the same sums.  The dense matrix product of the full
 blocks is the test suite's oracle for it.
 
 The series never enumerates words.  Per channel, summed over its letters, a
@@ -44,6 +49,7 @@ from .errors import (ClassificationError, InvalidParameterError,
                      SeriesDivergenceError, TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
                     ModelParams, check_constraints, lattice_table)
+from .oscillator import warn_if_periodic
 from .quadrature import QuadratureSpec, integrate_half_line
 
 __all__ = [
@@ -162,7 +168,11 @@ class TraceSystem:
         self.lattice = lattice
         self.profile = profile
         self.geometry = geometry
-        self.table = lattice_table(lattice, profile, geometry and geometry.R)
+        #: the profile on the lattice's orbits, evaluated once: the table,
+        #: the report's lattice norms and ``d_integral`` all read it
+        self.radial = profile.radial(lattice.orbits.norms)
+        self.table = lattice_table(lattice, profile, geometry and geometry.R,
+                                   radial=self.radial)
         self._report: Optional[ConstraintReport] = None
         self._d_integral: Optional[float] = None
 
@@ -172,7 +182,7 @@ class TraceSystem:
     def report(self) -> ConstraintReport:
         if self._report is None:
             self._report = check_constraints(self.params, self.profile,
-                                             self.lattice)
+                                             self.lattice, radial=self.radial)
         return self._report
 
     def d_integral(self) -> float:
@@ -185,15 +195,14 @@ class TraceSystem:
             (1/pi) Int D = (e / 2 nu) sum_k w_k / (|k| (e nu + |k|)),
 
         ``w_k = cell_weight |k|^2 f(|k|)^2``, summed over the orbits with
-        their multiplicities by ``math.fsum``.
+        their multiplicities by ``math.fsum``; ``f`` is ``radial``.
         ``D`` closes the within-dipole sums only, so the value does not
         depend on the geometry.  The quadrature of ``d_envelope`` is its
         test oracle.
         """
         if self._d_integral is None:
             orbits = self.lattice.orbits
-            k = orbits.norms
-            f = self.profile.radial(k)
+            k, f = orbits.norms, self.radial
             alpha = self.params.e * self.params.nu
             terms = (self.lattice.cell_weight * orbits.count * k * f * f
                      / (alpha + k))
@@ -213,15 +222,20 @@ class TraceSystem:
         """Channel entries of the mode sums at resolvent powers 1 and 2.
 
         Returns ``{m: (within, across)}`` for ``m`` in (1, 2), the ``[T,
-        L]`` pairs of one ``table.sums`` at ``z = s^2``, each of shape
-        ``(nodes, 2)`` (``across`` is ``None`` without geometry).
-        ``d_envelope`` is the order-2 closure of ``within``.
+        L]`` pairs of one ``table.sums`` at ``z = s^2`` as channel rows:
+        each of shape ``(2, nodes)``, row 0 transverse and row 1
+        longitudinal (``across`` is ``None`` without geometry).  The
+        reducer's ``(powers, nodes, q)`` output is copied once into
+        contiguous ``(powers, q, nodes)`` rows, so every product of the
+        order recurrence runs on contiguous memory, not on stride-``q``
+        column views.  ``d_envelope`` is the order-2 closure of ``within``.
         """
         s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
-        sums = self.table.sums(s2, (1, 2))
+        rows = np.ascontiguousarray(
+            self.table.sums(s2, (1, 2)).transpose(0, 2, 1))
         two = self.geometry is not None
-        return {m: (v[:, :2], v[:, 2:] if two else None)
-                for m, v in zip((1, 2), sums)}
+        return {m: (v[:2], v[2:] if two else None)
+                for m, v in zip((1, 2), rows)}
 
     def word_integrand_fast(self, word: Sequence[int],
                             s: np.ndarray) -> np.ndarray:
@@ -231,7 +245,7 @@ class TraceSystem:
         sector (adjacent letters paired from the first position) or through
         a particle sector (paired from the second position with matching
         endpoints); each closure collapses to a chain of channel sums,
-        multiplied per channel.
+        multiplied per channel row.
         """
         word = tuple(word)
         if self.geometry is None and any(i != 1 for i in word):
@@ -253,21 +267,24 @@ class TraceSystem:
             prod = chain(2, word[-1] != word[0])
             for j in range(0, n - 2, 2):
                 prod = prod * chain(1, word[j + 1] != word[j + 2])
-            total += prod @ self.table.multiplicity
+            total += self.table.multiplicity @ prod
         # closure through a particle sector: pairs (2,3), (4,5), ..., ends match
         if word[0] == word[-1] and all(word[2 * j + 1] == word[2 * j + 2]
                                        for j in range((n - 2) // 2)):
             prod = chain(1, word[0] != word[1])
             for j in range(2, n, 2):
                 prod = prod * chain(1, word[j] != word[j + 1])
-            total += (prod @ self.table.multiplicity) / (s * s + enu2)
+            total += (self.table.multiplicity @ prod) / (s * s + enu2)
         pref = self.params.e ** n * (s * s + enu2) ** (-n / 2.0)
         return s * s * pref * total
 
     def order_integrands(self, orders: Sequence[int],
                          s: np.ndarray) -> np.ndarray:
         """Summed trace integrands of the series orders ``orders`` (each a
-        positive even ``2j``), one column each, from one ``channel_sums``.
+        positive even ``2j``), one column each, from one ``channel_sums``:
+        the recurrence below runs on its contiguous ``(2, nodes)`` channel
+        rows, and the table behind them reads the profile's orbit values
+        ``radial``, evaluated once per system.
 
         With geometry a column is the sum of ``word_integrand_fast`` over
         every mixed even-weight word of that length (the binding terms);
@@ -294,6 +311,8 @@ class TraceSystem:
         and the prefactor ``(e^2 / (s^2 + e^2 nu^2))^j`` are running
         products, so one pass up to the highest order yields every column.
         """
+        if not orders:
+            raise InvalidParameterError("orders must name at least one order")
         if any(order < 2 or order % 2 for order in orders):
             raise InvalidParameterError("order must be a positive even integer")
         s = np.asarray(s, dtype=float)
@@ -302,6 +321,7 @@ class TraceSystem:
         s_sq = s * s
         shifted = s_sq + (self.params.e * self.params.nu) ** 2
         step = self.params.e ** 2 / shifted
+        multiplicity = np.array(self.table.multiplicity)
         # the mixed parts carry a factor 2, exact in any position
         weight = s_sq if self.geometry is None else 2.0 * s_sq
         # s1^(j-1) and the parts E_(j-1), B_(j-1) of (s1 + a1)^(j-1)
@@ -321,8 +341,8 @@ class TraceSystem:
                 power = s1 * power
                 particle = even
             if 2 * j in orders:
-                closed = photon + particle / shifted[:, None]
-                columns[2 * j] = weight * (closed @ self.table.multiplicity)
+                closed = photon + particle / shifted
+                columns[2 * j] = weight * (multiplicity @ closed)
         out = np.empty((len(s), len(orders)))
         for col, order in enumerate(orders):
             out[:, col] = columns[order]
@@ -354,7 +374,8 @@ def trace_word(word, system: TraceSystem,
     return val / math.pi
 
 
-def _order_terms(system: TraceSystem, max_order: int, spec: QuadratureSpec
+def _order_terms(system: TraceSystem, max_order: int,
+                 quad: Optional[QuadratureSpec]
                  ) -> Tuple[List[int], List[float], List[float], List[int]]:
     """Orders ``2 .. max_order`` with ``(1/pi) Int order_integrand``, its
     quadrature error estimate and its integrand nodes.
@@ -362,8 +383,9 @@ def _order_terms(system: TraceSystem, max_order: int, spec: QuadratureSpec
     Every order with words is one column of a single ``order_integrands``
     pass, so all of them share one set of nodes, and each column converges
     to its own absolute floor: ``1e-13`` of the a-priori scale ``a**(j-1)
-    count (1/pi) Int D`` of the ``count`` words order ``2j`` sums.  An order
-    without words is zero without quadrature, with no nodes.
+    count (1/pi) Int D`` of the ``count`` words order ``2j`` sums, or
+    ``quad``'s floor where that is larger.  An order without words is zero
+    without quadrature, with no nodes.
     """
     orders = list(range(2, max_order + 1, 2))
     # the all-ones word, or the 2**(n-1) even-weight words less the two
@@ -374,12 +396,15 @@ def _order_terms(system: TraceSystem, max_order: int, spec: QuadratureSpec
     dead = len(orders) - len(live)
     terms, errors, nodes = [0.0] * dead, [0.0] * dead, [0] * dead
     if live:
-        floors = np.maximum(spec.abs_floors(len(live)), [
-            1e-13 * (system.word_scale((1,) * order) * counts[order])
-            for order in live])
+        scales = [1e-13 * (system.word_scale((1,) * order) * counts[order])
+                  for order in live]
+        # one spec, validated once: the default's own floors are zero
+        spec = (QuadratureSpec(abs_tol=tuple(scales)) if quad is None
+                else replace(quad, abs_tol=tuple(
+                    map(max, scales, quad.abs_floors(len(live))))))
         res = integrate_half_line(
-            lambda s: system.order_integrands(live, s),
-            spec=replace(spec, abs_tol=tuple(floors)), full_output=True)
+            lambda s: system.order_integrands(live, s), spec=spec,
+            full_output=True)
         terms += (res.value / math.pi).tolist()
         errors += (res.error_estimate / math.pi).tolist()
         nodes += [res.nodes_used] * len(live)
@@ -401,8 +426,7 @@ def series_one_electron(params: ModelParams, lattice: Lattice,
     if a >= 1.0:
         raise SeriesDivergenceError(
             f"expansion parameter a = {a:.4f} >= 1; series diverges")
-    spec = quad or QuadratureSpec()
-    orders, terms, errors, nodes = _order_terms(system, max_order, spec)
+    orders, terms, errors, nodes = _order_terms(system, max_order, quad)
     jmax = max_order // 2
     tail = system.d_integral() * a ** jmax / (1.0 - a)
     shift = 1.5 * params.e * params.nu
@@ -426,17 +450,20 @@ def series_binding(params: ModelParams, lattice: Lattice,
     tail bound ``(1/pi) Int D * 4 (4a)**jmax / (1 - 4a)`` needs ``a < 1/4``;
     with ``allow_unbounded_tail`` the value is still computed and the bound
     reported as infinity.
+
+    ``R >= L / 2`` warns as ``binding_energy_exact`` does: lattice momenta
+    are multiples of ``2 pi / L``, so the binding is periodic in ``R``.
     """
     if max_order < 2 or max_order % 2:
         raise InvalidParameterError("max_order must be a positive even integer")
     system = TraceSystem(params, lattice, profile, Geometry(R))
+    warn_if_periodic(R, lattice)
     a = system.report.a
     if a >= 0.25 and not allow_unbounded_tail:
         raise TailBoundUnavailableError(
             f"expansion parameter a = {a:.4f} >= 1/4; no geometric tail "
             "bound (pass allow_unbounded_tail=True to evaluate anyway)")
-    spec = quad or QuadratureSpec()
-    orders, terms, errors, nodes = _order_terms(system, max_order, spec)
+    orders, terms, errors, nodes = _order_terms(system, max_order, quad)
     jmax = max_order // 2
     if a < 0.25:
         tail = system.d_integral() * 4.0 * (4.0 * a) ** jmax / (1.0 - 4.0 * a)

@@ -111,7 +111,7 @@ def test_criterion_4_binding_dual_oracle():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", LatticePeriodicityWarning)
                 exact = binding_energy_exact(params, lat, prof, r)
-            series = series_binding(params, lat, prof, r, max_order=8)
+                series = series_binding(params, lat, prof, r, max_order=8)
             gap = abs(series.value - exact)
             assert gap <= series.tail_bound + 1e-4 * abs(series.value)
             details.append(f"R={r}: gap {gap:.1e} tail {series.tail_bound:.1e}")

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from cplab import (ChargeProfile, ClassificationError, Geometry, IndexWord,
-                   InvalidParameterError, ModelParams, QuadratureSpec,
+                   InvalidParameterError, LatticePeriodicityWarning,
+                   ModelParams, QuadratureSpec,
                    SeriesDivergenceError, TailBoundUnavailableError,
                    TraceSystem, assemble_one_electron, binding_energy_exact,
                    build_lattice, check_constraints, d_envelope,
@@ -197,6 +199,51 @@ def test_order_integrand_equals_word_sum(e, nu0, xi, L):
     assert np.all(pair.order_integrand(2, svals) == 0.0)
 
 
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+@pytest.mark.parametrize("L", [2.0, 3.0])
+def test_order_columns_do_not_depend_on_the_batch(e, nu0, xi, L):
+    # each column of one pass is bit for bit the pass of its order alone,
+    # so no layout or batching of the recurrence alters one order's
+    # arithmetic
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
+    lat = build_lattice(L, 1.0)
+    svals = np.geomspace(0.02, 40.0, 7)
+    orders = (2, 4, 6, 8, 10)
+    for geometry in (None, Geometry(0.35 * L)):
+        system = TraceSystem(params, lat, prof, geometry)
+        columns = system.order_integrands(orders, svals)
+        for column, order in zip(columns.T, orders):
+            alone = system.order_integrands((order,), svals)[:, 0]
+            assert np.array_equal(column, alone), (geometry, order)
+
+
+def test_order_integrands_need_an_order(strong_system):
+    with pytest.raises(InvalidParameterError, match="at least one order"):
+        strong_system.order_integrands((), np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("call", ["series_one_electron", "series_binding"])
+def test_series_call_evaluates_the_profile_once(call):
+    # the table, the three lattice norms of the report and the envelope
+    # integral all read one evaluation of the profile on the orbits
+    params, gaussian = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
+    shapes = []
+
+    def radial(r):
+        shapes.append(np.shape(r))
+        return gaussian.radial_form_factor(r)
+
+    prof = ChargeProfile(radial, xi=gaussian.xi,
+                         cached_norms=gaussian.cached_norms)
+    lat = build_lattice(3.0, 1.0)
+    run = {"series_one_electron": lambda p: series_one_electron(
+               params, lat, p, 6),
+           "series_binding": lambda p: series_binding(
+               params, lat, p, 0.9, 6)}[call]
+    assert run(prof).value == run(gaussian).value
+    assert shapes == [lat.orbits.norms.shape]
+
+
 def test_order_closure_does_not_cancel():
     # across a wide box the across sums nearly vanish at some nodes
     # (|a1 / s1| down to 3.5e-11): a closure that subtracts the constant
@@ -236,7 +283,7 @@ def test_channel_sums_are_the_axis_diagonal(e, nu0, xi, L):
         scale = g @ np.abs(w)
         for weight, channels in ((w, sums[m][0]), (w * cos, sums[m][1])):
             gap = np.einsum("sn,nij->sij", g * weight, proj)
-            gap[:, axes, axes] -= channels[:, [0, 0, 1]]
+            gap[:, axes, axes] -= channels[[0, 0, 1]].T
             assert np.all(np.max(np.abs(gap), axis=(1, 2)) <= 1e-14 * scale)
 
 
@@ -445,6 +492,24 @@ def test_binding_tail_guard(small_lattice):
     flagged = series_binding(params, small_lattice, prof, 0.3,
                              allow_unbounded_tail=True)
     assert flagged.tail_bound == math.inf
+
+
+def test_binding_series_warns_past_half_the_box(strong_setup):
+    # as binding_energy_exact does: the lattice binding is periodic in R,
+    # so from half the box on it is the value of a nearer image
+    params, prof, lat = strong_setup
+    half = lat.box_period / 2.0
+    for R, warned in ((0.45, False), (half, True), (0.7, True)):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            series_binding(params, lat, prof, R, max_order=4)
+        if not warned:
+            assert record == []
+            continue
+        assert [w.category for w in record] == [LatticePeriodicityWarning]
+        assert f"R = {R} " in str(record[0].message)
+        # at the caller's line, not inside the package
+        assert record[0].filename == __file__
 
 
 # ---------------------------------------------------------------------------
