@@ -9,28 +9,28 @@ with ``Q_i(s)`` the symmetrically resolvent-dressed blocks.  The trace
 collapses into products of mode sums of the transverse projectors, and on
 the symmetric cutoff box each of those is diagonal in the axes: a
 transverse channel (x and y) and a longitudinal one (z).
-``TraceSystem.channel_sums`` evaluates them by reducing the lattice's
-``model.ModeTable``, one row per ``(|k|, |k_z|)`` orbit, so a word costs
-``O(orbits)`` per quadrature node and a chain is a product of scalars per
-channel.  It copies the reducer's ``(nodes, 4)`` output once into
-contiguous channel rows, one ``(nodes,)`` row per channel, on which every
-chain and the order recurrence run.  A ``TraceSystem`` evaluates the
-profile on the orbits once, as ``radial``: the table, the constraint
-report's lattice norms and the envelope integral all read it.  The
-envelope ``D(s)`` behind every tail bound is the one-dipole order-2
-closure of the same sums.  The dense matrix product of the full
-blocks is the test suite's oracle for it.
+``TraceSystem.channel_sums`` evaluates them at resolvent powers 1 and 2 by
+reducing the lattice's ``model.ModeTable``, one row per ``(|k|, |k_z|)``
+orbit, so ``word_integrand_fast`` costs ``O(orbits)`` per quadrature node
+and a chain is a product of scalars per channel.  A ``TraceSystem``
+evaluates the profile on the orbits once, as ``radial``: the table, the
+constraint report's lattice norms and the envelope integral all read it.
+The envelope ``D(s)`` behind every tail bound is the integrand of the word
+``(1, 1)``.  The dense matrix product of the full blocks is the test
+suite's oracle for the words.
 
-The series never enumerates words.  Per channel, summed over its letters, a
-closure is a power of ``[[s, a], [a, s]]`` (``s`` within one dipole, ``a``
-across), so ``TraceSystem.order_integrands`` takes all ``2**(n-1) - 2``
-mixed even-weight words of one order from the even and odd parts of ``(s
-+ a)^m``.  A division-free recurrence builds those parts order by order
-from running products and never subtracts the constant words, so the
-mixed part keeps its full precision however small ``a`` is beside ``s``;
-the word-by-word sum is its test oracle.  Every order of a series is one
-column of a single adaptive pass over shared nodes, each resolved at its
-own magnitude.
+The series never enumerates words.  Summed over its words, order ``2j``
+integrates to the ``j``-th Taylor coefficient in the coupling of the
+channel log-det ``log det(1 - X(s))`` that ``oscillator._Kernel``
+integrates exactly, so ``TraceSystem.order_integrands`` reads one
+resolvent-power-1 reduction, forms the kernel's within and across rows
+``x`` and ``y``, and takes all ``2**(n-1) - 2`` mixed even-weight words of
+one order from the mixed even part of ``(x + y)^j``.  A division-free
+recurrence builds it order by order from running products and never
+subtracts the constant words, so it keeps its full precision however small
+``y`` is beside ``x``; the integral of the word-by-word sum is its test
+oracle.  Every order of a series is one column of a single adaptive pass
+over shared nodes, each resolved at its own magnitude.
 
 Sign conventions: the one-dipole energy is ``1.5 e nu`` minus the sum of the
 all-ones words, and the binding ``2 E - E(R)`` is plus the sum of the mixed
@@ -139,16 +139,16 @@ def d_envelope(s, params: ModelParams, profile: ChargeProfile,
 
     ``D(s) = 2 e^2 s^2 (s^2+e^2 nu^2)^{-1} [ (s^2+e^2 nu^2)^{-1} n1(s)
     + n2(s) ]`` where ``n_m(s)`` is the squared lattice norm of
-    ``(s^2+|k|^2)^{-m/2} |k| f(|k|)``.  It is the one-dipole order-2
-    closure of ``TraceSystem.channel_sums``: ``tr P_k = 2`` gives ``2 n_m =
-    2 T_m + L_m`` from the channel entries within one dipole, so the
-    second-order trace integrand equals it exactly; higher orders fall
-    below it geometrically.  Its integral is the closed form
-    ``TraceSystem.d_integral``, which the quadrature of this function
-    checks in the tests.
+    ``(s^2+|k|^2)^{-m/2} |k| f(|k|)``.  It is the integrand of the word
+    ``(1, 1)`` of one dipole, ``word_integrand_fast`` on the channel
+    entries of ``TraceSystem.channel_sums``: ``tr P_k = 2`` gives ``2 n_m =
+    2 T_m + L_m`` within one dipole, so the second-order trace integrand
+    equals it exactly; higher orders fall below it geometrically.  Its
+    integral is the closed form ``TraceSystem.d_integral``, which the
+    quadrature of this function checks in the tests.
     """
-    out = TraceSystem(params, lattice, profile).order_integrand(
-        2, np.atleast_1d(np.asarray(s, dtype=float)))
+    out = TraceSystem(params, lattice, profile).word_integrand_fast(
+        (1, 1), np.atleast_1d(np.asarray(s, dtype=float)))
     return out if np.ndim(s) else float(out[0])
 
 
@@ -226,9 +226,9 @@ class TraceSystem:
         each of shape ``(2, nodes)``, row 0 transverse and row 1
         longitudinal (``across`` is ``None`` without geometry).  The
         reducer's ``(powers, nodes, q)`` output is copied once into
-        contiguous ``(powers, q, nodes)`` rows, so every product of the
-        order recurrence runs on contiguous memory, not on stride-``q``
-        column views.  ``d_envelope`` is the order-2 closure of ``within``.
+        contiguous ``(powers, q, nodes)`` rows, so the chains of
+        ``word_integrand_fast``, the per-word oracle, run on contiguous
+        memory, not on stride-``q`` column views.
         """
         s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
         rows = np.ascontiguousarray(
@@ -281,77 +281,57 @@ class TraceSystem:
     def order_integrands(self, orders: Sequence[int],
                          s: np.ndarray) -> np.ndarray:
         """Summed trace integrands of the series orders ``orders`` (each a
-        positive even ``2j``), one column each, from one ``channel_sums``:
-        the recurrence below runs on its contiguous ``(2, nodes)`` channel
-        rows, and the table behind them reads the profile's orbit values
-        ``radial``, evaluated once per system.
+        positive even ``2j``), one column each: the Taylor coefficients in
+        the coupling of the channel log-det that ``oscillator._Kernel``
+        integrates exactly.
 
-        With geometry a column is the sum of ``word_integrand_fast`` over
-        every mixed even-weight word of that length (the binding terms);
-        without it, the integrand of the all-ones word (the one-dipole
-        term).
+        One ``table.sums`` at ``z = s^2`` gives the channel rows ``x_c =
+        e^2 W_c / (s^2 + e^2 nu^2)`` and ``y_c = e^2 A_c / (s^2 + e^2
+        nu^2)``, the within and across parts of the kernel's ``X(s)`` at
+        ``g = 0``, whose eigenvalues are ``x_c -+ y_c``.  As ``-log(1 - x)
+        = sum_j x^j / j``, the one-dipole column of order ``2j`` is ``sum_c
+        m_c x_c^j / (2j)``, so the columns sum to ``-_Kernel.log_det / 2``.
+        The binding column is ``sum_c m_c E_j / j``, ``E_j`` the mixed even
+        part of ``(x + y)^j`` (its terms with an even number ``k >= 2`` of
+        factors ``y``), so the columns sum to ``_Kernel.binding / 2``.  Each column
+        integrates to the sum of ``word_integrand_fast`` over the order's
+        words (the all-ones word without geometry), not node by node.
 
-        Per channel, the letters of a paired word pick ``s_m`` (within) or
-        ``a_m`` (across) at resolvent power ``m``, so summed over its words
-        a closure is a power of ``[[s1, a1], [a1, s1]]``: the words of
-        ``(s1 + a1)^m`` with ``k`` letters across.  Its mixed even part
-        ``E_m`` (even ``k >= 2``) and its odd part ``B_m`` (odd ``k``)
-        follow from ``E_1 = 0``, ``B_1 = a1`` by the recurrence
+        ``E_m`` and the odd part ``B_m`` (odd ``k``) of ``(x + y)^m``
+        follow from ``E_1 = 0``, ``B_1 = y`` by the recurrence
 
-            E_{m+1} = s1 E_m + a1 B_m,
-            B_{m+1} = s1 B_m + a1 (s1^m + E_m).
+            E_{m+1} = x E_m + y B_m,
+            B_{m+1} = x B_m + y (x^m + E_m).
 
-        The photon closure ``tr(M2 M1^(j-1))`` has the mixed part ``2 (a2
-        B_{j-1} + s2 E_{j-1})``, the particle closure ``tr(M1^j)`` the
-        mixed part ``2 E_j``.  Each step of the recurrence adds terms of
-        one sign (``s_m > 0``, and ``B`` has the sign of ``a1``), and the
-        closure never subtracts the constant words, which may exceed the
-        mixed part by a hundred orders of magnitude.  Without geometry the
-        closures are ``s2 s1^(j-1)`` and ``s1^j``.  The powers of ``s1``
-        and the prefactor ``(e^2 / (s^2 + e^2 nu^2))^j`` are running
+        Each step adds terms of one sign (``x > 0``, and ``B`` has the sign
+        of ``y``), and ``E_j`` is never the difference ``(x + y)^j + (x -
+        y)^j - 2 x^j``, whose constant words may exceed the mixed part by a
+        hundred orders of magnitude.  The powers of ``x`` are running
         products, so one pass up to the highest order yields every column.
         """
         if not orders:
             raise InvalidParameterError("orders must name at least one order")
         if any(order < 2 or order % 2 for order in orders):
             raise InvalidParameterError("order must be a positive even integer")
-        s = np.asarray(s, dtype=float)
-        sums = self.channel_sums(s)
-        (s1, a1), (s2, a2) = sums[1], sums[2]
-        s_sq = s * s
-        shifted = s_sq + (self.params.e * self.params.nu) ** 2
-        step = self.params.e ** 2 / shifted
+        e, nu = self.params.e, self.params.nu
+        s_sq = np.asarray(s, dtype=float) ** 2
+        rows = (np.ascontiguousarray(self.table.sums(s_sq)[0].T)
+                * (e ** 2 / (s_sq + (e * nu) ** 2)))
+        x, y = rows[:2], rows[2:]
         multiplicity = np.array(self.table.multiplicity)
-        # the mixed parts carry a factor 2, exact in any position
-        weight = s_sq if self.geometry is None else 2.0 * s_sq
-        # s1^(j-1) and the parts E_(j-1), B_(j-1) of (s1 + a1)^(j-1)
-        power = np.ones_like(s1)
-        even, odd = np.zeros_like(s1), np.zeros_like(s1)
+        # x^(j-1) and the parts E_(j-1), B_(j-1) of (x + y)^(j-1)
+        power = np.ones_like(x)
+        even, odd = np.zeros_like(x), np.zeros_like(x)
         columns = {}
         for j in range(1, max(orders) // 2 + 1):
-            weight = weight * step
             if self.geometry is None:
-                photon = s2 * power
-                power = s1 * power
-                particle = power
+                power = x * power
+                columns[2 * j] = (multiplicity @ power) / (2 * j)
             else:
-                photon = a2 * odd + s2 * even
-                even, odd = (s1 * even + a1 * odd,
-                             s1 * odd + a1 * (power + even))
-                power = s1 * power
-                particle = even
-            if 2 * j in orders:
-                closed = photon + particle / shifted
-                columns[2 * j] = weight * (multiplicity @ closed)
-        out = np.empty((len(s), len(orders)))
-        for col, order in enumerate(orders):
-            out[:, col] = columns[order]
-        return out
-
-    def order_integrand(self, order: int, s: np.ndarray) -> np.ndarray:
-        """Summed trace integrand of one series order ``2j``: the one
-        column of ``order_integrands((order,), s)``."""
-        return self.order_integrands((order,), s)[:, 0]
+                even, odd = x * even + y * odd, x * odd + y * (power + even)
+                power = x * power
+                columns[2 * j] = (multiplicity @ even) / j
+        return np.stack([columns[order] for order in orders], axis=1)
 
 
 def trace_word(word, system: TraceSystem,
@@ -377,8 +357,9 @@ def trace_word(word, system: TraceSystem,
 def _order_terms(system: TraceSystem, max_order: int,
                  quad: Optional[QuadratureSpec]
                  ) -> Tuple[List[int], List[float], List[float], List[int]]:
-    """Orders ``2 .. max_order`` with ``(1/pi) Int order_integrand``, its
-    quadrature error estimate and its integrand nodes.
+    """Orders ``2 .. max_order`` with ``(1/pi) Int`` of their
+    ``order_integrands`` columns, its quadrature error estimate and its
+    integrand nodes.
 
     Every order with words is one column of a single ``order_integrands``
     pass, so all of them share one set of nodes, and each column converges
@@ -445,8 +426,9 @@ def series_binding(params: ModelParams, lattice: Lattice,
 
     Per order ``2j`` the contribution is the sum of ``<Q_I>`` over every
     mixed word of that length (odd weights pruned analytically), taken as
-    one per-channel closure by ``TraceSystem.order_integrands``; the
-    series value carries the attractive sign convention.  The geometric
+    the Taylor coefficient of the channel log-det by
+    ``TraceSystem.order_integrands``; the series value carries the
+    attractive sign convention.  The geometric
     tail bound ``(1/pi) Int D * 4 (4a)**jmax / (1 - 4a)`` needs ``a < 1/4``;
     with ``allow_unbounded_tail`` the value is still computed and the bound
     reported as infinity.

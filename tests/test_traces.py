@@ -9,11 +9,13 @@ from cplab import (ChargeProfile, ClassificationError, Geometry, IndexWord,
                    InvalidParameterError, LatticePeriodicityWarning,
                    ModelParams, QuadratureSpec,
                    SeriesDivergenceError, TailBoundUnavailableError,
-                   TraceSystem, assemble_one_electron, binding_energy_exact,
-                   build_lattice, check_constraints, d_envelope,
-                   ground_energy, lattice_norm, make_gaussian_profile,
-                   integrate_half_line, mixed_even_words, series_binding,
-                   series_one_electron, trace_word, word_bound)
+                   TraceSystem, assemble_one_electron, assemble_two_electron,
+                   binding_energy_exact, build_lattice, check_constraints,
+                   d_envelope, ground_energy, integrate_half_line,
+                   lattice_norm, make_gaussian_profile, mixed_even_words,
+                   series_binding, series_one_electron, trace_word,
+                   word_bound)
+from cplab.oscillator import _Kernel
 from cplab.quadrature import _PANEL_COST
 from conftest import (PARAM_SETS, dense_trace_blocks, dense_word_integrand,
                       envelope_oracle)
@@ -181,22 +183,34 @@ def test_fast_equals_dense_bigger_lattice(rng):
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
 @pytest.mark.parametrize("L", [2.0, 3.0])
 def test_order_integrand_equals_word_sum(e, nu0, xi, L):
-    # the per-order transfer-matrix sum is the word-by-word sum it replaces
-    params = ModelParams(e, nu0)
-    prof = make_gaussian_profile(xi)
+    # each order integrates to the word-by-word sum it replaces, within the
+    # two quadratures' error estimates; node by node the two integrands
+    # differ, as a column is the Taylor coefficient of the channel log-det
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
     lat = build_lattice(L, 1.0)
+    orders = (4, 6, 8, 10)
+    for geometry in (Geometry(0.35 * L), None):
+        system = TraceSystem(params, lat, prof, geometry)
+        words = {order: (mixed_even_words(order) if geometry
+                         else [(1,) * order]) for order in orders}
+        spec = QuadratureSpec(abs_tol=tuple(
+            1e-13 * system.word_scale((1,) * order) * len(words[order])
+            for order in orders))
+
+        def word_sums(s):
+            return np.stack([sum(system.word_integrand_fast(w, s)
+                                 for w in words[order]) for order in orders],
+                            axis=1)
+
+        closed = integrate_half_line(
+            lambda s: system.order_integrands(orders, s), spec,
+            full_output=True)
+        ref = integrate_half_line(word_sums, spec, full_output=True)
+        assert np.all(np.abs(closed.value - ref.value)
+                      <= closed.error_estimate + ref.error_estimate)
     pair = TraceSystem(params, lat, prof, Geometry(0.35 * L))
-    single = TraceSystem(params, lat, prof)
     svals = np.geomspace(0.02, 40.0, 7)
-    for order in (4, 6, 8, 10):
-        words = sum((pair.word_integrand_fast(w, svals)
-                     for w in mixed_even_words(order)), np.zeros_like(svals))
-        np.testing.assert_allclose(pair.order_integrand(order, svals), words,
-                                   rtol=1e-12, atol=0.0)
-        ones = single.word_integrand_fast((1,) * order, svals)
-        np.testing.assert_allclose(single.order_integrand(order, svals),
-                                   ones, rtol=1e-12, atol=0.0)
-    assert np.all(pair.order_integrand(2, svals) == 0.0)
+    assert np.all(pair.order_integrands((2,), svals) == 0.0)
 
 
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
@@ -245,22 +259,49 @@ def test_series_call_evaluates_the_profile_once(call):
 
 
 def test_order_closure_does_not_cancel():
-    # across a wide box the across sums nearly vanish at some nodes
-    # (|a1 / s1| down to 3.5e-11): a closure that subtracts the constant
-    # words, (s1 + a1)^m + (s1 - a1)^m - 2 s1^m, loses thousands of times
-    # 1e-13 there, the recurrence nothing beyond roundoff
+    # across a wide box the across rows nearly vanish at some nodes (|y /
+    # x| down to 3.5e-11): a closure that subtracts the constant words, (x
+    # + y)^j + (x - y)^j - 2 x^j, loses thousands of times 1e-13 there, the
+    # recurrence nothing beyond roundoff against the one-sign binomial sum
     lat = build_lattice(8.0, 2.0)
     assert len(lat.orbits.count) == 2294
-    pair = TraceSystem(ModelParams(0.5, 3.0), lat, make_gaussian_profile(0.25),
+    params = ModelParams(0.5, 3.0)
+    pair = TraceSystem(params, lat, make_gaussian_profile(0.25),
                        Geometry(3.6))
     svals = np.geomspace(0.01, 100.0, 50)
-    s1, a1 = pair.channel_sums(svals)[1]
-    assert np.min(np.abs(a1 / s1)) < 1e-10
+    within, across = pair.channel_sums(svals)[1]
+    step = params.e ** 2 / (svals ** 2 + (params.e * params.nu) ** 2)
+    x, y = within * step, across * step
+    assert np.min(np.abs(y / x)) < 1e-10
     columns = pair.order_integrands([4, 6, 8], svals)
     for column, order in zip(columns.T, (4, 6, 8)):
-        words = sum((pair.word_integrand_fast(w, svals)
-                     for w in mixed_even_words(order)), np.zeros_like(svals))
-        assert np.all(np.abs(column - words) <= 1e-13 * np.abs(words)), order
+        j = order // 2
+        mixed = sum(math.comb(j, k) * x ** (j - k) * y ** k
+                    for k in range(2, j + 1, 2))
+        ref = np.array(pair.table.multiplicity) @ mixed / j
+        assert np.all(np.abs(column - ref) <= 1e-13 * np.abs(ref)), order
+
+
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+@pytest.mark.parametrize("L", [2.0, 3.0, 8.0])
+def test_orders_sum_to_the_kernel_log_det(e, nu0, xi, L):
+    # order 2j is the j-th Taylor coefficient of the channel log-det that
+    # the exact routes integrate, so orders 2..40 sum to the kernel node
+    # by node: the binding's mixed part for a pair, the log-det for one
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
+    lat = build_lattice(L, 1.0)
+    geometry = Geometry(0.35 * L)
+    svals = np.geomspace(0.02, 40.0, 7)
+    orders = range(2, 41, 2)
+    pair = TraceSystem(params, lat, prof, geometry).order_integrands(
+        orders, svals).sum(axis=1)
+    binding = _Kernel(assemble_two_electron(params, lat, prof,
+                                            geometry)).binding(svals)
+    np.testing.assert_allclose(pair, binding / 2.0, rtol=1e-13, atol=0.0)
+    single = TraceSystem(params, lat, prof).order_integrands(
+        orders, svals).sum(axis=1)
+    log_det = _Kernel(assemble_one_electron(params, lat, prof)).log_det(svals)
+    np.testing.assert_allclose(single, -log_det / 2.0, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
@@ -295,7 +336,7 @@ def test_trace_routes_stream_in_small_memory():
     svals = np.geomspace(0.01, 100.0, 176)
     table = svals.size * lat.count * svals.itemsize
     pair = TraceSystem(params, lat, prof, Geometry(4.0))
-    for call in (lambda: pair.order_integrand(8, svals),
+    for call in (lambda: pair.order_integrands((8,), svals),
                  lambda: pair.word_integrand_fast((1, 1, 2, 2, 2, 2), svals),
                  lambda: binding_energy_exact(params, lat, prof, 4.0),
                  pair.d_integral):
@@ -355,7 +396,7 @@ def test_fused_series_matches_per_order_quadrature(e, nu0, xi, L):
             count = 1 if system.geometry is None else 2 ** (order - 1) - 2
             floor = 1e-13 * system.word_scale((1,) * order) * count
             ref = integrate_half_line(
-                lambda s: system.order_integrand(order, s),
+                lambda s: system.order_integrands((order,), s)[:, 0],
                 QuadratureSpec(abs_tol=floor), full_output=True)
             oracle_nodes += ref.nodes_used
             gap = abs(series.contributions[i] - ref.value / math.pi)
@@ -457,6 +498,22 @@ def test_binding_series_matches_exact(strong_setup):
                                          + 1e-4 * abs(series.value))
     assert series.orders == [2, 4, 6]
     assert series.contributions[0] == 0.0
+
+
+def test_binding_series_converges_in_the_strong_dressing_window():
+    # a = 1.40 is far past the a < 1/4 of the a-priori tail bound, yet
+    # every channel keeps |x| + |y| < 1, so the series still converges to
+    # the exact binding
+    params, prof = ModelParams(0.5, 0.6), make_gaussian_profile(0.25)
+    lat = build_lattice(8.0, 1.0)
+    assert check_constraints(params, prof, lat).a == pytest.approx(
+        1.402, abs=1e-3)
+    exact = binding_energy_exact(params, lat, prof, 3.0)
+    gaps = [abs(series_binding(params, lat, prof, 3.0, order,
+                               allow_unbounded_tail=True).value / exact - 1.0)
+            for order in (4, 16, 32, 64)]
+    assert all(later < earlier for earlier, later in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 1e-9
 
 
 def test_binding_aggregate_smallness_bound(strong_setup):
