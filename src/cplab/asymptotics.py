@@ -56,11 +56,11 @@ def sweep_R(grid: Sequence[float],
 
     The caller binds every other argument of the observable, e.g.
     ``lambda R: fourth_order_main(R, params, profile).value``.  Evaluation
-    failures (a ``CplabError``, ``LinAlgError`` or ``FloatingPointError``)
-    and non-finite values are recorded as gaps and the sweep continues;
-    any other exception is a bug and propagates.  Warnings the evaluator
-    emits (a lattice binding past half the box warns of its periodic
-    images) pass through.
+    failures (a ``CplabError``) and non-finite values are recorded as gaps
+    and the sweep continues; any other exception, a ``LinAlgError`` or
+    ``FloatingPointError`` included, is a bug and propagates.  Warnings
+    the evaluator emits (a lattice binding past half the box warns of its
+    periodic images) pass through.
     """
     if not callable(evaluator):
         raise InvalidParameterError(
@@ -75,8 +75,7 @@ def sweep_R(grid: Sequence[float],
     for r in grid:
         try:
             v = float(evaluator(r))
-        except (CplabError, np.linalg.LinAlgError,
-                FloatingPointError) as exc:  # gap row, sweep continues
+        except CplabError as exc:  # gap row, sweep continues
             gaps.append((r, f"{type(exc).__name__}: {exc}"))
             continue
         if not np.isfinite(v):

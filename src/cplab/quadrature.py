@@ -7,11 +7,12 @@ the 15-point Kronrod rule, whose odd-indexed nodes are the 7-point Gauss
 nodes, so 15 integrand evaluations give both rules.  A panel's error
 estimate is the raw ``|K15 - G7|``, without qk15's ``(200 err /
 resasc)^1.5`` rescaling.  Panels are refined until every component's summed
-error estimate meets its own tolerance ``max(rel_tol |I_k|, abs_tol_k)``,
-so each integral is resolved at its own magnitude however small it is
-beside the others (not the norm-based rule of QUADPACK's vector
-integrators).  A panel splits when any component still open needs it
-split, and every component is evaluated on the resulting shared panels.
+error estimate meets its own tolerance ``max(rel_tol |I_k|, abs_tol)``, with
+one floor ``abs_tol`` for all, so each integral is resolved at its own
+magnitude however small it is beside the others (not the norm-based rule
+of QUADPACK's vector integrators).  A panel splits when any component
+still open needs it split, and every component is evaluated on the
+resulting shared panels.
 Panel sums are accumulated per component with ``math.fsum`` in interval
 order, so results are bit-stable regardless of refinement history, and a
 ``(nodes,)`` integrand gives bit for bit the value of its ``(nodes, 1)``
@@ -89,16 +90,15 @@ def _holds(test: Callable[[], object]) -> bool:
 class QuadratureSpec:
     """Accuracy contract for the adaptive integrators.
 
-    ``rel_tol`` is the target relative tolerance, ``abs_tol`` an absolute
-    floor used when the integral itself is (numerically) zero, either one
-    floor for every component or a tuple with one per component, and
-    ``max_nodes`` the hard budget on integrand evaluations.  The
-    tolerances are stored as the floats they were validated as: ``rel_tol``
-    a float, ``abs_tol`` a float or a tuple of floats.
+    ``rel_tol`` is the target relative tolerance, ``abs_tol`` one absolute
+    floor, shared by every component, used when an integral itself is
+    (numerically) zero, and ``max_nodes`` the hard budget on integrand
+    evaluations.  The tolerances are stored as the floats they were
+    validated as; a sequence ``abs_tol`` is rejected.
     """
 
     rel_tol: float = 1e-10
-    abs_tol: Union[float, Tuple[float, ...]] = 0.0
+    abs_tol: float = 0.0
     max_nodes: int = 400_000
 
     def __post_init__(self):
@@ -106,30 +106,14 @@ class QuadratureSpec:
                       and math.isfinite(self.rel_tol)):
             raise InvalidParameterError("rel_tol must be positive and finite")
         object.__setattr__(self, "rel_tol", float(self.rel_tol))
-        try:
-            scalar = (isinstance(self.abs_tol, (int, float))
-                      or not np.ndim(self.abs_tol))
-            floors = ((float(self.abs_tol),) if scalar
-                      else tuple(float(f) for f in self.abs_tol))
-        except (TypeError, ValueError, OverflowError):
-            floors = ()
-        if not (floors and all(f >= 0 and math.isfinite(f) for f in floors)):
+        if not _holds(lambda: np.ndim(self.abs_tol) == 0
+                      and 0 <= float(self.abs_tol) < math.inf):
             raise InvalidParameterError(
-                "abs_tol must be non-negative and finite")
-        object.__setattr__(self, "abs_tol", floors[0] if scalar else floors)
+                "abs_tol must be one non-negative finite number")
+        object.__setattr__(self, "abs_tol", float(self.abs_tol))
         if not _holds(lambda: self.max_nodes >= 2 * _PANEL_COST):
             raise InvalidParameterError(
                 f"max_nodes must be a number of at least {2 * _PANEL_COST}")
-
-    def abs_floors(self, k: int) -> Tuple[float, ...]:
-        """The absolute floors of ``k`` integrand components."""
-        if isinstance(self.abs_tol, float):
-            return (self.abs_tol,) * k
-        if len(self.abs_tol) != k:
-            raise InvalidParameterError(
-                f"abs_tol has {len(self.abs_tol)} entries for {k} "
-                "integrand components")
-        return self.abs_tol
 
 
 class IntegrationResult(NamedTuple):
@@ -192,15 +176,14 @@ def integrate_interval(f: Callable, a: float, b: float,
     """Integrate ``f`` over ``[a, b]`` to the tolerance in ``spec``.
 
     A ``(nodes, K)`` integrand returns length-K arrays of values (and error
-    estimates), component ``k`` converged to ``max(rel_tol |I_k|,
-    abs_tol_k)``.
+    estimates), component ``k`` converged on its own to ``max(rel_tol
+    |I_k|, abs_tol)``.
 
     Raises
     ------
     InvalidParameterError
-        If a bound is not finite, the initial panels alone exceed
-        ``spec.max_nodes``, or a tuple ``abs_tol`` does not have one entry
-        per component.
+        If a bound is not finite or the initial panels alone exceed
+        ``spec.max_nodes``.
     AccuracyError
         If a panel value or error estimate is not finite (a NaN or
         infinite integrand value), the node budget runs out first, or
@@ -222,7 +205,6 @@ def integrate_interval(f: Callable, a: float, b: float,
             f"the budget max_nodes = {spec.max_nodes}")
     lo, hi = _initial_panels(float(a), float(b), initial_panels)
     vals, errs, vector = _panel_values(f, lo, hi)
-    floors = spec.abs_floors(len(vals))
     roundoff = [0] * len(vals)
 
     while True:
@@ -230,8 +212,8 @@ def integrate_interval(f: Callable, a: float, b: float,
         totals = [math.fsum(v[order]) for v in vals]
         # a row sum of errs is bit for bit the 1-D sum of that row
         toterrs = errs.sum(axis=1).tolist()
-        targets = [max(spec.rel_tol * abs(total), floor)
-                   for total, floor in zip(totals, floors)]
+        targets = [max(spec.rel_tol * abs(total), spec.abs_tol)
+                   for total in totals]
         open_ = [k for k, (toterr, target) in enumerate(zip(toterrs, targets))
                  if not toterr <= target]
         if not open_:

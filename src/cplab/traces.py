@@ -30,7 +30,9 @@ recurrence builds it order by order from running products and never
 subtracts the constant words, so it keeps its full precision however small
 ``y`` is beside ``x``; the integral of the word-by-word sum is its test
 oracle.  Every order of a series is one column of a single adaptive pass
-over shared nodes, each resolved at its own magnitude.
+over shared nodes.  A column is a sum of terms of one sign, so the
+caller's ``rel_tol`` alone resolves each order at its own magnitude, with
+no a-priori floor.
 
 Sign conventions: the one-dipole energy is ``1.5 e nu`` minus the sum of the
 all-ones words, and the binding ``2 E - E(R)`` is plus the sum of the mixed
@@ -104,7 +106,9 @@ class IndexWord:
 
 @dataclass
 class TraceSeries:
-    """Order-by-order series with its analytic geometric tail bound."""
+    """Order-by-order series with its analytic geometric tail bound, and
+    its quadrature evidence: each order's error estimate, and the integrand
+    nodes of the one pass over the orders with words (0 if none has any)."""
 
     orders: List[int]
     contributions: List[float]
@@ -112,9 +116,8 @@ class TraceSeries:
     tail_bound: float
     a: float
     zero_point_shift: float = 0.0
-    #: per order: the quadrature's own error estimate and integrand nodes
     error_estimates: List[float] = field(default_factory=list)
-    nodes: List[int] = field(default_factory=list)
+    nodes: int = 0
 
 
 def mixed_even_words(order: int) -> List[Tuple[int, ...]]:
@@ -347,7 +350,7 @@ def trace_word(word, system: TraceSystem,
         return 0.0
     spec = quad or QuadratureSpec()
     scale = system.word_scale(letters)
-    floor = max(spec.abs_floors(1)[0], 1e-13 * scale)
+    floor = max(spec.abs_tol, 1e-13 * scale)
     val = integrate_half_line(
         lambda s: system.word_integrand_fast(letters, s),
         spec=replace(spec, abs_tol=floor))
@@ -356,39 +359,28 @@ def trace_word(word, system: TraceSystem,
 
 def _order_terms(system: TraceSystem, max_order: int,
                  quad: Optional[QuadratureSpec]
-                 ) -> Tuple[List[int], List[float], List[float], List[int]]:
+                 ) -> Tuple[List[int], List[float], List[float], int]:
     """Orders ``2 .. max_order`` with ``(1/pi) Int`` of their
-    ``order_integrands`` columns, its quadrature error estimate and its
-    integrand nodes.
+    ``order_integrands`` columns and its quadrature error estimate, and
+    the integrand nodes spent.
 
     Every order with words is one column of a single ``order_integrands``
-    pass, so all of them share one set of nodes, and each column converges
-    to its own absolute floor: ``1e-13`` of the a-priori scale ``a**(j-1)
-    count (1/pi) Int D`` of the ``count`` words order ``2j`` sums, or
-    ``quad``'s floor where that is larger.  An order without words is zero
-    without quadrature, with no nodes.
+    pass to ``quad``, so all of them share one set of nodes, and each
+    column converges on its own to ``quad``'s tolerance: a sum of terms of
+    one sign, it is resolved by ``rel_tol`` at its own magnitude.  A
+    pair's order 2 has no words and is zero without quadrature.
     """
     orders = list(range(2, max_order + 1, 2))
-    # the all-ones word, or the 2**(n-1) even-weight words less the two
-    # constant ones (none at order 2)
-    counts = {order: 1 if system.geometry is None else 2 ** (order - 1) - 2
-              for order in orders}
-    live = [order for order in orders if counts[order]]
+    live = orders if system.geometry is None else orders[1:]
     dead = len(orders) - len(live)
-    terms, errors, nodes = [0.0] * dead, [0.0] * dead, [0] * dead
+    terms, errors, nodes = [0.0] * dead, [0.0] * dead, 0
     if live:
-        scales = [1e-13 * (system.word_scale((1,) * order) * counts[order])
-                  for order in live]
-        # one spec, validated once: the default's own floors are zero
-        spec = (QuadratureSpec(abs_tol=tuple(scales)) if quad is None
-                else replace(quad, abs_tol=tuple(
-                    map(max, scales, quad.abs_floors(len(live))))))
         res = integrate_half_line(
-            lambda s: system.order_integrands(live, s), spec=spec,
-            full_output=True)
+            lambda s: system.order_integrands(live, s),
+            spec=quad or QuadratureSpec(), full_output=True)
         terms += (res.value / math.pi).tolist()
         errors += (res.error_estimate / math.pi).tolist()
-        nodes += [res.nodes_used] * len(live)
+        nodes = res.nodes_used
     return orders, terms, errors, nodes
 
 

@@ -43,6 +43,13 @@ def test_sweep_propagates_programming_errors():
     with pytest.raises(TypeError):
         sweep_R([1.0, 2.0, 3.0], buggy)
 
+    # no cplab route raises LinAlgError either, so one is a bug too
+    def singular(R):
+        return float(np.linalg.inv(np.zeros((2, 2)))[0, 0])
+
+    with pytest.raises(np.linalg.LinAlgError):
+        sweep_R([1.0, 2.0], singular)
+
 
 def test_sweep_validates_grid():
     with pytest.raises(InvalidParameterError):
