@@ -21,24 +21,27 @@ the finite-lattice Lifshitz / TGTG formula (Emig, Graham, Jaffe, Kardar,
 PRL 99, 170403 (2007); Rahi et al., PRD 80, 085021 (2009)).  ``X(s)`` is
 diagonal in the axis channels of the mode table within one dipole and
 across the pair, with closed-form eigenvalues ``x_c -+ y_c``: a node
-costs ``O(orbits)`` and no ``p x p`` matrix is formed.  The binding energy is
-the mixed part of the same kernel's log-det on the one assembled two-dipole
-form, never a difference of two energies.  The bottom eigenvalue is the
-least channel root of the Schur complement ``S(lam) = P - lam - B (K -
-lam)^-1 B^T``, found by a secular Newton.
+costs ``O(orbits)`` and no ``p x p`` matrix is formed.  The binding energy
+is the mixed part of the same kernel's log-det on the one assembled
+two-dipole form, never a difference of two energies, and each order of the
+perturbation series (``traces``) is a Taylor coefficient of it in the
+coupling.  The bottom eigenvalue is the least channel root of the Schur
+complement ``S(lam) = P - lam - B (K - lam)^-1 B^T``, by a secular Newton.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import AccuracyError, NotPositiveSemidefiniteError
+from .errors import (AccuracyError, InvalidParameterError,
+                     NotPositiveSemidefiniteError)
 from .model import (ChargeProfile, Geometry, Lattice, ModelParams, ModeTable,
                     lattice_table, polarization_basis)
 from .quadrature import integrate_half_line
@@ -176,15 +179,20 @@ def build_coupling(x, lattice: Lattice, profile: ChargeProfile,
     return entries
 
 
+def _coupling_table(params: ModelParams, table: ModeTable) -> ModeTable:
+    """A ``lattice_table`` times ``e^2``: the channel columns of the border
+    ``B``, the table of every assembled form and of the series' kernel."""
+    return ModeTable(table.ksq, params.e ** 2 * table.columns)
+
+
 def assemble_one_electron(params: ModelParams, lattice: Lattice,
                           profile: ChargeProfile) -> QuadraticForm:
     """One-dipole form of dimension ``3 + 4N``, the dipole at the origin:
     ``d = e^2 nu^2``, ``g = 0``."""
     enu2 = (params.e * params.nu) ** 2
-    table = lattice_table(lattice, profile)
     return QuadraticForm(
-        ModeTable(table.ksq, params.e ** 2 * table.columns), enu2, 0.0, enu2,
-        1.5 * params.e * params.nu, lattice,
+        _coupling_table(params, lattice_table(lattice, profile)), enu2, 0.0,
+        enu2, 1.5 * params.e * params.nu, lattice,
         lambda: params.e * build_coupling(np.zeros(3), lattice, profile))
 
 
@@ -221,10 +229,9 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
     enu2 = (params.e * params.nu) ** 2
     g = (direct_coupling(params, lattice, profile, geometry)
          if include_direct_term else 0.0)
-    table = lattice_table(lattice, profile, geometry.R)
     return QuadraticForm(
-        ModeTable(table.ksq, params.e ** 2 * table.columns), enu2, g, enu2,
-        3.0 * params.e * params.nu, lattice,
+        _coupling_table(params, lattice_table(lattice, profile, geometry.R)),
+        enu2, g, enu2, 3.0 * params.e * params.nu, lattice,
         lambda: params.e * np.vstack([
             build_coupling(x, lattice, profile)
             for x in (np.zeros(3), geometry.r)]))
@@ -233,6 +240,18 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
 # ---------------------------------------------------------------------------
 # the channel log-det kernel
 # ---------------------------------------------------------------------------
+
+def _even_order(order, name: str = "max_order") -> int:
+    """``order``, a Python or numpy integer, as an ``int`` if positive and
+    even; anything else raises ``InvalidParameterError``."""
+    try:
+        value = operator.index(order)
+    except TypeError:  # floats, strings, None
+        value = 0
+    if value < 2 or value % 2:
+        raise InvalidParameterError(f"{name} must be a positive even integer")
+    return value
+
 
 def _log_one_minus(x: np.ndarray, far: Optional[np.ndarray] = None
                    ) -> np.ndarray:
@@ -251,26 +270,31 @@ def _split(v: np.ndarray) -> np.ndarray:
 
 
 class _Kernel:
-    """A form's mode ``table`` and, built on first use, ``stacked``: the
-    same rows with the columns over ``k_n^2`` appended; ``freq2`` is the
-    rows' ``|k|^2``.  With the box symmetry ``lattice_table`` checks
-    (separation along z) and the particle block of the form's ``d`` and
-    ``g``, ``X(s)`` and ``S(lam)`` are diagonal in the channels:
-    ``O(orbits)`` per node, no ``p x p`` matrix."""
+    """A mode ``table`` and the particle block's ``d``, ``g`` and ``enu2``,
+    as a ``QuadraticForm`` holds them; ``freq2`` is the rows' ``|k|^2``.
+    With the box symmetry ``lattice_table`` checks (separation along z),
+    ``X(s)`` and ``S(lam)`` are diagonal in the channels: ``O(orbits)`` per
+    node, no ``p x p`` matrix.  The energy, the binding and every series
+    order read the same rows of ``X(s)``."""
 
-    def __init__(self, form: QuadraticForm):
-        self.table, self.freq2 = form.table, form.table.ksq
-        self.enu2, self.d, self.g = form.enu2, form.d, form.g
-        self.q = self.table.columns.shape[1]
+    def __init__(self, table: ModeTable, d: float, g: float, enu2: float):
+        self.table, self.freq2 = table, table.ksq
+        self.d, self.g, self.enu2 = d, g, enu2
+        self.q = table.columns.shape[1]
         self.multiplicity = np.array(ModeTable.multiplicity * (self.q // 2))
-        self._schur_base = np.array([[self.d, self.d, self.g, self.g],
-                                     [0.0] * 4])[:, :self.q]
-        # S(0): the first row of schur(0.0), without the slopes' pass
-        self.schur0 = _split(self._schur_base[:1]
-                             - self.table.sums(np.zeros(1))[0])[0]
+        self._schur_base = np.array([[d, d, g, g], [0.0] * 4])[:, :self.q]
+        #: the channels of ``P - e^2 nu^2``
+        self.shift = np.array([d - enu2, d - enu2, g, g][:self.q])
+
+    @functools.cached_property
+    def schur0(self) -> np.ndarray:
+        """``S(0)``, the first row of ``schur(0.0)`` without its slopes."""
+        return _split(self._schur_base[:1]
+                      - self.table.sums(np.zeros(1))[0])[0]
 
     @functools.cached_property
     def stacked(self) -> ModeTable:
+        """The rows with the columns over ``k_n^2`` appended."""
         cols = self.table.columns
         return ModeTable(self.freq2, np.hstack([cols,
                                                 cols / self.freq2[:, None]]))
@@ -291,9 +315,8 @@ class _Kernel:
         / (s^2 + e^2 nu^2)``, exact relative to its small value."""
         s2 = np.asarray(s, dtype=float) ** 2
         sums = self.stacked.sums(s2)[0]
-        # the channels of P - e^2 nu^2
-        shift = self._schur_base[0] - [self.enu2, self.enu2, 0.0, 0.0][:self.q]
-        mu = _split((sums[:, :self.q] - shift) / (s2 + self.enu2)[:, None])
+        mu = _split((sums[:, :self.q] - self.shift)
+                    / (s2 + self.enu2)[:, None])
         near = self.schur0 + s2[:, None] * (1 + _split(sums[:, self.q:]))
         far = (np.log(np.maximum(np.abs(near), np.finfo(float).tiny))
                - np.log(s2 + self.enu2)[:, None])
@@ -314,6 +337,53 @@ class _Kernel:
                 "definite")
         sigma = (sums[:, 2:] - self.g) / within
         return -(_log_one_minus(sigma * sigma) @ self.multiplicity[:2])
+
+    def order_integrands(self, orders: Sequence[int],
+                         s: np.ndarray) -> np.ndarray:
+        """Series integrands of ``orders`` (each a positive even ``2j``), one
+        column each: the Taylor coefficients in the coupling of ``log_det``
+        for one dipole, of ``binding`` for a pair.
+
+        The rows of ``X(s)`` are ``x_c = (W_c - (d - e^2 nu^2)) / (s^2 + e^2
+        nu^2)`` within a dipole and ``y_c = (A_c - g) / (s^2 + e^2 nu^2)``
+        across, copied once into contiguous ``(channels, nodes)`` rows.  As
+        ``-log(1 - x) = sum_j x^j / j``, the one-dipole column of order
+        ``2j`` is ``sum_c m_c x_c^j / (2j)``, summing to ``-log_det / 2``.
+        The binding column is ``sum_c m_c E_j / j``, summing to ``binding /
+        2``: ``E_j`` is the part of ``(x + y)^j`` with an even number ``k >=
+        2`` of factors ``y``.  With the odd part ``B_m``, ``E_1 = 0`` and
+        ``B_1 = y``, it follows from the recurrence
+
+            E_{m+1} = x E_m + y B_m,
+            B_{m+1} = x B_m + y (x^m + E_m)
+
+        on running powers of ``x``: one pass yields every column.  Each step
+        adds terms of one sign (``x > 0`` where ``d = e^2 nu^2``), never the
+        constant words of ``(x + y)^j + (x - y)^j - 2 x^j``, which may exceed
+        ``E_j`` by a hundred orders of magnitude.  On an assembled table each
+        column integrates to the sum of its order's words.
+        """
+        orders = [_even_order(order, "order") for order in orders]
+        if not orders:
+            raise InvalidParameterError("orders must name at least one order")
+        s2 = np.asarray(s, dtype=float) ** 2
+        rows = np.ascontiguousarray(self.table.sums(s2)[0].T)
+        rows -= self.shift[:, None]
+        rows /= s2 + self.enu2
+        x, y, weights = rows[:2], rows[2:], self.multiplicity[:2]
+        # x^(j-1) and the parts E_(j-1), B_(j-1) of (x + y)^(j-1)
+        power = np.ones_like(x)
+        even, odd = np.zeros_like(x), np.zeros_like(x)
+        columns = {}
+        for j in range(1, max(orders) // 2 + 1):
+            if self.q == 2:
+                power = x * power
+                columns[2 * j] = (weights @ power) / (2 * j)
+            else:
+                even, odd = x * even + y * odd, x * odd + y * (power + even)
+                power = x * power
+                columns[2 * j] = (weights @ even) / j
+        return np.stack([columns[order] for order in orders], axis=1)
 
     def bracket(self) -> Tuple[float, float]:
         """Weyl bracket of the spectrum: that of ``diag(P, K)`` widened by
@@ -375,7 +445,7 @@ def ground_energy(form: QuadraticForm) -> EnergyResult:
     ``[-1e-10 * norm, 0)`` are roundoff, clamped to zero (``log|.|`` gives
     them zero weight); a lower one raises ``NotPositiveSemidefiniteError``.
     """
-    kernel = _Kernel(form)
+    kernel = _Kernel(form.table, form.d, form.g, form.enu2)
     min_eig, clamped = kernel.check_positivity()
     quad = integrate_half_line(kernel.log_det, full_output=True)
     trace_difference = quad.value / (2.0 * math.pi)
@@ -404,8 +474,9 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
     are multiples of ``2 pi / L``, so the energy is periodic in ``R``.
     """
     warn_if_periodic(R, lattice)
-    kernel = _Kernel(assemble_two_electron(params, lattice, profile,
-                                           Geometry(R), include_direct_term))
+    form = assemble_two_electron(params, lattice, profile, Geometry(R),
+                                 include_direct_term)
+    kernel = _Kernel(form.table, form.d, form.g, form.enu2)
     if np.any(kernel.schur0 < 0.0):
         kernel.check_positivity()
     return integrate_half_line(kernel.binding) / (2.0 * math.pi)

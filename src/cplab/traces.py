@@ -12,27 +12,20 @@ transverse channel (x and y) and a longitudinal one (z).
 ``TraceSystem.channel_sums`` evaluates them at resolvent powers 1 and 2 by
 reducing the lattice's ``model.ModeTable``, one row per ``(|k|, |k_z|)``
 orbit, so ``word_integrand_fast`` costs ``O(orbits)`` per quadrature node
-and a chain is a product of scalars per channel.  A ``TraceSystem``
-evaluates the profile on the orbits once, as ``radial``: the table, the
-constraint report's lattice norms and the envelope integral all read it.
-The envelope ``D(s)`` behind every tail bound is the integrand of the word
-``(1, 1)``.  The dense matrix product of the full blocks is the test
-suite's oracle for the words.
+and a chain is a product of scalars per channel.  The envelope ``D(s)``
+behind every tail bound is the integrand of the word ``(1, 1)``.  The
+dense matrix product of the full blocks is the words' test oracle, and the
+words, summed per order, are the series'; no series calls them.
 
-The series never enumerates words.  Summed over its words, order ``2j``
-integrates to the ``j``-th Taylor coefficient in the coupling of the
-channel log-det ``log det(1 - X(s))`` that ``oscillator._Kernel``
-integrates exactly, so ``TraceSystem.order_integrands`` reads one
-resolvent-power-1 reduction, forms the kernel's within and across rows
-``x`` and ``y``, and takes all ``2**(n-1) - 2`` mixed even-weight words of
-one order from the mixed even part of ``(x + y)^j``.  A division-free
-recurrence builds it order by order from running products and never
-subtracts the constant words, so it keeps its full precision however small
-``y`` is beside ``x``; the integral of the word-by-word sum is its test
-oracle.  Every order of a series is one column of a single adaptive pass
-over shared nodes.  A column is a sum of terms of one sign, so the
-caller's ``rel_tol`` alone resolves each order at its own magnitude, with
-no a-priori floor.
+The series runs on ``oscillator._Kernel``, the exact routes' kernel on the
+assembled form's ``e^2``-scaled table.  Summed over its words, order
+``2j`` integrates to the ``j``-th Taylor coefficient in the coupling of
+the channel log-det ``log det(1 - X(s))``, which
+``_Kernel.order_integrands`` takes from the rows of ``X(s)`` that
+``log_det`` and ``binding`` read, with no word enumerated.  Every order of
+a series is one column of a single adaptive pass over shared nodes.  A
+column is a sum of terms of one sign, so the caller's ``rel_tol`` alone
+resolves each order at its own magnitude, with no a-priori floor.
 
 Sign conventions: the one-dipole energy is ``1.5 e nu`` minus the sum of the
 all-ones words, and the binding ``2 E - E(R)`` is plus the sum of the mixed
@@ -41,6 +34,8 @@ even-weight words.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -51,7 +46,8 @@ from .errors import (ClassificationError, InvalidParameterError,
                      SeriesDivergenceError, TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
                     ModelParams, check_constraints, lattice_table)
-from .oscillator import warn_if_periodic
+from .oscillator import (_coupling_table, _even_order, _Kernel,
+                         warn_if_periodic)
 from .quadrature import QuadratureSpec, integrate_half_line
 
 __all__ = [
@@ -126,14 +122,9 @@ def mixed_even_words(order: int) -> List[Tuple[int, ...]]:
     Odd-weight words are pruned because their trace vanishes identically;
     the two constant words belong to the isolated-atom energies.
     """
-    if order < 2 or order % 2:
-        raise InvalidParameterError("order must be a positive even integer")
-    out = []
-    for bits in range(2 ** order):
-        word = tuple(1 + ((bits >> j) & 1) for j in reversed(range(order)))
-        if len(set(word)) > 1 and sum(word) % 2 == 0:
-            out.append(word)
-    return out
+    words = itertools.product((1, 2), repeat=_even_order(order, "order"))
+    return [word for word in words if len(set(word)) > 1
+            and sum(word) % 2 == 0]
 
 
 def d_envelope(s, params: ModelParams, profile: ChargeProfile,
@@ -161,32 +152,30 @@ class TraceSystem:
     Every trace closes as ``sum_c m_c (...)`` over the channels of the
     resolvent-weighted mode sums ``sum_k w_k P_k [cos(k . r)] (s^2 +
     |k|^2)^-m``, which ``channel_sums`` reduces from ``table``, the
-    lattice's ``model.ModeTable``.  ``geometry=None`` restricts the system
-    to the single-dipole words (all letters 1).
+    lattice's ``model.ModeTable``; the series integrate ``kernel``, the
+    ``oscillator._Kernel`` of the assembled form.  ``geometry=None``
+    restricts the system to one dipole and its words (all letters 1).
     """
 
     def __init__(self, params: ModelParams, lattice: Lattice,
                  profile: ChargeProfile, geometry: Optional[Geometry] = None):
-        self.params = params
-        self.lattice = lattice
-        self.profile = profile
-        self.geometry = geometry
+        self.params, self.lattice = params, lattice
+        self.profile, self.geometry = profile, geometry
         #: the profile on the lattice's orbits, evaluated once: the table,
         #: the report's lattice norms and ``d_integral`` all read it
         self.radial = profile.radial(lattice.orbits.norms)
         self.table = lattice_table(lattice, profile, geometry and geometry.R,
                                    radial=self.radial)
-        self._report: Optional[ConstraintReport] = None
-        self._d_integral: Optional[float] = None
+        enu2 = (params.e * params.nu) ** 2
+        self.kernel = _Kernel(_coupling_table(params, self.table), enu2, 0.0,
+                              enu2)
 
     # -- shared constants ---------------------------------------------------
 
-    @property
+    @functools.cached_property
     def report(self) -> ConstraintReport:
-        if self._report is None:
-            self._report = check_constraints(self.params, self.profile,
-                                             self.lattice, radial=self.radial)
-        return self._report
+        return check_constraints(self.params, self.profile, self.lattice,
+                                 radial=self.radial)
 
     def d_integral(self) -> float:
         """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``, exact.
@@ -203,15 +192,12 @@ class TraceSystem:
         depend on the geometry.  The quadrature of ``d_envelope`` is its
         test oracle.
         """
-        if self._d_integral is None:
-            orbits = self.lattice.orbits
-            k, f = orbits.norms, self.radial
-            alpha = self.params.e * self.params.nu
-            terms = (self.lattice.cell_weight * orbits.count * k * f * f
-                     / (alpha + k))
-            self._d_integral = (self.params.e / (2.0 * self.params.nu)
-                                * math.fsum(terms))
-        return self._d_integral
+        orbits = self.lattice.orbits
+        k, f = orbits.norms, self.radial
+        alpha = self.params.e * self.params.nu
+        terms = (self.lattice.cell_weight * orbits.count * k * f * f
+                 / (alpha + k))
+        return self.params.e / (2.0 * self.params.nu) * math.fsum(terms)
 
     def word_scale(self, word: Sequence[int]) -> float:
         """A-priori magnitude scale ``a**(#I/2 - 1) * (1/pi) Int D`` for a
@@ -240,6 +226,14 @@ class TraceSystem:
         return {m: (v[:2], v[2:] if two else None)
                 for m, v in zip((1, 2), rows)}
 
+    def _letters(self, word: Sequence[int]) -> Tuple[int, ...]:
+        """``word`` as a tuple, which without geometry holds only 1s."""
+        word = tuple(word)
+        if self.geometry is None and any(i != 1 for i in word):
+            raise InvalidParameterError(
+                "two-dipole words need a system with geometry")
+        return word
+
     def word_integrand_fast(self, word: Sequence[int],
                             s: np.ndarray) -> np.ndarray:
         """Factorized trace integrand ``s^2 tr[(s^2+W0)^-1 Q_I(s)]``.
@@ -250,10 +244,7 @@ class TraceSystem:
         endpoints); each closure collapses to a chain of channel sums,
         multiplied per channel row.
         """
-        word = tuple(word)
-        if self.geometry is None and any(i != 1 for i in word):
-            raise InvalidParameterError(
-                "two-dipole words need a system with geometry")
+        word = self._letters(word)
         s = np.asarray(s, dtype=float)
         n = len(word)
         if n % 2:
@@ -281,61 +272,6 @@ class TraceSystem:
         pref = self.params.e ** n * (s * s + enu2) ** (-n / 2.0)
         return s * s * pref * total
 
-    def order_integrands(self, orders: Sequence[int],
-                         s: np.ndarray) -> np.ndarray:
-        """Summed trace integrands of the series orders ``orders`` (each a
-        positive even ``2j``), one column each: the Taylor coefficients in
-        the coupling of the channel log-det that ``oscillator._Kernel``
-        integrates exactly.
-
-        One ``table.sums`` at ``z = s^2`` gives the channel rows ``x_c =
-        e^2 W_c / (s^2 + e^2 nu^2)`` and ``y_c = e^2 A_c / (s^2 + e^2
-        nu^2)``, the within and across parts of the kernel's ``X(s)`` at
-        ``g = 0``, whose eigenvalues are ``x_c -+ y_c``.  As ``-log(1 - x)
-        = sum_j x^j / j``, the one-dipole column of order ``2j`` is ``sum_c
-        m_c x_c^j / (2j)``, so the columns sum to ``-_Kernel.log_det / 2``.
-        The binding column is ``sum_c m_c E_j / j``, ``E_j`` the mixed even
-        part of ``(x + y)^j`` (its terms with an even number ``k >= 2`` of
-        factors ``y``), so the columns sum to ``_Kernel.binding / 2``.  Each column
-        integrates to the sum of ``word_integrand_fast`` over the order's
-        words (the all-ones word without geometry), not node by node.
-
-        ``E_m`` and the odd part ``B_m`` (odd ``k``) of ``(x + y)^m``
-        follow from ``E_1 = 0``, ``B_1 = y`` by the recurrence
-
-            E_{m+1} = x E_m + y B_m,
-            B_{m+1} = x B_m + y (x^m + E_m).
-
-        Each step adds terms of one sign (``x > 0``, and ``B`` has the sign
-        of ``y``), and ``E_j`` is never the difference ``(x + y)^j + (x -
-        y)^j - 2 x^j``, whose constant words may exceed the mixed part by a
-        hundred orders of magnitude.  The powers of ``x`` are running
-        products, so one pass up to the highest order yields every column.
-        """
-        if not orders:
-            raise InvalidParameterError("orders must name at least one order")
-        if any(order < 2 or order % 2 for order in orders):
-            raise InvalidParameterError("order must be a positive even integer")
-        e, nu = self.params.e, self.params.nu
-        s_sq = np.asarray(s, dtype=float) ** 2
-        rows = (np.ascontiguousarray(self.table.sums(s_sq)[0].T)
-                * (e ** 2 / (s_sq + (e * nu) ** 2)))
-        x, y = rows[:2], rows[2:]
-        multiplicity = np.array(self.table.multiplicity)
-        # x^(j-1) and the parts E_(j-1), B_(j-1) of (x + y)^(j-1)
-        power = np.ones_like(x)
-        even, odd = np.zeros_like(x), np.zeros_like(x)
-        columns = {}
-        for j in range(1, max(orders) // 2 + 1):
-            if self.geometry is None:
-                power = x * power
-                columns[2 * j] = (multiplicity @ power) / (2 * j)
-            else:
-                even, odd = x * even + y * odd, x * odd + y * (power + even)
-                power = x * power
-                columns[2 * j] = (multiplicity @ even) / j
-        return np.stack([columns[order] for order in orders], axis=1)
-
 
 def trace_word(word, system: TraceSystem,
                quad: Optional[QuadratureSpec] = None) -> float:
@@ -346,11 +282,11 @@ def trace_word(word, system: TraceSystem,
     """
     letters = word.letters if isinstance(word, IndexWord) else tuple(word)
     IndexWord(letters)  # validates
+    system._letters(letters)
     if sum(letters) % 2 or len(letters) % 2:
         return 0.0
     spec = quad or QuadratureSpec()
-    scale = system.word_scale(letters)
-    floor = max(spec.abs_tol, 1e-13 * scale)
+    floor = max(spec.abs_tol, 1e-13 * system.word_scale(letters))
     val = integrate_half_line(
         lambda s: system.word_integrand_fast(letters, s),
         spec=replace(spec, abs_tol=floor))
@@ -361,8 +297,8 @@ def _order_terms(system: TraceSystem, max_order: int,
                  quad: Optional[QuadratureSpec]
                  ) -> Tuple[List[int], List[float], List[float], int]:
     """Orders ``2 .. max_order`` with ``(1/pi) Int`` of their
-    ``order_integrands`` columns and its quadrature error estimate, and
-    the integrand nodes spent.
+    ``system.kernel.order_integrands`` columns and its quadrature error
+    estimate, and the integrand nodes spent.
 
     Every order with words is one column of a single ``order_integrands``
     pass to ``quad``, so all of them share one set of nodes, and each
@@ -376,7 +312,7 @@ def _order_terms(system: TraceSystem, max_order: int,
     terms, errors, nodes = [0.0] * dead, [0.0] * dead, 0
     if live:
         res = integrate_half_line(
-            lambda s: system.order_integrands(live, s),
+            lambda s: system.kernel.order_integrands(live, s),
             spec=quad or QuadratureSpec(), full_output=True)
         terms += (res.value / math.pi).tolist()
         errors += (res.error_estimate / math.pi).tolist()
@@ -392,20 +328,17 @@ def series_one_electron(params: ModelParams, lattice: Lattice,
     Value: ``1.5 e nu - sum_{2j <= max_order} <Q^(2j)>`` with the geometric
     tail bound ``a**jmax / (1 - a) * (1/pi) Int D``.  Requires ``a < 1``.
     """
-    if max_order < 2 or max_order % 2:
-        raise InvalidParameterError("max_order must be a positive even integer")
+    max_order = _even_order(max_order)
     system = TraceSystem(params, lattice, profile)
     a = system.report.a
     if a >= 1.0:
         raise SeriesDivergenceError(
             f"expansion parameter a = {a:.4f} >= 1; series diverges")
     orders, terms, errors, nodes = _order_terms(system, max_order, quad)
-    jmax = max_order // 2
-    tail = system.d_integral() * a ** jmax / (1.0 - a)
+    tail = system.d_integral() * a ** (max_order // 2) / (1.0 - a)
     shift = 1.5 * params.e * params.nu
-    value = shift - math.fsum(terms)
-    return TraceSeries(orders=orders, contributions=terms, value=value,
-                       tail_bound=tail, a=a,
+    return TraceSeries(orders=orders, contributions=terms,
+                       value=shift - math.fsum(terms), tail_bound=tail, a=a,
                        zero_point_shift=shift, error_estimates=errors,
                        nodes=nodes)
 
@@ -419,7 +352,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
     Per order ``2j`` the contribution is the sum of ``<Q_I>`` over every
     mixed word of that length (odd weights pruned analytically), taken as
     the Taylor coefficient of the channel log-det by
-    ``TraceSystem.order_integrands``; the series value carries the
+    ``_Kernel.order_integrands``; the series value carries the
     attractive sign convention.  The geometric
     tail bound ``(1/pi) Int D * 4 (4a)**jmax / (1 - 4a)`` needs ``a < 1/4``;
     with ``allow_unbounded_tail`` the value is still computed and the bound
@@ -428,8 +361,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
     ``R >= L / 2`` warns as ``binding_energy_exact`` does: lattice momenta
     are multiples of ``2 pi / L``, so the binding is periodic in ``R``.
     """
-    if max_order < 2 or max_order % 2:
-        raise InvalidParameterError("max_order must be a positive even integer")
+    max_order = _even_order(max_order)
     system = TraceSystem(params, lattice, profile, Geometry(R))
     warn_if_periodic(R, lattice)
     a = system.report.a
@@ -438,11 +370,8 @@ def series_binding(params: ModelParams, lattice: Lattice,
             f"expansion parameter a = {a:.4f} >= 1/4; no geometric tail "
             "bound (pass allow_unbounded_tail=True to evaluate anyway)")
     orders, terms, errors, nodes = _order_terms(system, max_order, quad)
-    jmax = max_order // 2
-    if a < 0.25:
-        tail = system.d_integral() * 4.0 * (4.0 * a) ** jmax / (1.0 - 4.0 * a)
-    else:
-        tail = math.inf
+    tail = (system.d_integral() * 4.0 * (4.0 * a) ** (max_order // 2)
+            / (1.0 - 4.0 * a) if a < 0.25 else math.inf)
     return TraceSeries(orders=orders, contributions=terms,
                        value=math.fsum(terms), tail_bound=tail, a=a,
                        error_estimates=errors, nodes=nodes)

@@ -6,6 +6,7 @@ import pytest
 from cplab import (EnergyResult, Lattice, ModelParams, OrbitTable,
                    assemble_one_electron, assemble_two_electron,
                    build_coupling, build_lattice, make_gaussian_profile)
+from cplab.oscillator import _Kernel
 
 # constraint-passing sets (e, nu0, xi) spanning the admissible region;
 # the first is the documented default
@@ -105,6 +106,12 @@ def rebordered(form, params, profile, positions, rotation_angles=None):
 
 #: largest form the dense oracle accepts
 DENSE_ORACLE_MAX_DIM = 3000
+
+
+def form_kernel(form):
+    """The channel kernel of an assembled form, as the exact routes build
+    it."""
+    return _Kernel(form.table, form.d, form.g, form.enu2)
 
 
 def dense_ground_energy(form, refine=False):

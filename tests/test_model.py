@@ -10,14 +10,13 @@ import pytest
 
 from cplab import (EmptyLatticeError, Geometry, IntegrabilityError,
                    InvalidParameterError, ModelParams, TraceSystem,
-                   assemble_two_electron, binding_energy_exact, build_lattice,
-                   check_constraints, form_factor, lattice_norm,
-                   make_custom_profile, make_gaussian_profile, polarization,
-                   polarization_basis, profile_norm, series_binding)
+                   binding_energy_exact, build_lattice, check_constraints,
+                   form_factor, lattice_norm, make_custom_profile,
+                   make_gaussian_profile, polarization, polarization_basis,
+                   profile_norm, series_binding)
 import cplab
 from cplab import model
 from cplab.cli import parse_config, run
-from cplab.oscillator import _Kernel
 
 from conftest import per_mode_lattice, unit_monomials
 
@@ -315,7 +314,7 @@ def test_mode_sums_do_not_depend_on_chunking(monkeypatch):
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     lat = build_lattice(2.0, 1.0)
     system = TraceSystem(params, lat, prof, Geometry(0.7))
-    kernel = _Kernel(assemble_two_electron(params, lat, prof, Geometry(0.7)))
+    kernel = system.kernel
     svals = np.geomspace(0.02, 40.0, 7)
 
     def evaluate():

@@ -23,8 +23,8 @@ from cplab.model import SYMMETRY_REL
 from cplab.oscillator import _Kernel
 from cplab.quadrature import integrate_half_line
 
-from conftest import (PARAM_SETS, dense_ground_energy, per_mode_lattice,
-                      rebordered, reduce_over_orbits)
+from conftest import (PARAM_SETS, dense_ground_energy, form_kernel,
+                      per_mode_lattice, rebordered, reduce_over_orbits)
 
 
 def zero_profile():
@@ -216,7 +216,7 @@ def test_kernel_columns_match_trace_system(strong_setup):
          TraceSystem(params, lat, prof, g)),
     ]
     for form, system in cases:
-        kernel = _Kernel(form)
+        kernel = form_kernel(form)
         modes = within
         if system.geometry is not None:
             cosr = np.cos(lat.points @ system.geometry.r)
@@ -340,7 +340,7 @@ def test_orbit_fold_matches_per_mode_sums(e, nu0, xi, box):
             lambda lat: assemble_one_electron(params, lat, prof),
             lambda lat: assemble_two_electron(params, lat, prof, g,
                                               include_direct_term=True)):
-        kernel, ref_kernel = (_Kernel(assemble(lat))
+        kernel, ref_kernel = (form_kernel(assemble(lat))
                               for lat in (folded, modes))
         gaps.append(relative_gap(kernel.stacked.sums(s * s),
                                  ref_kernel.stacked.sums(s * s)))
@@ -468,7 +468,7 @@ def test_log_det_matches_dense_oracle(e, nu0, xi, box):
         assert res.n_clamped == ref.n_clamped == 0
         assert res.n_eigenvalues == form.dim
         # the Weyl bracket of the bisection holds both dense extremes
-        lo, hi = _Kernel(form).bracket()
+        lo, hi = form_kernel(form).bracket()
         eigs = np.linalg.eigvalsh(form.omega)
         pad = 8.0 * np.finfo(float).eps * norm
         assert lo - pad <= eigs[0] and eigs[-1] <= hi + pad
@@ -593,7 +593,7 @@ def bisection_bottom(kernel):
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
 def test_newton_bottom_matches_bisection_oracle(e, nu0, xi, box):
     for form in grid_forms(e, nu0, xi, box):
-        kernel = _Kernel(form)
+        kernel = form_kernel(form)
         bottom, n_neg = kernel.check_positivity()
         ref, tol, count = bisection_bottom(kernel)
         assert abs(bottom - ref) <= tol
@@ -622,7 +622,7 @@ def test_bottom_eigenvalue_takes_few_schur_passes(e, nu0, xi, box,
 
     monkeypatch.setattr(_Kernel, "schur", counted)
     for form in grid_forms(e, nu0, xi, box):
-        kernel = _Kernel(form)
+        kernel = form_kernel(form)
         calls.clear()
         bottom, _ = kernel.check_positivity()
         assert 1 <= len(calls) <= 8
@@ -634,7 +634,7 @@ def test_newton_step_cap_raises(strong_setup, monkeypatch):
     # the cap is a constant; a form that needs more steps than it allows
     # raises a typed error instead of returning an unconverged bottom
     params, prof, lat = strong_setup
-    kernel = _Kernel(assemble_one_electron(params, lat, prof))
+    kernel = form_kernel(assemble_one_electron(params, lat, prof))
     monkeypatch.setattr(cplab.oscillator, "NEWTON_STEPS", 1)
     with pytest.raises(AccuracyError, match="Newton steps"):
         kernel.check_positivity()
@@ -726,8 +726,8 @@ def test_binding_never_builds_the_stacked_table(default_params,
                                                 small_lattice, gaussian):
     # only log_det reads the columns over k_n^2; the binding path would
     # hold them for nothing, N x 8 floats
-    kernel = _Kernel(assemble_two_electron(default_params, small_lattice,
-                                           gaussian, Geometry(0.3)))
+    kernel = form_kernel(assemble_two_electron(default_params, small_lattice,
+                                               gaussian, Geometry(0.3)))
     value = integrate_half_line(kernel.binding)
     assert "stacked" not in vars(kernel)
     assert value / (2.0 * math.pi) == binding_energy_exact(

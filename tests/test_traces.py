@@ -15,10 +15,9 @@ from cplab import (ChargeProfile, ClassificationError, Geometry, IndexWord,
                    lattice_norm, make_gaussian_profile, mixed_even_words,
                    series_binding, series_one_electron, trace_word,
                    word_bound)
-from cplab.oscillator import _Kernel
 from cplab.quadrature import _PANEL_COST
 from conftest import (PARAM_SETS, dense_trace_blocks, dense_word_integrand,
-                      envelope_oracle)
+                      envelope_oracle, form_kernel)
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +136,15 @@ def test_short_crossed_words_vanish(strong_system):
     assert trace_word((2, 1, 2, 1), strong_system) == 0.0
 
 
+@pytest.mark.parametrize("word", [(1, 2), (2, 2, 2), (2, 1, 1), (1, 1, 2, 2)])
+def test_two_dipole_words_need_geometry(strong_setup, word):
+    # without a second dipole a letter 2 names nothing: no parity shortcut
+    # may return 0.0 for it
+    params, prof, lat = strong_setup
+    with pytest.raises(InvalidParameterError, match="geometry"):
+        trace_word(word, TraceSystem(params, lat, prof))
+
+
 def test_odd_weight_words_vanish_dense(strong_system, rng):
     svals = rng.uniform(0.05, 8.0, size=4)
     scale = strong_system.d_integral()
@@ -201,14 +209,14 @@ def test_order_integrand_equals_word_sum(e, nu0, xi, L):
                             axis=1)
 
         closed = integrate_half_line(
-            lambda s: system.order_integrands(orders, s), spec,
+            lambda s: system.kernel.order_integrands(orders, s), spec,
             full_output=True)
         ref = integrate_half_line(word_sums, spec, full_output=True)
         assert np.all(np.abs(closed.value - ref.value)
                       <= closed.error_estimate + ref.error_estimate)
     pair = TraceSystem(params, lat, prof, Geometry(0.35 * L))
     svals = np.geomspace(0.02, 40.0, 7)
-    assert np.all(pair.order_integrands((2,), svals) == 0.0)
+    assert np.all(pair.kernel.order_integrands((2,), svals) == 0.0)
 
 
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
@@ -222,16 +230,37 @@ def test_order_columns_do_not_depend_on_the_batch(e, nu0, xi, L):
     svals = np.geomspace(0.02, 40.0, 7)
     orders = (2, 4, 6, 8, 10)
     for geometry in (None, Geometry(0.35 * L)):
-        system = TraceSystem(params, lat, prof, geometry)
-        columns = system.order_integrands(orders, svals)
+        kernel = TraceSystem(params, lat, prof, geometry).kernel
+        columns = kernel.order_integrands(orders, svals)
         for column, order in zip(columns.T, orders):
-            alone = system.order_integrands((order,), svals)[:, 0]
+            alone = kernel.order_integrands((order,), svals)[:, 0]
             assert np.array_equal(column, alone), (geometry, order)
 
 
 def test_order_integrands_need_an_order(strong_system):
     with pytest.raises(InvalidParameterError, match="at least one order"):
-        strong_system.order_integrands((), np.array([0.5, 1.0]))
+        strong_system.kernel.order_integrands((), np.array([0.5, 1.0]))
+
+
+@pytest.mark.parametrize("order", [4.0, 4.5, "4", None, True, 3, 0])
+def test_orders_must_be_positive_even_integers(strong_setup, order):
+    # every entry point that takes an order raises the package's typed
+    # error for a non-integer one, not a bare TypeError
+    params, prof, lat = strong_setup
+    kernel = TraceSystem(params, lat, prof, Geometry(0.4)).kernel
+    for call in (lambda: series_one_electron(params, lat, prof, order),
+                 lambda: series_binding(params, lat, prof, 0.4, order),
+                 lambda: kernel.order_integrands((order,), np.ones(2)),
+                 lambda: mixed_even_words(order)):
+        with pytest.raises(InvalidParameterError, match="even integer"):
+            call()
+
+
+def test_numpy_integer_orders_are_accepted(strong_setup):
+    params, prof, lat = strong_setup
+    for run in (lambda m: series_one_electron(params, lat, prof, m),
+                lambda m: series_binding(params, lat, prof, 0.4, m)):
+        assert run(np.int64(6)).value == run(6).value
 
 
 @pytest.mark.parametrize("call", ["series_one_electron", "series_binding"])
@@ -271,7 +300,7 @@ def test_order_closure_does_not_cancel():
     step = params.e ** 2 / (svals ** 2 + (params.e * params.nu) ** 2)
     x, y = within * step, across * step
     assert np.min(np.abs(y / x)) < 1e-10
-    columns = pair.order_integrands([4, 6, 8], svals)
+    columns = pair.kernel.order_integrands([4, 6, 8], svals)
     for column, order in zip(columns.T, (4, 6, 8)):
         j = order // 2
         mixed = sum(math.comb(j, k) * x ** (j - k) * y ** k
@@ -284,22 +313,38 @@ def test_order_closure_does_not_cancel():
 @pytest.mark.parametrize("L", [2.0, 3.0, 8.0])
 def test_orders_sum_to_the_kernel_log_det(e, nu0, xi, L):
     # order 2j is the j-th Taylor coefficient of the channel log-det that
-    # the exact routes integrate, so orders 2..40 sum to the kernel node
-    # by node: the binding's mixed part for a pair, the log-det for one
+    # the exact routes integrate, so on one kernel object orders 2..40 sum
+    # to it node by node: the binding's mixed part for a pair, the log-det
+    # for one; with the direct term too, where g != 0 shifts the across rows
     params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
     lat = build_lattice(L, 1.0)
     geometry = Geometry(0.35 * L)
     svals = np.geomspace(0.02, 40.0, 7)
     orders = range(2, 41, 2)
-    pair = TraceSystem(params, lat, prof, geometry).order_integrands(
-        orders, svals).sum(axis=1)
-    binding = _Kernel(assemble_two_electron(params, lat, prof,
-                                            geometry)).binding(svals)
-    np.testing.assert_allclose(pair, binding / 2.0, rtol=1e-13, atol=0.0)
-    single = TraceSystem(params, lat, prof).order_integrands(
-        orders, svals).sum(axis=1)
-    log_det = _Kernel(assemble_one_electron(params, lat, prof)).log_det(svals)
-    np.testing.assert_allclose(single, -log_det / 2.0, rtol=1e-13, atol=0.0)
+    direct = form_kernel(assemble_two_electron(params, lat, prof, geometry,
+                                               include_direct_term=True))
+    assert direct.g != 0.0
+    for pair in (TraceSystem(params, lat, prof, geometry).kernel, direct):
+        np.testing.assert_allclose(
+            pair.order_integrands(orders, svals).sum(axis=1),
+            pair.binding(svals) / 2.0, rtol=1e-13, atol=0.0)
+    single = TraceSystem(params, lat, prof).kernel
+    np.testing.assert_allclose(
+        single.order_integrands(orders, svals).sum(axis=1),
+        -single.log_det(svals) / 2.0, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("geometry", [None, Geometry(0.4)])
+def test_series_kernel_is_the_assembled_forms_kernel(strong_setup, geometry):
+    # the series integrate the kernel of the form the exact routes
+    # assemble, bit for bit: one table, e^2 times the words' table
+    params, prof, lat = strong_setup
+    kernel = TraceSystem(params, lat, prof, geometry).kernel
+    form = (assemble_one_electron(params, lat, prof) if geometry is None
+            else assemble_two_electron(params, lat, prof, geometry))
+    assert np.array_equal(kernel.table.ksq, form.table.ksq)
+    assert np.array_equal(kernel.table.columns, form.table.columns)
+    assert (kernel.d, kernel.g, kernel.enu2) == (form.d, form.g, form.enu2)
 
 
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
@@ -334,7 +379,7 @@ def test_trace_routes_stream_in_small_memory():
     svals = np.geomspace(0.01, 100.0, 176)
     table = svals.size * lat.count * svals.itemsize
     pair = TraceSystem(params, lat, prof, Geometry(4.0))
-    for call in (lambda: pair.order_integrands((8,), svals),
+    for call in (lambda: pair.kernel.order_integrands((8,), svals),
                  lambda: pair.word_integrand_fast((1, 1, 2, 2, 2, 2), svals),
                  lambda: binding_energy_exact(params, lat, prof, 4.0),
                  pair.d_integral):
@@ -390,7 +435,7 @@ def test_fused_series_matches_per_order_quadrature(e, nu0, xi, L):
         for i in live:
             order = series.orders[i]
             ref = integrate_half_line(
-                lambda s: system.order_integrands((order,), s)[:, 0],
+                lambda s: system.kernel.order_integrands((order,), s)[:, 0],
                 QuadratureSpec(), full_output=True)
             oracle_nodes += ref.nodes_used
             gap = abs(series.contributions[i] - ref.value / math.pi)
