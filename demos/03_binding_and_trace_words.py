@@ -6,8 +6,6 @@ order-4 mixed words carry the leading physics, and everything longer is
 squeezed by geometric a-priori bounds.
 """
 
-import numpy as np
-
 from cplab import (Geometry, IndexWord, ModelParams, TraceSystem,
                    binding_energy_exact, build_lattice, check_constraints,
                    make_gaussian_profile, mixed_even_words, series_binding,

@@ -382,21 +382,19 @@ class ModeTable:
 
 
 def lattice_table(lattice: Lattice, profile: ChargeProfile,
-                  R: Optional[float] = None, *,
-                  radial: Optional[np.ndarray] = None) -> ModeTable:
+                  R: Optional[float] = None) -> ModeTable:
     """The lattice's ``ModeTable``: per orbit, ``[T, L]`` then, unless ``R``
     is ``None``, ``[T, L] cos(k_z R)``, times the orbit's multiplicity.  A
     lattice whose sums ``sum_k w_k P_k [cos(k . r)] g(|k|^2)`` are not
     ``diag(T, T, L)`` (``r`` along z) raises ``InvalidParameterError``.
 
-    ``radial`` is the profile on ``lattice.orbits.norms``, evaluated here
-    when not given; a caller that needs it again (``TraceSystem``) passes
-    its own evaluation.  The columns are written into one preallocated
-    ``(orbits, 2 or 4)`` array.
+    The columns are written into one preallocated ``(orbits, 2 or 4)``
+    array; ``oscillator``'s assemblers scale them by ``e^2`` into a form's
+    table, which the series and the trace words read too.
     """
     orbits = lattice.orbits
     ksq = orbits.norms ** 2
-    f = profile.radial(orbits.norms) if radial is None else radial
+    f = profile.radial(orbits.norms)
     wk = lattice.cell_weight * ksq * f * f
     uz2 = (orbits.kz / orbits.norms) ** 2
     columns = np.empty((len(ksq), 2 if R is None else 4))
@@ -581,9 +579,7 @@ def form_factor(x, k, channel: int, lattice: Lattice,
 
 
 def check_constraints(params: ModelParams, profile: ChargeProfile,
-                      lattice: Lattice, *,
-                      radial: Optional[np.ndarray] = None
-                      ) -> ConstraintReport:
+                      lattice: Lattice) -> ConstraintReport:
     """Evaluate every smallness condition guarding the expansions.
 
     ``c_inf = max(sqrt(2) e n(-1), n(1) / (sqrt(2) e nu0**2), n(0) / nu0)``
@@ -593,11 +589,10 @@ def check_constraints(params: ModelParams, profile: ChargeProfile,
     ``c_L = max(D_rho, sqrt(2) n*(0) / nu)``.
 
     The three lattice norms ``n*(p)`` share one evaluation of the profile
-    on the orbits: ``radial``, as ``lattice_table`` takes it, or evaluated
-    here when not given.
+    on the orbits; ``traces.TraceSystem.a`` reads ``a`` from its table.
     """
     cn = {p: profile_norm(profile, p) for p in (-1, 0, 1)}
-    f = profile.radial(lattice.orbits.norms) if radial is None else radial
+    f = profile.radial(lattice.orbits.norms)
     ln = {p: _lattice_norm(lattice, f, p) for p in (-1, 0, 1)}
     e, nu0, nu = params.e, params.nu0, params.nu
     rt2 = math.sqrt(2.0)

@@ -74,7 +74,7 @@ def warn_if_periodic(R: float, lattice: Lattice) -> None:
             LatticePeriodicityWarning, stacklevel=3)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadraticForm:
     """Symmetric form ``[[P, B], [B^T, K]]`` held by its orbit data.
 
@@ -97,6 +97,11 @@ class QuadraticForm:
     zero_point_shift: float
     lattice: Lattice = field(repr=False)
     _coupling: Callable[[], np.ndarray] = field(repr=False)
+
+    @functools.cached_property
+    def kernel(self) -> _Kernel:
+        """The form's channel kernel, built once: every route reads it."""
+        return _Kernel(self.table, self.d, self.g, self.enu2)
 
     @property
     def dim(self) -> int:
@@ -181,7 +186,7 @@ def build_coupling(x, lattice: Lattice, profile: ChargeProfile,
 
 def _coupling_table(params: ModelParams, table: ModeTable) -> ModeTable:
     """A ``lattice_table`` times ``e^2``: the channel columns of the border
-    ``B``, the table of every assembled form and of the series' kernel."""
+    ``B``, the table of both assemblers' forms."""
     return ModeTable(table.ksq, params.e ** 2 * table.columns)
 
 
@@ -271,7 +276,7 @@ def _split(v: np.ndarray) -> np.ndarray:
 
 class _Kernel:
     """A mode ``table`` and the particle block's ``d``, ``g`` and ``enu2``,
-    as a ``QuadraticForm`` holds them; ``freq2`` is the rows' ``|k|^2``.
+    built by ``QuadraticForm.kernel`` alone; ``freq2`` is the rows' ``|k|^2``.
     With the box symmetry ``lattice_table`` checks (separation along z),
     ``X(s)`` and ``S(lam)`` are diagonal in the channels: ``O(orbits)`` per
     node, no ``p x p`` matrix.  The energy, the binding and every series
@@ -445,9 +450,8 @@ def ground_energy(form: QuadraticForm) -> EnergyResult:
     ``[-1e-10 * norm, 0)`` are roundoff, clamped to zero (``log|.|`` gives
     them zero weight); a lower one raises ``NotPositiveSemidefiniteError``.
     """
-    kernel = _Kernel(form.table, form.d, form.g, form.enu2)
-    min_eig, clamped = kernel.check_positivity()
-    quad = integrate_half_line(kernel.log_det, full_output=True)
+    min_eig, clamped = form.kernel.check_positivity()
+    quad = integrate_half_line(form.kernel.log_det, full_output=True)
     trace_difference = quad.value / (2.0 * math.pi)
     return EnergyResult(
         energy=trace_difference + form.zero_point_shift,
@@ -474,9 +478,8 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
     are multiples of ``2 pi / L``, so the energy is periodic in ``R``.
     """
     warn_if_periodic(R, lattice)
-    form = assemble_two_electron(params, lattice, profile, Geometry(R),
-                                 include_direct_term)
-    kernel = _Kernel(form.table, form.d, form.g, form.enu2)
+    kernel = assemble_two_electron(params, lattice, profile, Geometry(R),
+                                   include_direct_term).kernel
     if np.any(kernel.schur0 < 0.0):
         kernel.check_positivity()
     return integrate_half_line(kernel.binding) / (2.0 * math.pi)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Tuple, Union
 
@@ -93,8 +94,8 @@ class QuadratureSpec:
     ``rel_tol`` is the target relative tolerance, ``abs_tol`` one absolute
     floor, shared by every component, used when an integral itself is
     (numerically) zero, and ``max_nodes`` the hard budget on integrand
-    evaluations.  The tolerances are stored as the floats they were
-    validated as; a sequence ``abs_tol`` is rejected.
+    evaluations, an ``int``.  The tolerances are stored as the floats they
+    were validated as; a sequence ``abs_tol`` is rejected.
     """
 
     rel_tol: float = 1e-10
@@ -111,9 +112,11 @@ class QuadratureSpec:
             raise InvalidParameterError(
                 "abs_tol must be one non-negative finite number")
         object.__setattr__(self, "abs_tol", float(self.abs_tol))
-        if not _holds(lambda: self.max_nodes >= 2 * _PANEL_COST):
+        if not _holds(lambda: operator.index(self.max_nodes)
+                      >= 2 * _PANEL_COST):
             raise InvalidParameterError(
-                f"max_nodes must be a number of at least {2 * _PANEL_COST}")
+                f"max_nodes must be an integer of at least {2 * _PANEL_COST}")
+        object.__setattr__(self, "max_nodes", operator.index(self.max_nodes))
 
 
 class IntegrationResult(NamedTuple):

@@ -10,18 +10,18 @@ collapses into products of mode sums of the transverse projectors, and on
 the symmetric cutoff box each of those is diagonal in the axes: a
 transverse channel (x and y) and a longitudinal one (z).
 ``TraceSystem.channel_sums`` evaluates them at resolvent powers 1 and 2 by
-reducing the lattice's ``model.ModeTable``, one row per ``(|k|, |k_z|)``
-orbit, so ``word_integrand_fast`` costs ``O(orbits)`` per quadrature node
-and a chain is a product of scalars per channel.  The envelope ``D(s)``
-behind every tail bound is the integrand of the word ``(1, 1)``.  The
-dense matrix product of the full blocks is the words' test oracle, and the
-words, summed per order, are the series'; no series calls them.
+reducing the assembled form's ``e^2``-scaled ``model.ModeTable``, one row
+per ``(|k|, |k_z|)`` orbit, so ``word_integrand_fast`` costs ``O(orbits)``
+per quadrature node and a chain is a product of scalars per channel.  The
+envelope ``D(s)`` behind every tail bound is the integrand of the word
+``(1, 1)``.  The dense matrix product of the full blocks is the words'
+test oracle, and the words, summed per order, are the series'.
 
-The series runs on ``oscillator._Kernel``, the exact routes' kernel on the
-assembled form's ``e^2``-scaled table.  Summed over its words, order
-``2j`` integrates to the ``j``-th Taylor coefficient in the coupling of
-the channel log-det ``log det(1 - X(s))``, which
-``_Kernel.order_integrands`` takes from the rows of ``X(s)`` that
+The series runs on that form's ``QuadraticForm.kernel``, the kernel the
+exact routes integrate.  Summed over its words, order ``2j`` integrates
+to the ``j``-th Taylor coefficient in the coupling of the channel log-det
+``log det(1 - X(s))``, which ``_Kernel.order_integrands`` takes from the
+rows of ``X(s)`` that
 ``log_det`` and ``binding`` read, with no word enumerated.  Every order of
 a series is one column of a single adaptive pass over shared nodes.  A
 column is a sum of terms of one sign, so the caller's ``rel_tol`` alone
@@ -34,7 +34,6 @@ even-weight words.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -45,9 +44,9 @@ import numpy as np
 from .errors import (ClassificationError, InvalidParameterError,
                      SeriesDivergenceError, TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
-                    ModelParams, check_constraints, lattice_table)
-from .oscillator import (_coupling_table, _even_order, _Kernel,
-                         warn_if_periodic)
+                    ModelParams)
+from .oscillator import (_even_order, assemble_one_electron,
+                         assemble_two_electron, warn_if_periodic)
 from .quadrature import QuadratureSpec, integrate_half_line
 
 __all__ = [
@@ -135,10 +134,10 @@ def d_envelope(s, params: ModelParams, profile: ChargeProfile,
     + n2(s) ]`` where ``n_m(s)`` is the squared lattice norm of
     ``(s^2+|k|^2)^{-m/2} |k| f(|k|)``.  It is the integrand of the word
     ``(1, 1)`` of one dipole, ``word_integrand_fast`` on the channel
-    entries of ``TraceSystem.channel_sums``: ``tr P_k = 2`` gives ``2 n_m =
-    2 T_m + L_m`` within one dipole, so the second-order trace integrand
-    equals it exactly; higher orders fall below it geometrically.  Its
-    integral is the closed form ``TraceSystem.d_integral``, which the
+    entries of ``TraceSystem.channel_sums``: ``tr P_k = 2`` gives ``2 e^2
+    n_m = 2 T_m + L_m`` within one dipole, so the second-order trace
+    integrand equals it exactly; higher orders fall below it geometrically.
+    Its integral is the closed form ``TraceSystem.d_integral``, which the
     quadrature of this function checks in the tests.
     """
     out = TraceSystem(params, lattice, profile).word_integrand_fast(
@@ -149,11 +148,11 @@ def d_envelope(s, params: ModelParams, profile: ChargeProfile,
 class TraceSystem:
     """Evaluation context bundling parameters, lattice, profile and geometry.
 
-    Every trace closes as ``sum_c m_c (...)`` over the channels of the
-    resolvent-weighted mode sums ``sum_k w_k P_k [cos(k . r)] (s^2 +
-    |k|^2)^-m``, which ``channel_sums`` reduces from ``table``, the
-    lattice's ``model.ModeTable``; the series integrate ``kernel``, the
-    ``oscillator._Kernel`` of the assembled form.  ``geometry=None``
+    ``form`` is ``assemble_one_electron``'s form or, with a geometry,
+    ``assemble_two_electron``'s, and the series integrate its ``kernel``.
+    Every trace closes as ``sum_c m_c (...)`` over the channels of the mode
+    sums ``e^2 sum_k w_k P_k [cos(k . r)] (s^2 + |k|^2)^-m``, which
+    ``channel_sums`` reduces from the form's table.  ``geometry=None``
     restricts the system to one dipole and its words (all letters 1).
     """
 
@@ -161,21 +160,25 @@ class TraceSystem:
                  profile: ChargeProfile, geometry: Optional[Geometry] = None):
         self.params, self.lattice = params, lattice
         self.profile, self.geometry = profile, geometry
-        #: the profile on the lattice's orbits, evaluated once: the table,
-        #: the report's lattice norms and ``d_integral`` all read it
-        self.radial = profile.radial(lattice.orbits.norms)
-        self.table = lattice_table(lattice, profile, geometry and geometry.R,
-                                   radial=self.radial)
-        enu2 = (params.e * params.nu) ** 2
-        self.kernel = _Kernel(_coupling_table(params, self.table), enu2, 0.0,
-                              enu2)
+        self.form = (assemble_one_electron(params, lattice, profile)
+                     if geometry is None else
+                     assemble_two_electron(params, lattice, profile, geometry))
+        self.kernel = self.form.kernel
 
     # -- shared constants ---------------------------------------------------
 
-    @functools.cached_property
-    def report(self) -> ConstraintReport:
-        return check_constraints(self.params, self.profile, self.lattice,
-                                 radial=self.radial)
+    def _within(self) -> np.ndarray:
+        """``T + L/2`` per orbit, ``e^2 cell_weight count |k|^2 f(|k|)^2``."""
+        columns = self.form.table.columns
+        return columns[:, 0] + 0.5 * columns[:, 1]
+
+    @property
+    def a(self) -> float:
+        """The expansion parameter ``a = 2 n*(0)^2 / nu^2`` of
+        ``check_constraints``, ``n*(0)`` the lattice norm of ``f``, read
+        from the table: ``a = 2 sum (T + L/2) / |k|^2 / (e^2 nu^2)``."""
+        return (2.0 * math.fsum(self._within() / self.form.table.ksq)
+                / self.form.enu2)
 
     def d_integral(self) -> float:
         """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``, exact.
@@ -184,25 +187,21 @@ class TraceSystem:
         (s^2 + k^2)) ds = 1 / (4 alpha (alpha + k)^2)``, and its ``alpha
         <-> k`` twin sums with it to ``1 / (4 alpha k (alpha + k))``, so
 
-            (1/pi) Int D = (e / 2 nu) sum_k w_k / (|k| (e nu + |k|)),
+            (1/pi) Int D = sum (T + L/2) / (|k| (e nu + |k|)) / (2 e nu)
 
-        ``w_k = cell_weight |k|^2 f(|k|)^2``, summed over the orbits with
-        their multiplicities by ``math.fsum``; ``f`` is ``radial``.
-        ``D`` closes the within-dipole sums only, so the value does not
-        depend on the geometry.  The quadrature of ``d_envelope`` is its
-        test oracle.
+        over the table's orbits by ``math.fsum``, as ``T + L/2 = e^2 w_k``
+        per mode.  ``D`` closes the within-dipole sums only, so the value
+        does not depend on the geometry.  The quadrature of ``d_envelope``
+        is its test oracle.
         """
-        orbits = self.lattice.orbits
-        k, f = orbits.norms, self.radial
+        k = self.lattice.orbits.norms
         alpha = self.params.e * self.params.nu
-        terms = (self.lattice.cell_weight * orbits.count * k * f * f
-                 / (alpha + k))
-        return self.params.e / (2.0 * self.params.nu) * math.fsum(terms)
+        return math.fsum(self._within() / (k * (alpha + k))) / (2.0 * alpha)
 
     def word_scale(self, word: Sequence[int]) -> float:
         """A-priori magnitude scale ``a**(#I/2 - 1) * (1/pi) Int D`` for a
         word, used to normalize vanishing checks."""
-        return self.report.a ** (len(word) // 2 - 1) * self.d_integral()
+        return self.a ** (len(word) // 2 - 1) * self.d_integral()
 
     # -- channel sums ---------------------------------------------------------
 
@@ -211,17 +210,17 @@ class TraceSystem:
         """Channel entries of the mode sums at resolvent powers 1 and 2.
 
         Returns ``{m: (within, across)}`` for ``m`` in (1, 2), the ``[T,
-        L]`` pairs of one ``table.sums`` at ``z = s^2`` as channel rows:
-        each of shape ``(2, nodes)``, row 0 transverse and row 1
-        longitudinal (``across`` is ``None`` without geometry).  The
-        reducer's ``(powers, nodes, q)`` output is copied once into
-        contiguous ``(powers, q, nodes)`` rows, so the chains of
+        L]`` pairs of one ``sums`` of the form's ``e^2``-scaled table at ``z
+        = s^2`` as channel rows: each of shape ``(2, nodes)``, row 0
+        transverse and row 1 longitudinal (``across`` is ``None`` without
+        geometry).  The reducer's ``(powers, nodes, q)`` output is copied
+        once into contiguous ``(powers, q, nodes)`` rows, so the chains of
         ``word_integrand_fast``, the per-word oracle, run on contiguous
         memory, not on stride-``q`` column views.
         """
         s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
         rows = np.ascontiguousarray(
-            self.table.sums(s2, (1, 2)).transpose(0, 2, 1))
+            self.form.table.sums(s2, (1, 2)).transpose(0, 2, 1))
         two = self.geometry is not None
         return {m: (v[:2], v[2:] if two else None)
                 for m, v in zip((1, 2), rows)}
@@ -249,7 +248,7 @@ class TraceSystem:
         n = len(word)
         if n % 2:
             return np.zeros_like(s)
-        enu2 = (self.params.e * self.params.nu) ** 2
+        enu2 = self.form.enu2
         sums = self.channel_sums(s)
 
         def chain(m, across):
@@ -261,16 +260,15 @@ class TraceSystem:
             prod = chain(2, word[-1] != word[0])
             for j in range(0, n - 2, 2):
                 prod = prod * chain(1, word[j + 1] != word[j + 2])
-            total += self.table.multiplicity @ prod
+            total += self.form.table.multiplicity @ prod
         # closure through a particle sector: pairs (2,3), (4,5), ..., ends match
         if word[0] == word[-1] and all(word[2 * j + 1] == word[2 * j + 2]
                                        for j in range((n - 2) // 2)):
             prod = chain(1, word[0] != word[1])
             for j in range(2, n, 2):
                 prod = prod * chain(1, word[j] != word[j + 1])
-            total += (self.table.multiplicity @ prod) / (s * s + enu2)
-        pref = self.params.e ** n * (s * s + enu2) ** (-n / 2.0)
-        return s * s * pref * total
+            total += (self.form.table.multiplicity @ prod) / (s * s + enu2)
+        return s * s * (s * s + enu2) ** (-n / 2.0) * total
 
 
 def trace_word(word, system: TraceSystem,
@@ -330,7 +328,7 @@ def series_one_electron(params: ModelParams, lattice: Lattice,
     """
     max_order = _even_order(max_order)
     system = TraceSystem(params, lattice, profile)
-    a = system.report.a
+    a = system.a
     if a >= 1.0:
         raise SeriesDivergenceError(
             f"expansion parameter a = {a:.4f} >= 1; series diverges")
@@ -364,7 +362,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
     max_order = _even_order(max_order)
     system = TraceSystem(params, lattice, profile, Geometry(R))
     warn_if_periodic(R, lattice)
-    a = system.report.a
+    a = system.a
     if a >= 0.25 and not allow_unbounded_tail:
         raise TailBoundUnavailableError(
             f"expansion parameter a = {a:.4f} >= 1/4; no geometric tail "

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from cplab import (EnergyResult, Lattice, ModelParams, OrbitTable,
-                   assemble_one_electron, assemble_two_electron,
                    build_coupling, build_lattice, make_gaussian_profile)
-from cplab.oscillator import _Kernel
 
 # constraint-passing sets (e, nu0, xi) spanning the admissible region;
 # the first is the documented default
@@ -108,12 +106,6 @@ def rebordered(form, params, profile, positions, rotation_angles=None):
 DENSE_ORACLE_MAX_DIM = 3000
 
 
-def form_kernel(form):
-    """The channel kernel of an assembled form, as the exact routes build
-    it."""
-    return _Kernel(form.table, form.d, form.g, form.enu2)
-
-
 def dense_ground_energy(form, refine=False):
     """Test oracle: the zero-point trace formula by dense ``eigvalsh``.
 
@@ -155,13 +147,9 @@ def dense_trace_blocks(system):
 
     ``{0: free diagonal, 1: coupling of the first dipole, 2: coupling of
     the second}`` (no ``2`` without geometry), each coupling a symmetric
-    ``dim x dim`` matrix cut from the assembled form's ``omega``.
+    ``dim x dim`` matrix cut from the system's assembled form's ``omega``.
     """
-    args = (system.params, system.lattice, system.profile)
-    if system.geometry is None:
-        form = assemble_one_electron(*args)
-    else:
-        form = assemble_two_electron(*args, system.geometry)
+    form = system.form
     omega = form.omega
     p = len(form.particle)
     blocks = {0: form.omega0_diag}

@@ -510,6 +510,43 @@ def _imported_modules(tree):
                 yield node.lineno, f"{base}.{alias.name}"
 
 
+def _unused_imports(tree):
+    """``(lineno, name)`` of each name a module-level import binds that
+    the module never loads: not as a name, nor listed in ``__all__``."""
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__"
+                for target in node.targets):
+            used.update(const.value for const in ast.walk(node.value)
+                        if isinstance(const, ast.Constant))
+    return sorted((lineno, name) for name, lineno in bound.items()
+                  if name not in used)
+
+
+def test_no_module_level_import_is_unused():
+    # a stand-in for a linter's unused-import rule over the package, the
+    # tests and the demos; a package __init__ imports to re-export
+    root = Path(__file__).parent.parent
+    paths = [path for folder in (Path(cplab.__file__).parent,
+                                 Path(__file__).parent, root / "demos")
+             for path in sorted(folder.glob("*.py"))
+             if path.name != "__init__.py"]
+    assert len(paths) > 20
+    unused = {path.name: names for path in paths
+              if (names := _unused_imports(ast.parse(path.read_text())))}
+    assert not unused, f"unused imports: {unused}"
+
+
 def test_package_imports_nothing_but_numpy():
     # the package runs on the standard library and numpy alone (scipy is
     # a test dependency), and the sweep driver reaches the continuum terms

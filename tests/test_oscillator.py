@@ -23,8 +23,8 @@ from cplab.model import SYMMETRY_REL
 from cplab.oscillator import _Kernel
 from cplab.quadrature import integrate_half_line
 
-from conftest import (PARAM_SETS, dense_ground_energy, form_kernel,
-                      per_mode_lattice, rebordered, reduce_over_orbits)
+from conftest import (PARAM_SETS, dense_ground_energy, per_mode_lattice,
+                      rebordered, reduce_over_orbits)
 
 
 def zero_profile():
@@ -201,8 +201,8 @@ def test_border_breaking_box_symmetry_rejected(strong_setup, factor,
 
 
 def test_kernel_columns_match_trace_system(strong_setup):
-    # the kernel's channel columns are e^2 times TraceSystem's, orbit by
-    # orbit, stacked with the same columns over k_n^2: the per-mode
+    # the kernel's channel columns are TraceSystem's, orbit by orbit,
+    # stacked with the same columns over k_n^2: e^2 times the per-mode
     # columns, built from the points, summed over each orbit
     params, prof, lat = strong_setup
     wk = lat.cell_weight * lat.norms ** 2 * prof.radial(lat.norms) ** 2
@@ -216,7 +216,7 @@ def test_kernel_columns_match_trace_system(strong_setup):
          TraceSystem(params, lat, prof, g)),
     ]
     for form, system in cases:
-        kernel = form_kernel(form)
+        kernel = form.kernel
         modes = within
         if system.geometry is not None:
             cosr = np.cos(lat.points @ system.geometry.r)
@@ -226,7 +226,7 @@ def test_kernel_columns_match_trace_system(strong_setup):
         stacked = kernel.stacked.columns
         assert stacked.shape == (len(lat.orbits.count), 2 * q)
         for half, r in (
-                (stacked[:, :q], params.e ** 2 * system.table.columns),
+                (stacked[:, :q], system.kernel.table.columns),
                 (stacked[:, :q], reduce_over_orbits(lat, modes)),
                 (stacked[:, q:],
                  reduce_over_orbits(lat, modes / lat.norms[:, None] ** 2))):
@@ -340,7 +340,7 @@ def test_orbit_fold_matches_per_mode_sums(e, nu0, xi, box):
             lambda lat: assemble_one_electron(params, lat, prof),
             lambda lat: assemble_two_electron(params, lat, prof, g,
                                               include_direct_term=True)):
-        kernel, ref_kernel = (form_kernel(assemble(lat))
+        kernel, ref_kernel = (assemble(lat).kernel
                               for lat in (folded, modes))
         gaps.append(relative_gap(kernel.stacked.sums(s * s),
                                  ref_kernel.stacked.sums(s * s)))
@@ -468,7 +468,7 @@ def test_log_det_matches_dense_oracle(e, nu0, xi, box):
         assert res.n_clamped == ref.n_clamped == 0
         assert res.n_eigenvalues == form.dim
         # the Weyl bracket of the bisection holds both dense extremes
-        lo, hi = form_kernel(form).bracket()
+        lo, hi = form.kernel.bracket()
         eigs = np.linalg.eigvalsh(form.omega)
         pad = 8.0 * np.finfo(float).eps * norm
         assert lo - pad <= eigs[0] and eigs[-1] <= hi + pad
@@ -484,13 +484,22 @@ def test_dense_routes_stay_oracles():
     # an outer (pair) table, and the closed triple-resolvent forms serve the
     # CLI's self-test only.  In oscillator.py only the assemble_* functions
     # build a table or the contact term: the energy and the binding read
-    # the assembled form's.
+    # the assembled form's.  Only QuadraticForm.kernel builds a channel
+    # kernel, and traces.py builds neither a table nor a constraint report:
+    # the series read the assembled form's table and kernel.
     for path in sorted(Path(cplab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         form_class = {id(node) for top in tree.body
                       if isinstance(top, ast.ClassDef)
                       and top.name == "QuadraticForm"
                       for node in ast.walk(top)}
+        kernel_body = {id(node) for top in tree.body
+                       if isinstance(top, ast.ClassDef)
+                       and top.name == "QuadraticForm"
+                       for item in top.body
+                       if isinstance(item, ast.FunctionDef)
+                       and item.name == "kernel"
+                       for node in ast.walk(item)}
         assemblers = {id(node) for top in tree.body
                       if isinstance(top, ast.FunctionDef)
                       and top.name.startswith("assemble_")
@@ -506,6 +515,11 @@ def test_dense_routes_stay_oracles():
                 assert path.name != "oscillator.py" or name not in (
                     "lattice_table", "direct_coupling") or (
                         id(node) in assemblers), (
+                    f"{path.name}:{node.lineno} calls {name}")
+                assert name != "_Kernel" or id(node) in kernel_body, (
+                    f"{path.name}:{node.lineno} builds a _Kernel")
+                assert path.name != "traces.py" or name not in (
+                    "lattice_table", "check_constraints"), (
                     f"{path.name}:{node.lineno} calls {name}")
             elif (isinstance(node, ast.Attribute)
                     and node.attr in ("border", "omega", "omega0_diag")):
@@ -539,7 +553,8 @@ def test_in_window_eigenvalues_clamped_like_dense(default_params,
     form = assemble_one_electron(default_params, small_lattice, gaussian)
     photon = form.omega0_diag[3:]
     schur0 = form.particle - (form.border / photon) @ form.border.T
-    form.d -= np.linalg.eigvalsh(schur0)[0] + delta
+    form = dataclasses.replace(
+        form, d=form.d - (np.linalg.eigvalsh(schur0)[0] + delta))
     res = ground_energy(form)
     ref = dense_ground_energy(form)
     assert res.n_clamped == ref.n_clamped == 3
@@ -593,7 +608,7 @@ def bisection_bottom(kernel):
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
 def test_newton_bottom_matches_bisection_oracle(e, nu0, xi, box):
     for form in grid_forms(e, nu0, xi, box):
-        kernel = form_kernel(form)
+        kernel = form.kernel
         bottom, n_neg = kernel.check_positivity()
         ref, tol, count = bisection_bottom(kernel)
         assert abs(bottom - ref) <= tol
@@ -622,7 +637,7 @@ def test_bottom_eigenvalue_takes_few_schur_passes(e, nu0, xi, box,
 
     monkeypatch.setattr(_Kernel, "schur", counted)
     for form in grid_forms(e, nu0, xi, box):
-        kernel = form_kernel(form)
+        kernel = form.kernel
         calls.clear()
         bottom, _ = kernel.check_positivity()
         assert 1 <= len(calls) <= 8
@@ -634,7 +649,7 @@ def test_newton_step_cap_raises(strong_setup, monkeypatch):
     # the cap is a constant; a form that needs more steps than it allows
     # raises a typed error instead of returning an unconverged bottom
     params, prof, lat = strong_setup
-    kernel = form_kernel(assemble_one_electron(params, lat, prof))
+    kernel = assemble_one_electron(params, lat, prof).kernel
     monkeypatch.setattr(cplab.oscillator, "NEWTON_STEPS", 1)
     with pytest.raises(AccuracyError, match="Newton steps"):
         kernel.check_positivity()
@@ -726,8 +741,8 @@ def test_binding_never_builds_the_stacked_table(default_params,
                                                 small_lattice, gaussian):
     # only log_det reads the columns over k_n^2; the binding path would
     # hold them for nothing, N x 8 floats
-    kernel = form_kernel(assemble_two_electron(default_params, small_lattice,
-                                               gaussian, Geometry(0.3)))
+    kernel = assemble_two_electron(default_params, small_lattice, gaussian,
+                                   Geometry(0.3)).kernel
     value = integrate_half_line(kernel.binding)
     assert "stacked" not in vars(kernel)
     assert value / (2.0 * math.pi) == binding_energy_exact(

@@ -186,7 +186,8 @@ def test_spec_validation():
                 {"abs_tol": ()}, {"abs_tol": (0.5,)},
                 {"abs_tol": (0.5, 0.25)}, {"abs_tol": [1e-3, 0.0]},
                 {"abs_tol": np.array([0.5])}, {"max_nodes": 10},
-                {"max_nodes": math.nan}, {"rel_tol": "x"},
+                {"max_nodes": math.nan}, {"max_nodes": math.inf},
+                {"max_nodes": 1000.5}, {"rel_tol": "x"},
                 {"rel_tol": None}, {"abs_tol": "x"}, {"max_nodes": "x"},
                 {"rel_tol": 10 ** 400}, {"abs_tol": 10 ** 400}):
         with pytest.raises(InvalidParameterError):
@@ -204,6 +205,8 @@ def test_spec_stores_validated_floats():
                         (np.array(1e-8), 1e-8), (Fraction(1, 4), 0.25)):
         spec = QuadratureSpec(rel_tol=raw)
         assert type(spec.rel_tol) is float and spec.rel_tol == stored, raw
+    spec = QuadratureSpec(max_nodes=np.int64(500))
+    assert type(spec.max_nodes) is int and spec.max_nodes == 500
 
 
 # ---------------------------------------------------------------------------

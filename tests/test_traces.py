@@ -17,7 +17,7 @@ from cplab import (ChargeProfile, ClassificationError, Geometry, IndexWord,
                    word_bound)
 from cplab.quadrature import _PANEL_COST
 from conftest import (PARAM_SETS, dense_trace_blocks, dense_word_integrand,
-                      envelope_oracle, form_kernel)
+                      envelope_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -107,15 +107,20 @@ def test_envelope_matches_mode_sum_oracle(e, nu0, xi, L):
 @pytest.mark.parametrize("L", [1.0, 2.0, 3.0])
 def test_envelope_integral_closed_form(e, nu0, xi, L):
     # the closed form against the quadrature of D(s), within the
-    # quadrature's own error estimate; the geometry does not enter
+    # quadrature's own error estimate; the geometry does not enter.  The
+    # expansion parameter a read from the same table is the report's
     params, prof, lat = ModelParams(e, nu0), make_gaussian_profile(xi), \
         build_lattice(L, 1.0)
     ref = integrate_half_line(lambda s: d_envelope(s, params, prof, lat),
                               full_output=True)
-    closed = TraceSystem(params, lat, prof).d_integral()
+    single = TraceSystem(params, lat, prof)
+    closed = single.d_integral()
     assert abs(closed - ref.value / math.pi) <= ref.error_estimate / math.pi
     pair = TraceSystem(params, lat, prof, Geometry(0.3 * L))
     assert pair.d_integral() == closed
+    report = check_constraints(params, prof, lat)
+    for system in (single, pair):
+        assert abs(system.a - report.a) <= 1e-14 * report.a
 
 
 def test_envelope_integral_bound(strong_system, strong_setup):
@@ -296,16 +301,15 @@ def test_order_closure_does_not_cancel():
     pair = TraceSystem(params, lat, make_gaussian_profile(0.25),
                        Geometry(3.6))
     svals = np.geomspace(0.01, 100.0, 50)
-    within, across = pair.channel_sums(svals)[1]
-    step = params.e ** 2 / (svals ** 2 + (params.e * params.nu) ** 2)
-    x, y = within * step, across * step
+    x, y = (rows / (svals ** 2 + pair.form.enu2)
+            for rows in pair.channel_sums(svals)[1])
     assert np.min(np.abs(y / x)) < 1e-10
     columns = pair.kernel.order_integrands([4, 6, 8], svals)
     for column, order in zip(columns.T, (4, 6, 8)):
         j = order // 2
         mixed = sum(math.comb(j, k) * x ** (j - k) * y ** k
                     for k in range(2, j + 1, 2))
-        ref = np.array(pair.table.multiplicity) @ mixed / j
+        ref = np.array(pair.form.table.multiplicity) @ mixed / j
         assert np.all(np.abs(column - ref) <= 1e-13 * np.abs(ref)), order
 
 
@@ -321,8 +325,8 @@ def test_orders_sum_to_the_kernel_log_det(e, nu0, xi, L):
     geometry = Geometry(0.35 * L)
     svals = np.geomspace(0.02, 40.0, 7)
     orders = range(2, 41, 2)
-    direct = form_kernel(assemble_two_electron(params, lat, prof, geometry,
-                                               include_direct_term=True))
+    direct = assemble_two_electron(params, lat, prof, geometry,
+                                   include_direct_term=True).kernel
     assert direct.g != 0.0
     for pair in (TraceSystem(params, lat, prof, geometry).kernel, direct):
         np.testing.assert_allclose(
@@ -337,9 +341,11 @@ def test_orders_sum_to_the_kernel_log_det(e, nu0, xi, L):
 @pytest.mark.parametrize("geometry", [None, Geometry(0.4)])
 def test_series_kernel_is_the_assembled_forms_kernel(strong_setup, geometry):
     # the series integrate the kernel of the form the exact routes
-    # assemble, bit for bit: one table, e^2 times the words' table
+    # assemble, bit for bit: one e^2-scaled table, which the words read too
     params, prof, lat = strong_setup
-    kernel = TraceSystem(params, lat, prof, geometry).kernel
+    system = TraceSystem(params, lat, prof, geometry)
+    kernel = system.kernel
+    assert kernel is system.form.kernel
     form = (assemble_one_electron(params, lat, prof) if geometry is None
             else assemble_two_electron(params, lat, prof, geometry))
     assert np.array_equal(kernel.table.ksq, form.table.ksq)
@@ -350,15 +356,16 @@ def test_series_kernel_is_the_assembled_forms_kernel(strong_setup, geometry):
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
 @pytest.mark.parametrize("L", [1.0, 2.0, 3.0])
 def test_channel_sums_are_the_axis_diagonal(e, nu0, xi, L):
-    # the box symmetry makes each projector mode sum diag(T, T, L); the
-    # sums across the dipoles cancel, so compare at the scale sum |w| g
+    # the box symmetry makes each projector mode sum diag(T, T, L), here of
+    # the form's weights e^2 w_k; the sums across the dipoles cancel, so
+    # compare at the scale sum |w| g
     params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
     lat = build_lattice(L, 1.0)
     system = TraceSystem(params, lat, prof, Geometry(0.35 * L))
     svals = np.geomspace(0.02, 40.0, 7)
     u = lat.units
     proj = np.eye(3)[None, :, :] - u[:, :, None] * u[:, None, :]
-    w = lat.cell_weight * lat.norms ** 2 * prof.radial(lat.norms) ** 2
+    w = lat.cell_weight * (e * lat.norms * prof.radial(lat.norms)) ** 2
     cos = np.cos(lat.points @ system.geometry.r)
     sums = system.channel_sums(svals)
     axes = [0, 1, 2]
