@@ -193,9 +193,10 @@ class OrbitTable:
         u_y^2`` of the unit vectors ``u = k / |k|``: a weighted mode sum of
         ``u u^T`` with weights that depend on the key alone is
         ``diag(T, T, L)`` iff the weights annihilate all four columns.  Zero
-        on the box, whose reflections and ``k_x <-> k_y`` cancel each one;
-        ``lattice_table`` still checks them, so a table built by hand
-        (one orbit per mode, say) that breaks the symmetry is refused.
+        on the box, whose reflections and ``k_x <-> k_y`` cancel each one,
+        so ``lattice_table`` skips them there; it checks them wherever they
+        are not all zero, so a table built by hand (one orbit per mode,
+        say) that breaks the symmetry is refused.
     """
 
     norms: np.ndarray
@@ -385,8 +386,11 @@ def lattice_table(lattice: Lattice, profile: ChargeProfile,
                   R: Optional[float] = None) -> ModeTable:
     """The lattice's ``ModeTable``: per orbit, ``[T, L]`` then, unless ``R``
     is ``None``, ``[T, L] cos(k_z R)``, times the orbit's multiplicity.  A
-    lattice whose sums ``sum_k w_k P_k [cos(k . r)] g(|k|^2)`` are not
-    ``diag(T, T, L)`` (``r`` along z) raises ``InvalidParameterError``.
+    profile whose columns are not finite on the orbits, and a lattice whose
+    sums ``sum_k w_k P_k [cos(k . r)] g(|k|^2)`` are not ``diag(T, T, L)``
+    (``r`` along z), raise ``InvalidParameterError``.  The symmetry test
+    multiplies by the orbits' ``moments``; on the box they are all zero,
+    so the product is skipped and the table only checked finite.
 
     The columns are written into one preallocated ``(orbits, 2 or 4)``
     array; ``oscillator``'s assemblers scale them by ``e^2`` into a form's
@@ -403,14 +407,20 @@ def lattice_table(lattice: Lattice, profile: ChargeProfile,
     if R is not None:
         np.multiply(columns[:, :2], np.cos(orbits.kz * R)[:, None],
                     out=columns[:, 2:])
+    if not np.isfinite(columns).all():
+        i = np.flatnonzero(~np.isfinite(columns).all(axis=1))[0]
+        raise InvalidParameterError(
+            f"profile is not finite on the lattice: f = {f[i]} at |k| = "
+            f"{orbits.norms[i]} gives the table row {columns[i].tolist()}")
     # sum_k (w_k / |k|^2) P_k [cos(k . r)] is diag(T, T, L) iff the same
     # sum of u_k u_k^T has xx = yy and no off-diagonal; w_k is T + L / 2
     # of one mode, so the sum is w^T moments over the orbits
-    w = (columns[:, 0::2] + 0.5 * columns[:, 1::2]) / ksq[:, None]
-    dev = np.max(np.abs(w.T @ orbits.moments))
-    if not dev <= SYMMETRY_REL * (orbits.count @ w[:, 0]):
-        raise InvalidParameterError(f"lattice breaks the box symmetry: "
-                                    f"{dev:.3e} off diag(T, T, L)")
+    if orbits.moments.any():
+        w = (columns[:, 0::2] + 0.5 * columns[:, 1::2]) / ksq[:, None]
+        dev = np.max(np.abs(w.T @ orbits.moments))
+        if not dev <= SYMMETRY_REL * (orbits.count @ w[:, 0]):
+            raise InvalidParameterError(f"lattice breaks the box symmetry: "
+                                        f"{dev:.3e} off diag(T, T, L)")
     columns *= orbits.count[:, None]
     return ModeTable(ksq, columns)
 

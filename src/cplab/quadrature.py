@@ -13,19 +13,22 @@ magnitude however small it is beside the others (not the norm-based rule
 of QUADPACK's vector integrators).  A panel splits when any component
 still open needs it split, and every component is evaluated on the
 resulting shared panels.
-Panel sums are accumulated per component with ``math.fsum`` in interval
-order, so results are bit-stable regardless of refinement history, and a
-``(nodes,)`` integrand gives bit for bit the value of its ``(nodes, 1)``
-form.
+Panel sums are accumulated per component with ``math.fsum``, which rounds
+the exact sum once whatever order the panels come in, so results are
+bit-stable regardless of refinement history, and a ``(nodes,)`` integrand
+gives bit for bit the value of its ``(nodes, 1)`` form.
 
 Each batch of panels reduces all ``K`` components at once: one ``(K,
 panels, 15)`` product with the Kronrod weights and one with the Gauss
 weights, the same arithmetic per component as a 1-D integrand.  The
-initial panels of each ``(a, b, initial_panels)`` are built once per
-process and are read-only.  Bounds must be finite (the half line is
-mapped onto ``[0, 1]``), and a NaN or infinite panel value or error
-estimate raises ``AccuracyError`` naming the panel: a NaN error is never
-the largest, so refinement would otherwise split nothing and never end.
+initial panels of each ``(a, b, initial_panels)``, with their half-widths
+and nodes, are built once per process, and the half line's mapped nodes
+and Jacobian on them once too; all are read-only.  The integrand gets
+read-only nodes, so it cannot alter the ones the next call reads.  Bounds
+must be finite (the half line is mapped onto ``[0, 1]``), and a NaN or
+infinite panel value or error estimate raises ``AccuracyError`` naming the
+panel: a NaN error is never the largest, so refinement would otherwise
+split nothing and never end.
 """
 
 from __future__ import annotations
@@ -75,6 +78,8 @@ _PANEL_COST = len(_K15_NODES)
 #: roundoff-bound splits that stop a component still open (QUADPACK
 #: dqagse's ``iroff1`` limit)
 _ROUNDOFF_SPLITS = 10
+#: equal panels a pass starts from unless the caller asks otherwise
+_DEFAULT_PANELS = 8
 
 
 def _holds(test: Callable[[], object]) -> bool:
@@ -128,16 +133,25 @@ class IntegrationResult(NamedTuple):
     nodes_used: int
 
 
-def _panel_values(f, lo, hi):
+def _panel_nodes(lo, hi):
+    """Read-only half-widths of a batch of panels and their 15 nodes each,
+    flattened panel by panel."""
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    x = (mid[:, None] + half[:, None] * _K15_NODES[None, :]).ravel()
+    half.setflags(write=False)
+    x.setflags(write=False)
+    return half, x
+
+
+def _panel_values(f, lo, hi, half, x):
     """High-order panel estimates and their error estimates for a batch of
-    panels, each of shape ``(K, panels)`` (``K = 1`` for a ``(nodes,)``
+    panels with half-widths ``half`` and nodes ``x`` (``_panel_nodes``),
+    each of shape ``(K, panels)`` (``K = 1`` for a ``(nodes,)``
     integrand), and whether the integrand is vector-valued.  A panel
     whose error estimate is not finite (an integrand value on it is not,
     or the value overflows) raises ``AccuracyError``.
     """
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    x = (mid[:, None] + half[:, None] * _K15_NODES[None, :]).ravel()
     npan = len(lo)
     y = np.asarray(f(x), dtype=float)
     if y.ndim not in (1, 2) or len(y) != len(x):
@@ -164,17 +178,18 @@ def _panel_values(f, lo, hi):
 
 @functools.lru_cache(maxsize=16)
 def _initial_panels(a: float, b: float, count: int
-                    ) -> Tuple[np.ndarray, np.ndarray]:
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only lower and upper ends of ``count`` equal panels on ``[a,
-    b]``."""
+    b]``, their half-widths and their nodes (``_panel_nodes``)."""
     edges = np.linspace(a, b, count + 1)
     edges.setflags(write=False)
-    return edges[:-1], edges[1:]
+    lo, hi = edges[:-1], edges[1:]
+    return (lo, hi) + _panel_nodes(lo, hi)
 
 
 def integrate_interval(f: Callable, a: float, b: float,
                        spec: QuadratureSpec = QuadratureSpec(),
-                       initial_panels: int = 8,
+                       initial_panels: int = _DEFAULT_PANELS,
                        full_output: bool = False):
     """Integrate ``f`` over ``[a, b]`` to the tolerance in ``spec``.
 
@@ -182,10 +197,15 @@ def integrate_interval(f: Callable, a: float, b: float,
     estimates), component ``k`` converged on its own to ``max(rel_tol
     |I_k|, abs_tol)``.
 
+    ``f`` gets read-only nodes: on the ``initial_panels`` equal panels
+    they are built once per process for each ``(a, b, initial_panels)``,
+    and only refined panels build new ones.
+
     Raises
     ------
     InvalidParameterError
-        If a bound is not finite or the initial panels alone exceed
+        If a bound is not finite, ``initial_panels`` is not an integer of
+        at least 1 (a bool is not), or the initial panels alone exceed
         ``spec.max_nodes``.
     AccuracyError
         If a panel value or error estimate is not finite (a NaN or
@@ -201,18 +221,24 @@ def integrate_interval(f: Callable, a: float, b: float,
     if not _holds(lambda: math.isfinite(a) and math.isfinite(b)):
         raise InvalidParameterError(
             f"integration bounds must be finite, got [{a}, {b}]")
-    nodes = initial_panels * _PANEL_COST
+    if not _holds(lambda: not isinstance(initial_panels, bool)
+                  and operator.index(initial_panels) >= 1):
+        raise InvalidParameterError(
+            f"initial_panels must be an integer of at least 1, got "
+            f"{initial_panels!r}")
+    count = operator.index(initial_panels)
+    nodes = count * _PANEL_COST
     if nodes > spec.max_nodes:
         raise InvalidParameterError(
-            f"{initial_panels} initial panels need {nodes} nodes, above "
+            f"{count} initial panels need {nodes} nodes, above "
             f"the budget max_nodes = {spec.max_nodes}")
-    lo, hi = _initial_panels(float(a), float(b), initial_panels)
-    vals, errs, vector = _panel_values(f, lo, hi)
+    lo, hi, half, x = _initial_panels(float(a), float(b), count)
+    vals, errs, vector = _panel_values(f, lo, hi, half, x)
     roundoff = [0] * len(vals)
 
     while True:
-        order = np.argsort(lo, kind="stable")
-        totals = [math.fsum(v[order]) for v in vals]
+        # fsum rounds the exact sum, so panel order does not matter
+        totals = [math.fsum(v) for v in vals]
         # a row sum of errs is bit for bit the 1-D sum of that row
         toterrs = errs.sum(axis=1).tolist()
         targets = [max(spec.rel_tol * abs(total), spec.abs_tol)
@@ -245,7 +271,9 @@ def integrate_interval(f: Callable, a: float, b: float,
         new_lo = np.concatenate([lo[~split], lo[split], mid])
         new_hi = np.concatenate([hi[~split], mid, hi[split]])
         keep = len(lo) - n_new
-        add_vals, add_errs, _ = _panel_values(f, new_lo[keep:], new_hi[keep:])
+        add_lo, add_hi = new_lo[keep:], new_hi[keep:]
+        add_vals, add_errs, _ = _panel_values(
+            f, add_lo, add_hi, *_panel_nodes(add_lo, add_hi))
         # dqagse's iroff1 test on each split a component needed; the value
         # half is read only where the error half holds
         bound = (add_errs[:, :n_new] + add_errs[:, n_new:]
@@ -277,16 +305,39 @@ def integrate_half_line(f: Callable, spec: QuadratureSpec = QuadratureSpec(),
     The integrand must decay at least like ``s**-2`` and stop oscillating
     (the map packs late oscillations next to ``u = 1``: ``cos(40 s) / (1 +
     s**4)`` exhausts the default budget).  It may be ``(nodes, K)``-valued.
+    ``f`` gets read-only nodes ``s``; on the initial panels they and the
+    Jacobian ``(1 - u)**2`` are built once per process.
     """
+    initial_u, initial_s, initial_jac = _half_line_nodes()
 
     def mapped(u):
-        s = u / (1.0 - u)
+        if u is initial_u:
+            s, jac = initial_s, initial_jac
+        else:
+            s, jac = _half_line_map(u)
         y = np.asarray(f(s), dtype=float)
-        jac = (1.0 - u) ** 2
         return y / (jac[:, None] if y.ndim == 2 else jac)
 
     return integrate_interval(mapped, 0.0, 1.0, spec=spec,
                               full_output=full_output)
+
+
+def _half_line_map(u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only ``s = u / (1 - u)`` and the Jacobian ``(1 - u)**2`` that
+    divides the integrand."""
+    s = u / (1.0 - u)
+    jac = (1.0 - u) ** 2
+    s.setflags(write=False)
+    jac.setflags(write=False)
+    return s, jac
+
+
+@functools.lru_cache(maxsize=1)
+def _half_line_nodes() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes ``u`` of ``integrate_interval``'s initial panels on ``[0,
+    1]`` and their ``_half_line_map``, shared read-only."""
+    u = _initial_panels(0.0, 1.0, _DEFAULT_PANELS)[3]
+    return (u,) + _half_line_map(u)
 
 
 @functools.lru_cache(maxsize=None)

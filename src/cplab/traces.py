@@ -55,6 +55,9 @@ __all__ = [
     "mixed_even_words",
 ]
 
+#: the spec a word or a series integrates to when the caller gives none
+_DEFAULT_QUAD = QuadratureSpec()
+
 
 @dataclass(frozen=True)
 class IndexWord:
@@ -283,7 +286,7 @@ def trace_word(word, system: TraceSystem,
     system._letters(letters)
     if sum(letters) % 2 or len(letters) % 2:
         return 0.0
-    spec = quad or QuadratureSpec()
+    spec = quad or _DEFAULT_QUAD
     floor = max(spec.abs_tol, 1e-13 * system.word_scale(letters))
     val = integrate_half_line(
         lambda s: system.word_integrand_fast(letters, s),
@@ -311,7 +314,7 @@ def _order_terms(system: TraceSystem, max_order: int,
     if live:
         res = integrate_half_line(
             lambda s: system.kernel.order_integrands(live, s),
-            spec=quad or QuadratureSpec(), full_output=True)
+            spec=quad or _DEFAULT_QUAD, full_output=True)
         terms += (res.value / math.pi).tolist()
         errors += (res.error_estimate / math.pi).tolist()
         nodes = res.nodes_used

@@ -296,6 +296,37 @@ def test_lattice_breaking_box_symmetry_rejected(route):
         run()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_profile_not_finite_on_the_orbits_rejected(bad):
+    # the box's orbit moments are all zero, so lattice_table skips the
+    # symmetry product; a profile that is not finite at one lattice |k|
+    # still raises, under its own message, on every route through it
+    params, gaussian = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
+    lat = build_lattice(2.0, 1.0)
+    shell = lat.orbits.norms[2]
+
+    def radial(r):
+        return np.where(r == shell, bad, gaussian.radial(r))
+
+    prof = model.ChargeProfile(radial, xi=None)
+    assert not lat.orbits.moments.any()
+    # the per-mode tables still multiply by their nonzero moments, and
+    # check finiteness first
+    modes = per_mode_lattice(lat)
+    assert modes.orbits.moments.any()
+    model.lattice_table(modes, gaussian, 0.7)
+    runs = [lambda: model.lattice_table(lat, prof),
+            lambda: model.lattice_table(lat, prof, 0.7),
+            lambda: model.lattice_table(modes, prof, 0.7),
+            lambda: series_binding(params, lat, prof, 0.7, 6),
+            lambda: binding_energy_exact(params, lat, prof, 0.7)]
+    for run in runs:
+        with pytest.raises(InvalidParameterError,
+                           match=rf"^profile is not finite on the lattice: "
+                           rf"f = {bad} at \|k\| = {shell}"):
+            run()
+
+
 # ---------------------------------------------------------------------------
 # the orbit fold against per-mode sums
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ from cplab import (AccuracyError, InvalidParameterError, ModelParams,
                    QuadratureSpec, fourth_order_error, integrate_half_line,
                    integrate_interval, make_gaussian_profile, sweep_R)
 from cplab.quadrature import (_G7_WEIGHTS, _K15_NODES, _K15_WEIGHTS,
-                              _PANEL_COST, _initial_panels, _panel_values)
+                              _PANEL_COST, _half_line_nodes, _initial_panels,
+                              _panel_nodes, _panel_values)
 
 
 def test_interval_polynomial_exact():
@@ -52,11 +53,82 @@ def test_panel_calls_integrand_on_fifteen_nodes():
 
 
 def test_initial_panels_are_shared_and_read_only():
-    lo, hi = _initial_panels(0.0, 1.0, 8)
-    assert _initial_panels(0.0, 1.0, 8)[0] is lo
-    assert not (lo.flags.writeable or hi.flags.writeable)
+    cached = _initial_panels(0.0, 1.0, 8)
+    lo, hi, half, x = cached
+    u, s, jac = _half_line_nodes()
+    for again, first in ((_initial_panels(0.0, 1.0, 8), cached),
+                         (_half_line_nodes(), (u, s, jac))):
+        assert all(a is b for a, b in zip(again, first))
+    assert u is x
+    assert not any(a.flags.writeable for a in (lo, hi, half, x, s, jac))
     edges = np.linspace(0.0, 1.0, 9)
     assert np.array_equal(lo, edges[:-1]) and np.array_equal(hi, edges[1:])
+    # the arithmetic that builds a refined batch's nodes, and the map
+    assert np.array_equal(half, 0.5 * (hi - lo))
+    assert np.array_equal(x, (0.5 * (lo + hi)[:, None]
+                              + half[:, None] * _K15_NODES).ravel())
+    assert np.array_equal(s, x / (1.0 - x))
+    assert np.array_equal(jac, (1.0 - x) ** 2)
+
+
+def _peak(x):
+    return 1.0 / (1e-4 + (x - 0.3) ** 2)
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda f: integrate_interval(f, 0.0, 1.0, full_output=True),
+    lambda f: integrate_half_line(f, full_output=True),
+])
+def test_integrand_gets_read_only_nodes(integrate):
+    # the initial nodes are shared by every call, so an integrand that
+    # writes into them raises instead of corrupting the next call
+    def decay(x):
+        return 1.0 / (1.0 + x) ** 2
+
+    def writer(x):
+        x += 1.0
+        return 1.0 / x ** 2
+
+    ref = integrate(decay)
+    with pytest.raises(ValueError, match="read-only"):
+        integrate(writer)
+    again = integrate(decay)
+    assert again.value == ref.value
+    assert again.error_estimate == ref.error_estimate
+    assert again.nodes_used == ref.nodes_used == 8 * _PANEL_COST
+    # refined panels build new nodes, read-only too; the half line's
+    # first batch is its cached map of the initial nodes
+    seen = []
+
+    def record(x):
+        seen.append(x)
+        return _peak(x)
+
+    assert integrate(record).nodes_used > 8 * _PANEL_COST
+    assert len(seen) > 1 and not any(x.flags.writeable for x in seen)
+    assert any(seen[0] is a for a in _initial_panels(0.0, 1.0, 8)
+               + _half_line_nodes())
+
+
+def test_initial_panels_validated():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.exp(-x)
+
+    for bad in (0, -1, 2.0, "3", True, False, None, 1.5, np.float64(2.0),
+                np.array([2])):
+        with pytest.raises(InvalidParameterError, match="^initial_panels"):
+            integrate_interval(f, 0.0, 1.0, initial_panels=bad)
+    assert calls == []
+    for good in (1, 3, np.int64(3), np.array(3)):
+        res = integrate_interval(f, 0.0, 1.0, initial_panels=good,
+                                 full_output=True)
+        assert res.nodes_used == int(good) * _PANEL_COST
+        assert res.value == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+    # the cache is keyed on the int, so the three-panel runs share nodes
+    assert calls[2] is calls[1] is calls[3] is _initial_panels(0.0, 1.0, 3)[3]
 
 
 @pytest.mark.parametrize("k", [None, 1, 3])
@@ -67,7 +139,8 @@ def test_batched_panel_reduction_matches_component_loop(rng, k):
     lo, hi = edges[:-1], edges[1:]
     shape = (len(lo) * _PANEL_COST,) + (() if k is None else (k,))
     y = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
-    v_hi, errs, vector = _panel_values(lambda x: y, lo, hi)
+    v_hi, errs, vector = _panel_values(lambda x: y, lo, hi,
+                                       *_panel_nodes(lo, hi))
     assert vector == (k is not None)
     half = 0.5 * (hi - lo)
     for row, (value, err) in enumerate(zip(v_hi, errs)):
