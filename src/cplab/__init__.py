@@ -24,7 +24,7 @@ from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
 from .oscillator import (EnergyResult, LatticePeriodicityWarning,
                          QuadraticForm, assemble_one_electron,
                          assemble_two_electron, binding_energy_exact,
-                         build_coupling, direct_coupling, ground_energy)
+                         build_coupling, ground_energy)
 from .quadrature import (IntegrationResult, QuadratureSpec,
                          integrate_half_line, integrate_interval)
 from .traces import (IndexWord, TraceSeries, TraceSystem, d_envelope,

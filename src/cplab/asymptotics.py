@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import CplabError, FitDomainError, InvalidParameterError
 from .model import ChargeProfile, Geometry, ModelParams, build_lattice
-from .oscillator import (assemble_one_electron, assemble_two_electron,
-                         binding_energy_exact, ground_energy)
+from .oscillator import (_binding, assemble_one_electron,
+                         assemble_two_electron, ground_energy)
 
 __all__ = ["SweepResult", "PowerFit", "sweep_R", "fit_power_law",
            "convergence_study"]
@@ -136,9 +136,9 @@ def convergence_study(L_ladder: Sequence[float],
     """Refinement table over growing boxes at each fixed cutoff.
 
     The box ladder is the inner loop (matching the iterated-limit order);
-    each row carries the one- and two-dipole energies, the binding (from
-    ``binding_energy_exact``, not the difference of the energies) and the
-    signed successive differences along the box ladder.
+    each row carries the one- and two-dipole energies, the binding (that
+    of ``binding_energy_exact`` on ``E2``'s form, not the difference of the
+    energies) and the signed successive differences along the box ladder.
     """
     if not (len(L_ladder) and len(Lambda_ladder)) or \
        any(b <= a for a, b in zip(L_ladder, L_ladder[1:])) or \
@@ -155,9 +155,9 @@ def convergence_study(L_ladder: Sequence[float],
             lattice = build_lattice(box, lam)
             e1 = ground_energy(assemble_one_electron(
                 params, lattice, profile)).energy
-            e2 = ground_energy(assemble_two_electron(
-                params, lattice, profile, Geometry(R))).energy
-            bind = binding_energy_exact(params, lattice, profile, R)
+            pair = assemble_two_electron(params, lattice, profile,
+                                         Geometry(R))
+            e2, bind = ground_energy(pair).energy, _binding(pair)
             rows.append({"Lambda": lam, "L": box, "N": lattice.count,
                          "E1": e1, "E2": e2, "binding": bind,
                          "dE1": math.nan if prev_e1 is None else e1 - prev_e1,

@@ -377,6 +377,13 @@ class ModeTable:
     #: channel multiplicities: transverse (x and y), longitudinal (z)
     multiplicity = (2.0, 1.0)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """``T + L/2`` of each column pair, ``(rows, pairs)``: the rows'
+        summed ``w_k`` within a dipole and ``w_k cos(k . r)`` across, as
+        ``tr P_k = 2``.  Every lattice norm and constant reduces it."""
+        return self.columns[:, 0::2] + 0.5 * self.columns[:, 1::2]
+
     def sums(self, z: np.ndarray, powers: Tuple[int, ...] = (1,)):
         """``_resolvent_sums`` of the rows, ``(len(powers), len(z), q)``."""
         return _resolvent_sums(z, self.ksq, self.columns, powers)
@@ -412,17 +419,18 @@ def lattice_table(lattice: Lattice, profile: ChargeProfile,
         raise InvalidParameterError(
             f"profile is not finite on the lattice: f = {f[i]} at |k| = "
             f"{orbits.norms[i]} gives the table row {columns[i].tolist()}")
+    columns *= orbits.count[:, None]
+    table = ModeTable(ksq, columns)
     # sum_k (w_k / |k|^2) P_k [cos(k . r)] is diag(T, T, L) iff the same
-    # sum of u_k u_k^T has xx = yy and no off-diagonal; w_k is T + L / 2
-    # of one mode, so the sum is w^T moments over the orbits
+    # sum of u_k u_k^T has xx = yy and no off-diagonal; the weights over
+    # count are one mode's, so the sum is w^T moments over the orbits
     if orbits.moments.any():
-        w = (columns[:, 0::2] + 0.5 * columns[:, 1::2]) / ksq[:, None]
+        w = table.weights / (orbits.count * ksq)[:, None]
         dev = np.max(np.abs(w.T @ orbits.moments))
         if not dev <= SYMMETRY_REL * (orbits.count @ w[:, 0]):
             raise InvalidParameterError(f"lattice breaks the box symmetry: "
                                         f"{dev:.3e} off diag(T, T, L)")
-    columns *= orbits.count[:, None]
-    return ModeTable(ksq, columns)
+    return table
 
 
 def make_gaussian_profile(xi: float) -> ChargeProfile:
@@ -507,23 +515,24 @@ def build_lattice(box_period: float, uv_cutoff: float) -> Lattice:
 
 
 def lattice_norm(profile: ChargeProfile, lattice: Lattice, p: int) -> float:
-    """Discrete norm ``(cell_weight * sum_k |k|**(2p) f(|k|)**2)**0.5``,
-    summed over the lattice's orbits with their multiplicities.
+    """Discrete norm ``(cell_weight * sum_k |k|**(2p) f(|k|)**2)**0.5``
+    from ``lattice_table(lattice, profile)``, which raises for a lattice
+    that breaks the box symmetry or a profile not finite on the orbits.
 
     Finite for every ``p`` in ``{-1, 0, 1}`` because the origin is excluded
     from the lattice.
     """
     if p not in (-1, 0, 1):
         raise InvalidParameterError("norm exponent p must be -1, 0 or 1")
-    return _lattice_norm(lattice, profile.radial(lattice.orbits.norms), p)
+    return _norms(lattice_table(lattice, profile))[p]
 
 
-def _lattice_norm(lattice: Lattice, f: np.ndarray, p: int) -> float:
-    """``lattice_norm`` from the profile's values ``f`` on the orbits."""
-    orbits = lattice.orbits
-    total = lattice.cell_weight * float(
-        orbits.count @ (orbits.norms ** (2 * p) * f * f))
-    return math.sqrt(total)
+def _norms(table: ModeTable) -> Dict[int, float]:
+    """``n*(p)`` of a one-dipole table by ``p`` in ``{-1, 0, 1}``: the
+    square root of its ``weights`` times ``|k|^(2p - 2)``, summed."""
+    w = table.weights[:, 0]
+    return {p: math.sqrt(float(w @ table.ksq ** (p - 1)))
+            for p in (-1, 0, 1)}
 
 
 def polarization(k) -> PolarizationPair:
@@ -598,12 +607,11 @@ def check_constraints(params: ModelParams, profile: ChargeProfile,
     ``D_rho = max(sqrt(2) e n*(-1), sqrt(2) n*(1) / (e nu**2))`` and
     ``c_L = max(D_rho, sqrt(2) n*(0) / nu)``.
 
-    The three lattice norms ``n*(p)`` share one evaluation of the profile
-    on the orbits; ``traces.TraceSystem.a`` reads ``a`` from its table.
+    The lattice norms ``n*(p)`` reduce one ``lattice_table``, which raises
+    for a broken box symmetry or a profile not finite on the orbits.
     """
     cn = {p: profile_norm(profile, p) for p in (-1, 0, 1)}
-    f = profile.radial(lattice.orbits.norms)
-    ln = {p: _lattice_norm(lattice, f, p) for p in (-1, 0, 1)}
+    ln = _norms(lattice_table(lattice, profile))
     e, nu0, nu = params.e, params.nu0, params.nu
     rt2 = math.sqrt(2.0)
     c_inf = max(rt2 * e * cn[-1], cn[1] / (rt2 * e * nu0 ** 2), cn[0] / nu0)

@@ -49,8 +49,7 @@ from .quadrature import integrate_half_line
 __all__ = [
     "QuadraticForm", "EnergyResult",
     "LatticePeriodicityWarning", "build_coupling", "assemble_one_electron",
-    "assemble_two_electron", "direct_coupling", "ground_energy",
-    "binding_energy_exact",
+    "assemble_two_electron", "ground_energy", "binding_energy_exact",
 ]
 
 #: clamp window for eigenvalues that are negative by roundoff only
@@ -201,27 +200,6 @@ def assemble_one_electron(params: ModelParams, lattice: Lattice,
         lambda: params.e * build_coupling(np.zeros(3), lattice, profile))
 
 
-def direct_coupling(params: ModelParams, lattice: Lattice,
-                    profile: ChargeProfile, geometry: Geometry) -> float:
-    """Strength of the dropped dipole-dipole contact term.
-
-    ``gamma(R) = e**2 * cell_weight * sum_k f(|k|)**2 cos(k . r)`` summed
-    over the full cutoff box including the origin cell: the contact term is
-    a plain quadrature of its defining continuum integral, not a field
-    mode, and dropping the origin cell would leave a spurious
-    R-independent offset.  Decays faster than any power of ``R`` for
-    rapidly decreasing profiles while ``R`` stays below half the box.  The
-    sum runs over the lattice's orbits with their multiplicities, as
-    ``r`` lies along z.
-    """
-    orbits = lattice.orbits
-    f = profile.radial(orbits.norms)
-    cos = np.cos(orbits.kz * geometry.R)
-    origin = float(profile.radial(0.0)) ** 2
-    return (params.e ** 2 * lattice.cell_weight
-            * (origin + float(orbits.count @ (f * f * cos))))
-
-
 def assemble_two_electron(params: ModelParams, lattice: Lattice,
                           profile: ChargeProfile, geometry: Geometry,
                           include_direct_term: bool = False) -> QuadraticForm:
@@ -229,14 +207,23 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
 
     The first dipole couples at the origin, the second at ``r = (0, 0,
     R)``; ``d = e^2 nu^2``.  The particle-particle scalar ``g`` is zero
-    unless ``include_direct_term`` is set, in which case it is ``gamma(R)``.
+    unless ``include_direct_term`` is set, in which case it is the dropped
+    contact term ``e^2 cell_weight sum_k f(|k|)^2 cos(k . r)`` over the
+    whole box including the origin cell: a plain quadrature of its defining
+    continuum integral, not a field mode, so dropping the origin cell would
+    leave a spurious R-independent offset.  It decays faster than any power
+    of ``R`` for rapidly decreasing profiles while ``R`` stays below half
+    the box.  It is the sum of the form's across ``ModeTable.weights``
+    over ``|k|^2``, plus the origin cell.
     """
     enu2 = (params.e * params.nu) ** 2
-    g = (direct_coupling(params, lattice, profile, geometry)
+    table = _coupling_table(params, lattice_table(lattice, profile,
+                                                  geometry.R))
+    g = (params.e ** 2 * lattice.cell_weight * float(profile.radial(0.0)) ** 2
+         + float(np.sum(table.weights[:, 1] / table.ksq))
          if include_direct_term else 0.0)
     return QuadraticForm(
-        _coupling_table(params, lattice_table(lattice, profile, geometry.R)),
-        enu2, g, enu2, 3.0 * params.e * params.nu, lattice,
+        table, enu2, g, enu2, 3.0 * params.e * params.nu, lattice,
         lambda: params.e * np.vstack([
             build_coupling(x, lattice, profile)
             for x in (np.zeros(3), geometry.r)]))
@@ -467,7 +454,7 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
                          include_direct_term: bool = False) -> float:
     """Exact binding ``2 E - E(R)`` from the mixed part of one log-det.
 
-    The two-dipole form is assembled once (``g`` the direct coupling, or
+    The two-dipole form is assembled once (``g`` the contact term, or
     zero) and its ``_Kernel.binding`` integrated: ``-(1/2 pi) Int_0^inf ds
     sum_c m_c log(1 - sigma_c^2)``, on the same table, ``S(0)`` and
     positivity rule as ``ground_energy``.  Only a negative channel of
@@ -478,8 +465,14 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
     are multiples of ``2 pi / L``, so the energy is periodic in ``R``.
     """
     warn_if_periodic(R, lattice)
-    kernel = assemble_two_electron(params, lattice, profile, Geometry(R),
-                                   include_direct_term).kernel
+    return _binding(assemble_two_electron(params, lattice, profile,
+                                          Geometry(R), include_direct_term))
+
+
+def _binding(form: QuadraticForm) -> float:
+    """``binding_energy_exact`` of an assembled two-dipole form, on the
+    clamp-or-raise rule only where a channel of ``S(0)`` is negative."""
+    kernel = form.kernel
     if np.any(kernel.schur0 < 0.0):
         kernel.check_positivity()
     return integrate_half_line(kernel.binding) / (2.0 * math.pi)

@@ -170,18 +170,14 @@ class TraceSystem:
 
     # -- shared constants ---------------------------------------------------
 
-    def _within(self) -> np.ndarray:
-        """``T + L/2`` per orbit, ``e^2 cell_weight count |k|^2 f(|k|)^2``."""
-        columns = self.form.table.columns
-        return columns[:, 0] + 0.5 * columns[:, 1]
-
     @property
     def a(self) -> float:
         """The expansion parameter ``a = 2 n*(0)^2 / nu^2`` of
         ``check_constraints``, ``n*(0)`` the lattice norm of ``f``, read
-        from the table: ``a = 2 sum (T + L/2) / |k|^2 / (e^2 nu^2)``."""
-        return (2.0 * math.fsum(self._within() / self.form.table.ksq)
-                / self.form.enu2)
+        from the table's within ``ModeTable.weights`` ``w``, ``e^2 w_k``
+        per mode: ``a = 2 sum w / |k|^2 / (e^2 nu^2)``."""
+        within, ksq = self.form.table.weights[:, 0], self.form.table.ksq
+        return 2.0 * math.fsum(within / ksq) / self.form.enu2
 
     def d_integral(self) -> float:
         """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``, exact.
@@ -190,16 +186,17 @@ class TraceSystem:
         (s^2 + k^2)) ds = 1 / (4 alpha (alpha + k)^2)``, and its ``alpha
         <-> k`` twin sums with it to ``1 / (4 alpha k (alpha + k))``, so
 
-            (1/pi) Int D = sum (T + L/2) / (|k| (e nu + |k|)) / (2 e nu)
+            (1/pi) Int D = sum w / (|k| (e nu + |k|)) / (2 e nu)
 
-        over the table's orbits by ``math.fsum``, as ``T + L/2 = e^2 w_k``
-        per mode.  ``D`` closes the within-dipole sums only, so the value
-        does not depend on the geometry.  The quadrature of ``d_envelope``
-        is its test oracle.
+        over the table's orbits by ``math.fsum``, ``w`` its within
+        ``ModeTable.weights``, ``e^2 w_k`` per mode.  ``D`` closes the
+        within-dipole sums only, so the value does not depend on the
+        geometry.  The quadrature of ``d_envelope`` is its test oracle.
         """
         k = self.lattice.orbits.norms
         alpha = self.params.e * self.params.nu
-        return math.fsum(self._within() / (k * (alpha + k))) / (2.0 * alpha)
+        within = self.form.table.weights[:, 0]
+        return math.fsum(within / (k * (alpha + k))) / (2.0 * alpha)
 
     def word_scale(self, word: Sequence[int]) -> float:
         """A-priori magnitude scale ``a**(#I/2 - 1) * (1/pi) Int D`` for a

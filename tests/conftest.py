@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -174,6 +175,19 @@ def envelope_oracle(s, params, profile, lattice):
     n2 = np.sum(wk[None, :] / (s2[:, None] + ksq[None, :]) ** 2, axis=1)
     enu2 = (params.e * params.nu) ** 2
     return 2.0 * params.e ** 2 * s2 / (s2 + enu2) * (n1 / (s2 + enu2) + n2)
+
+
+def contact_term_oracle(params, lattice, profile, R):
+    """Test oracle: the contact term's defining sum over the per-mode box
+    and the origin cell, ``e^2 cell_weight (f(0)^2 + sum_k f(|k|)^2 cos(k
+    . r))`` with ``r = (0, 0, R)``, by ``math.fsum``, and the same sum of
+    its terms' magnitudes."""
+    terms = np.append(profile.radial(lattice.norms) ** 2
+                      * np.cos(lattice.points @ np.array([0.0, 0.0, R])),
+                      float(profile.radial(0.0)) ** 2)
+    scale = params.e ** 2 * lattice.cell_weight
+    return (scale * math.fsum(terms),
+            scale * math.fsum(np.abs(terms)))
 
 
 def dense_word_integrand(system, word, s):

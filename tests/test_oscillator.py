@@ -16,15 +16,15 @@ from cplab import (AccuracyError, Geometry, InvalidParameterError,
                    NotPositiveSemidefiniteError, TraceSystem,
                    assemble_one_electron, assemble_two_electron,
                    binding_energy_exact, build_coupling, build_lattice,
-                   direct_coupling, ground_energy, lattice_norm,
+                   check_constraints, ground_energy, lattice_norm,
                    make_custom_profile, make_gaussian_profile,
                    series_binding, series_one_electron)
 from cplab.model import SYMMETRY_REL
 from cplab.oscillator import _Kernel
 from cplab.quadrature import integrate_half_line
 
-from conftest import (PARAM_SETS, dense_ground_energy, per_mode_lattice,
-                      rebordered, reduce_over_orbits)
+from conftest import (PARAM_SETS, contact_term_oracle, dense_ground_energy,
+                      per_mode_lattice, rebordered, reduce_over_orbits)
 
 
 def zero_profile():
@@ -136,9 +136,22 @@ def test_direct_term_block(default_params, small_lattice, gaussian):
     assert np.all(off.omega[0:3, 3:6] == 0.0)
     on = assemble_two_electron(default_params, small_lattice, gaussian, g,
                                include_direct_term=True)
-    gamma = direct_coupling(default_params, small_lattice, gaussian, g)
-    np.testing.assert_allclose(on.omega[0:3, 3:6], gamma * np.eye(3),
+    np.testing.assert_allclose(on.omega[0:3, 3:6], on.g * np.eye(3),
                                atol=1e-18)
+
+
+@pytest.mark.parametrize("box", [2.0, 3.0, 8.0])
+@pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
+def test_contact_term_matches_its_defining_sum(e, nu0, xi, box):
+    # g reduces the form's across weights over |k|^2 plus the origin cell;
+    # it cancels, so it is measured against its terms' summed magnitude
+    params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
+    lat = build_lattice(box, 1.0)
+    for R in (0.1 * box, 0.3 * box, 0.45 * box):
+        form = assemble_two_electron(params, lat, prof, Geometry(R),
+                                     include_direct_term=True)
+        ref, magnitude = contact_term_oracle(params, lat, prof, R)
+        assert abs(form.g - ref) <= 1e-15 * magnitude
 
 
 def test_direct_coupling_fast_decay():
@@ -146,9 +159,9 @@ def test_direct_coupling_fast_decay():
     params = ModelParams(e=0.5, nu0=2.0)
     prof = make_gaussian_profile(0.5)
     lat = build_lattice(16.0, 1.0)
-    g2 = abs(direct_coupling(params, lat, prof, Geometry(2.0)))
-    g4 = abs(direct_coupling(params, lat, prof, Geometry(4.0)))
-    g6 = abs(direct_coupling(params, lat, prof, Geometry(6.0)))
+    g2, g4, g6 = (abs(assemble_two_electron(params, lat, prof, Geometry(R),
+                                            include_direct_term=True).g)
+                  for R in (2.0, 4.0, 6.0))
     assert g4 < g2 * 2.0 ** -8
     assert g6 < g2 * 3.0 ** -12
     p_near = math.log(g2 / g4) / math.log(2.0)
@@ -278,11 +291,11 @@ def asymmetric_lattice():
 
 
 @pytest.mark.parametrize("route", ["energy", "binding", "series_energy",
-                                   "series_binding"])
+                                   "series_binding", "constraints", "norm"])
 def test_lattice_breaking_box_symmetry_rejected(route):
-    # every exact energy and both series reduce the mode sums to channels,
-    # so each must refuse a box whose sums are not diag(T, T, L) rather
-    # than return a silently wrong value
+    # every exact energy, both series and the lattice norms reduce the mode
+    # sums of one table, so each must refuse a box whose sums are not
+    # diag(T, T, L) rather than return a silently wrong value
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     lat = asymmetric_lattice()
     run = {
@@ -291,6 +304,8 @@ def test_lattice_breaking_box_symmetry_rejected(route):
         "binding": lambda: binding_energy_exact(params, lat, prof, 0.7),
         "series_energy": lambda: series_one_electron(params, lat, prof, 6),
         "series_binding": lambda: series_binding(params, lat, prof, 0.7, 6),
+        "constraints": lambda: check_constraints(params, prof, lat),
+        "norm": lambda: lattice_norm(prof, lat, 0),
     }[route]
     with pytest.raises(InvalidParameterError, match="box symmetry"):
         run()
@@ -319,7 +334,9 @@ def test_profile_not_finite_on_the_orbits_rejected(bad):
             lambda: model.lattice_table(lat, prof, 0.7),
             lambda: model.lattice_table(modes, prof, 0.7),
             lambda: series_binding(params, lat, prof, 0.7, 6),
-            lambda: binding_energy_exact(params, lat, prof, 0.7)]
+            lambda: binding_energy_exact(params, lat, prof, 0.7),
+            lambda: check_constraints(params, prof, lat),
+            lambda: lattice_norm(prof, lat, 1)]
     for run in runs:
         with pytest.raises(InvalidParameterError,
                            match=rf"^profile is not finite on the lattice: "
@@ -364,15 +381,13 @@ def test_orbit_fold_matches_per_mode_sums(e, nu0, xi, box):
     magnitude = params.e ** 2 * folded.cell_weight * (
         float(prof.radial(0.0)) ** 2
         + np.sum(prof.radial(folded.norms) ** 2))
-    gaps.append(relative_gap(direct_coupling(params, folded, prof, g),
-                             direct_coupling(params, modes, prof, g),
-                             magnitude))
     for assemble in (
             lambda lat: assemble_one_electron(params, lat, prof),
             lambda lat: assemble_two_electron(params, lat, prof, g,
                                               include_direct_term=True)):
-        kernel, ref_kernel = (assemble(lat).kernel
-                              for lat in (folded, modes))
+        form, ref_form = (assemble(lat) for lat in (folded, modes))
+        gaps.append(relative_gap(form.g, ref_form.g, magnitude))
+        kernel, ref_kernel = form.kernel, ref_form.kernel
         gaps.append(relative_gap(kernel.stacked.sums(s * s),
                                  ref_kernel.stacked.sums(s * s)))
         for lam in (0.0, 0.5 * float(np.min(ref_kernel.freq2))):
@@ -514,10 +529,12 @@ def test_dense_routes_stay_oracles():
     # the continuum reach the mode table through traces.py.  No ufunc builds
     # an outer (pair) table, and the closed triple-resolvent forms serve the
     # CLI's self-test only.  In oscillator.py only the assemble_* functions
-    # build a table or the contact term: the energy and the binding read
-    # the assembled form's.  Only QuadraticForm.kernel builds a channel
-    # kernel, and traces.py builds neither a table nor a constraint report:
-    # the series read the assembled form's table and kernel.
+    # build a table: the energy, the binding and the contact term read the
+    # assembled form's.  Only QuadraticForm.kernel builds a channel kernel,
+    # and traces.py builds neither a table nor a constraint report: the
+    # series read the assembled form's table and kernel.  Neither module
+    # evaluates the profile but in build_coupling, the oracles' border,
+    # and at the contact term's origin cell.
     for path in sorted(Path(cplab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         form_class = {id(node) for top in tree.body
@@ -535,6 +552,10 @@ def test_dense_routes_stay_oracles():
                       if isinstance(top, ast.FunctionDef)
                       and top.name.startswith("assemble_")
                       for node in ast.walk(top)}
+        coupling = {id(node) for top in tree.body
+                    if isinstance(top, ast.FunctionDef)
+                    and top.name == "build_coupling"
+                    for node in ast.walk(top)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr",
@@ -543,10 +564,15 @@ def test_dense_routes_stay_oracles():
                     f"{path.name}:{node.lineno} calls {name}")
                 assert name != "closed_integral" or path.name == "cli.py", (
                     f"{path.name}:{node.lineno} calls {name}")
-                assert path.name != "oscillator.py" or name not in (
-                    "lattice_table", "direct_coupling") or (
-                        id(node) in assemblers), (
+                assert path.name != "oscillator.py" or (
+                    name != "lattice_table") or id(node) in assemblers, (
                     f"{path.name}:{node.lineno} calls {name}")
+                assert path.name not in ("oscillator.py", "traces.py") or (
+                    name != "radial") or id(node) in coupling or (
+                        id(node) in assemblers
+                        and [ast.literal_eval(a) for a in node.args]
+                        == [0.0]), (
+                    f"{path.name}:{node.lineno} evaluates the profile")
                 assert name != "_Kernel" or id(node) in kernel_body, (
                     f"{path.name}:{node.lineno} builds a _Kernel")
                 assert path.name != "traces.py" or name not in (

@@ -5,16 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from cplab import cli
 from cplab import (ChargeProfile, ClassificationError, Geometry, IndexWord,
                    InvalidParameterError, LatticePeriodicityWarning,
                    ModelParams, QuadratureSpec,
                    SeriesDivergenceError, TailBoundUnavailableError,
                    TraceSystem, assemble_one_electron, assemble_two_electron,
                    binding_energy_exact, build_lattice, check_constraints,
-                   d_envelope, ground_energy, integrate_half_line,
-                   lattice_norm, make_gaussian_profile, mixed_even_words,
-                   series_binding, series_one_electron, trace_word,
-                   word_bound)
+                   convergence_study, d_envelope, ground_energy,
+                   integrate_half_line, lattice_norm, make_gaussian_profile,
+                   mixed_even_words, series_binding, series_one_electron,
+                   trace_word, word_bound)
 from cplab.quadrature import _PANEL_COST
 from conftest import (PARAM_SETS, dense_trace_blocks, dense_word_integrand,
                       envelope_oracle)
@@ -268,10 +269,16 @@ def test_numpy_integer_orders_are_accepted(strong_setup):
         assert run(np.int64(6)).value == run(6).value
 
 
-@pytest.mark.parametrize("call", ["series_one_electron", "series_binding"])
-def test_series_call_evaluates_the_profile_once(call):
+@pytest.mark.parametrize("call", ["series_one_electron", "series_binding",
+                                  "contact_term", "cli_binding",
+                                  "convergence"])
+def test_series_call_evaluates_the_profile_once(call, monkeypatch):
     # the table, the three lattice norms of the report and the envelope
-    # integral all read one evaluation of the profile on the orbits
+    # integral all read one evaluation of the profile on the orbits.  The
+    # contact term reads its form's table, plus the profile at the origin
+    # cell, so a CLI binding with it evaluates the profile on the orbits
+    # once for the report and once per separation; a convergence cell
+    # builds one table per form, the binding reading E2's
     params, gaussian = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     shapes = []
 
@@ -281,13 +288,31 @@ def test_series_call_evaluates_the_profile_once(call):
 
     prof = ChargeProfile(radial, xi=gaussian.xi,
                          cached_norms=gaussian.cached_norms)
-    lat = build_lattice(3.0, 1.0)
-    run = {"series_one_electron": lambda p: series_one_electron(
-               params, lat, p, 6),
-           "series_binding": lambda p: series_binding(
-               params, lat, p, 0.9, 6)}[call]
-    assert run(prof).value == run(gaussian).value
-    assert shapes == [lat.orbits.norms.shape]
+    lat, wide = build_lattice(3.0, 1.0), build_lattice(4.0, 1.0)
+    cfg = cli.RunConfig(e=0.5, nu0=3.0, xi=0.25, L=3.0, Lambda=1.0,
+                        R_grid=[0.6, 0.9], include_direct_term=True)
+
+    def cli_binding(p):
+        monkeypatch.setattr(cli, "make_gaussian_profile", lambda xi: p)
+        return cli.run("binding", cfg).rows
+
+    orbits, origin = lat.orbits.norms.shape, ()
+    run, expected = {
+        "series_one_electron": (lambda p: series_one_electron(
+            params, lat, p, 6).value, [orbits]),
+        "series_binding": (lambda p: series_binding(
+            params, lat, p, 0.9, 6).value, [orbits]),
+        "contact_term": (lambda p: assemble_two_electron(
+            params, lat, p, Geometry(0.9), include_direct_term=True).g,
+            [orbits, origin]),
+        "cli_binding": (cli_binding, [orbits] + [orbits, origin] * 2),
+        "convergence": (lambda p: [
+            [row[key] for key in ("E1", "E2", "binding")]
+            for row in convergence_study([3.0, 4.0], [1.0], params, p, 0.9)],
+            [orbits] * 2 + [wide.orbits.norms.shape] * 2),
+    }[call]
+    assert run(prof) == run(gaussian)
+    assert shapes == expected
 
 
 def test_order_closure_does_not_cancel():
