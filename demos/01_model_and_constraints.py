@@ -47,8 +47,9 @@ pair = polarization(k)
 print(f"\nPolarization pair at k = {k}:")
 print(f"  eps1 = {pair.eps1}")
 print(f"  eps2 = {pair.eps2}")
-print(f"  mode coupling at x = 0, cosine channel: "
-      f"{form_factor(np.zeros(3), lat.points[0], 1, lat, profile):.3e}")
+mode = (2 * np.pi / lat.box_period) * np.array([1.0, 0.0, 0.0])
+print(f"  mode coupling of k = {mode} at x = 0, cosine channel: "
+      f"{form_factor(np.zeros(3), mode, 1, lat, profile):.3e}")
 
 params = ModelParams(e=0.5, nu0=2.0)
 report = check_constraints(params, profile, lat)

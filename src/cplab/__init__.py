@@ -20,11 +20,11 @@ from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
                     ModelParams, OrbitTable, PolarizationPair, build_lattice,
                     check_constraints, form_factor, lattice_norm,
                     make_custom_profile, make_gaussian_profile, polarization,
-                    polarization_basis, profile_norm)
+                    profile_norm)
 from .oscillator import (EnergyResult, LatticePeriodicityWarning,
                          QuadraticForm, assemble_one_electron,
                          assemble_two_electron, binding_energy_exact,
-                         build_coupling, ground_energy)
+                         ground_energy)
 from .quadrature import (IntegrationResult, QuadratureSpec,
                          integrate_half_line, integrate_interval)
 from .traces import (IndexWord, TraceSeries, TraceSystem, d_envelope,

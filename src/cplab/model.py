@@ -17,6 +17,10 @@ value types defined here:
     the rows of every mode sum, from ``lattice_table`` or a radial grid,
 ``ConstraintReport``
     the smallness quantities guarding every series expansion.
+
+``polarization`` and ``form_factor`` state the conventions of one mode;
+the package never enumerates the box's modes, which only the test suite's
+dense oracles do.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ __all__ = [
     "PolarizationPair", "ConstraintReport", "ModeTable", "lattice_table",
     "make_gaussian_profile", "make_custom_profile", "profile_norm",
     "build_lattice", "lattice_norm",
-    "polarization", "polarization_basis", "form_factor", "check_constraints",
+    "polarization", "form_factor", "check_constraints",
 ]
 
 #: value of a normalized charge distribution's form factor at the origin
@@ -219,11 +223,6 @@ class Lattice:
     orbits of the last two boxes built, so a separation sweep, an order
     ladder or a step that alternates two boxes builds each of them once.
 
-    The per-mode ``points``, ``norms`` and ``units`` serve
-    ``build_coupling`` (the border) and the test oracles; they are rebuilt
-    on each access, with ``norms`` equal to the orbits' ``(2 pi / L)
-    sqrt(n^2)`` bit for bit.
-
     Attributes
     ----------
     orbits : OrbitTable
@@ -233,33 +232,15 @@ class Lattice:
     """
 
     def __init__(self, box_period: float, uv_cutoff: float):
-        self._n_max = _box_extent(box_period, uv_cutoff)
+        n_max = _box_extent(box_period, uv_cutoff)
         self.box_period = float(box_period)
         self.uv_cutoff = float(uv_cutoff)
         self.cell_weight = (2.0 * math.pi / box_period) ** 3
-        self.orbits = _box_orbits(2.0 * math.pi / box_period, self._n_max)
+        self.orbits = _box_orbits(2.0 * math.pi / box_period, n_max)
 
     @property
     def count(self) -> int:
         return int(self.orbits.count.sum())
-
-    @property
-    def points(self) -> np.ndarray:
-        """Modes ``k``, shape (N, 3), built on each access."""
-        return (2.0 * math.pi / self.box_period) * _box_modes(self._n_max)
-
-    @property
-    def norms(self) -> np.ndarray:
-        """Lengths ``(2 pi / L) sqrt(n^2)``, shape (N,), built on each
-        access."""
-        n = _box_modes(self._n_max)
-        return (2.0 * math.pi / self.box_period) * np.sqrt(
-            np.einsum("ij,ij->i", n, n))
-
-    @property
-    def units(self) -> np.ndarray:
-        """Unit vectors ``k / |k|``, shape (N, 3), built on each access."""
-        return self.points / self.norms[:, None]
 
     def __repr__(self):
         return (f"Lattice(L={self.box_period}, Lambda={self.uv_cutoff}, "
@@ -287,21 +268,6 @@ def _box_extent(box_period: float, uv_cutoff: float) -> int:
             f"no modes: floor(Lambda*L) = {n_max} < 1 for "
             f"L={box_period}, Lambda={uv_cutoff}")
     return n_max
-
-
-def _box_modes(n_max: int) -> np.ndarray:
-    """The box's integer modes ``n``, shape ((2 n_max + 1)**3 - 1, 3): the
-    rows of the ``(m, m, m, 3)`` grid are already lexicographic, and the
-    origin is the middle one."""
-    axis = np.arange(-n_max, n_max + 1)
-    grid = np.empty((len(axis) ** 3, 3), dtype=axis.dtype)
-    cube = grid.reshape((len(axis),) * 3 + (3,))
-    cube[..., 0] = axis[:, None, None]
-    cube[..., 1] = axis[:, None]
-    cube[..., 2] = axis
-    mid = len(grid) // 2
-    grid[mid:-1] = grid[mid + 1:]  # drop the origin in place
-    return grid[:-1]
 
 
 @functools.lru_cache(maxsize=2)
@@ -527,6 +493,19 @@ def lattice_norm(profile: ChargeProfile, lattice: Lattice, p: int) -> float:
     return _norms(lattice_table(lattice, profile))[p]
 
 
+def _coupling_table(params: ModelParams, table: ModeTable) -> ModeTable:
+    """A ``lattice_table`` times ``e^2``: the channel columns of the border
+    ``B``, the table of both assemblers' forms."""
+    return ModeTable(table.ksq, params.e ** 2 * table.columns)
+
+
+def _expansion_parameter(table: ModeTable, enu2: float) -> float:
+    """``a = 2 n*(0)^2 / nu^2`` from a ``_coupling_table``'s within
+    ``weights`` ``w``, ``e^2 w_k`` per mode: ``2 sum w / |k|^2 / (e^2
+    nu^2)``, the one reduction the report and the series read."""
+    return 2.0 * float((table.weights[:, 0] / table.ksq).sum()) / enu2
+
+
 def _norms(table: ModeTable) -> Dict[int, float]:
     """``n*(p)`` of a one-dipole table by ``p`` in ``{-1, 0, 1}``: the
     square root of its ``weights`` times ``|k|^(2p - 2)``, summed."""
@@ -555,32 +534,6 @@ def polarization(k) -> PolarizationPair:
     return PolarizationPair(eps1=eps1, eps2=eps2)
 
 
-def polarization_basis(points: np.ndarray,
-                       rotation_angles: Optional[np.ndarray] = None):
-    """Vectorized polarization pairs for a stack of momenta.
-
-    ``rotation_angles`` applies a per-mode rotation of the pair inside the
-    transverse plane; physical outputs must be invariant under it.
-    """
-    points = np.asarray(points, dtype=float)
-    kn = np.linalg.norm(points, axis=1)
-    if np.any(kn == 0.0):
-        raise InvalidParameterError("polarization undefined at k = 0")
-    rho = np.hypot(points[:, 0], points[:, 1])
-    eps1 = np.zeros_like(points)
-    on_axis = rho == 0.0
-    generic = ~on_axis
-    eps1[generic, 0] = points[generic, 1] / rho[generic]
-    eps1[generic, 1] = -points[generic, 0] / rho[generic]
-    eps1[on_axis, 1] = -1.0
-    eps2 = np.cross(points / kn[:, None], eps1)
-    if rotation_angles is not None:
-        th = np.asarray(rotation_angles, dtype=float)[:, None]
-        eps1, eps2 = (np.cos(th) * eps1 + np.sin(th) * eps2,
-                      -np.sin(th) * eps1 + np.cos(th) * eps2)
-    return eps1, eps2
-
-
 def form_factor(x, k, channel: int, lattice: Lattice,
                 profile: ChargeProfile) -> float:
     """Mode coupling ``(2 pi / L)**1.5 |k| f(|k|) * cos or sin of (k . x)``.
@@ -607,15 +560,17 @@ def check_constraints(params: ModelParams, profile: ChargeProfile,
     ``D_rho = max(sqrt(2) e n*(-1), sqrt(2) n*(1) / (e nu**2))`` and
     ``c_L = max(D_rho, sqrt(2) n*(0) / nu)``.
 
-    The lattice norms ``n*(p)`` reduce one ``lattice_table``, which raises
-    for a broken box symmetry or a profile not finite on the orbits.
+    The lattice norms ``n*(p)`` and ``a`` reduce one ``lattice_table``,
+    which raises for a broken box symmetry or a profile not finite on the
+    orbits; ``a`` is the series' ``TraceSystem.a`` bit for bit.
     """
     cn = {p: profile_norm(profile, p) for p in (-1, 0, 1)}
-    ln = _norms(lattice_table(lattice, profile))
+    table = lattice_table(lattice, profile)
+    ln = _norms(table)
     e, nu0, nu = params.e, params.nu0, params.nu
     rt2 = math.sqrt(2.0)
     c_inf = max(rt2 * e * cn[-1], cn[1] / (rt2 * e * nu0 ** 2), cn[0] / nu0)
-    a = (rt2 * ln[0] / nu) ** 2
+    a = _expansion_parameter(_coupling_table(params, table), (e * nu) ** 2)
     d_rho = max(rt2 * e * ln[-1], rt2 * ln[1] / (e * nu ** 2))
     c_l = max(d_rho, rt2 * ln[0] / nu)
     return ConstraintReport(

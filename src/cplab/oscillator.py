@@ -4,10 +4,11 @@ A dipole at position ``x`` couples linearly to the lattice field through a
 dense ``3 x 4N`` block.  The full quadratic form is a ``p x p`` particle
 block ``P`` (``p = 3`` or ``6``), the diagonal photon block ``K`` and the
 ``p x 4N`` border ``B`` between them.  ``P`` is ``d I`` or ``[[d I, g I],
-[g I, d I]]``; a form stores the scalars ``d``, ``g`` and ``e^2 nu^2`` and
-the channel columns of ``B`` as a ``model.ModeTable``, one row per orbit of
-equal ``(|k|, |k_z|)``.  ``P``, the free diagonal, the border and the dense
-matrix are rebuilt on request, for tests and oracles.
+[g I, d I]]``; a ``QuadraticForm`` stores the scalars ``d``, ``g`` and
+``e^2 nu^2`` and the channel columns of ``B`` as a ``model.ModeTable``, one
+row per orbit of equal ``(|k|, |k_z|)``, and is itself the channel kernel
+that every route integrates.  No per-mode array is built here: the border
+and the dense matrix are the test suite's oracles.
 
 The ground energy is the zero-point trace ``0.5 Tr(sqrt(Omega) -
 sqrt(Omega_0))`` plus the shift ``1.5 e nu`` per particle.  By the Schur
@@ -35,20 +36,20 @@ import functools
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (AccuracyError, InvalidParameterError,
                      NotPositiveSemidefiniteError)
 from .model import (ChargeProfile, Geometry, Lattice, ModelParams, ModeTable,
-                    lattice_table, polarization_basis)
+                    _coupling_table, lattice_table)
 from .quadrature import integrate_half_line
 
 __all__ = [
     "QuadraticForm", "EnergyResult",
-    "LatticePeriodicityWarning", "build_coupling", "assemble_one_electron",
+    "LatticePeriodicityWarning", "assemble_one_electron",
     "assemble_two_electron", "ground_energy", "binding_energy_exact",
 ]
 
@@ -74,79 +75,6 @@ def warn_if_periodic(R: float, lattice: Lattice) -> None:
 
 
 @dataclass(frozen=True)
-class QuadraticForm:
-    """Symmetric form ``[[P, B], [B^T, K]]`` held by its orbit data.
-
-    The particle block ``P`` is ``d I`` for one dipole and ``[[d I, g I],
-    [g I, d I]]`` for two, the table holding two columns per dipole;
-    ``enu2`` is the free particle frequency ``e^2 nu^2``.  The photon block
-    ``K`` is ``|k|^2`` of each mode of ``lattice``, shared by its four
-    channels.  ``table`` is ``lattice_table`` times ``e^2``:
-    per orbit, the sums of ``T = (M_xx + M_yy) / 2`` and ``L = M_zz`` of
-    ``M_n = sum_c b_{n,c} b_{n,c}^T`` (``b`` the columns of ``B``) over its
-    modes, the same for any shift of the dipoles or rotation of the
-    polarizations.  ``_coupling`` builds ``B`` for the oracles.  No field
-    grows with the number of modes.
-    """
-
-    table: ModeTable
-    d: float
-    g: float
-    enu2: float
-    zero_point_shift: float
-    lattice: Lattice = field(repr=False)
-    _coupling: Callable[[], np.ndarray] = field(repr=False)
-
-    @functools.cached_property
-    def kernel(self) -> _Kernel:
-        """The form's channel kernel, built once: every route reads it."""
-        return _Kernel(self.table, self.d, self.g, self.enu2)
-
-    @property
-    def dim(self) -> int:
-        return 3 * self.table.columns.shape[1] // 2 + 4 * self.lattice.count
-
-    @property
-    def particle(self) -> np.ndarray:
-        """The ``p x p`` block ``P``, built read-only on each access, for
-        tests and oracles only."""
-        dipoles = self.table.columns.shape[1] // 2
-        out = np.kron([[self.d, self.g], [self.g, self.d]],
-                      np.eye(3))[:3 * dipoles, :3 * dipoles]
-        out.setflags(write=False)
-        return out
-
-    @property
-    def omega0_diag(self) -> np.ndarray:
-        """The free diagonal ``[e^2 nu^2] * p + K``, built read-only on each
-        access, for tests and oracles only."""
-        out = np.concatenate([np.full(len(self.particle), self.enu2),
-                              np.repeat(self.lattice.norms ** 2, 4)])
-        out.setflags(write=False)
-        return out
-
-    @property
-    def border(self) -> np.ndarray:
-        """The ``p x 4N`` coupling ``B``, rebuilt read-only by
-        ``build_coupling`` on each access, for tests and oracles only."""
-        out = self._coupling()
-        out.setflags(write=False)
-        return out
-
-    @property
-    def omega(self) -> np.ndarray:
-        """The dense ``dim x dim`` matrix, built read-only on each access
-        for tests and oracles at small ``dim``; no energy route uses it."""
-        p = len(self.particle)
-        out = np.diag(self.omega0_diag)
-        out[:p, :p] = self.particle
-        out[:p, p:] = self.border
-        out[p:, :p] = out[:p, p:].T
-        out.setflags(write=False)
-        return out
-
-
-@dataclass(frozen=True)
 class EnergyResult:
     """Ground energy, eigenvalue diagnostics and quadrature evidence."""
 
@@ -160,35 +88,6 @@ class EnergyResult:
     nodes: int = 0
 
 
-def build_coupling(x, lattice: Lattice, profile: ChargeProfile,
-                   rotation_angles: Optional[np.ndarray] = None
-                   ) -> np.ndarray:
-    """Assemble the dense ``3 x 4N`` coupling block at dipole position ``x``.
-
-    Entry ``[i, 4*n + (c-1)]`` is the i-th component of the polarization
-    vector of mode ``n`` in channel ``c`` times that mode's form factor at
-    ``x``.  Channel layout per mode: (cos, eps1), (cos, eps2), (sin, eps1),
-    (sin, eps2); the sine channels vanish at ``x = 0``.
-    """
-    x = np.asarray(x, dtype=float)
-    eps1, eps2 = polarization_basis(lattice.points, rotation_angles)
-    scale = (math.sqrt(lattice.cell_weight) * lattice.norms
-             * profile.radial(lattice.norms))
-    phase = lattice.points @ x
-    cos, sin = np.cos(phase), np.sin(phase)
-    entries = np.zeros((3, 4 * lattice.count))
-    for c, (eps, trig) in enumerate(((eps1, cos), (eps2, cos), (eps1, sin),
-                                     (eps2, sin))):
-        entries[:, c::4] = (eps * (scale * trig)[:, None]).T
-    return entries
-
-
-def _coupling_table(params: ModelParams, table: ModeTable) -> ModeTable:
-    """A ``lattice_table`` times ``e^2``: the channel columns of the border
-    ``B``, the table of both assemblers' forms."""
-    return ModeTable(table.ksq, params.e ** 2 * table.columns)
-
-
 def assemble_one_electron(params: ModelParams, lattice: Lattice,
                           profile: ChargeProfile) -> QuadraticForm:
     """One-dipole form of dimension ``3 + 4N``, the dipole at the origin:
@@ -196,8 +95,7 @@ def assemble_one_electron(params: ModelParams, lattice: Lattice,
     enu2 = (params.e * params.nu) ** 2
     return QuadraticForm(
         _coupling_table(params, lattice_table(lattice, profile)), enu2, 0.0,
-        enu2, 1.5 * params.e * params.nu, lattice,
-        lambda: params.e * build_coupling(np.zeros(3), lattice, profile))
+        enu2, 1.5 * params.e * params.nu, lattice.count)
 
 
 def assemble_two_electron(params: ModelParams, lattice: Lattice,
@@ -223,14 +121,11 @@ def assemble_two_electron(params: ModelParams, lattice: Lattice,
          + float(np.sum(table.weights[:, 1] / table.ksq))
          if include_direct_term else 0.0)
     return QuadraticForm(
-        table, enu2, g, enu2, 3.0 * params.e * params.nu, lattice,
-        lambda: params.e * np.vstack([
-            build_coupling(x, lattice, profile)
-            for x in (np.zeros(3), geometry.r)]))
+        table, enu2, g, enu2, 3.0 * params.e * params.nu, lattice.count)
 
 
 # ---------------------------------------------------------------------------
-# the channel log-det kernel
+# the quadratic form: its channel log-det kernel
 # ---------------------------------------------------------------------------
 
 def _even_order(order, name: str = "max_order") -> int:
@@ -261,22 +156,52 @@ def _split(v: np.ndarray) -> np.ndarray:
     return v if a.shape[1] == 0 else np.concatenate((w - a, w + a), axis=1)
 
 
-class _Kernel:
-    """A mode ``table`` and the particle block's ``d``, ``g`` and ``enu2``,
-    built by ``QuadraticForm.kernel`` alone; ``freq2`` is the rows' ``|k|^2``.
-    With the box symmetry ``lattice_table`` checks (separation along z),
-    ``X(s)`` and ``S(lam)`` are diagonal in the channels: ``O(orbits)`` per
-    node, no ``p x p`` matrix.  The energy, the binding and every series
-    order read the same rows of ``X(s)``."""
+@dataclass(frozen=True)
+class QuadraticForm:
+    """Symmetric form ``[[P, B], [B^T, K]]`` held by its orbit data, and its
+    channel kernel.
 
-    def __init__(self, table: ModeTable, d: float, g: float, enu2: float):
-        self.table, self.freq2 = table, table.ksq
-        self.d, self.g, self.enu2 = d, g, enu2
-        self.q = table.columns.shape[1]
-        self.multiplicity = np.array(ModeTable.multiplicity * (self.q // 2))
-        self._schur_base = np.array([[d, d, g, g], [0.0] * 4])[:, :self.q]
-        #: the channels of ``P - e^2 nu^2``
-        self.shift = np.array([d - enu2, d - enu2, g, g][:self.q])
+    The particle block ``P`` is ``d I`` for one dipole and ``[[d I, g I],
+    [g I, d I]]`` for two, the table holding two columns per dipole;
+    ``enu2`` is the free particle frequency ``e^2 nu^2``.  The photon block
+    ``K`` is ``|k|^2`` of each of the ``modes`` modes, shared by its four
+    channels.  ``table`` is ``lattice_table`` times ``e^2``: per orbit, the
+    sums of ``T = (M_xx + M_yy) / 2`` and ``L = M_zz`` of ``M_n = sum_c
+    b_{n,c} b_{n,c}^T`` (``b`` the columns of ``B``) over its modes, the
+    same for any shift of the dipoles or rotation of the polarizations.  No
+    field grows with the number of modes.
+
+    With the box symmetry ``lattice_table`` checks (separation along z),
+    ``X(s)`` and ``S(lam)`` are diagonal in the ``q`` channels of the
+    table: ``O(orbits)`` per node, no ``p x p`` matrix.  The energy, the
+    binding and every series order read the same rows of ``X(s)``.
+    """
+
+    table: ModeTable
+    d: float
+    g: float
+    enu2: float
+    zero_point_shift: float
+    modes: int
+
+    def __post_init__(self):
+        # the per-node channel constants, set once as plain attributes: a
+        # cached_property writes through the instance __dict__, after which
+        # every attribute read of the per-node methods is slower
+        q = self.table.columns.shape[1]
+        d, g = self.d, self.g
+        for name, value in (
+                ("q", q),
+                # m_c of each channel, ModeTable.multiplicity per pair
+                ("multiplicity", np.array(ModeTable.multiplicity * (q // 2))),
+                ("_schur_base", np.array([[d, d, g, g], [0.0] * 4])[:, :q]),
+                # the channels of P - e^2 nu^2
+                ("shift", np.array([d - self.enu2, d - self.enu2, g, g][:q]))):
+            object.__setattr__(self, name, value)
+
+    @property
+    def dim(self) -> int:
+        return 3 * self.q // 2 + 4 * self.modes
 
     @functools.cached_property
     def schur0(self) -> np.ndarray:
@@ -287,9 +212,8 @@ class _Kernel:
     @functools.cached_property
     def stacked(self) -> ModeTable:
         """The rows with the columns over ``k_n^2`` appended."""
-        cols = self.table.columns
-        return ModeTable(self.freq2, np.hstack([cols,
-                                                cols / self.freq2[:, None]]))
+        cols, ksq = self.table.columns, self.table.ksq
+        return ModeTable(ksq, np.hstack([cols, cols / ksq[:, None]]))
 
     def schur(self, lam: float) -> np.ndarray:
         """Rows ``[S_c, S_c']`` at ``lam < min k_n^2`` in ``_split`` order:
@@ -381,8 +305,9 @@ class _Kernel:
         """Weyl bracket of the spectrum: that of ``diag(P, K)`` widened by
         ``||B||``, the root of the largest split channel of ``sum_n M_n``."""
         norm = math.sqrt(np.max(_split(self.table.columns.sum(0)[None])))
-        return (min(self.d - abs(self.g), float(np.min(self.freq2))) - norm,
-                max(self.d + abs(self.g), float(np.max(self.freq2))) + norm)
+        ksq = self.table.ksq
+        return (min(self.d - abs(self.g), float(np.min(ksq))) - norm,
+                max(self.d + abs(self.g), float(np.max(ksq))) + norm)
 
     def check_positivity(self) -> Tuple[float, int]:
         """Clamp-or-raise rule: eigenvalues in ``[-CLAMP_REL * norm, 0)``
@@ -400,7 +325,7 @@ class _Kernel:
         lo, hi = self.bracket()
         ulp = np.finfo(float).eps * max(abs(lo), abs(hi))
         tol = 4.0 * ulp
-        p = float(np.min(self.freq2))
+        p = float(np.min(self.table.ksq))
         n_neg = int(self.multiplicity @ (self.schur0 < 0.0))
         bottom, step = (lo if n_neg else max(lo, 0.0)), 0.0
         for _ in range(NEWTON_STEPS):
@@ -437,8 +362,8 @@ def ground_energy(form: QuadraticForm) -> EnergyResult:
     ``[-1e-10 * norm, 0)`` are roundoff, clamped to zero (``log|.|`` gives
     them zero weight); a lower one raises ``NotPositiveSemidefiniteError``.
     """
-    min_eig, clamped = form.kernel.check_positivity()
-    quad = integrate_half_line(form.kernel.log_det, full_output=True)
+    min_eig, clamped = form.check_positivity()
+    quad = integrate_half_line(form.log_det, full_output=True)
     trace_difference = quad.value / (2.0 * math.pi)
     return EnergyResult(
         energy=trace_difference + form.zero_point_shift,
@@ -455,11 +380,11 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
     """Exact binding ``2 E - E(R)`` from the mixed part of one log-det.
 
     The two-dipole form is assembled once (``g`` the contact term, or
-    zero) and its ``_Kernel.binding`` integrated: ``-(1/2 pi) Int_0^inf ds
-    sum_c m_c log(1 - sigma_c^2)``, on the same table, ``S(0)`` and
-    positivity rule as ``ground_energy``.  Only a negative channel of
-    ``S(0)`` makes the form indefinite; only then does the clamp-or-raise
-    rule of ``ground_energy`` run.
+    zero) and its ``QuadraticForm.binding`` integrated: ``-(1/2 pi)
+    Int_0^inf ds sum_c m_c log(1 - sigma_c^2)``, on the same table,
+    ``S(0)`` and positivity rule as ``ground_energy``.  Only a negative
+    channel of ``S(0)`` makes the form indefinite; only then does the
+    clamp-or-raise rule of ``ground_energy`` run.
 
     Positive values mean attraction.  ``R >= L / 2`` warns: lattice momenta
     are multiples of ``2 pi / L``, so the energy is periodic in ``R``.
@@ -472,7 +397,6 @@ def binding_energy_exact(params: ModelParams, lattice: Lattice,
 def _binding(form: QuadraticForm) -> float:
     """``binding_energy_exact`` of an assembled two-dipole form, on the
     clamp-or-raise rule only where a channel of ``S(0)`` is negative."""
-    kernel = form.kernel
-    if np.any(kernel.schur0 < 0.0):
-        kernel.check_positivity()
-    return integrate_half_line(kernel.binding) / (2.0 * math.pi)
+    if np.any(form.schur0 < 0.0):
+        form.check_positivity()
+    return integrate_half_line(form.binding) / (2.0 * math.pi)

@@ -17,15 +17,15 @@ envelope ``D(s)`` behind every tail bound is the integrand of the word
 ``(1, 1)``.  The dense matrix product of the full blocks is the words'
 test oracle, and the words, summed per order, are the series'.
 
-The series runs on that form's ``QuadraticForm.kernel``, the kernel the
-exact routes integrate.  Summed over its words, order ``2j`` integrates
-to the ``j``-th Taylor coefficient in the coupling of the channel log-det
-``log det(1 - X(s))``, which ``_Kernel.order_integrands`` takes from the
-rows of ``X(s)`` that
-``log_det`` and ``binding`` read, with no word enumerated.  Every order of
-a series is one column of a single adaptive pass over shared nodes.  A
-column is a sum of terms of one sign, so the caller's ``rel_tol`` alone
-resolves each order at its own magnitude, with no a-priori floor.
+The series runs on that ``QuadraticForm``, the channel kernel the exact
+routes integrate.  Summed over its words, order ``2j`` integrates to the
+``j``-th Taylor coefficient in the coupling of the channel log-det ``log
+det(1 - X(s))``, which ``QuadraticForm.order_integrands`` takes from the
+rows of ``X(s)`` that ``log_det`` and ``binding`` read, with no word
+enumerated.  Every order of a series is one column of a single adaptive
+pass over shared nodes.  A column is a sum of terms of one sign, so the
+caller's ``rel_tol`` alone resolves each order at its own magnitude, with
+no a-priori floor.
 
 Sign conventions: the one-dipole energy is ``1.5 e nu`` minus the sum of the
 all-ones words, and the binding ``2 E - E(R)`` is plus the sum of the mixed
@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (ClassificationError, InvalidParameterError,
                      SeriesDivergenceError, TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
-                    ModelParams)
+                    ModelParams, _expansion_parameter)
 from .oscillator import (_even_order, assemble_one_electron,
                          assemble_two_electron, warn_if_periodic)
 from .quadrature import QuadratureSpec, integrate_half_line
@@ -152,7 +152,7 @@ class TraceSystem:
     """Evaluation context bundling parameters, lattice, profile and geometry.
 
     ``form`` is ``assemble_one_electron``'s form or, with a geometry,
-    ``assemble_two_electron``'s, and the series integrate its ``kernel``.
+    ``assemble_two_electron``'s, whose channel kernel the series integrate.
     Every trace closes as ``sum_c m_c (...)`` over the channels of the mode
     sums ``e^2 sum_k w_k P_k [cos(k . r)] (s^2 + |k|^2)^-m``, which
     ``channel_sums`` reduces from the form's table.  ``geometry=None``
@@ -166,7 +166,6 @@ class TraceSystem:
         self.form = (assemble_one_electron(params, lattice, profile)
                      if geometry is None else
                      assemble_two_electron(params, lattice, profile, geometry))
-        self.kernel = self.form.kernel
 
     # -- shared constants ---------------------------------------------------
 
@@ -176,8 +175,7 @@ class TraceSystem:
         ``check_constraints``, ``n*(0)`` the lattice norm of ``f``, read
         from the table's within ``ModeTable.weights`` ``w``, ``e^2 w_k``
         per mode: ``a = 2 sum w / |k|^2 / (e^2 nu^2)``."""
-        within, ksq = self.form.table.weights[:, 0], self.form.table.ksq
-        return 2.0 * math.fsum(within / ksq) / self.form.enu2
+        return _expansion_parameter(self.form.table, self.form.enu2)
 
     def d_integral(self) -> float:
         """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``, exact.
@@ -188,15 +186,15 @@ class TraceSystem:
 
             (1/pi) Int D = sum w / (|k| (e nu + |k|)) / (2 e nu)
 
-        over the table's orbits by ``math.fsum``, ``w`` its within
-        ``ModeTable.weights``, ``e^2 w_k`` per mode.  ``D`` closes the
-        within-dipole sums only, so the value does not depend on the
-        geometry.  The quadrature of ``d_envelope`` is its test oracle.
+        over the table's orbits, ``w`` its within ``ModeTable.weights``,
+        ``e^2 w_k`` per mode.  ``D`` closes the within-dipole sums only, so
+        the value does not depend on the geometry.  The quadrature of
+        ``d_envelope`` is its test oracle.
         """
         k = self.lattice.orbits.norms
         alpha = self.params.e * self.params.nu
         within = self.form.table.weights[:, 0]
-        return math.fsum(within / (k * (alpha + k))) / (2.0 * alpha)
+        return float((within / (k * (alpha + k))).sum()) / (2.0 * alpha)
 
     def word_scale(self, word: Sequence[int]) -> float:
         """A-priori magnitude scale ``a**(#I/2 - 1) * (1/pi) Int D`` for a
@@ -295,7 +293,7 @@ def _order_terms(system: TraceSystem, max_order: int,
                  quad: Optional[QuadratureSpec]
                  ) -> Tuple[List[int], List[float], List[float], int]:
     """Orders ``2 .. max_order`` with ``(1/pi) Int`` of their
-    ``system.kernel.order_integrands`` columns and its quadrature error
+    ``system.form.order_integrands`` columns and its quadrature error
     estimate, and the integrand nodes spent.
 
     Every order with words is one column of a single ``order_integrands``
@@ -310,7 +308,7 @@ def _order_terms(system: TraceSystem, max_order: int,
     terms, errors, nodes = [0.0] * dead, [0.0] * dead, 0
     if live:
         res = integrate_half_line(
-            lambda s: system.kernel.order_integrands(live, s),
+            lambda s: system.form.order_integrands(live, s),
             spec=quad or _DEFAULT_QUAD, full_output=True)
         terms += (res.value / math.pi).tolist()
         errors += (res.error_estimate / math.pi).tolist()
@@ -350,7 +348,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
     Per order ``2j`` the contribution is the sum of ``<Q_I>`` over every
     mixed word of that length (odd weights pruned analytically), taken as
     the Taylor coefficient of the channel log-det by
-    ``_Kernel.order_integrands``; the series value carries the
+    ``QuadraticForm.order_integrands``; the series value carries the
     attractive sign convention.  The geometric
     tail bound ``(1/pi) Int D * 4 (4a)**jmax / (1 - 4a)`` needs ``a < 1/4``;
     with ``allow_unbounded_tail`` the value is still computed and the bound

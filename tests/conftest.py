@@ -1,11 +1,11 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cplab import (EnergyResult, Lattice, ModelParams, OrbitTable,
-                   build_coupling, build_lattice, make_gaussian_profile)
+                   build_lattice, make_gaussian_profile)
+from oracles import box_modes, dipoles, free_diagonal, omega
 
 # constraint-passing sets (e, nu0, xi) spanning the admissible region;
 # the first is the documented default
@@ -56,8 +56,8 @@ def orbit_index(lattice):
     orbits = lattice.orbits
     rows = {key: i for i, key in enumerate(zip(orbits.norms, orbits.kz))}
     assert len(rows) == len(orbits.count), "two orbits share a key"
-    return np.array([rows[k, abs(z)]
-                     for k, z in zip(lattice.norms, lattice.points[:, 2])])
+    points, norms = box_modes(lattice)
+    return np.array([rows[k, abs(z)] for k, z in zip(norms, points[:, 2])])
 
 
 def reduce_over_orbits(lattice, per_mode):
@@ -79,11 +79,11 @@ def per_mode_lattice(lattice, points=None):
     ``points``, in their order, so every folded mode sum of the package runs
     over all of them.  By default the points are the box's own modes;
     other points (a box with a mode removed, say) give a table that breaks
-    the box symmetry.  Only ``orbits`` is replaced: the per-mode views stay
+    the box symmetry.  Only ``orbits`` is replaced: the oracles' modes stay
     the box's."""
     twin = Lattice(lattice.box_period, lattice.uv_cutoff)
     if points is None:
-        points, norms = lattice.points, lattice.norms
+        points, norms = box_modes(lattice)
     else:
         norms = np.linalg.norm(points, axis=1)
     twin.orbits = OrbitTable(
@@ -93,22 +93,14 @@ def per_mode_lattice(lattice, points=None):
     return twin
 
 
-def rebordered(form, params, profile, positions, rotation_angles=None):
-    """Test oracle: ``form`` with the border ``e build_coupling`` of dipoles
-    at ``positions`` with polarizations rotated by ``rotation_angles``.  A
-    shift or rotation changes the border alone, not the spectrum, so the
-    dense oracle of the result must give the energy of ``form``."""
-    return dataclasses.replace(form, _coupling=lambda: params.e * np.vstack(
-        [build_coupling(x, form.lattice, profile, rotation_angles)
-         for x in positions]))
-
-
 #: largest form the dense oracle accepts
 DENSE_ORACLE_MAX_DIM = 3000
 
 
-def dense_ground_energy(form, refine=False):
-    """Test oracle: the zero-point trace formula by dense ``eigvalsh``.
+def dense_ground_energy(form, params, lattice, profile, positions,
+                        rotation_angles=None, refine=False):
+    """Test oracle: the zero-point trace formula by dense ``eigvalsh`` of
+    ``oracles.omega`` with the dipoles at ``positions``.
 
     Eigenvalues below zero are clamped as in the package, without the
     raise rule.  ``refine`` re-evaluates every eigenvalue as the Rayleigh
@@ -117,22 +109,23 @@ def dense_ground_energy(form, refine=False):
     otherwise carry.
     """
     assert form.dim <= DENSE_ORACLE_MAX_DIM, "dense oracle is O(dim^3)"
-    omega = form.omega
+    dense = omega(form, params, lattice, profile, positions, rotation_angles)
+    free = free_diagonal(form, lattice)
     if refine:
-        _, vecs = np.linalg.eigh(omega)
+        _, vecs = np.linalg.eigh(dense)
         vecs = vecs.astype(np.longdouble)
-        wide = omega.astype(np.longdouble)
+        wide = dense.astype(np.longdouble)
         # omega is the free diagonal plus p dense rows and columns, so
         # omega @ vecs costs O(p dim^2) instead of O(dim^3)
-        p = len(form.particle)
-        prod = form.omega0_diag.astype(np.longdouble)[:, None] * vecs
+        p = 3 * len(positions)
+        prod = free.astype(np.longdouble)[:, None] * vecs
         prod[:p] = wide[:p] @ vecs
         prod[p:] += wide[p:, :p] @ vecs[:p]
         eigs = (np.sum(vecs * prod, axis=0)
                 / np.sum(vecs * vecs, axis=0))
     else:
-        eigs = np.linalg.eigvalsh(omega).astype(np.longdouble)
-    free = np.sort(form.omega0_diag).astype(np.longdouble)
+        eigs = np.linalg.eigvalsh(dense).astype(np.longdouble)
+    free = np.sort(free).astype(np.longdouble)
     roots = np.sqrt(np.sort(np.clip(eigs, 0.0, None)))
     trace_difference = float(0.5 * np.sum(roots - np.sqrt(free)))
     return EnergyResult(
@@ -148,17 +141,18 @@ def dense_trace_blocks(system):
 
     ``{0: free diagonal, 1: coupling of the first dipole, 2: coupling of
     the second}`` (no ``2`` without geometry), each coupling a symmetric
-    ``dim x dim`` matrix cut from the system's assembled form's ``omega``.
+    ``dim x dim`` matrix cut from ``oracles.omega`` of the system's form.
     """
-    form = system.form
-    omega = form.omega
-    p = len(form.particle)
-    blocks = {0: form.omega0_diag}
+    positions = dipoles(system.geometry)
+    dense = omega(system.form, system.params, system.lattice, system.profile,
+                  positions)
+    p = 3 * len(positions)
+    blocks = {0: free_diagonal(system.form, system.lattice)}
     for j in range(1, p // 3 + 1):
         rows = slice(3 * (j - 1), 3 * j)
-        q = np.zeros_like(omega)
-        q[rows, p:] = omega[rows, p:]
-        q[p:, rows] = omega[p:, rows]
+        q = np.zeros_like(dense)
+        q[rows, p:] = dense[rows, p:]
+        q[p:, rows] = dense[p:, rows]
         blocks[j] = q
     return blocks
 
@@ -168,8 +162,9 @@ def envelope_oracle(s, params, profile, lattice):
     projector (``tr P_k = 2``), ``2 e^2 s^2 (s^2+e^2 nu^2)^-1
     [(s^2+e^2 nu^2)^-1 n1 + n2]`` with ``n_m = sum_k w_k (s^2+|k|^2)^-m``
     and ``w_k = cell_weight |k|^2 f(|k|)^2``."""
-    ksq = lattice.norms ** 2
-    wk = lattice.cell_weight * ksq * profile.radial(lattice.norms) ** 2
+    norms = box_modes(lattice)[1]
+    ksq = norms ** 2
+    wk = lattice.cell_weight * ksq * profile.radial(norms) ** 2
     s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
     n1 = np.sum(wk[None, :] / (s2[:, None] + ksq[None, :]), axis=1)
     n2 = np.sum(wk[None, :] / (s2[:, None] + ksq[None, :]) ** 2, axis=1)
@@ -182,8 +177,9 @@ def contact_term_oracle(params, lattice, profile, R):
     and the origin cell, ``e^2 cell_weight (f(0)^2 + sum_k f(|k|)^2 cos(k
     . r))`` with ``r = (0, 0, R)``, by ``math.fsum``, and the same sum of
     its terms' magnitudes."""
-    terms = np.append(profile.radial(lattice.norms) ** 2
-                      * np.cos(lattice.points @ np.array([0.0, 0.0, R])),
+    points, norms = box_modes(lattice)
+    terms = np.append(profile.radial(norms) ** 2
+                      * np.cos(points @ np.array([0.0, 0.0, R])),
                       float(profile.radial(0.0)) ** 2)
     scale = params.e ** 2 * lattice.cell_weight
     return (scale * math.fsum(terms),

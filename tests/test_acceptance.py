@@ -22,7 +22,8 @@ from cplab.cli import parse_config, run
 from cplab.continuum import ab_identity_check, angular_factor
 
 from conftest import (PARAM_SETS, dense_ground_energy, dense_trace_blocks,
-                      dense_word_integrand, rebordered)
+                      dense_word_integrand)
+from oracles import dipoles
 
 
 def report(name, ok, detail):
@@ -268,13 +269,13 @@ def test_criterion_9_invariance():
     one = assemble_one_electron(params, lat, prof)
     g = Geometry(0.4)
     two = assemble_two_electron(params, lat, prof, g)
-    cases = [(one, [np.zeros(3)], angles),
+    cases = [(one, dipoles(), angles),
              (one, [np.array([0.3, -1.0, 2.0])], None),
-             (two, [np.zeros(3), g.r], angles)]
+             (two, dipoles(g), angles)]
     devs = []
     for form, positions, rotation in cases:
-        ref = dense_ground_energy(rebordered(form, params, prof, positions,
-                                             rotation))
+        ref = dense_ground_energy(form, params, lat, prof, positions,
+                                  rotation)
         devs.append(abs(ref.energy / ground_energy(form).energy - 1.0))
     dev = max(devs)
     assert dev < 1e-10

@@ -12,13 +12,14 @@ from cplab import (EmptyLatticeError, Geometry, IntegrabilityError,
                    InvalidParameterError, ModelParams, TraceSystem,
                    binding_energy_exact, build_lattice, check_constraints,
                    form_factor, lattice_norm, make_custom_profile,
-                   make_gaussian_profile, polarization, polarization_basis,
-                   profile_norm, series_binding)
+                   make_gaussian_profile, polarization, profile_norm,
+                   series_binding)
 import cplab
 from cplab import model
 from cplab.cli import parse_config, run
 
 from conftest import per_mode_lattice, unit_monomials
+from oracles import box_modes, polarization_basis
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,10 +130,12 @@ def test_lattice_empty_box_raises():
 def test_lattice_structure():
     lat = build_lattice(2.0, 1.0)
     step = TWO_PI / 2.0
-    ratios = lat.points / step
+    points = box_modes(lat)[0]
+    assert len(points) == lat.count
+    ratios = points / step
     assert np.allclose(ratios, np.round(ratios), atol=1e-12)
-    assert not np.any(np.all(lat.points == 0.0, axis=1))
-    assert np.all(np.abs(lat.points) <= TWO_PI * 1.0 + 1e-12)
+    assert not np.any(np.all(points == 0.0, axis=1))
+    assert np.all(np.abs(points) <= TWO_PI * 1.0 + 1e-12)
     assert lat.cell_weight == pytest.approx(step ** 3)
     # lexicographic ordering
     keys = list(map(tuple, np.round(ratios).astype(int)))
@@ -169,13 +172,14 @@ def test_lattice_orbit_invariants(box, size):
     np.testing.assert_array_equal(np.bincount(idx, minlength=size),
                                   orbits.count)
     # the per-mode oracles are the same modes, with the orbits' norms
-    np.testing.assert_array_equal(lat.points, step * n)
-    np.testing.assert_array_equal(lat.norms, orbits.norms[idx])
+    points, norms = box_modes(lat)
+    np.testing.assert_array_equal(points, step * n)
+    np.testing.assert_array_equal(norms, orbits.norms[idx])
     # the symmetric box: each orbit's moments, zero in the table, cancel
     # to roundoff over its modes
     assert not np.any(orbits.moments)
     moments = np.zeros((size, 4))
-    np.add.at(moments, idx, unit_monomials(lat.units))
+    np.add.at(moments, idx, unit_monomials(points / norms[:, None]))
     assert np.all(np.abs(moments) <= 1e-15 * orbits.count[:, None])
 
 
@@ -265,15 +269,17 @@ def test_integer_orbits_match_float_box_fold(box, cut):
             lattice_norm(prof, ref, p), rel=1e-14, abs=0.0)
 
 
-def test_production_never_builds_the_box(monkeypatch):
+def test_production_never_builds_the_box():
+    # the package has no per-mode box to build: the modes, their
+    # polarizations and the border are the oracles' (test_oscillator's
+    # test_dense_routes_stay_oracles pins the names in the source), so
     # every CLI route and both exact and series bindings read the orbits
-    # alone: with the per-mode box builder refusing, they still run
-    def refuse(n_max):
-        raise AssertionError(f"per-mode box built at n_max = {n_max}")
-
-    monkeypatch.setattr(model, "_box_modes", refuse)
-    with pytest.raises(AssertionError, match="per-mode box"):
-        build_lattice(2.0, 1.0).points
+    lat = build_lattice(2.0, 1.0)
+    for owner, name in ((lat, "points"), (lat, "norms"), (lat, "units"),
+                        (model, "_box_modes"), (model, "polarization_basis"),
+                        (cplab, "polarization_basis"),
+                        (cplab, "build_coupling")):
+        assert not hasattr(owner, name), name
     cfg = parse_config("L = 3\nxi = 0.25\nnu0 = 3\nR_grid = 0.6, 0.9\n"
                        "max_order = 6")
     for sub in ("check", "energy", "binding", "series", "convergence"):
@@ -314,13 +320,12 @@ def test_mode_sums_do_not_depend_on_chunking(monkeypatch):
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     lat = build_lattice(2.0, 1.0)
     system = TraceSystem(params, lat, prof, Geometry(0.7))
-    kernel = system.kernel
     svals = np.geomspace(0.02, 40.0, 7)
 
     def evaluate():
         sums = system.channel_sums(svals)
         return [np.stack(sums[m]) for m in (1, 2)] + [
-            kernel.stacked.sums(svals ** 2)[0]]
+            system.form.stacked.sums(svals ** 2)[0]]
 
     whole = evaluate()
     monkeypatch.setattr(model, "_CHUNK_ELEMS", 50)
@@ -334,7 +339,7 @@ def test_lattice_norm_direct_sum():
     prof = make_gaussian_profile(1.0)
     lat = build_lattice(1.0, 1.0)
     expected = 0.0
-    for k in lat.points:
+    for k in box_modes(lat)[0]:
         kn = np.linalg.norm(k)
         expected += float(prof.radial(kn)) ** 2
     expected = math.sqrt(TWO_PI ** 3 * expected)
@@ -399,10 +404,16 @@ def test_polarization_completeness_random(rng):
 
 
 def test_polarization_lattice_transversality(small_lattice):
-    e1, e2 = polarization_basis(small_lattice.points)
-    khat = small_lattice.units
+    # the oracles' pairs are the package's convention, mode by mode
+    points, norms = box_modes(small_lattice)
+    e1, e2 = polarization_basis(points)
+    khat = points / norms[:, None]
     np.testing.assert_allclose(np.sum(e1 * khat, axis=1), 0.0, atol=1e-14)
     np.testing.assert_allclose(np.sum(e2 * khat, axis=1), 0.0, atol=1e-14)
+    for k, eps1, eps2 in zip(points, e1, e2):
+        pair = polarization(k)
+        np.testing.assert_allclose([pair.eps1, pair.eps2], [eps1, eps2],
+                                   rtol=0.0, atol=1e-15)
 
 
 def test_form_factor_values(small_lattice):
@@ -420,7 +431,7 @@ def test_form_factor_values(small_lattice):
 def test_form_factor_pythagoras(small_lattice, rng):
     prof = make_gaussian_profile(1.0)
     x = rng.normal(size=3)
-    for k in small_lattice.points[::5]:
+    for k in box_modes(small_lattice)[0][::5]:
         total = (form_factor(x, k, 1, small_lattice, prof) ** 2
                  + form_factor(x, k, 3, small_lattice, prof) ** 2)
         ref = (form_factor(np.zeros(3), k, 1, small_lattice, prof) ** 2)
@@ -430,7 +441,7 @@ def test_form_factor_pythagoras(small_lattice, rng):
 def test_form_factor_rejects_bad_channel(small_lattice):
     prof = make_gaussian_profile(1.0)
     with pytest.raises(InvalidParameterError):
-        form_factor(np.zeros(3), small_lattice.points[0], 5,
+        form_factor(np.zeros(3), np.array([TWO_PI, 0.0, 0.0]), 5,
                     small_lattice, prof)
 
 

@@ -15,16 +15,17 @@ from cplab import (AccuracyError, Geometry, InvalidParameterError,
                    LatticePeriodicityWarning, ModelParams,
                    NotPositiveSemidefiniteError, TraceSystem,
                    assemble_one_electron, assemble_two_electron,
-                   binding_energy_exact, build_coupling, build_lattice,
+                   binding_energy_exact, build_lattice,
                    check_constraints, ground_energy, lattice_norm,
                    make_custom_profile, make_gaussian_profile,
                    series_binding, series_one_electron)
-from cplab.model import SYMMETRY_REL
-from cplab.oscillator import _Kernel
+from cplab.model import SYMMETRY_REL, ModeTable
+from cplab.oscillator import QuadraticForm
 from cplab.quadrature import integrate_half_line
 
 from conftest import (PARAM_SETS, contact_term_oracle, dense_ground_energy,
-                      per_mode_lattice, rebordered, reduce_over_orbits)
+                      per_mode_lattice, reduce_over_orbits)
+from oracles import border, box_modes, dipoles, free_diagonal, omega
 
 
 def zero_profile():
@@ -37,14 +38,14 @@ def zero_profile():
 # ---------------------------------------------------------------------------
 
 def test_sine_channels_vanish_at_origin(small_lattice, gaussian):
-    block = build_coupling(np.zeros(3), small_lattice, gaussian)
+    block = border(small_lattice, gaussian, dipoles())
     assert np.all(block[:, 2::4] == 0.0)
     assert np.all(block[:, 3::4] == 0.0)
 
 
 def test_coupling_gram_positive_semidefinite(small_lattice, gaussian, rng):
     x = rng.normal(size=3)
-    block = build_coupling(x, small_lattice, gaussian)
+    block = border(small_lattice, gaussian, [x])
     gram = block @ block.T
     np.testing.assert_allclose(gram, gram.T, atol=1e-15)
     assert np.min(np.linalg.eigvalsh(gram)) >= -1e-15
@@ -55,8 +56,8 @@ def test_weighted_coupling_norm_bound(strong_setup):
     # sqrt(2) * lattice norm of the profile, uniformly in s
     params, prof, lat = strong_setup
     bound = math.sqrt(2.0) * lattice_norm(prof, lat, 0)
-    block = build_coupling(np.array([0.3, -1.0, 2.0]), lat, prof)
-    diag = np.repeat(lat.norms ** 2, 4)
+    block = border(lat, prof, [np.array([0.3, -1.0, 2.0])])
+    diag = np.repeat(box_modes(lat)[1] ** 2, 4)
     for s in (0.0, 1.0, 10.0):
         weighted = block / np.sqrt(s * s + diag)[None, :]
         norm = np.linalg.norm(weighted, 2)
@@ -64,11 +65,11 @@ def test_weighted_coupling_norm_bound(strong_setup):
 
 
 def test_weighted_gram_trace_position_independent(small_lattice, gaussian):
-    diag = np.repeat(small_lattice.norms ** 2, 4)
+    diag = np.repeat(box_modes(small_lattice)[1] ** 2, 4)
     refs = []
     for x in (np.zeros(3), np.array([0.0, 0.0, 0.4]),
               np.array([0.2, -0.7, 1.1])):
-        block = build_coupling(x, small_lattice, gaussian)
+        block = border(small_lattice, gaussian, [x])
         weighted = block / np.sqrt(1.0 + diag)[None, :]
         refs.append(np.trace(weighted @ weighted.T))
     assert refs[1] == pytest.approx(refs[0], rel=1e-12)
@@ -110,9 +111,10 @@ def test_energy_shift_invariance(strong_setup):
     # with the dipole away from the origin
     params, prof, lat = strong_setup
     form = assemble_one_electron(params, lat, prof)
-    shifted = rebordered(form, params, prof, [np.array([0.3, -1.0, 2.0])])
-    assert dense_ground_energy(shifted).energy == pytest.approx(
-        ground_energy(form).energy, rel=1e-10)
+    shifted = dense_ground_energy(form, params, lat, prof,
+                                  [np.array([0.3, -1.0, 2.0])])
+    assert shifted.energy == pytest.approx(ground_energy(form).energy,
+                                           rel=1e-10)
 
 
 def test_energy_polarization_rotation_invariance(strong_setup, rng):
@@ -122,21 +124,26 @@ def test_energy_polarization_rotation_invariance(strong_setup, rng):
     angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
     g = Geometry(0.4)
     for form, positions in (
-            (assemble_one_electron(params, lat, prof), [np.zeros(3)]),
-            (assemble_two_electron(params, lat, prof, g),
-             [np.zeros(3), g.r])):
-        rotated = rebordered(form, params, prof, positions, angles)
-        assert dense_ground_energy(rotated).energy == pytest.approx(
-            ground_energy(form).energy, rel=1e-10)
+            (assemble_one_electron(params, lat, prof), dipoles()),
+            (assemble_two_electron(params, lat, prof, g), dipoles(g))):
+        rotated = dense_ground_energy(form, params, lat, prof, positions,
+                                      angles)
+        assert rotated.energy == pytest.approx(ground_energy(form).energy,
+                                               rel=1e-10)
 
 
 def test_direct_term_block(default_params, small_lattice, gaussian):
     g = Geometry(0.3)
+
+    def dense(form):
+        return omega(form, default_params, small_lattice, gaussian,
+                     dipoles(g))
+
     off = assemble_two_electron(default_params, small_lattice, gaussian, g)
-    assert np.all(off.omega[0:3, 3:6] == 0.0)
+    assert np.all(dense(off)[0:3, 3:6] == 0.0)
     on = assemble_two_electron(default_params, small_lattice, gaussian, g,
                                include_direct_term=True)
-    np.testing.assert_allclose(on.omega[0:3, 3:6], on.g * np.eye(3),
+    np.testing.assert_allclose(dense(on)[0:3, 3:6], on.g * np.eye(3),
                                atol=1e-18)
 
 
@@ -169,30 +176,25 @@ def test_direct_coupling_fast_decay():
     assert p_far > p_near
 
 
-def border_variants(params, lat, prof, dipoles, angles):
-    """Forms of one or two dipoles, each with the border ``build_coupling``
-    gives it: canonical, with the contact term (two), and the canonical
-    form re-bordered with its dipole shifted (one) or its polarizations
-    rotated."""
-    def border(positions, rotation=None):
-        return params.e * np.vstack([build_coupling(x, lat, prof, rotation)
-                                     for x in positions])
+def border_variants(params, lat, prof, count, angles):
+    """Forms of ``count`` dipoles, each with an ``e border(...)`` that has
+    its spectrum: canonical, with the contact term (two), and with the
+    dipole shifted (one) or the polarizations rotated."""
+    def charged(positions, rotation=None):
+        return params.e * border(lat, prof, positions, rotation)
 
-    if dipoles == 1:
+    if count == 1:
         form = assemble_one_electron(params, lat, prof)
-        at, moved = [np.zeros(3)], [np.array([0.3, -1.0, 2.0])]
-        out = [(form, border(at))]
-        variants = [(moved, None), (at, angles), (moved, angles)]
-    else:
-        g = Geometry(0.4)
-        form = assemble_two_electron(params, lat, prof, g)
-        at = [np.zeros(3), g.r]
-        out = [(form, border(at)),
-               (assemble_two_electron(params, lat, prof, g,
-                                      include_direct_term=True), border(at))]
-        variants = [(at, angles)]
-    return out + [(rebordered(form, params, prof, x, rotation),
-                   border(x, rotation)) for x, rotation in variants]
+        at, moved = dipoles(), [np.array([0.3, -1.0, 2.0])]
+        variants = [(at, None), (moved, None), (at, angles), (moved, angles)]
+        return [(form, charged(x, rotation)) for x, rotation in variants]
+    g = Geometry(0.4)
+    form = assemble_two_electron(params, lat, prof, g)
+    return [(form, charged(dipoles(g))),
+            (assemble_two_electron(params, lat, prof, g,
+                                   include_direct_term=True),
+             charged(dipoles(g))),
+            (form, charged(dipoles(g), angles))]
 
 
 @pytest.mark.parametrize("factor", [5.0, 2.0])
@@ -203,7 +205,7 @@ def test_border_breaking_box_symmetry_rejected(strong_setup, factor,
     # mode's row and makes sum_n M_n / k_n^2 non-diagonal: assembly refuses
     # the table
     params, prof, lat = strong_setup
-    points = lat.points.copy()
+    points = box_modes(lat)[0]
     points[3] *= factor
     broken = per_mode_lattice(lat, points)
     with pytest.raises(InvalidParameterError, match="box symmetry"):
@@ -218,8 +220,9 @@ def test_kernel_columns_match_trace_system(strong_setup):
     # stacked with the same columns over k_n^2: e^2 times the per-mode
     # columns, built from the points, summed over each orbit
     params, prof, lat = strong_setup
-    wk = lat.cell_weight * lat.norms ** 2 * prof.radial(lat.norms) ** 2
-    uz2 = lat.units[:, 2] ** 2
+    points, norms = box_modes(lat)
+    wk = lat.cell_weight * norms ** 2 * prof.radial(norms) ** 2
+    uz2 = (points[:, 2] / norms) ** 2
     within = np.stack([0.5 * wk * (1.0 + uz2), wk * (1.0 - uz2)], axis=1)
     g = Geometry(0.4)
     cases = [
@@ -229,49 +232,34 @@ def test_kernel_columns_match_trace_system(strong_setup):
          TraceSystem(params, lat, prof, g)),
     ]
     for form, system in cases:
-        kernel = form.kernel
         modes = within
         if system.geometry is not None:
-            cosr = np.cos(lat.points @ system.geometry.r)
+            cosr = np.cos(points @ system.geometry.r)
             modes = np.hstack([within, within * cosr[:, None]])
         modes = params.e ** 2 * modes
         q = modes.shape[1]
-        stacked = kernel.stacked.columns
+        stacked = form.stacked.columns
         assert stacked.shape == (len(lat.orbits.count), 2 * q)
         for half, r in (
-                (stacked[:, :q], system.kernel.table.columns),
+                (stacked[:, :q], system.form.table.columns),
                 (stacked[:, :q], reduce_over_orbits(lat, modes)),
                 (stacked[:, q:],
-                 reduce_over_orbits(lat, modes / lat.norms[:, None] ** 2))):
+                 reduce_over_orbits(lat, modes / norms[:, None] ** 2))):
             dev = np.abs(half - r)
             assert np.all(dev <= 1e-14 * np.max(np.abs(r), axis=0))
-
-
-@pytest.mark.parametrize("dipoles", [1, 2])
-def test_border_is_read_only_coupling_view(strong_setup, rng, dipoles):
-    # the form stores no border: each access rebuilds it, read-only, from
-    # build_coupling at the form's dipoles and polarizations
-    params, prof, lat = strong_setup
-    angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
-    for form, ref in border_variants(params, lat, prof, dipoles, angles):
-        border = form.border
-        np.testing.assert_array_equal(border, ref)
-        with pytest.raises(ValueError):
-            border[:, 12:16] *= 2.0
-        np.testing.assert_array_equal(form.border, ref)
 
 
 @pytest.mark.parametrize("dipoles", [1, 2])
 def test_border_gram_matches_channel_columns(strong_setup, rng, dipoles):
     # B K^-1 B^T = sum_n M_n / k_n^2 is the channel matrix of the stored
     # columns: every 3 x 3 block diag(T, T, L) within each dipole and
-    # across, to SYMMETRY_REL of the largest within-dipole entry
+    # across, to SYMMETRY_REL of the largest within-dipole entry, whatever
+    # the dipoles' shift or the polarizations' rotation
     params, prof, lat = strong_setup
     angles = rng.uniform(0.0, 2 * math.pi, size=lat.count)
-    for form, _ in border_variants(params, lat, prof, dipoles, angles):
-        p = len(form.particle)
-        border = form.border
-        gram = (border / form.omega0_diag[p:]) @ border.T
+    for form, block in border_variants(params, lat, prof, dipoles, angles):
+        p = len(block)
+        gram = (block / free_diagonal(form, lat)[p:]) @ block.T
         t, l, *across = np.sum(
             form.table.columns / lat.orbits.norms[:, None] ** 2, axis=0)
         ref = np.kron(np.eye(p // 3), np.diag([t, t, l]))
@@ -285,9 +273,10 @@ def asymmetric_lattice():
     """The L = 2 box's per-mode table less the mode pi (1, 1, 0): no longer
     symmetric."""
     lat = build_lattice(2.0, 1.0)
-    keep = np.any(lat.points != math.pi * np.array([1.0, 1.0, 0.0]), axis=1)
+    points = box_modes(lat)[0]
+    keep = np.any(points != math.pi * np.array([1.0, 1.0, 0.0]), axis=1)
     assert np.sum(~keep) == 1
-    return per_mode_lattice(lat, lat.points[keep])
+    return per_mode_lattice(lat, points[keep])
 
 
 @pytest.mark.parametrize("route", ["energy", "binding", "series_energy",
@@ -380,19 +369,17 @@ def test_orbit_fold_matches_per_mode_sums(e, nu0, xi, box):
                           lattice_norm(prof, modes, p)) for p in (-1, 0, 1)]
     magnitude = params.e ** 2 * folded.cell_weight * (
         float(prof.radial(0.0)) ** 2
-        + np.sum(prof.radial(folded.norms) ** 2))
+        + np.sum(prof.radial(box_modes(folded)[1]) ** 2))
     for assemble in (
             lambda lat: assemble_one_electron(params, lat, prof),
             lambda lat: assemble_two_electron(params, lat, prof, g,
                                               include_direct_term=True)):
         form, ref_form = (assemble(lat) for lat in (folded, modes))
         gaps.append(relative_gap(form.g, ref_form.g, magnitude))
-        kernel, ref_kernel = form.kernel, ref_form.kernel
-        gaps.append(relative_gap(kernel.stacked.sums(s * s),
-                                 ref_kernel.stacked.sums(s * s)))
-        for lam in (0.0, 0.5 * float(np.min(ref_kernel.freq2))):
-            gaps.append(relative_gap(kernel.schur(lam),
-                                     ref_kernel.schur(lam)))
+        gaps.append(relative_gap(form.stacked.sums(s * s),
+                                 ref_form.stacked.sums(s * s)))
+        for lam in (0.0, 0.5 * float(np.min(ref_form.table.ksq))):
+            gaps.append(relative_gap(form.schur(lam), ref_form.schur(lam)))
         res, ref_res = (ground_energy(assemble(lat))
                         for lat in (folded, modes))
         gaps += [relative_gap(res.energy, ref_res.energy),
@@ -438,23 +425,34 @@ def test_mode_sums_are_orbit_wide(monkeypatch):
 
 
 def test_forms_hold_orbit_data_only():
-    # an assembled form stores nothing per mode: at L = 3 its only arrays
-    # are the mode table's two, one row per orbit of 39, and its particle
-    # block is the scalars d and g, while the per-mode views keep 3 or
-    # 6 + 4N
+    # an assembled form stores nothing per mode: once the energy, the
+    # binding and a series order have run on it, everything it holds is a
+    # number, a mode table of one row per orbit, or an array of at most
+    # that many rows, and its particle block is the scalars d and g; only
+    # dim counts the 3 rows per dipole and 4 per mode of the dense form
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
-    lat = build_lattice(3.0, 1.0)
-    for form in (assemble_one_electron(params, lat, prof),
-                 assemble_two_electron(params, lat, prof, Geometry(0.9))):
-        table = [form.table.ksq, form.table.columns]
-        assert [len(a) for a in table] == [39, 39]
-        arrays = [getattr(form, f.name) for f in dataclasses.fields(form)]
-        arrays = [a for a in arrays + table if isinstance(a, np.ndarray)]
-        assert len(arrays) == 2 and max(len(a) for a in arrays) <= 39
-        assert all(type(getattr(form, name)) is float
-                   for name in ("d", "g", "enu2"))
-        assert form.dim == len(form.omega0_diag) == 4 * 342 + len(
-            form.particle)
+    for box in (2.0, 3.0, 8.0):
+        lat = build_lattice(box, 1.0)
+        orbits = len(lat.orbits.count)
+        g = Geometry(0.3 * box)
+        for count, form in ((1, assemble_one_electron(params, lat, prof)),
+                            (2, assemble_two_electron(params, lat, prof, g))):
+            ground_energy(form)
+            form.order_integrands((4,), np.ones(3))
+            if count == 2:
+                form.binding(np.ones(3))
+            held = list(vars(form).values())
+            tables = [v for v in held if isinstance(v, ModeTable)]
+            arrays = [v for v in held if isinstance(v, np.ndarray)]
+            assert len(tables) == 2 and len(held) == len(tables) + len(
+                arrays) + sum(type(v) in (float, int) for v in held)
+            for table in tables:
+                assert len(table.ksq) == len(table.columns) == orbits
+            assert max(len(a) for a in arrays) <= orbits
+            assert all(type(getattr(form, name)) is float
+                       for name in ("d", "g", "enu2"))
+            assert form.dim == 4 * lat.count + 3 * count == len(
+                free_diagonal(form, lat))
 
 
 def test_violated_positivity_raises(small_lattice):
@@ -492,71 +490,74 @@ def test_binding_positive_at_strong_coupling(strong_setup):
 
 def oracle_forms(params, lattice, profile):
     """One-dipole form and two-dipole forms with and without the direct
-    term, at a separation below half the box."""
+    term, at a separation below half the box, each with its dipoles'
+    positions."""
     g = Geometry(0.3 * lattice.box_period)
-    return [assemble_one_electron(params, lattice, profile),
-            assemble_two_electron(params, lattice, profile, g),
-            assemble_two_electron(params, lattice, profile, g,
-                                  include_direct_term=True)]
+    return [(assemble_one_electron(params, lattice, profile), dipoles()),
+            (assemble_two_electron(params, lattice, profile, g), dipoles(g)),
+            (assemble_two_electron(params, lattice, profile, g,
+                                   include_direct_term=True), dipoles(g))]
 
 
 @pytest.mark.parametrize("box", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS[:3])
 def test_log_det_matches_dense_oracle(e, nu0, xi, box):
     params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
-    for form in oracle_forms(params, build_lattice(box, 1.0), prof):
+    lat = build_lattice(box, 1.0)
+    for form, positions in oracle_forms(params, lat, prof):
         res = ground_energy(form)
-        ref = dense_ground_energy(form)
+        ref = dense_ground_energy(form, params, lat, prof, positions)
         # spectrum scale: the top eigenvalue is the largest photon frequency
-        norm = float(np.max(form.omega0_diag))
+        norm = float(np.max(free_diagonal(form, lat)))
         assert abs(res.energy - ref.energy) <= 1e-11
         assert abs(res.min_eigenvalue - ref.min_eigenvalue) <= 1e-13 * norm
         assert res.n_clamped == ref.n_clamped == 0
         assert res.n_eigenvalues == form.dim
         # the Weyl bracket of the bisection holds both dense extremes
-        lo, hi = form.kernel.bracket()
-        eigs = np.linalg.eigvalsh(form.omega)
+        lo, hi = form.bracket()
+        eigs = np.linalg.eigvalsh(omega(form, params, lat, prof, positions))
         pad = 8.0 * np.finfo(float).eps * norm
         assert lo - pad <= eigs[0] and eigs[-1] <= hi + pad
 
 
+#: per-mode names that only the dense oracles in tests/oracles.py may use
+PER_MODE = ("units", "_box_modes", "polarization_basis", "build_coupling",
+            "border", "omega", "omega0_diag", "particle")
+
+
 def test_dense_routes_stay_oracles():
-    # the package calls no eigensolver, and only QuadraticForm's own
-    # properties read the per-mode free diagonal, the dense border and
-    # matrix; tests and the oracles in conftest.py are the only other
-    # readers.  Resolvent tables are built in model.py alone, by the one
-    # chunked reducer that ModeTable.sums calls, and neither the forms nor
-    # the continuum reach the mode table through traces.py.  No ufunc builds
-    # an outer (pair) table, and the closed triple-resolvent forms serve the
-    # CLI's self-test only.  In oscillator.py only the assemble_* functions
-    # build a table: the energy, the binding and the contact term read the
-    # assembled form's.  Only QuadraticForm.kernel builds a channel kernel,
-    # and traces.py builds neither a table nor a constraint report: the
-    # series read the assembled form's table and kernel.  Neither module
-    # evaluates the profile but in build_coupling, the oracles' border,
-    # and at the contact term's origin cell.
+    # the package calls no eigensolver and names no per-mode object: the
+    # box's modes, their polarizations, the border and the dense matrix
+    # live in tests/oracles.py alone (``points`` is checked as an attribute
+    # only: it names fit_power_law's pairs).  Resolvent tables are built in
+    # model.py alone, by the one chunked reducer that ModeTable.sums calls,
+    # and neither the forms nor the continuum reach the mode table through
+    # traces.py.  No ufunc builds an outer (pair) table, and the closed
+    # triple-resolvent forms serve the CLI's self-test only.  In
+    # oscillator.py only the assemble_* functions build a table: the
+    # energy, the binding and the contact term read the assembled form's.
+    # There is no kernel class and no .kernel: the form is its kernel, and
+    # traces.py builds neither a table nor a constraint report, the series
+    # reading the assembled form.  Neither module evaluates the profile but
+    # at the contact term's origin cell.
     for path in sorted(Path(cplab.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        form_class = {id(node) for top in tree.body
-                      if isinstance(top, ast.ClassDef)
-                      and top.name == "QuadraticForm"
-                      for node in ast.walk(top)}
-        kernel_body = {id(node) for top in tree.body
-                       if isinstance(top, ast.ClassDef)
-                       and top.name == "QuadraticForm"
-                       for item in top.body
-                       if isinstance(item, ast.FunctionDef)
-                       and item.name == "kernel"
-                       for node in ast.walk(item)}
         assemblers = {id(node) for top in tree.body
                       if isinstance(top, ast.FunctionDef)
                       and top.name.startswith("assemble_")
                       for node in ast.walk(top)}
-        coupling = {id(node) for top in tree.body
-                    if isinstance(top, ast.FunctionDef)
-                    and top.name == "build_coupling"
-                    for node in ast.walk(top)}
         for node in ast.walk(tree):
+            name = next((getattr(node, key) for key in
+                         ("attr", "id", "name", "arg")
+                         if isinstance(getattr(node, key, None), str)), None)
+            assert name not in PER_MODE and not (
+                isinstance(node, ast.Attribute) and name == "points"), (
+                f"{path.name}:{node.lineno} names {name}")
+            assert not (isinstance(node, ast.ClassDef) and "Kernel" in name
+                        or isinstance(node, ast.Attribute)
+                        and name == "kernel"), (
+                f"{path.name}:{node.lineno} names a kernel apart from the "
+                "form")
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "attr",
                                getattr(node.func, "id", None))
@@ -568,20 +569,14 @@ def test_dense_routes_stay_oracles():
                     name != "lattice_table") or id(node) in assemblers, (
                     f"{path.name}:{node.lineno} calls {name}")
                 assert path.name not in ("oscillator.py", "traces.py") or (
-                    name != "radial") or id(node) in coupling or (
+                    name != "radial") or (
                         id(node) in assemblers
                         and [ast.literal_eval(a) for a in node.args]
                         == [0.0]), (
                     f"{path.name}:{node.lineno} evaluates the profile")
-                assert name != "_Kernel" or id(node) in kernel_body, (
-                    f"{path.name}:{node.lineno} builds a _Kernel")
                 assert path.name != "traces.py" or name not in (
                     "lattice_table", "check_constraints"), (
                     f"{path.name}:{node.lineno} calls {name}")
-            elif (isinstance(node, ast.Attribute)
-                    and node.attr in ("border", "omega", "omega0_diag")):
-                assert id(node) in form_class, (
-                    f"{path.name}:{node.lineno} reads .{node.attr}")
             elif isinstance(node, ast.Attribute) and node.attr == "outer":
                 assert not isinstance(node.value, ast.Attribute), (
                     f"{path.name}:{node.lineno} builds a ufunc outer table")
@@ -608,12 +603,14 @@ def test_in_window_eigenvalues_clamped_like_dense(default_params,
     # the roundoff window; at 1e-13 the energy needs the integrand's S(0)
     # branch, log|1 - mu| alone is off by 2e-7
     form = assemble_one_electron(default_params, small_lattice, gaussian)
-    photon = form.omega0_diag[3:]
-    schur0 = form.particle - (form.border / photon) @ form.border.T
+    dense = omega(form, default_params, small_lattice, gaussian, dipoles())
+    photon, block = np.diag(dense)[3:], dense[:3, 3:]
+    schur0 = dense[:3, :3] - (block / photon) @ block.T
     form = dataclasses.replace(
         form, d=form.d - (np.linalg.eigvalsh(schur0)[0] + delta))
     res = ground_energy(form)
-    ref = dense_ground_energy(form)
+    ref = dense_ground_energy(form, default_params, small_lattice, gaussian,
+                              dipoles())
     assert res.n_clamped == ref.n_clamped == 3
     assert res.min_eigenvalue == pytest.approx(ref.min_eigenvalue, rel=1e-2)
     # the integrand's log|.| gives a clamped eigenvalue zero weight; the
@@ -627,7 +624,7 @@ def test_in_window_eigenvalues_clamped_like_dense(default_params,
 # ---------------------------------------------------------------------------
 
 #: boxes of the bottom-eigenvalue grid; with PARAM_SETS and the three forms
-#: of ``oracle_forms`` it holds 90 kernels
+#: of ``oracle_forms`` it holds 90 forms
 BOTTOM_BOXES = [1, 2, 3, 4, 8, 16]
 
 
@@ -637,19 +634,19 @@ def grid_forms(e, nu0, xi, box):
                               make_gaussian_profile(xi)))
 
 
-def bisection_bottom(kernel):
+def bisection_bottom(form):
     """Test oracle: the bottom eigenvalue by bisection on the Haynsworth
     count (photons below ``lam`` plus the negative channels of ``S(lam)``),
     inside the Weyl bracket and below every diagonal entry, to ``tol``."""
-    photon = np.repeat(kernel.freq2, 4)
+    photon = np.repeat(form.table.ksq, 4)
 
     def count_below(lam):
         return (np.count_nonzero(photon < lam)
-                + kernel.multiplicity @ (kernel.schur(lam)[0] < 0.0))
+                + form.multiplicity @ (form.schur(lam)[0] < 0.0))
 
-    lo, hi = kernel.bracket()
+    lo, hi = form.bracket()
     tol = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    a, b = lo, min(kernel.d, float(np.min(kernel.freq2)))
+    a, b = lo, min(form.d, float(np.min(form.table.ksq)))
     while b - a > tol:
         mid = 0.5 * (a + b)
         if not a < mid < b:
@@ -664,18 +661,17 @@ def bisection_bottom(kernel):
 @pytest.mark.parametrize("box", BOTTOM_BOXES)
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
 def test_newton_bottom_matches_bisection_oracle(e, nu0, xi, box):
-    for form in grid_forms(e, nu0, xi, box):
-        kernel = form.kernel
-        bottom, n_neg = kernel.check_positivity()
-        ref, tol, count = bisection_bottom(kernel)
+    for form, _ in grid_forms(e, nu0, xi, box):
+        bottom, n_neg = form.check_positivity()
+        ref, tol, count = bisection_bottom(form)
         assert abs(bottom - ref) <= tol
         assert n_neg == count == 0
         if (e, nu0, xi, box) == (1.2, 1.5, 1.5, 3):
             # near the pole: the bottom is 1.2e-9 below k_min^2
-            assert 0.0 < np.min(kernel.freq2) - bottom < 1e-8
+            assert 0.0 < np.min(form.table.ksq) - bottom < 1e-8
         if box == 1 and (e, nu0, xi) in ((0.5, 2.0, 1.0), (1.2, 1.5, 1.5)):
             # the bottom sits on the Weyl bracket's lower end
-            assert bottom - kernel.bracket()[0] <= tol
+            assert bottom - form.bracket()[0] <= tol
 
 
 @pytest.mark.parametrize("box", BOTTOM_BOXES)
@@ -686,19 +682,18 @@ def test_bottom_eigenvalue_takes_few_schur_passes(e, nu0, xi, box,
     # bisection to the same tolerance takes 31-45 of them per form.  From
     # the third pass on, the step ratio predicts the roundoff step, so no
     # pass ends with a step below roundoff only to confirm convergence
-    calls, schur = [], _Kernel.schur
+    calls, schur = [], QuadraticForm.schur
 
     def counted(self, lam):
         calls.append(lam)
         return schur(self, lam)
 
-    monkeypatch.setattr(_Kernel, "schur", counted)
-    for form in grid_forms(e, nu0, xi, box):
-        kernel = form.kernel
+    monkeypatch.setattr(QuadraticForm, "schur", counted)
+    for form, _ in grid_forms(e, nu0, xi, box):
         calls.clear()
-        bottom, _ = kernel.check_positivity()
+        bottom, _ = form.check_positivity()
         assert 1 <= len(calls) <= 8
-        ulp = np.finfo(float).eps * max(map(abs, kernel.bracket()))
+        ulp = np.finfo(float).eps * max(map(abs, form.bracket()))
         assert len(calls) <= 2 or bottom - calls[-1] > ulp
 
 
@@ -706,10 +701,10 @@ def test_newton_step_cap_raises(strong_setup, monkeypatch):
     # the cap is a constant; a form that needs more steps than it allows
     # raises a typed error instead of returning an unconverged bottom
     params, prof, lat = strong_setup
-    kernel = assemble_one_electron(params, lat, prof).kernel
+    form = assemble_one_electron(params, lat, prof)
     monkeypatch.setattr(cplab.oscillator, "NEWTON_STEPS", 1)
     with pytest.raises(AccuracyError, match="Newton steps"):
-        kernel.check_positivity()
+        form.check_positivity()
 
 
 @pytest.mark.parametrize("xi", [1.5, 3.0])
@@ -717,24 +712,26 @@ def test_bottom_pinned_at_lowest_photon(xi):
     # d = 50 lies above k_min^2 = 39.48 and the lowest modes couple at
     # about 1e-77, so the bottom is k_min^2 to roundoff: the Newton must
     # stop there without evaluating S at the pole
-    form = assemble_one_electron(ModelParams(1.0, 5.0), build_lattice(1, 1),
-                                 make_gaussian_profile(xi))
+    params, lat = ModelParams(1.0, 5.0), build_lattice(1, 1)
+    prof = make_gaussian_profile(xi)
+    form = assemble_one_electron(params, lat, prof)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = ground_energy(form)
-    ref = np.linalg.eigvalsh(form.omega)[0]
-    assert abs(res.min_eigenvalue - ref) <= 1e-13 * np.max(form.omega0_diag)
+    ref = np.linalg.eigvalsh(omega(form, params, lat, prof, dipoles()))[0]
+    assert abs(res.min_eigenvalue - ref) <= 1e-13 * np.max(
+        free_diagonal(form, lat))
 
 
 def test_binding_matches_refined_dense_oracle():
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     lat = build_lattice(1.0, 1.0)
     one = dense_ground_energy(assemble_one_electron(params, lat, prof),
-                              refine=True)
+                              params, lat, prof, dipoles(), refine=True)
     for r in (0.2, 0.35, 0.45):
-        two = dense_ground_energy(
-            assemble_two_electron(params, lat, prof, Geometry(r)),
-            refine=True)
+        g = Geometry(r)
+        two = dense_ground_energy(assemble_two_electron(params, lat, prof, g),
+                                  params, lat, prof, dipoles(g), refine=True)
         ref = 2.0 * one.trace_difference - two.trace_difference
         assert binding_energy_exact(params, lat, prof, r) == pytest.approx(
             ref, rel=1e-9)
@@ -751,8 +748,9 @@ def test_binding_with_direct_term_matches_refined_dense_oracle(e, nu0, xi,
     params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
     lat = build_lattice(box, 1.0)
 
-    def oracle(form):
-        ref = dense_ground_energy(form, refine=True).trace_difference
+    def oracle(form, geometry=None):
+        ref = dense_ground_energy(form, params, lat, prof, dipoles(geometry),
+                                  refine=True).trace_difference
         if abs(ref) >= 1e-7:
             assert ground_energy(form).trace_difference == pytest.approx(
                 ref, rel=1e-9)
@@ -761,8 +759,9 @@ def test_binding_with_direct_term_matches_refined_dense_oracle(e, nu0, xi,
     one = oracle(assemble_one_electron(params, lat, prof))
     for direct in (False, True):
         for r in (0.2 * box, 0.45 * box):
+            g = Geometry(r)
             ref = 2.0 * one - oracle(assemble_two_electron(
-                params, lat, prof, Geometry(r), include_direct_term=direct))
+                params, lat, prof, g, include_direct_term=direct), g)
             value = binding_energy_exact(params, lat, prof, r,
                                          include_direct_term=direct)
             if abs(ref) >= 1e-7:
@@ -778,11 +777,14 @@ def test_binding_with_direct_term_matches_refined_dense_oracle(e, nu0, xi,
 def test_binding_rejects_indefinite_form(e, nu0, xi, direct, small_lattice,
                                          monkeypatch):
     params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
-    form = assemble_two_electron(params, small_lattice, prof, Geometry(0.3),
+    g = Geometry(0.3)
+    form = assemble_two_electron(params, small_lattice, prof, g,
                                  include_direct_term=direct)
-    assert dense_ground_energy(form).min_eigenvalue < -1e-3
+    assert dense_ground_energy(form, params, small_lattice, prof,
+                               dipoles(g)).min_eigenvalue < -1e-3
     # the message carries the bottom eigenvalue to its 7 printed digits
-    ref = f"{np.linalg.eigvalsh(form.omega)[0]:.6e}"
+    dense = omega(form, params, small_lattice, prof, dipoles(g))
+    ref = f"{np.linalg.eigvalsh(dense)[0]:.6e}"
     # the positivity rule reads the one table the binding assembles
     calls, table = [], oscillator.lattice_table
     monkeypatch.setattr(oscillator, "lattice_table",
@@ -798,14 +800,14 @@ def test_binding_never_builds_the_stacked_table(default_params,
                                                 small_lattice, gaussian):
     # only log_det reads the columns over k_n^2; the binding path would
     # hold them for nothing, N x 8 floats
-    kernel = assemble_two_electron(default_params, small_lattice, gaussian,
-                                   Geometry(0.3)).kernel
-    value = integrate_half_line(kernel.binding)
-    assert "stacked" not in vars(kernel)
+    form = assemble_two_electron(default_params, small_lattice, gaussian,
+                                 Geometry(0.3))
+    value = integrate_half_line(form.binding)
+    assert "stacked" not in vars(form)
     assert value / (2.0 * math.pi) == binding_energy_exact(
         default_params, small_lattice, gaussian, 0.3)
-    kernel.log_det(np.ones(1))
-    assert "stacked" in vars(kernel)
+    form.log_det(np.ones(1))
+    assert "stacked" in vars(form)
 
 
 def test_large_box_smoke():
