@@ -23,13 +23,13 @@ from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
                     profile_norm)
 from .oscillator import (EnergyResult, LatticePeriodicityWarning,
                          QuadraticForm, assemble_one_electron,
-                         assemble_two_electron, binding_energy_exact,
-                         ground_energy)
+                         assemble_two_electron, binding_energy,
+                         binding_energy_exact, ground_energy)
 from .quadrature import (IntegrationResult, QuadratureSpec,
                          integrate_half_line, integrate_interval)
-from .traces import (IndexWord, TraceSeries, TraceSystem, d_envelope,
-                     mixed_even_words, series_binding, series_one_electron,
-                     trace_word, word_bound)
+from .traces import (IndexWord, TraceSeries, TraceSystem, mixed_even_words,
+                     series_binding, series_one_electron, trace_word,
+                     word_bound)
 from .continuum import (FourthOrderResult, ab_identity_check,
                         angular_bracket_kernels, angular_factor,
                         closed_integral, cp_constant, fourth_order_error,

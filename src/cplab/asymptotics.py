@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import CplabError, FitDomainError, InvalidParameterError
 from .model import ChargeProfile, Geometry, ModelParams, build_lattice
-from .oscillator import (_binding, assemble_one_electron,
-                         assemble_two_electron, ground_energy)
+from .oscillator import (assemble_one_electron, assemble_two_electron,
+                         binding_energy, ground_energy)
 
 __all__ = ["SweepResult", "PowerFit", "sweep_R", "fit_power_law",
            "convergence_study"]
@@ -136,8 +136,8 @@ def convergence_study(L_ladder: Sequence[float],
     """Refinement table over growing boxes at each fixed cutoff.
 
     The box ladder is the inner loop (matching the iterated-limit order);
-    each row carries the one- and two-dipole energies, the binding (that
-    of ``binding_energy_exact`` on ``E2``'s form, not the difference of the
+    each row carries the one- and two-dipole energies, the binding
+    (``binding_energy`` of ``E2``'s form, not the difference of the
     energies) and the signed successive differences along the box ladder.
     """
     if not (len(L_ladder) and len(Lambda_ladder)) or \
@@ -157,7 +157,7 @@ def convergence_study(L_ladder: Sequence[float],
                 params, lattice, profile)).energy
             pair = assemble_two_electron(params, lattice, profile,
                                          Geometry(R))
-            e2, bind = ground_energy(pair).energy, _binding(pair)
+            e2, bind = ground_energy(pair).energy, binding_energy(pair)
             rows.append({"Lambda": lam, "L": box, "N": lattice.count,
                          "E1": e1, "E2": e2, "binding": bind,
                          "dE1": math.nan if prev_e1 is None else e1 - prev_e1,

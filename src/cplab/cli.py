@@ -35,7 +35,7 @@ from .model import (ConstraintReport, ModelParams, build_lattice,
 from .oscillator import (LatticePeriodicityWarning, assemble_one_electron,
                          binding_energy_exact, ground_energy)
 from .quadrature import QuadratureSpec
-from .traces import series_one_electron
+from .traces import _energy_series
 
 __all__ = ["RunConfig", "RunReport", "parse_config", "run", "emit", "main"]
 
@@ -252,10 +252,11 @@ def _run_binding(cfg, params, profile, lattice, report):
 
 
 def _run_series(cfg, params, profile, lattice, report):
-    quad = QuadratureSpec(rel_tol=cfg.quad_rel_tol)
-    series = series_one_electron(params, lattice, profile,
-                                 max_order=cfg.max_order, quad=quad)
-    exact = ground_energy(assemble_one_electron(params, lattice, profile))
+    # the series and the exact energy read one assembled form
+    form = assemble_one_electron(params, lattice, profile)
+    series = _energy_series(form, cfg.max_order,
+                            QuadratureSpec(rel_tol=cfg.quad_rel_tol))
+    exact = ground_energy(form)
     cols = ["order", "term", "partial_energy"]
     rows = []
     partial = series.zero_point_shift

@@ -23,11 +23,12 @@ PRL 99, 170403 (2007); Rahi et al., PRD 80, 085021 (2009)).  ``X(s)`` is
 diagonal in the axis channels of the mode table within one dipole and
 across the pair, with closed-form eigenvalues ``x_c -+ y_c``: a node
 costs ``O(orbits)`` and no ``p x p`` matrix is formed.  The binding energy
-is the mixed part of the same kernel's log-det on the one assembled
-two-dipole form, never a difference of two energies, and each order of the
-perturbation series (``traces``) is a Taylor coefficient of it in the
-coupling.  The bottom eigenvalue is the least channel root of the Schur
-complement ``S(lam) = P - lam - B (K - lam)^-1 B^T``, by a secular Newton.
+``binding_energy(form)`` is the mixed part of the same kernel's log-det on
+the one assembled two-dipole form, never a difference of two energies, and
+each order of the perturbation series (``traces``, on the same forms) is a
+Taylor coefficient of it in the coupling.  The bottom eigenvalue is the
+least channel root of the Schur complement ``S(lam) = P - lam - B (K -
+lam)^-1 B^T``, by a secular Newton.
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ from .model import (ChargeProfile, Geometry, Lattice, ModelParams, ModeTable,
 from .quadrature import integrate_half_line
 
 __all__ = [
-    "QuadraticForm", "EnergyResult",
-    "LatticePeriodicityWarning", "assemble_one_electron",
-    "assemble_two_electron", "ground_energy", "binding_energy_exact",
+    "QuadraticForm", "EnergyResult", "LatticePeriodicityWarning",
+    "assemble_one_electron", "assemble_two_electron", "ground_energy",
+    "binding_energy", "binding_energy_exact",
 ]
 
 #: clamp window for eigenvalues that are negative by roundoff only
@@ -374,29 +375,32 @@ def ground_energy(form: QuadraticForm) -> EnergyResult:
         nodes=quad.nodes_used)
 
 
-def binding_energy_exact(params: ModelParams, lattice: Lattice,
-                         profile: ChargeProfile, R: float,
-                         include_direct_term: bool = False) -> float:
-    """Exact binding ``2 E - E(R)`` from the mixed part of one log-det.
+def binding_energy(form: QuadraticForm) -> float:
+    """Exact binding ``2 E - E(R)`` of an assembled two-dipole form, from
+    the mixed part of its one log-det.
 
-    The two-dipole form is assembled once (``g`` the contact term, or
-    zero) and its ``QuadraticForm.binding`` integrated: ``-(1/2 pi)
-    Int_0^inf ds sum_c m_c log(1 - sigma_c^2)``, on the same table,
-    ``S(0)`` and positivity rule as ``ground_energy``.  Only a negative
-    channel of ``S(0)`` makes the form indefinite; only then does the
-    clamp-or-raise rule of ``ground_energy`` run.
-
-    Positive values mean attraction.  ``R >= L / 2`` warns: lattice momenta
-    are multiples of ``2 pi / L``, so the energy is periodic in ``R``.
+    ``QuadraticForm.binding`` is integrated: ``-(1/2 pi) Int_0^inf ds
+    sum_c m_c log(1 - sigma_c^2)``, on the same table, ``S(0)`` and
+    positivity rule as ``ground_energy``.  Only a negative channel of
+    ``S(0)`` makes the form indefinite; only then does the clamp-or-raise
+    rule of ``ground_energy`` run.  Positive values mean attraction.
     """
-    warn_if_periodic(R, lattice)
-    return _binding(assemble_two_electron(params, lattice, profile,
-                                          Geometry(R), include_direct_term))
-
-
-def _binding(form: QuadraticForm) -> float:
-    """``binding_energy_exact`` of an assembled two-dipole form, on the
-    clamp-or-raise rule only where a channel of ``S(0)`` is negative."""
     if np.any(form.schur0 < 0.0):
         form.check_positivity()
     return integrate_half_line(form.binding) / (2.0 * math.pi)
+
+
+def binding_energy_exact(params: ModelParams, lattice: Lattice,
+                         profile: ChargeProfile, R: float,
+                         include_direct_term: bool = False) -> float:
+    """``binding_energy`` of the two-dipole form at separation ``R``,
+    assembled once (``g`` the contact term, or zero).
+
+    An invalid ``R`` raises before anything else.  ``R >= L / 2`` warns:
+    lattice momenta are multiples of ``2 pi / L``, so the energy is
+    periodic in ``R``.
+    """
+    geometry = Geometry(R)
+    warn_if_periodic(R, lattice)
+    return binding_energy(assemble_two_electron(
+        params, lattice, profile, geometry, include_direct_term))

@@ -9,16 +9,19 @@ with ``Q_i(s)`` the symmetrically resolvent-dressed blocks.  The trace
 collapses into products of mode sums of the transverse projectors, and on
 the symmetric cutoff box each of those is diagonal in the axes: a
 transverse channel (x and y) and a longitudinal one (z).
-``TraceSystem.channel_sums`` evaluates them at resolvent powers 1 and 2 by
-reducing the assembled form's ``e^2``-scaled ``model.ModeTable``, one row
-per ``(|k|, |k_z|)`` orbit, so ``word_integrand_fast`` costs ``O(orbits)``
-per quadrature node and a chain is a product of scalars per channel.  The
-envelope ``D(s)`` behind every tail bound is the integrand of the word
-``(1, 1)``.  The dense matrix product of the full blocks is the words'
-test oracle, and the words, summed per order, are the series'.
+``TraceSystem.word_integrand_fast`` reads them at resolvent powers 1 and 2
+from one reduction of the assembled form's ``e^2``-scaled
+``model.ModeTable``, one row per ``(|k|, |k_z|)`` orbit, so a word costs
+``O(orbits)`` per quadrature node and a chain is a product of scalars per
+channel.  The envelope ``D(s)`` behind every tail bound is the integrand
+of the one-dipole word ``(1, 1)``.  The dense matrix product of the full
+blocks is the words' test oracle, and the words, summed per order, are
+the series'.
 
-The series runs on that ``QuadraticForm``, the channel kernel the exact
-routes integrate.  Summed over its words, order ``2j`` integrates to the
+The series take the assembled ``QuadraticForm``, the channel kernel the
+exact routes integrate, and read its orders, ``a`` and ``(1/pi) Int D``
+from it alone; the ``(params, lattice, profile)`` entry points only
+assemble the form.  Summed over its words, order ``2j`` integrates to the
 ``j``-th Taylor coefficient in the coupling of the channel log-det ``log
 det(1 - X(s))``, which ``QuadraticForm.order_integrands`` takes from the
 rows of ``X(s)`` that ``log_det`` and ``binding`` read, with no word
@@ -37,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,14 +48,13 @@ from .errors import (ClassificationError, InvalidParameterError,
                      SeriesDivergenceError, TailBoundUnavailableError)
 from .model import (ChargeProfile, ConstraintReport, Geometry, Lattice,
                     ModelParams, _expansion_parameter)
-from .oscillator import (_even_order, assemble_one_electron,
+from .oscillator import (QuadraticForm, _even_order, assemble_one_electron,
                          assemble_two_electron, warn_if_periodic)
 from .quadrature import QuadratureSpec, integrate_half_line
 
 __all__ = [
     "IndexWord", "TraceSeries", "TraceSystem", "trace_word",
-    "series_one_electron", "series_binding", "d_envelope", "word_bound",
-    "mixed_even_words",
+    "series_one_electron", "series_binding", "word_bound", "mixed_even_words",
 ]
 
 #: the spec a word or a series integrates to when the caller gives none
@@ -129,34 +131,36 @@ def mixed_even_words(order: int) -> List[Tuple[int, ...]]:
             and sum(word) % 2 == 0]
 
 
-def d_envelope(s, params: ModelParams, profile: ChargeProfile,
-               lattice: Lattice):
-    """Integrable envelope dominating every second-order trace integrand.
+def _d_integral(form: QuadraticForm) -> float:
+    """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``, exact.
 
-    ``D(s) = 2 e^2 s^2 (s^2+e^2 nu^2)^{-1} [ (s^2+e^2 nu^2)^{-1} n1(s)
-    + n2(s) ]`` where ``n_m(s)`` is the squared lattice norm of
-    ``(s^2+|k|^2)^{-m/2} |k| f(|k|)``.  It is the integrand of the word
-    ``(1, 1)`` of one dipole, ``word_integrand_fast`` on the channel
-    entries of ``TraceSystem.channel_sums``: ``tr P_k = 2`` gives ``2 e^2
-    n_m = 2 T_m + L_m`` within one dipole, so the second-order trace
-    integrand equals it exactly; higher orders fall below it geometrically.
-    Its integral is the closed form ``TraceSystem.d_integral``, which the
-    quadrature of this function checks in the tests.
+    ``D(s)`` is the integrand of the one-dipole word ``(1, 1)``.  With
+    ``alpha = e nu``, ``(1/pi) Int_0^inf s^2 / ((s^2 + alpha^2)^2 (s^2 +
+    k^2)) ds = 1 / (4 alpha (alpha + k)^2)``, and its ``alpha <-> k`` twin
+    sums with it to ``1 / (4 alpha k (alpha + k))``, so
+
+        (1/pi) Int D = sum w / (|k| (e nu + |k|)) / (2 e nu)
+
+    over the form's orbits, ``w`` its table's within ``ModeTable.weights``,
+    ``e^2 w_k`` per mode, ``|k|`` and ``e nu`` the roots of its ``ksq`` and
+    ``enu2``.  ``D`` closes the within-dipole sums only, so the value does
+    not depend on the geometry.
     """
-    out = TraceSystem(params, lattice, profile).word_integrand_fast(
-        (1, 1), np.atleast_1d(np.asarray(s, dtype=float)))
-    return out if np.ndim(s) else float(out[0])
+    k = np.sqrt(form.table.ksq)
+    alpha = math.sqrt(form.enu2)
+    within = form.table.weights[:, 0]
+    return float((within / (k * (alpha + k))).sum()) / (2.0 * alpha)
 
 
 class TraceSystem:
     """Evaluation context bundling parameters, lattice, profile and geometry.
 
     ``form`` is ``assemble_one_electron``'s form or, with a geometry,
-    ``assemble_two_electron``'s, whose channel kernel the series integrate.
-    Every trace closes as ``sum_c m_c (...)`` over the channels of the mode
-    sums ``e^2 sum_k w_k P_k [cos(k . r)] (s^2 + |k|^2)^-m``, which
-    ``channel_sums`` reduces from the form's table.  ``geometry=None``
-    restricts the system to one dipole and its words (all letters 1).
+    ``assemble_two_electron``'s, the form the series integrate.  Every
+    trace closes as ``sum_c m_c (...)`` over the channels of the mode sums
+    ``e^2 sum_k w_k P_k [cos(k . r)] (s^2 + |k|^2)^-m``, the columns of one
+    reduction of the form's table.  ``geometry=None`` restricts the system
+    to one dipole and its words (all letters 1).
     """
 
     def __init__(self, params: ModelParams, lattice: Lattice,
@@ -167,8 +171,6 @@ class TraceSystem:
                      if geometry is None else
                      assemble_two_electron(params, lattice, profile, geometry))
 
-    # -- shared constants ---------------------------------------------------
-
     @property
     def a(self) -> float:
         """The expansion parameter ``a = 2 n*(0)^2 / nu^2`` of
@@ -178,50 +180,15 @@ class TraceSystem:
         return _expansion_parameter(self.form.table, self.form.enu2)
 
     def d_integral(self) -> float:
-        """Half-line envelope integral ``(1/pi) Int_0^inf D(s) ds``, exact.
-
-        With ``alpha = e nu``, ``(1/pi) Int_0^inf s^2 / ((s^2 + alpha^2)^2
-        (s^2 + k^2)) ds = 1 / (4 alpha (alpha + k)^2)``, and its ``alpha
-        <-> k`` twin sums with it to ``1 / (4 alpha k (alpha + k))``, so
-
-            (1/pi) Int D = sum w / (|k| (e nu + |k|)) / (2 e nu)
-
-        over the table's orbits, ``w`` its within ``ModeTable.weights``,
-        ``e^2 w_k`` per mode.  ``D`` closes the within-dipole sums only, so
-        the value does not depend on the geometry.  The quadrature of
-        ``d_envelope`` is its test oracle.
-        """
-        k = self.lattice.orbits.norms
-        alpha = self.params.e * self.params.nu
-        within = self.form.table.weights[:, 0]
-        return float((within / (k * (alpha + k))).sum()) / (2.0 * alpha)
+        """``(1/pi) Int D`` of the form, exact: ``_d_integral``.  The
+        quadrature of the word ``(1, 1)`` of one dipole is its test
+        oracle."""
+        return _d_integral(self.form)
 
     def word_scale(self, word: Sequence[int]) -> float:
         """A-priori magnitude scale ``a**(#I/2 - 1) * (1/pi) Int D`` for a
         word, used to normalize vanishing checks."""
         return self.a ** (len(word) // 2 - 1) * self.d_integral()
-
-    # -- channel sums ---------------------------------------------------------
-
-    def channel_sums(self, s: np.ndarray
-                     ) -> Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]:
-        """Channel entries of the mode sums at resolvent powers 1 and 2.
-
-        Returns ``{m: (within, across)}`` for ``m`` in (1, 2), the ``[T,
-        L]`` pairs of one ``sums`` of the form's ``e^2``-scaled table at ``z
-        = s^2`` as channel rows: each of shape ``(2, nodes)``, row 0
-        transverse and row 1 longitudinal (``across`` is ``None`` without
-        geometry).  The reducer's ``(powers, nodes, q)`` output is copied
-        once into contiguous ``(powers, q, nodes)`` rows, so the chains of
-        ``word_integrand_fast``, the per-word oracle, run on contiguous
-        memory, not on stride-``q`` column views.
-        """
-        s2 = np.atleast_1d(np.asarray(s, dtype=float)) ** 2
-        rows = np.ascontiguousarray(
-            self.form.table.sums(s2, (1, 2)).transpose(0, 2, 1))
-        two = self.geometry is not None
-        return {m: (v[:2], v[2:] if two else None)
-                for m, v in zip((1, 2), rows)}
 
     def _letters(self, word: Sequence[int]) -> Tuple[int, ...]:
         """``word`` as a tuple, which without geometry holds only 1s."""
@@ -239,7 +206,8 @@ class TraceSystem:
         sector (adjacent letters paired from the first position) or through
         a particle sector (paired from the second position with matching
         endpoints); each closure collapses to a chain of channel sums,
-        multiplied per channel row.
+        multiplied per channel column: the ``[T, L]`` within or across
+        columns of the form's table reduced at resolvent power ``m``.
         """
         word = self._letters(word)
         s = np.asarray(s, dtype=float)
@@ -247,10 +215,10 @@ class TraceSystem:
         if n % 2:
             return np.zeros_like(s)
         enu2 = self.form.enu2
-        sums = self.channel_sums(s)
+        sums = self.form.table.sums(s * s, (1, 2))
 
         def chain(m, across):
-            return sums[m][1 if across else 0]
+            return sums[m - 1][:, 2:] if across else sums[m - 1][:, :2]
 
         total = np.zeros_like(s)
         # closure through the photon sector: pairs (1,2), (3,4), ...
@@ -258,14 +226,14 @@ class TraceSystem:
             prod = chain(2, word[-1] != word[0])
             for j in range(0, n - 2, 2):
                 prod = prod * chain(1, word[j + 1] != word[j + 2])
-            total += self.form.table.multiplicity @ prod
+            total += prod @ self.form.multiplicity[:2]
         # closure through a particle sector: pairs (2,3), (4,5), ..., ends match
         if word[0] == word[-1] and all(word[2 * j + 1] == word[2 * j + 2]
                                        for j in range((n - 2) // 2)):
             prod = chain(1, word[0] != word[1])
             for j in range(2, n, 2):
                 prod = prod * chain(1, word[j] != word[j + 1])
-            total += (self.form.table.multiplicity @ prod) / (s * s + enu2)
+            total += (prod @ self.form.multiplicity[:2]) / (s * s + enu2)
         return s * s * (s * s + enu2) ** (-n / 2.0) * total
 
 
@@ -289,12 +257,12 @@ def trace_word(word, system: TraceSystem,
     return val / math.pi
 
 
-def _order_terms(system: TraceSystem, max_order: int,
+def _order_terms(form: QuadraticForm, max_order: int,
                  quad: Optional[QuadratureSpec]
                  ) -> Tuple[List[int], List[float], List[float], int]:
     """Orders ``2 .. max_order`` with ``(1/pi) Int`` of their
-    ``system.form.order_integrands`` columns and its quadrature error
-    estimate, and the integrand nodes spent.
+    ``form.order_integrands`` columns and its quadrature error estimate,
+    and the integrand nodes spent.
 
     Every order with words is one column of a single ``order_integrands``
     pass to ``quad``, so all of them share one set of nodes, and each
@@ -303,17 +271,34 @@ def _order_terms(system: TraceSystem, max_order: int,
     pair's order 2 has no words and is zero without quadrature.
     """
     orders = list(range(2, max_order + 1, 2))
-    live = orders if system.geometry is None else orders[1:]
+    live = orders if form.q == 2 else orders[1:]
     dead = len(orders) - len(live)
     terms, errors, nodes = [0.0] * dead, [0.0] * dead, 0
     if live:
         res = integrate_half_line(
-            lambda s: system.form.order_integrands(live, s),
+            lambda s: form.order_integrands(live, s),
             spec=quad or _DEFAULT_QUAD, full_output=True)
         terms += (res.value / math.pi).tolist()
         errors += (res.error_estimate / math.pi).tolist()
         nodes = res.nodes_used
     return orders, terms, errors, nodes
+
+
+def _energy_series(form: QuadraticForm, max_order: int,
+                   quad: Optional[QuadratureSpec]) -> TraceSeries:
+    """``series_one_electron`` of an assembled one-dipole form."""
+    max_order = _even_order(max_order)
+    a = _expansion_parameter(form.table, form.enu2)
+    if a >= 1.0:
+        raise SeriesDivergenceError(
+            f"expansion parameter a = {a:.4f} >= 1; series diverges")
+    orders, terms, errors, nodes = _order_terms(form, max_order, quad)
+    tail = _d_integral(form) * a ** (max_order // 2) / (1.0 - a)
+    shift = form.zero_point_shift
+    return TraceSeries(orders=orders, contributions=terms,
+                       value=shift - math.fsum(terms), tail_bound=tail, a=a,
+                       zero_point_shift=shift, error_estimates=errors,
+                       nodes=nodes)
 
 
 def series_one_electron(params: ModelParams, lattice: Lattice,
@@ -324,19 +309,8 @@ def series_one_electron(params: ModelParams, lattice: Lattice,
     Value: ``1.5 e nu - sum_{2j <= max_order} <Q^(2j)>`` with the geometric
     tail bound ``a**jmax / (1 - a) * (1/pi) Int D``.  Requires ``a < 1``.
     """
-    max_order = _even_order(max_order)
-    system = TraceSystem(params, lattice, profile)
-    a = system.a
-    if a >= 1.0:
-        raise SeriesDivergenceError(
-            f"expansion parameter a = {a:.4f} >= 1; series diverges")
-    orders, terms, errors, nodes = _order_terms(system, max_order, quad)
-    tail = system.d_integral() * a ** (max_order // 2) / (1.0 - a)
-    shift = 1.5 * params.e * params.nu
-    return TraceSeries(orders=orders, contributions=terms,
-                       value=shift - math.fsum(terms), tail_bound=tail, a=a,
-                       zero_point_shift=shift, error_estimates=errors,
-                       nodes=nodes)
+    return _energy_series(assemble_one_electron(params, lattice, profile),
+                          max_order, quad)
 
 
 def series_binding(params: ModelParams, lattice: Lattice,
@@ -358,15 +332,15 @@ def series_binding(params: ModelParams, lattice: Lattice,
     are multiples of ``2 pi / L``, so the binding is periodic in ``R``.
     """
     max_order = _even_order(max_order)
-    system = TraceSystem(params, lattice, profile, Geometry(R))
+    form = assemble_two_electron(params, lattice, profile, Geometry(R))
     warn_if_periodic(R, lattice)
-    a = system.a
+    a = _expansion_parameter(form.table, form.enu2)
     if a >= 0.25 and not allow_unbounded_tail:
         raise TailBoundUnavailableError(
             f"expansion parameter a = {a:.4f} >= 1/4; no geometric tail "
             "bound (pass allow_unbounded_tail=True to evaluate anyway)")
-    orders, terms, errors, nodes = _order_terms(system, max_order, quad)
-    tail = (system.d_integral() * 4.0 * (4.0 * a) ** (max_order // 2)
+    orders, terms, errors, nodes = _order_terms(form, max_order, quad)
+    tail = (_d_integral(form) * 4.0 * (4.0 * a) ** (max_order // 2)
             / (1.0 - 4.0 * a) if a < 0.25 else math.inf)
     return TraceSeries(orders=orders, contributions=terms,
                        value=math.fsum(terms), tail_bound=tail, a=a,

@@ -14,7 +14,7 @@ from cplab import (Geometry, IndexWord, LatticePeriodicityWarning,
                    ModelParams, TraceSystem, assemble_one_electron,
                    assemble_two_electron, binding_energy_exact, build_lattice,
                    check_constraints, cp_constant, closed_integral,
-                   d_envelope, fit_power_law, fourth_order_main,
+                   fit_power_law, fourth_order_main,
                    ground_energy, integral_quadrature_oracle, lattice_norm,
                    make_gaussian_profile, mixed_even_words, series_binding,
                    series_one_electron, sweep_R, trace_word)
@@ -221,6 +221,8 @@ def test_criterion_8_bounds():
     lat = build_lattice(1.0, 1.0)
     rep = check_constraints(params, prof, lat)
     system = TraceSystem(params, lat, prof, Geometry(0.4))
+    # the envelope D(s) is the word (1, 1) of one dipole
+    single = TraceSystem(params, lat, prof)
     blocks = dense_trace_blocks(system)
     diag = blocks[0]
     norm_bound = math.sqrt(2.0) * lattice_norm(prof, lat, 0) / params.nu
@@ -235,8 +237,8 @@ def test_criterion_8_bounds():
         if s > 0.0:
             for j in ((1, 1), (2, 2)):
                 integrand = system.word_integrand_fast(j, np.array([s]))[0]
-                assert integrand <= d_envelope(s, params, prof, lat) \
-                    * (1 + 1e-12)
+                envelope = single.word_integrand_fast((1, 1), np.array([s]))[0]
+                assert integrand <= envelope * (1 + 1e-12)
     d_int = system.d_integral()
     analytic = (params.e / params.nu) * lattice_norm(prof, lat, 0) ** 2
     assert d_int <= analytic * (1 + 1e-12)

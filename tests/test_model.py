@@ -323,8 +323,7 @@ def test_mode_sums_do_not_depend_on_chunking(monkeypatch):
     svals = np.geomspace(0.02, 40.0, 7)
 
     def evaluate():
-        sums = system.channel_sums(svals)
-        return [np.stack(sums[m]) for m in (1, 2)] + [
+        return list(system.form.table.sums(svals ** 2, (1, 2))) + [
             system.form.stacked.sums(svals ** 2)[0]]
 
     whole = evaluate()

@@ -15,7 +15,7 @@ from cplab import (AccuracyError, Geometry, InvalidParameterError,
                    LatticePeriodicityWarning, ModelParams,
                    NotPositiveSemidefiniteError, TraceSystem,
                    assemble_one_electron, assemble_two_electron,
-                   binding_energy_exact, build_lattice,
+                   binding_energy, binding_energy_exact, build_lattice,
                    check_constraints, ground_energy, lattice_norm,
                    make_custom_profile, make_gaussian_profile,
                    series_binding, series_one_electron)
@@ -359,11 +359,12 @@ def test_orbit_fold_matches_per_mode_sums(e, nu0, xi, box):
     s = np.geomspace(1e-2, 1e2, 9)
     gaps = []
     one, ref = (TraceSystem(params, lat, prof, g) for lat in (folded, modes))
-    sums, ref_sums = one.channel_sums(s), ref.channel_sums(s)
-    for m in (1, 2):
-        scale = np.max(np.abs(ref_sums[m][0]))
-        gaps += [relative_gap(sums[m][0], ref_sums[m][0]),
-                 relative_gap(sums[m][1], ref_sums[m][1], scale)]
+    sums, ref_sums = (system.form.table.sums(s * s, (1, 2))
+                      for system in (one, ref))
+    for m in (0, 1):
+        scale = np.max(np.abs(ref_sums[m][:, :2]))
+        gaps += [relative_gap(sums[m][:, :2], ref_sums[m][:, :2]),
+                 relative_gap(sums[m][:, 2:], ref_sums[m][:, 2:], scale)]
     gaps.append(relative_gap(one.d_integral(), ref.d_integral()))
     gaps += [relative_gap(lattice_norm(prof, folded, p),
                           lattice_norm(prof, modes, p)) for p in (-1, 0, 1)]
@@ -477,6 +478,19 @@ def test_periodicity_warning(default_params, small_lattice, gaussian):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         binding_energy_exact(default_params, small_lattice, gaussian, 0.3)
+
+
+@pytest.mark.parametrize("R", [math.inf, -1.0, 0.0, math.nan])
+def test_invalid_separation_raises_before_any_warning(
+        default_params, small_lattice, gaussian, R):
+    # an infinite R is past half the box too: it must not warn of the
+    # periodic images of a binding that is never computed
+    for call in (binding_energy_exact, series_binding):
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            with pytest.raises(InvalidParameterError, match="separation"):
+                call(default_params, small_lattice, gaussian, R)
+        assert record == [], call.__name__
 
 
 def test_binding_positive_at_strong_coupling(strong_setup):
@@ -804,8 +818,10 @@ def test_binding_never_builds_the_stacked_table(default_params,
                                  Geometry(0.3))
     value = integrate_half_line(form.binding)
     assert "stacked" not in vars(form)
-    assert value / (2.0 * math.pi) == binding_energy_exact(
-        default_params, small_lattice, gaussian, 0.3)
+    exact = binding_energy_exact(default_params, small_lattice, gaussian, 0.3)
+    assert value / (2.0 * math.pi) == exact
+    assert binding_energy(form) == exact
+    assert "stacked" not in vars(form)
     form.log_det(np.ones(1))
     assert "stacked" in vars(form)
 

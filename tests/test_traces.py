@@ -12,7 +12,7 @@ from cplab import (ChargeProfile, ClassificationError, Geometry, IndexWord,
                    SeriesDivergenceError, TailBoundUnavailableError,
                    TraceSystem, assemble_one_electron, assemble_two_electron,
                    binding_energy_exact, build_lattice, check_constraints,
-                   convergence_study, d_envelope, ground_energy,
+                   convergence_study, ground_energy,
                    integrate_half_line, lattice_norm, make_gaussian_profile,
                    mixed_even_words, series_binding, series_one_electron,
                    trace_word, word_bound)
@@ -26,6 +26,13 @@ from oracles import box_modes
 def strong_system(strong_setup):
     params, prof, lat = strong_setup
     return TraceSystem(params, lat, prof, Geometry(0.4))
+
+
+@pytest.fixture(scope="module")
+def strong_single(strong_setup):
+    # one dipole: its word (1, 1) is the envelope D(s)
+    params, prof, lat = strong_setup
+    return TraceSystem(params, lat, prof)
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +76,15 @@ def test_mixed_even_word_enumeration():
 # envelope
 # ---------------------------------------------------------------------------
 
-def test_envelope_zero_at_origin(strong_setup):
-    params, prof, lat = strong_setup
-    assert d_envelope(0.0, params, prof, lat) == 0.0
+def test_envelope_zero_at_origin(strong_single):
+    assert strong_single.word_integrand_fast((1, 1), np.zeros(1))[0] == 0.0
 
 
-def test_envelope_dominates_second_order(strong_system, strong_setup):
-    params, prof, lat = strong_setup
+def test_envelope_dominates_second_order(strong_system, strong_single):
     for s in (0.1, 1.0, 10.0):
         integrand = strong_system.word_integrand_fast((1, 1),
                                                       np.array([s]))[0]
-        bound = d_envelope(s, params, prof, lat)
+        bound = strong_single.word_integrand_fast((1, 1), np.array([s]))[0]
         assert integrand <= bound * (1 + 1e-12)
         # the second-order integrand saturates the envelope
         assert integrand == pytest.approx(bound, rel=1e-12)
@@ -88,20 +93,20 @@ def test_envelope_dominates_second_order(strong_system, strong_setup):
 @pytest.mark.parametrize("e,nu0,xi", PARAM_SETS)
 @pytest.mark.parametrize("L", [1.0, 2.0, 3.0, 8.0])
 def test_envelope_matches_mode_sum_oracle(e, nu0, xi, L):
-    # D(s) from the channel sums is the projector-free mode sum, and at
-    # small boxes the dense second-order word
+    # D(s), the one-dipole word (1, 1) on the channel sums, is the
+    # projector-free mode sum, and at small boxes the dense second-order
+    # word; a node alone gives the value it gives among others
     params, prof = ModelParams(e, nu0), make_gaussian_profile(xi)
     lat = build_lattice(L, 1.0)
+    single = TraceSystem(params, lat, prof)
     svals = np.geomspace(0.02, 40.0, 7)
-    env = d_envelope(svals, params, prof, lat)
+    env = single.word_integrand_fast((1, 1), svals)
     np.testing.assert_allclose(env, envelope_oracle(svals, params, prof, lat),
                                rtol=1e-13, atol=0.0)
-    scalar = d_envelope(float(svals[3]), params, prof, lat)
-    assert type(scalar) is float
-    assert scalar == pytest.approx(env[3], rel=1e-14)
+    alone = single.word_integrand_fast((1, 1), svals[3:4])[0]
+    assert alone == pytest.approx(env[3], rel=1e-14)
     if L <= 2.0:
-        dense = dense_word_integrand(TraceSystem(params, lat, prof), (1, 1),
-                                     svals)
+        dense = dense_word_integrand(single, (1, 1), svals)
         np.testing.assert_allclose(env, dense, rtol=1e-12, atol=0.0)
 
 
@@ -113,9 +118,9 @@ def test_envelope_integral_closed_form(e, nu0, xi, L):
     # expansion parameter a read from the same table is the report's
     params, prof, lat = ModelParams(e, nu0), make_gaussian_profile(xi), \
         build_lattice(L, 1.0)
-    ref = integrate_half_line(lambda s: d_envelope(s, params, prof, lat),
-                              full_output=True)
     single = TraceSystem(params, lat, prof)
+    ref = integrate_half_line(
+        lambda s: single.word_integrand_fast((1, 1), s), full_output=True)
     closed = single.d_integral()
     assert abs(closed - ref.value / math.pi) <= ref.error_estimate / math.pi
     pair = TraceSystem(params, lat, prof, Geometry(0.3 * L))
@@ -272,14 +277,16 @@ def test_numpy_integer_orders_are_accepted(strong_setup):
 
 @pytest.mark.parametrize("call", ["series_one_electron", "series_binding",
                                   "contact_term", "cli_binding",
-                                  "convergence"])
+                                  "cli_series", "convergence"])
 def test_series_call_evaluates_the_profile_once(call, monkeypatch):
     # the table, the three lattice norms of the report and the envelope
     # integral all read one evaluation of the profile on the orbits.  The
     # contact term reads its form's table, plus the profile at the origin
     # cell, so a CLI binding with it evaluates the profile on the orbits
-    # once for the report and once per separation; a convergence cell
-    # builds one table per form, the binding reading E2's
+    # once for the report and once per separation; a CLI series once for
+    # the report and once for the one form that its series and its exact
+    # energy read; a convergence cell builds one table per form, the
+    # binding reading E2's
     params, gaussian = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)
     shapes = []
 
@@ -293,9 +300,12 @@ def test_series_call_evaluates_the_profile_once(call, monkeypatch):
     cfg = cli.RunConfig(e=0.5, nu0=3.0, xi=0.25, L=3.0, Lambda=1.0,
                         R_grid=[0.6, 0.9], include_direct_term=True)
 
-    def cli_binding(p):
-        monkeypatch.setattr(cli, "make_gaussian_profile", lambda xi: p)
-        return cli.run("binding", cfg).rows
+    def cli_run(subcommand):
+        def call(p):
+            monkeypatch.setattr(cli, "make_gaussian_profile", lambda xi: p)
+            report = cli.run(subcommand, cfg)
+            return report.rows, report.scalars
+        return call
 
     orbits, origin = lat.orbits.norms.shape, ()
     run, expected = {
@@ -306,7 +316,8 @@ def test_series_call_evaluates_the_profile_once(call, monkeypatch):
         "contact_term": (lambda p: assemble_two_electron(
             params, lat, p, Geometry(0.9), include_direct_term=True).g,
             [orbits, origin]),
-        "cli_binding": (cli_binding, [orbits] + [orbits, origin] * 2),
+        "cli_binding": (cli_run("binding"), [orbits] + [orbits, origin] * 2),
+        "cli_series": (cli_run("series"), [orbits, orbits]),
         "convergence": (lambda p: [
             [row[key] for key in ("E1", "E2", "binding")]
             for row in convergence_study([3.0, 4.0], [1.0], params, p, 0.9)],
@@ -327,8 +338,9 @@ def test_order_closure_does_not_cancel():
     pair = TraceSystem(params, lat, make_gaussian_profile(0.25),
                        Geometry(3.6))
     svals = np.geomspace(0.01, 100.0, 50)
-    x, y = (rows / (svals ** 2 + pair.form.enu2)
-            for rows in pair.channel_sums(svals)[1])
+    sums = pair.form.table.sums(svals ** 2, (1, 2))[0]
+    x, y = (rows.T / (svals ** 2 + pair.form.enu2)
+            for rows in (sums[:, :2], sums[:, 2:]))
     assert np.min(np.abs(y / x)) < 1e-10
     columns = pair.form.order_integrands([4, 6, 8], svals)
     for column, order in zip(columns.T, (4, 6, 8)):
@@ -395,14 +407,15 @@ def test_channel_sums_are_the_axis_diagonal(e, nu0, xi, L):
     proj = np.eye(3)[None, :, :] - u[:, :, None] * u[:, None, :]
     w = lat.cell_weight * (e * norms * prof.radial(norms)) ** 2
     cos = np.cos(points @ system.geometry.r)
-    sums = system.channel_sums(svals)
+    sums = system.form.table.sums(svals ** 2, (1, 2))
     axes = [0, 1, 2]
     for m in (1, 2):
         g = (svals[:, None] ** 2 + norms[None, :] ** 2) ** -m
         scale = g @ np.abs(w)
-        for weight, channels in ((w, sums[m][0]), (w * cos, sums[m][1])):
+        for weight, channels in ((w, sums[m - 1][:, :2]),
+                                 (w * cos, sums[m - 1][:, 2:])):
             gap = np.einsum("sn,nij->sij", g * weight, proj)
-            gap[:, axes, axes] -= channels[[0, 0, 1]].T
+            gap[:, axes, axes] -= channels[:, [0, 0, 1]]
             assert np.all(np.max(np.abs(gap), axis=(1, 2)) <= 1e-14 * scale)
 
 
