@@ -6,10 +6,10 @@ order-4 mixed words carry the leading physics, and everything longer is
 squeezed by geometric a-priori bounds.
 """
 
-from cplab import (Geometry, IndexWord, ModelParams, TraceSystem,
-                   binding_energy_exact, build_lattice, check_constraints,
-                   make_gaussian_profile, mixed_even_words, series_binding,
-                   trace_word, word_bound)
+from cplab import (Geometry, ModelParams, TraceSystem, binding_energy_exact,
+                   build_lattice, check_constraints, make_gaussian_profile,
+                   mixed_even_words, series_binding, trace_word, word_bound,
+                   word_class)
 
 params = ModelParams(e=0.5, nu0=3.0)
 profile = make_gaussian_profile(0.25)
@@ -39,15 +39,14 @@ print(f"tail bound {series.tail_bound:.3e};  "
       f"|exact - series| = {abs(exact - series.value):.3e}")
 
 print("\na-priori multipliers for longer words:")
-for letters in ((1, 1, 2, 2, 2, 2), (1, 1, 2, 2, 2, 2, 1, 1)):
-    word = IndexWord(letters)
-    print(f"  {''.join(map(str, letters))}: class {word.classify():6s} "
+for word in ((1, 1, 2, 2, 2, 2), (1, 1, 2, 2, 2, 2, 1, 1)):
+    print(f"  {''.join(map(str, word))}: class {word_class(word):6s} "
           f"multiplier {word_bound(word, report):.3e}")
 
 reference = trace_word((2, 1, 1, 2), system)
 worst = 0.0
 for word in mixed_even_words(6):
-    if IndexWord(word).classify() == "case2":
+    if word_class(word) == "case2":
         worst = max(worst, abs(trace_word(word, system))
                     / (report.c_L ** 2 * reference))
 print(f"\nmeasured case-2 ratio vs c_L^2 reference: worst {worst:.3f} <= 1")

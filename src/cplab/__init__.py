@@ -27,9 +27,9 @@ from .oscillator import (EnergyResult, LatticePeriodicityWarning,
                          binding_energy_exact, ground_energy)
 from .quadrature import (IntegrationResult, QuadratureSpec,
                          integrate_half_line, integrate_interval)
-from .traces import (IndexWord, TraceSeries, TraceSystem, mixed_even_words,
+from .traces import (TraceSeries, TraceSystem, mixed_even_words,
                      series_binding, series_one_electron, trace_word,
-                     word_bound)
+                     word_bound, word_class)
 from .continuum import (FourthOrderResult, ab_identity_check,
                         angular_bracket_kernels, angular_factor,
                         closed_integral, cp_constant, fourth_order_error,

@@ -351,24 +351,31 @@ class ModeTable:
         return self.columns[:, 0::2] + 0.5 * self.columns[:, 1::2]
 
     def sums(self, z: np.ndarray, powers: Tuple[int, ...] = (1,)):
-        """``_resolvent_sums`` of the rows, ``(len(powers), len(z), q)``."""
+        """``_resolvent_sums`` of the rows, ``(len(powers), len(z), q)``,
+        for ``powers`` one of ``(1,)``, ``(2,)`` and ``(1, 2)``."""
+        if powers not in ((1,), (2,), (1, 2)):
+            raise InvalidParameterError(f"resolvent powers {powers} are "
+                                        "not (1,), (2,) or (1, 2)")
         return _resolvent_sums(z, self.ksq, self.columns, powers)
 
 
 def lattice_table(lattice: Lattice, profile: ChargeProfile,
                   R: Optional[float] = None) -> ModeTable:
     """The lattice's ``ModeTable``: per orbit, ``[T, L]`` then, unless ``R``
-    is ``None``, ``[T, L] cos(k_z R)``, times the orbit's multiplicity.  A
-    profile whose columns are not finite on the orbits, and a lattice whose
-    sums ``sum_k w_k P_k [cos(k . r)] g(|k|^2)`` are not ``diag(T, T, L)``
-    (``r`` along z), raise ``InvalidParameterError``.  The symmetry test
-    multiplies by the orbits' ``moments``; on the box they are all zero,
-    so the product is skipped and the table only checked finite.
+    is ``None``, ``[T, L] cos(k_z R)``, times the orbit's multiplicity.  An
+    ``R`` that ``Geometry`` rejects, a profile whose columns are not finite
+    on the orbits, and a lattice whose sums ``sum_k w_k P_k [cos(k . r)]
+    g(|k|^2)`` are not ``diag(T, T, L)`` (``r`` along z), raise
+    ``InvalidParameterError``.  The symmetry test multiplies by the orbits'
+    ``moments``; on the box they are all zero, so the product is skipped
+    and the table only checked finite.
 
     The columns are written into one preallocated ``(orbits, 2 or 4)``
     array; ``oscillator``'s assemblers scale them by ``e^2`` into a form's
     table, which the series and the trace words read too.
     """
+    if R is not None:
+        Geometry(R)
     orbits = lattice.orbits
     ksq = orbits.norms ** 2
     f = profile.radial(orbits.norms)

@@ -383,8 +383,11 @@ def binding_energy(form: QuadraticForm) -> float:
     sum_c m_c log(1 - sigma_c^2)``, on the same table, ``S(0)`` and
     positivity rule as ``ground_energy``.  Only a negative channel of
     ``S(0)`` makes the form indefinite; only then does the clamp-or-raise
-    rule of ``ground_energy`` run.  Positive values mean attraction.
+    rule of ``ground_energy`` run.  Positive values mean attraction.  A
+    one-dipole form raises ``InvalidParameterError``.
     """
+    if form.q != 4:
+        raise InvalidParameterError("binding_energy needs a two-dipole form")
     if np.any(form.schur0 < 0.0):
         form.check_positivity()
     return integrate_half_line(form.binding) / (2.0 * math.pi)

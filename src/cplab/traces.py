@@ -16,7 +16,9 @@ from one reduction of the assembled form's ``e^2``-scaled
 channel.  The envelope ``D(s)`` behind every tail bound is the integrand
 of the one-dipole word ``(1, 1)``.  The dense matrix product of the full
 blocks is the words' test oracle, and the words, summed per order, are
-the series'.
+the series'.  Every word entry checks its word with ``_letters`` alone:
+letters 1 and 2, a letter 2 only on a two-dipole form, else
+``InvalidParameterError``.  ``word_class`` names a word's bound class.
 
 The series take the assembled ``QuadraticForm``, the channel kernel the
 exact routes integrate, and read its orders, ``a`` and ``(1/pi) Int D``
@@ -53,55 +55,40 @@ from .oscillator import (QuadraticForm, _even_order, assemble_one_electron,
 from .quadrature import QuadratureSpec, integrate_half_line
 
 __all__ = [
-    "IndexWord", "TraceSeries", "TraceSystem", "trace_word",
-    "series_one_electron", "series_binding", "word_bound", "mixed_even_words",
+    "TraceSeries", "TraceSystem", "trace_word", "series_one_electron",
+    "series_binding", "word_bound", "word_class", "mixed_even_words",
 ]
 
 #: the spec a word or a series integrates to when the caller gives none
 _DEFAULT_QUAD = QuadratureSpec()
 
 
-@dataclass(frozen=True)
-class IndexWord:
-    """Word over {1, 2} with its weight ``|I|`` and length ``#I``."""
+def _letters(word: Sequence[int], pair: bool) -> Tuple[int, ...]:
+    """``word`` as a nonempty tuple of letters 1 and 2; a letter 2 names
+    the second dipole, so it needs a ``pair``."""
+    letters = tuple(word)
+    if not letters or any(i not in (1, 2) for i in letters):
+        raise InvalidParameterError(
+            f"index word {letters} must be a nonempty word over {{1, 2}}")
+    if not pair and 2 in letters:
+        raise InvalidParameterError(
+            "two-dipole words need a system with geometry")
+    return letters
 
-    letters: Tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.letters) == 0:
-            raise InvalidParameterError("index word must be nonempty")
-        if any(i not in (1, 2) for i in self.letters):
-            raise InvalidParameterError("index word letters must be 1 or 2")
-
-    @property
-    def weight(self) -> int:
-        """Sum of the letters, written |I|."""
-        return sum(self.letters)
-
-    @property
-    def length(self) -> int:
-        """Number of letters, written #I."""
-        return len(self.letters)
-
-    @property
-    def is_mixed(self) -> bool:
-        return len(set(self.letters)) > 1
-
-    def transitions(self) -> int:
-        """Number of adjacent unequal pairs (1<->2 switches)."""
-        return sum(1 for a, b in zip(self.letters, self.letters[1:])
-                   if a != b)
-
-    def classify(self) -> str:
-        """Bound class: 'order4', 'case1' (single switch, length >= 6) or
-        'case2' (at least two switches, length >= 6)."""
-        if self.length == 4:
-            return "order4"
-        if self.length >= 6 and self.is_mixed:
-            return "case1" if self.transitions() == 1 else "case2"
-        raise ClassificationError(
-            f"word {self.letters} has no bound class "
-            "(needs length 4, or mixed length >= 6)")
+def word_class(word: Sequence[int]) -> str:
+    """Bound class of a word: 'order4' (length 4), 'case1' (mixed, length
+    >= 6, a single 1<->2 switch) or 'case2' (at least two switches, length
+    >= 6).  Any other word raises ``ClassificationError``."""
+    letters = _letters(word, pair=True)
+    switches = sum(a != b for a, b in zip(letters, letters[1:]))
+    if len(letters) == 4:
+        return "order4"
+    if len(letters) >= 6 and switches:
+        return "case1" if switches == 1 else "case2"
+    raise ClassificationError(
+        f"word {letters} has no bound class "
+        "(needs length 4, or mixed length >= 6)")
 
 
 @dataclass
@@ -190,14 +177,6 @@ class TraceSystem:
         word, used to normalize vanishing checks."""
         return self.a ** (len(word) // 2 - 1) * self.d_integral()
 
-    def _letters(self, word: Sequence[int]) -> Tuple[int, ...]:
-        """``word`` as a tuple, which without geometry holds only 1s."""
-        word = tuple(word)
-        if self.geometry is None and any(i != 1 for i in word):
-            raise InvalidParameterError(
-                "two-dipole words need a system with geometry")
-        return word
-
     def word_integrand_fast(self, word: Sequence[int],
                             s: np.ndarray) -> np.ndarray:
         """Factorized trace integrand ``s^2 tr[(s^2+W0)^-1 Q_I(s)]``.
@@ -209,7 +188,7 @@ class TraceSystem:
         multiplied per channel column: the ``[T, L]`` within or across
         columns of the form's table reduced at resolvent power ``m``.
         """
-        word = self._letters(word)
+        word = _letters(word, pair=self.form.q == 4)
         s = np.asarray(s, dtype=float)
         n = len(word)
         if n % 2:
@@ -237,16 +216,14 @@ class TraceSystem:
         return s * s * (s * s + enu2) ** (-n / 2.0) * total
 
 
-def trace_word(word, system: TraceSystem,
+def trace_word(word: Sequence[int], system: TraceSystem,
                quad: Optional[QuadratureSpec] = None) -> float:
     """Evaluate ``<Q_I>`` for one index word.
 
     Odd-weight words are returned as exact zero without quadrature (their
     integrand vanishes identically).
     """
-    letters = word.letters if isinstance(word, IndexWord) else tuple(word)
-    IndexWord(letters)  # validates
-    system._letters(letters)
+    letters = _letters(word, pair=system.form.q == 4)
     if sum(letters) % 2 or len(letters) % 2:
         return 0.0
     spec = quad or _DEFAULT_QUAD
@@ -347,7 +324,7 @@ def series_binding(params: ModelParams, lattice: Lattice,
                        error_estimates=errors, nodes=nodes)
 
 
-def word_bound(word, report: ConstraintReport) -> float:
+def word_bound(word: Sequence[int], report: ConstraintReport) -> float:
     """A-priori bound multiplier for a classified word.
 
     Case 2 words are bounded by ``c_L**(#I - 4)`` times the reference
@@ -357,11 +334,10 @@ def word_bound(word, report: ConstraintReport) -> float:
     reported as one; the multipliers certify ratios and decay exponents,
     not absolute magnitudes.
     """
-    iw = word if isinstance(word, IndexWord) else IndexWord(tuple(word))
-    kind = iw.classify()
+    kind, n = word_class(word), len(word)
     if kind == "order4":
         return 1.0
     if kind == "case2":
-        return report.c_L ** (iw.length - 4)
+        return report.c_L ** (n - 4)
     norm0 = report.continuum_norms[0]
-    return (norm0 ** 2 / (3.0 * report.nu ** 2)) ** (iw.length // 2 - 2)
+    return (norm0 ** 2 / (3.0 * report.nu ** 2)) ** (n // 2 - 2)

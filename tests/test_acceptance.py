@@ -10,14 +10,14 @@ import warnings
 
 import numpy as np
 
-from cplab import (Geometry, IndexWord, LatticePeriodicityWarning,
+from cplab import (Geometry, LatticePeriodicityWarning,
                    ModelParams, TraceSystem, assemble_one_electron,
                    assemble_two_electron, binding_energy_exact, build_lattice,
                    check_constraints, cp_constant, closed_integral,
                    fit_power_law, fourth_order_main,
                    ground_energy, integral_quadrature_oracle, lattice_norm,
                    make_gaussian_profile, mixed_even_words, series_binding,
-                   series_one_electron, sweep_R, trace_word)
+                   series_one_electron, sweep_R, trace_word, word_class)
 from cplab.cli import parse_config, run
 from cplab.continuum import ab_identity_check, angular_factor
 
@@ -245,7 +245,7 @@ def test_criterion_8_bounds():
     reference = trace_word((2, 1, 1, 2), system)
     n_case2 = 0
     for word in mixed_even_words(6):
-        if IndexWord(word).classify() != "case2":
+        if word_class(word) != "case2":
             continue
         assert abs(trace_word(word, system)) \
             <= rep.c_L ** 2 * reference * (1 + 1e-6)

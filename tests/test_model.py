@@ -315,6 +315,15 @@ def test_resolvent_chunks_cover_each_mode_once(monkeypatch):
     assert [n for rows in slices for n in rows] == list(range(len(ksq)))
 
 
+@pytest.mark.parametrize("powers", [(2, 1), (3,), (), (1, 1)])
+def test_mode_sums_reject_unsupported_powers(powers):
+    # the reducer squares its resolvent in place for a 2 and reads any
+    # other power as 1, so (2, 1) would give the power-2 sum twice
+    table = model.ModeTable(np.array([1.0, 4.0]), np.ones((2, 2)))
+    with pytest.raises(InvalidParameterError, match="powers"):
+        table.sums(np.zeros(1), powers)
+
+
 def test_mode_sums_do_not_depend_on_chunking(monkeypatch):
     # both consumers of the chunk loop: the channel sums and the kernel
     params, prof = ModelParams(0.5, 3.0), make_gaussian_profile(0.25)

@@ -484,13 +484,24 @@ def test_periodicity_warning(default_params, small_lattice, gaussian):
 def test_invalid_separation_raises_before_any_warning(
         default_params, small_lattice, gaussian, R):
     # an infinite R is past half the box too: it must not warn of the
-    # periodic images of a binding that is never computed
-    for call in (binding_energy_exact, series_binding):
+    # periodic images of a binding that is never computed, nor the table
+    # of its cos(k_z R) overflow
+    def table(params, lattice, profile, R):
+        return model.lattice_table(lattice, profile, R)
+
+    for call in (binding_energy_exact, series_binding, table):
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
             with pytest.raises(InvalidParameterError, match="separation"):
                 call(default_params, small_lattice, gaussian, R)
         assert record == [], call.__name__
+
+
+def test_binding_energy_needs_a_two_dipole_form(default_params,
+                                                small_lattice, gaussian):
+    form = assemble_one_electron(default_params, small_lattice, gaussian)
+    with pytest.raises(InvalidParameterError, match="two-dipole"):
+        binding_energy(form)
 
 
 def test_binding_positive_at_strong_coupling(strong_setup):

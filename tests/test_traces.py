@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cplab import cli
-from cplab import (ChargeProfile, ClassificationError, Geometry, IndexWord,
+from cplab import (ChargeProfile, ClassificationError, Geometry,
                    InvalidParameterError, LatticePeriodicityWarning,
                    ModelParams, QuadratureSpec,
                    SeriesDivergenceError, TailBoundUnavailableError,
@@ -15,7 +15,7 @@ from cplab import (ChargeProfile, ClassificationError, Geometry, IndexWord,
                    convergence_study, ground_energy,
                    integrate_half_line, lattice_norm, make_gaussian_profile,
                    mixed_even_words, series_binding, series_one_electron,
-                   trace_word, word_bound)
+                   trace_word, word_bound, word_class)
 from cplab.quadrature import _PANEL_COST
 from conftest import (PARAM_SETS, dense_trace_blocks, dense_word_integrand,
                       envelope_oracle)
@@ -39,25 +39,33 @@ def strong_single(strong_setup):
 # index words
 # ---------------------------------------------------------------------------
 
-def test_index_word_counts():
-    w = IndexWord((1, 1, 2, 2, 2, 2))
-    assert w.length == 6
-    assert w.weight == 10
-    assert w.transitions() == 1
-    assert w.classify() == "case1"
-    assert IndexWord((1, 1, 2, 2, 2, 2, 1, 1)).classify() == "case2"
-    assert IndexWord((1, 1, 2, 2)).classify() == "order4"
+def test_word_class_cases():
+    assert word_class((1, 1, 2, 2, 2, 2)) == "case1"
+    assert word_class((1, 1, 2, 2, 2, 2, 1, 1)) == "case2"
+    assert word_class((1, 1, 2, 2)) == "order4"
 
 
-def test_index_word_validation():
+def test_word_class_validation():
     with pytest.raises(InvalidParameterError):
-        IndexWord(())
+        word_class(())
     with pytest.raises(InvalidParameterError):
-        IndexWord((1, 3))
+        word_class((1, 3))
     with pytest.raises(ClassificationError):
-        IndexWord((1, 2)).classify()
+        word_class((1, 2))
     with pytest.raises(ClassificationError):
-        IndexWord((1, 1, 1, 1, 1, 1)).classify()
+        word_class((1, 1, 1, 1, 1, 1))
+
+
+@pytest.mark.parametrize("word", [(3, 3), (1, 3), (0, 0), ()])
+def test_bad_letters_raise_at_every_word_entry(strong_system, word):
+    # the integrand's closures only compare letters with each other, so
+    # (3, 3) would pass for (1, 1); each entry rejects it with a typed error
+    entries = (lambda: strong_system.word_integrand_fast(word, np.ones(2)),
+               lambda: trace_word(word, strong_system),
+               lambda: word_class(word))
+    for entry in entries:
+        with pytest.raises(InvalidParameterError):
+            entry()
 
 
 def test_mixed_even_word_enumeration():
@@ -153,8 +161,11 @@ def test_two_dipole_words_need_geometry(strong_setup, word):
     # without a second dipole a letter 2 names nothing: no parity shortcut
     # may return 0.0 for it
     params, prof, lat = strong_setup
+    single = TraceSystem(params, lat, prof)
     with pytest.raises(InvalidParameterError, match="geometry"):
-        trace_word(word, TraceSystem(params, lat, prof))
+        trace_word(word, single)
+    with pytest.raises(InvalidParameterError, match="geometry"):
+        single.word_integrand_fast(word, np.ones(2))
 
 
 def test_odd_weight_words_vanish_dense(strong_system, rng):
@@ -685,7 +696,7 @@ def test_case2_ratio_bound(strong_system, strong_setup):
     reference = trace_word((2, 1, 1, 2), strong_system)
     assert reference > 0.0
     for word in mixed_even_words(6):
-        if IndexWord(word).classify() != "case2":
+        if word_class(word) != "case2":
             continue
         value = abs(trace_word(word, strong_system))
         assert value <= rep.c_L ** 2 * reference * (1 + 1e-6)
